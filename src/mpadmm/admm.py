@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+import scipy.sparse as sp
 
 from .data import Hyperparams, PartialMatrix, SideInfo
 from .exceptions import NumericalError, ParameterError
 from .linalg import (apply_projection, build_pgram_operator,
-                     symmetric_eig_topk_factored, truncated_svd)
+                     single_blas_thread, symmetric_eig_topk_factored,
+                     truncated_svd)
 
 
 class RankDeficiencyWarning(UserWarning):
@@ -29,30 +29,34 @@ class RankDeficiencyWarning(UserWarning):
 
 @dataclass
 class ObservationMasks:
-    """Per-row and per-column observed index lists with aligned values."""
+    """Observed values in canonical (sorted) CSR form, by row (n x m) and
+    by column (m x n), with 0/1 patterns that share their index arrays."""
 
-    row_cols: list
-    row_vals: list
-    col_rows: list
-    col_vals: list
+    by_row: sp.csr_array
+    by_col: sp.csr_array
+    row_pattern: sp.csr_array
+    col_pattern: sp.csr_array
 
     @classmethod
     def from_partial(cls, data: PartialMatrix) -> "ObservationMasks":
-        row_cols = [[] for _ in range(data.n)]
-        row_vals = [[] for _ in range(data.n)]
-        col_rows = [[] for _ in range(data.m)]
-        col_vals = [[] for _ in range(data.m)]
-        for i, j, v in zip(data.rows, data.cols, data.values):
-            row_cols[i].append(j)
-            row_vals[i].append(v)
-            col_rows[j].append(i)
-            col_vals[j].append(v)
-        return cls(
-            row_cols=[np.array(c, dtype=np.int64) for c in row_cols],
-            row_vals=[np.array(v) for v in row_vals],
-            col_rows=[np.array(r, dtype=np.int64) for r in col_rows],
-            col_vals=[np.array(v) for v in col_vals],
-        )
+        by_row = sp.csr_array((data.values, (data.rows, data.cols)),
+                              shape=(data.n, data.m))
+        by_row.sort_indices()
+        by_col = by_row.T.tocsr()
+        ones = np.ones(data.nnz)
+        return cls(by_row=by_row, by_col=by_col,
+                   row_pattern=_with_data(by_row, ones),
+                   col_pattern=_with_data(by_col, ones))
+
+    @property
+    def col_rows(self) -> list:
+        """Row indices observed in each column, as views into `by_col`."""
+        return np.split(self.by_col.indices, self.by_col.indptr[1:-1])
+
+
+def _with_data(csr: sp.csr_array, data: np.ndarray) -> sp.csr_array:
+    """`csr`'s sparsity structure (shared, not copied) holding `data`."""
+    return sp.csr_array((data, csr.indices, csr.indptr), shape=csr.shape)
 
 
 @dataclass
@@ -83,44 +87,47 @@ class SolveReport:
     termination: str = "max_iters"
     warnings: list = field(default_factory=list)
     lagrangian_trace: list = field(default_factory=list)  # filled when tracked
+    # dense fill, truncated SVD and index build; kept out of
+    # subproblem_times, which holds per-iteration block times only
+    init_time: float = 0.0
 
 
-def _solve_rows(out, indices, gather, vals, factor_cols, diag, extra):
-    """Row-independent ridge solves; each row is computed on its own so the
-    result does not depend on how rows are distributed across threads."""
-    k = factor_cols.shape[1]
-    eye = np.eye(k)
-    for i in indices:
-        idx = gather[i]
-        rhs = extra[i].copy()
-        if idx.size:
-            Fi = factor_cols[idx]
-            G = 2.0 * (Fi.T @ Fi) + diag * eye
-            rhs += 2.0 * (Fi.T @ vals[i])
-        else:
-            G = diag * eye
-        out[i] = cho_solve(cho_factor(G, check_finite=False), rhs,
-                           check_finite=False)
+def _ridge_rows(values: sp.csr_array, pattern: sp.csr_array, F, diag,
+                extra=None) -> np.ndarray:
+    """Row-wise ridge solves (2 F_i^T F_i + diag I) x_i = 2 F_i^T a_i + extra_i,
+    where F_i holds the rows of F at row i's observed indices and a_i the
+    observed values (extra_i = 0 when `extra` is None).
 
-
-def _parallel_rows(n_rows, threads, work):
-    if threads <= 1 or n_rows < 2:
-        work(range(n_rows))
-        return
-    blocks = np.array_split(np.arange(n_rows), min(threads, n_rows))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(work, blocks))
+    All k x k Grams come from one sparse product of the pattern with the
+    row-wise outer products of F (upper triangle only), and all rows are
+    solved in one batched call; no nnz x k^2 gather is ever formed.
+    """
+    k = F.shape[1]
+    iu, ju = np.triu_indices(k)
+    tri = pattern @ (F[:, iu] * F[:, ju])
+    G = np.empty((tri.shape[0], k, k))
+    G[:, iu, ju] = tri
+    G[:, ju, iu] = tri
+    G *= 2.0
+    diag_idx = np.arange(k)
+    G[:, diag_idx, diag_idx] += diag
+    rhs = 2.0 * (values @ F)
+    if extra is not None:
+        rhs += extra
+    return np.linalg.solve(G, rhs[..., None])[..., 0]
 
 
 def update_U(V, Z, Psi, masks: ObservationMasks, gamma: float, rho2: float,
              threads: int = 1) -> np.ndarray:
+    """Exact U block minimizer: one ridge solve per row of U.
+
+    `threads` is accepted and unused: the rows are solved in one batched
+    call, whose result does not depend on any thread count.
+    """
     if gamma + rho2 <= 0:
         raise ParameterError("gamma + rho2 must be > 0")
-    n, k = Z.shape
-    out = np.empty((n, k))
-    extra = Psi + rho2 * Z
-    _parallel_rows(n, threads, lambda idx: _solve_rows(
-        out, idx, masks.row_cols, masks.row_vals, V, gamma + rho2, extra))
+    out = _ridge_rows(masks.by_row, masks.row_pattern, V, gamma + rho2,
+                      Psi + rho2 * Z)
     if not np.all(np.isfinite(out)):
         raise NumericalError("non-finite values after U update")
     return out
@@ -128,14 +135,13 @@ def update_U(V, Z, Psi, masks: ObservationMasks, gamma: float, rho2: float,
 
 def update_V(U, masks: ObservationMasks, gamma: float,
              threads: int = 1) -> np.ndarray:
+    """Exact V block minimizer: one ridge solve per column of the data.
+
+    `threads` is accepted and unused, as in `update_U`.
+    """
     if gamma <= 0:
         raise ParameterError("gamma must be > 0")
-    m = len(masks.col_rows)
-    k = U.shape[1]
-    out = np.empty((m, k))
-    zeros = np.zeros((m, k))
-    _parallel_rows(m, threads, lambda idx: _solve_rows(
-        out, idx, masks.col_rows, masks.col_vals, U, gamma, zeros))
+    out = _ridge_rows(masks.by_col, masks.col_pattern, U, gamma)
     if not np.all(np.isfinite(out)):
         raise NumericalError("non-finite values after V update")
     return out
@@ -240,27 +246,13 @@ def first_order_check(state: IterateState, data: PartialMatrix, Y,
                             state.Phi, state.Psi)
     k = state.k
 
-    res_u = 0.0
-    for i in range(U.shape[0]):
-        idx = masks.row_cols[i]
-        if idx.size:
-            Vi = V[idx]
-            lhs = 2.0 * (Vi.T @ (Vi @ U[i])) + gamma * U[i]
-            rhs = 2.0 * (Vi.T @ masks.row_vals[i]) + Psi[i]
-        else:
-            lhs, rhs = gamma * U[i], Psi[i]
-        res_u += float(np.sum((lhs - rhs) ** 2))
-
-    res_v = 0.0
-    for j in range(V.shape[0]):
-        idx = masks.col_rows[j]
-        if idx.size:
-            Uj = U[idx]
-            lhs = 2.0 * (Uj.T @ (Uj @ V[j])) + gamma * V[j]
-            rhs = 2.0 * (Uj.T @ masks.col_vals[j])
-        else:
-            lhs, rhs = gamma * V[j], np.zeros(k)
-        res_v += float(np.sum((lhs - rhs) ** 2))
+    # fit residual E = U V^T - A on the observed entries, in CSR form
+    obs = masks.by_row
+    obs_rows = np.repeat(np.arange(data.n), np.diff(obs.indptr))
+    E = _with_data(obs, np.einsum("ij,ij->i", U[obs_rows], V[obs.indices])
+                   - obs.data)
+    res_u = float(np.sum((2.0 * (E @ V) + gamma * U - Psi) ** 2))
+    res_v = float(np.sum((2.0 * (E.T @ U) + gamma * V) ** 2))
 
     op = build_pgram_operator(Y, Z, Phi, lam, 0.0)
     M2, _ = symmetric_eig_topk_factored(op.F1, op.F2, k, seed=0)
@@ -281,6 +273,7 @@ def first_order_check(state: IterateState, data: PartialMatrix, Y,
     }
 
 
+@single_blas_thread()
 def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
           track_objective: bool = True, track_dual_residual: bool = True,
           track_lagrangian: bool = False):
@@ -299,7 +292,8 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
     (rho2 Z + c U^t) / (rho2 + c).
 
     Terminates when both squared primal residual norms fall to eps, or at
-    the iteration cap.
+    the iteration cap.  The whole solve runs NumPy's BLAS on one thread
+    (`single_blas_thread`), whatever `hp.threads` says.
     """
     from .objective import objective_svd  # local import avoids a cycle
 
@@ -312,8 +306,8 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
     if not (np.all(np.isfinite(data.values)) and np.all(np.isfinite(Y))):
         raise NumericalError("non-finite input data")
 
-    A0 = data.to_dense_zero_filled()
-    tsvd = truncated_svd(A0, k, seed=hp.seed)
+    t0 = time.perf_counter()
+    tsvd = truncated_svd(data.to_dense_zero_filled(), k, seed=hp.seed)
     sqrt_s = np.sqrt(tsvd.S)
     state = IterateState(
         U=tsvd.U * sqrt_s,
@@ -325,7 +319,7 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
     )
     masks = ObservationMasks.from_partial(data)
     report = SolveReport()
-    report.termination = "max_iters"
+    report.init_time = time.perf_counter() - t0
     prox = 0.5 * (hp.gamma + hp.rho2)  # c of the proximal U step
     rho2_prox = hp.rho2 + prox
 

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from .data import PartialMatrix
 from .exceptions import ParameterError
@@ -126,14 +127,14 @@ def scaled_gd_loss(U, V, data: PartialMatrix, Y, alpha, lam: float,
 def scaled_gd_gradients(U, V, data: PartialMatrix, Y, alpha, lam: float,
                         gamma: float):
     """Analytic gradients of scaled_gd_loss in (U, V) at fixed alpha."""
-    n, m = data.n, data.m
     X_at = np.einsum("ij,ij->i", U[data.rows], V[data.cols])
-    Rs = np.zeros((n, m))
-    Rs[data.rows, data.cols] = X_at - data.values
+    Rs = sp.csr_array((X_at - data.values, (data.rows, data.cols)),
+                      shape=(data.n, data.m))  # fit residual on Omega
     E = Y - U @ (V.T @ alpha)
-    EA = E @ alpha.T  # n x m
-    gU = 2.0 * (Rs @ V) - 2.0 * lam * (EA @ V) + gamma * U
-    gV = 2.0 * (Rs.T @ U) - 2.0 * lam * (EA.T @ U) + gamma * V
+    # the n x m product E alpha^T enters only through (E alpha^T) V and
+    # (E alpha^T)^T U, so it is applied factor by factor
+    gU = 2.0 * (Rs @ V) - 2.0 * lam * (E @ (alpha.T @ V)) + gamma * U
+    gV = 2.0 * (Rs.T @ U) - 2.0 * lam * (alpha @ (E.T @ U)) + gamma * V
     return gU, gV
 
 
@@ -184,7 +185,7 @@ def scaled_gd(data: PartialMatrix, Y, lam: float, gamma: float, k: int,
     jitter_used = False
     violations = 0
     termination = "max_iters"
-    alpha = ols_alpha(U @ V.T, Y)
+    alpha = ols_alpha((U, V), Y)
     loss_prev = scaled_gd_loss(U, V, data, Y, alpha, lam, gamma)
     it = 0
     for it in range(1, max_iters + 1):
@@ -196,7 +197,7 @@ def scaled_gd(data: PartialMatrix, Y, lam: float, gamma: float, k: int,
         step = eta
         for _ in range(_MAX_HALVINGS + 1):
             U_try, V_try = U - step * dU, V - step * dV
-            alpha_try = ols_alpha(U_try @ V_try.T, Y)
+            alpha_try = ols_alpha((U_try, V_try), Y)
             loss = scaled_gd_loss(U_try, V_try, data, Y, alpha_try, lam,
                                   gamma)
             if loss <= loss_prev:

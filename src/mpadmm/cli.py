@@ -64,7 +64,9 @@ def _build_parser() -> _Parser:
     s.add_argument("--tol", type=float, default=1e-6)
     s.add_argument("--tau", type=float, default=1.0,
                    help="soft-impute shrinkage threshold")
-    s.add_argument("--threads", type=int, default=DEFAULT_THREADS)
+    s.add_argument("--threads", type=int, default=DEFAULT_THREADS,
+                   help="accepted for compatibility; unused by the solver, "
+                        "whose row solves run as one batched call")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True, help="output directory")
 

@@ -84,6 +84,10 @@ class SideInfo:
 
 @dataclass
 class Hyperparams:
+    """ADMM settings.  `threads` is validated (>= 1) but unused by the
+    solver: its U and V row solves run as one batched call, and `solve`
+    runs NumPy's BLAS on one thread."""
+
     k: int
     lam: float = 1.0
     gamma: float = 1.0

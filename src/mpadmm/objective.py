@@ -42,15 +42,30 @@ class Metrics:
     objective: ObjectiveBreakdown
 
 
-def ols_alpha(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Minimum-norm least squares solution (X^T X)^+ X^T Y."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+def _compact_svd(X_or_factors):
+    """(U, s, Vt) of a dense matrix, or of U_f V_f^T for a factor pair
+    (U_f, V_f) through thin QR of each factor and the SVD of the small
+    core, without forming the product."""
+    if isinstance(X_or_factors, tuple):
+        Uf, Vf = (np.atleast_2d(np.asarray(f, dtype=float))
+                  for f in X_or_factors)
+        Qu, Ru = np.linalg.qr(Uf)
+        Qv, Rv = np.linalg.qr(Vf)
+        Uc, s, Vtc = np.linalg.svd(Ru @ Rv.T)
+        return Qu @ Uc, s, Vtc @ Qv.T
+    X = np.atleast_2d(np.asarray(X_or_factors, dtype=float))
+    return np.linalg.svd(X, full_matrices=False)
+
+
+def ols_alpha(X_or_factors, Y: np.ndarray) -> np.ndarray:
+    """Minimum-norm least squares solution (X^T X)^+ X^T Y; X is a dense
+    matrix or a factor pair (U_f, V_f) with X = U_f V_f^T."""
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if X.shape[0] != Y.shape[0]:
+    U, s, Vt = _compact_svd(X_or_factors)
+    if U.shape[0] != Y.shape[0]:
         raise ParameterError("X and Y row counts disagree")
-    U, s, Vt = np.linalg.svd(X, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
-        return np.zeros((X.shape[1], Y.shape[1]))
+        return np.zeros((Vt.shape[1], Y.shape[1]))
     keep = s > PINV_CUTOFF * s[0]
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]
@@ -85,17 +100,12 @@ def objective_svd(X_or_factors, data: PartialMatrix, Y: np.ndarray,
     factor, at O(k n (m + d)) cost and without densifying U_f V_f^T.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    left, s, _ = _compact_svd(X_or_factors)
     if isinstance(X_or_factors, tuple):
         Uf, Vf = (np.asarray(f, dtype=float) for f in X_or_factors)
-        Qu, Ru = np.linalg.qr(Uf)
-        Qv, Rv = np.linalg.qr(Vf)
-        Uc, s, Vtc = np.linalg.svd(Ru @ Rv.T)
         X_at = np.einsum("ij,ij->i", Uf[data.rows], Vf[data.cols])
-        left = Qu @ Uc  # n x k, orthonormal columns
     else:
         X = np.atleast_2d(np.asarray(X_or_factors, dtype=float))
-        left_full, s, _ = np.linalg.svd(X, full_matrices=False)
-        left = left_full
         X_at = X[data.rows, data.cols]
 
     # numerical rank: drop directions whose singular value underflows

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import mpadmm.admm as admm
 from mpadmm.admm import (IterateState, ObservationMasks, RankDeficiencyWarning,
                          augmented_lagrangian, dual_residual,
                          first_order_check, primal_residuals, solve,
@@ -8,6 +11,7 @@ from mpadmm.admm import (IterateState, ObservationMasks, RankDeficiencyWarning,
 from mpadmm.data import (Hyperparams, PartialMatrix, SideInfo,
                          generate_synthetic)
 from mpadmm.exceptions import NumericalError, ParameterError
+from mpadmm.linalg import _openblas_threads_api
 from mpadmm.objective import err_l2
 
 
@@ -128,6 +132,82 @@ class TestUpdateV:
         a = update_V(st.U, masks, 0.6, threads=1)
         b = update_V(st.U, masks, 0.6, threads=4)
         assert np.array_equal(a, b)
+
+
+class TestObservationIndex:
+    @staticmethod
+    def _shuffled(pm, rng):
+        order = rng.permutation(pm.nnz)
+        return PartialMatrix(n=pm.n, m=pm.m, rows=pm.rows[order],
+                             cols=pm.cols[order], values=pm.values[order])
+
+    def test_no_observations(self):
+        rng = np.random.default_rng(19)
+        _, st = _random_state(rng)
+        pm = PartialMatrix(n=12, m=9, rows=[], cols=[], values=[])
+        masks = ObservationMasks.from_partial(pm)
+        got_u = update_U(st.V, st.Z, st.Psi, masks, 0.9, 2.0)
+        want_u = (st.Psi + 2.0 * st.Z) / (0.9 + 2.0)
+        assert np.max(np.abs(got_u - want_u)) <= 1e-15 * np.max(np.abs(want_u))
+        assert np.array_equal(update_V(st.U, masks, 1.3), np.zeros((9, 3)))
+
+    def test_entry_order_does_not_matter(self):
+        # the index is canonical CSR, so every sum runs in the same order
+        rng = np.random.default_rng(20)
+        pm, st = _random_state(rng, n=40, m=30, k=4)
+        masks = ObservationMasks.from_partial(pm)
+        shuffled = ObservationMasks.from_partial(self._shuffled(pm, rng))
+        assert np.array_equal(update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0),
+                              update_U(st.V, st.Z, st.Psi, shuffled, 0.5, 2.0))
+        assert np.array_equal(update_V(st.U, masks, 0.6),
+                              update_V(st.U, shuffled, 0.6))
+        Y = rng.standard_normal((pm.n, 3))
+        E = np.where(pm.mask(), st.x_hat() - pm.to_dense_zero_filled(), 0.0)
+        dense = {"U_stationarity": 2.0 * E @ st.V + 0.7 * st.U - st.Psi,
+                 "V_stationarity": 2.0 * E.T @ st.U + 0.7 * st.V}
+        for key, resid in dense.items():
+            a, b = (self._residual_norm(st, data, Y, key)
+                    for data in (pm, self._shuffled(pm, rng)))
+            assert a == b
+            assert a == pytest.approx(np.linalg.norm(resid), rel=1e-12)
+
+    @staticmethod
+    def _residual_norm(st, pm, Y, key):
+        """The residual norm behind first_order_check's `key`: the
+        smallest tolerance that passes, found by bisection on the bit
+        patterns of positive doubles, which are ordered like the values."""
+        lo, hi = 0, int(np.float64(np.inf).view(np.int64))
+        while lo < hi:
+            mid = (lo + hi) // 2
+            tol = float(np.int64(mid).view(np.float64))
+            if first_order_check(st, pm, Y, 1.0, 0.7, tol)[key]:
+                hi = mid
+            else:
+                lo = mid + 1
+        return float(np.int64(lo).view(np.float64))
+
+    def test_col_rows_has_one_entry_per_column(self):
+        rng = np.random.default_rng(21)
+        pm, _ = _random_state(rng)
+        col_rows = ObservationMasks.from_partial(pm).col_rows
+        assert len(col_rows) == pm.m
+        for j, rows in enumerate(col_rows):
+            assert np.array_equal(rows, np.sort(pm.rows[pm.cols == j]))
+
+    def test_update_U_memory_stays_linear(self):
+        # an nnz x k^2 gather of V would need 8 nnz k^2 bytes (61 MB here)
+        rng = np.random.default_rng(22)
+        n, m, k = 600, 400, 8
+        pm, st = _random_state(rng, n=n, m=m, k=k, frac=0.5)
+        masks = ObservationMasks.from_partial(pm)
+        budget = 4 * 8 * (pm.nnz + (n + m) * k * k)
+        assert budget < 8 * pm.nnz * k * k / 8
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        update_U(st.V, st.Z, st.Psi, masks, 1.0, 10.0)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < budget
 
 
 class TestUpdateP:
@@ -333,6 +413,31 @@ class TestSolve:
         assert len(report.objective_trace) == t
         assert set(report.subproblem_times) == {"U", "V", "P", "Z"}
         assert all(v >= 0.0 for v in report.subproblem_times.values())
+
+    def test_init_time_reported_apart(self):
+        pm, si, _ = generate_synthetic(15, 10, 2, 2, 0.4, 0.5, seed=6)
+        _, report = solve(pm, si, Hyperparams(k=2, max_iters=2))
+        assert report.init_time > 0.0
+        assert set(report.subproblem_times) == {"U", "V", "P", "Z"}
+
+    def test_blas_single_threaded_inside_and_restored(self, monkeypatch):
+        api = _openblas_threads_api()
+        if api is None:
+            pytest.skip("NumPy links no OpenBLAS with a thread-count API")
+        get, _ = api
+        before = get()
+        seen = []
+        update_P = admm.update_P
+
+        def spy(*args, **kwargs):
+            seen.append(get())
+            return update_P(*args, **kwargs)
+
+        monkeypatch.setattr(admm, "update_P", spy)
+        pm, si, _ = generate_synthetic(15, 10, 2, 2, 0.4, 0.5, seed=6)
+        solve(pm, si, Hyperparams(k=2, max_iters=2, threads=2))
+        assert seen == [1, 1]
+        assert get() == before
 
     def test_tolerance_termination(self):
         pm, si, _ = generate_synthetic(15, 10, 2, 2, 0.3, 0.1, seed=7)

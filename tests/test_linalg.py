@@ -1,8 +1,12 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from mpadmm.exceptions import ParameterError
-from mpadmm.linalg import (LinearMap, apply_projection, build_pgram_operator,
+from mpadmm.linalg import (LinearMap, _openblas_threads_api, apply_projection,
+                           build_pgram_operator, single_blas_thread,
                            soft_threshold_svd, symmetric_eig_topk,
                            symmetric_eig_topk_factored, truncated_svd)
 
@@ -227,3 +231,46 @@ class TestApplyProjection:
     def test_non_orthonormal_rejected(self):
         with pytest.raises(ParameterError):
             apply_projection(2.0 * np.eye(4)[:, :2], np.ones((4, 1)))
+
+
+class TestSingleBlasThread:
+    def test_nested_and_raising_blocks_restore(self):
+        api = _openblas_threads_api()
+        if api is None:
+            pytest.skip("NumPy links no OpenBLAS with a thread-count API")
+        get, _ = api
+        before = get()
+        with pytest.raises(RuntimeError):
+            with single_blas_thread():
+                with single_blas_thread():
+                    assert get() == 1
+                assert get() == 1
+                raise RuntimeError
+        assert get() == before
+
+    def test_concurrent_blocks_restore_once(self):
+        api = _openblas_threads_api()
+        if api is None:
+            pytest.skip("NumPy links no OpenBLAS with a thread-count API")
+        get, _ = api
+        before = get()
+        inside = []
+
+        def worker():
+            for _ in range(200):
+                with single_blas_thread():
+                    inside.append(get())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(inside) == 800 and set(inside) == {1}
+        assert get() == before

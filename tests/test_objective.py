@@ -43,6 +43,18 @@ class TestOlsAlpha:
         resid = X @ ols_alpha(X, Y) - Y
         assert np.max(np.abs(X.T @ resid)) < 1e-8
 
+    def test_factored_input_matches_dense(self):
+        rng = np.random.default_rng(18)
+        Y = rng.standard_normal((40, 6))
+        for k in (1, 3):
+            Uf = rng.standard_normal((40, k))
+            Vf = rng.standard_normal((25, k))
+            dense = ols_alpha(Uf @ Vf.T, Y)
+            assert np.max(np.abs(ols_alpha((Uf, Vf), Y) - dense)) < \
+                1e-12 * np.max(np.abs(dense))
+        zero = (np.zeros((40, 2)), np.ones((25, 2)))
+        assert np.array_equal(ols_alpha(zero, Y), np.zeros((25, 6)))
+
     def test_partial_minimization_optimality(self):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((12, 5))
