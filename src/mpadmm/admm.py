@@ -18,9 +18,9 @@ import scipy.sparse as sp
 
 from .data import Hyperparams, PartialMatrix, SideInfo
 from .exceptions import NumericalError, ParameterError
-from .linalg import (apply_projection, build_pgram_operator,
-                     single_blas_thread, symmetric_eig_topk_factored,
-                     truncated_svd)
+from .linalg import (apply_projection, build_pgram_operator, pgram_eig_topk,
+                     side_basis, single_blas_thread,
+                     symmetric_eig_topk_factored, truncated_svd)
 
 
 class RankDeficiencyWarning(UserWarning):
@@ -87,9 +87,11 @@ class SolveReport:
     termination: str = "max_iters"
     warnings: list = field(default_factory=list)
     lagrangian_trace: list = field(default_factory=list)  # filled when tracked
-    # dense fill, truncated SVD and index build; kept out of
-    # subproblem_times, which holds per-iteration block times only
+    # init_time: dense fill, truncated SVD, side basis and index build;
+    # tracking_time: dual_residual, objective_svd and augmented_lagrangian.
+    # Both are kept out of subproblem_times, which holds block times only.
     init_time: float = 0.0
+    tracking_time: float = 0.0
 
 
 def _ridge_rows(values: sp.csr_array, pattern: sp.csr_array, F, diag,
@@ -148,17 +150,19 @@ def update_V(U, masks: ObservationMasks, gamma: float,
 
 
 def update_P(Y, Z, Phi, lam: float, rho1: float, k: int,
-             seed: int = 0) -> np.ndarray:
+             seed: int = 0, *, basis=None) -> np.ndarray:
     """Orthonormal factor M of the projector maximizing the P subproblem.
 
     M holds the k eigenvectors of largest algebraic eigenvalue of
-    lam*YY^T + (rho1/2)ZZ^T + (Phi Z^T + Z Phi^T)/2, computed through the
-    implicit factored operator.
+    lam*YY^T + (rho1/2)ZZ^T + (Phi Z^T + Z Phi^T)/2, computed by
+    `pgram_eig_topk` on the `side_basis` of Y (`basis`, computed from Y
+    when None).
     """
     if k > Y.shape[0]:
         raise ParameterError("k exceeds the row dimension")
-    op = build_pgram_operator(Y, Z, Phi, lam, rho1)
-    M, _ = symmetric_eig_topk_factored(op.F1, op.F2, k, seed=seed)
+    if basis is None:
+        basis = side_basis(Y)
+    M, _ = pgram_eig_topk(basis, Z, Phi, lam, rho1, k, seed=seed)
     return M
 
 
@@ -190,9 +194,11 @@ def primal_residuals(state: IterateState):
     return phi_res, psi_res
 
 
-def dual_residual(state: IterateState, Y, lam: float, seed: int = 0) -> float:
+def dual_residual(state: IterateState, Y, lam: float, seed: int = 0, *,
+                  basis=None) -> float:
     """||P2 - P1 P2||_F where P1 projects onto col(Z) and P2 onto the top-k
-    eigenspace of lam*YY^T + (Phi Z^T + Z Phi^T)/2, all in factored form."""
+    eigenspace of lam*YY^T + (Phi Z^T + Z Phi^T)/2, all in factored form;
+    `basis` is Y's `side_basis`, computed from Y when None."""
     Z = state.Z
     k = state.k
     Uz, sz, _ = np.linalg.svd(Z, full_matrices=False)
@@ -204,8 +210,9 @@ def dual_residual(state: IterateState, Y, lam: float, seed: int = 0) -> float:
         warnings.warn("Z has numerical rank below k; dual residual computed "
                       "at the actual rank", RankDeficiencyWarning)
     Q1 = Uz[:, :rank]
-    op = build_pgram_operator(Y, Z, state.Phi, lam, 0.0)
-    M2, _ = symmetric_eig_topk_factored(op.F1, op.F2, k, seed=seed)
+    if basis is None:
+        basis = side_basis(Y)
+    M2, _ = pgram_eig_topk(basis, Z, state.Phi, lam, 0.0, k, seed=seed)
     B = M2 - Q1 @ (Q1.T @ M2) if rank else M2
     return float(np.linalg.norm(B))
 
@@ -239,7 +246,9 @@ def first_order_check(state: IterateState, data: PartialMatrix, Y,
 
     Returns one boolean per condition: U and V row stationarity,
     P eigenspace alignment, dual balance Phi + Psi = P Phi, Z = P Z
-    and Z = U.
+    and Z = U.  The P eigenspace comes from the factored operator
+    (`build_pgram_operator`, `symmetric_eig_topk_factored`), independent
+    of the compressed eigensolve the solver uses.
     """
     masks = ObservationMasks.from_partial(data)
     U, V, M, Z, Phi, Psi = (state.U, state.V, state.M, state.Z,
@@ -291,6 +300,10 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
     `update_U` called with penalty rho2 + c and copy target
     (rho2 Z + c U^t) / (rho2 + c).
 
+    Y is factored once (`side_basis`), and the P update and the dual
+    residual each solve their eigenproblem in that basis plus the span of
+    [Z, Phi] (`pgram_eig_topk`).
+
     Terminates when both squared primal residual norms fall to eps, or at
     the iteration cap.  The whole solve runs NumPy's BLAS on one thread
     (`single_blas_thread`), whatever `hp.threads` says.
@@ -318,18 +331,28 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
         Psi=np.ones((data.n, k)),
     )
     masks = ObservationMasks.from_partial(data)
+    basis = side_basis(Y)  # Y is fixed: factored once per solve
     report = SolveReport()
     report.init_time = time.perf_counter() - t0
     prox = 0.5 * (hp.gamma + hp.rho2)  # c of the proximal U step
     rho2_prox = hp.rho2 + prox
+
+    def tracked(fn, *args, **kwargs):
+        t0 = time.perf_counter()
+        value = fn(*args, **kwargs)
+        report.tracking_time += time.perf_counter() - t0
+        return value
+
+    def lagrangian() -> float:
+        return tracked(augmented_lagrangian, state, data, Y, hp.lam,
+                       hp.gamma, hp.rho1, hp.rho2)
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RankDeficiencyWarning)
         for t in range(hp.max_iters):
             lag_row = []
             if track_lagrangian:
-                lag_row.append(augmented_lagrangian(state, data, Y, hp.lam,
-                                                    hp.gamma, hp.rho1, hp.rho2))
+                lag_row.append(lagrangian())
 
             t0 = time.perf_counter()
             U_prev = state.U
@@ -340,31 +363,27 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
             report.subproblem_times["U"] += time.perf_counter() - t0
             if track_lagrangian:
                 du_sq = float(np.sum((state.U - U_prev) ** 2))
-                lag_row.append(augmented_lagrangian(state, data, Y, hp.lam,
-                                                    hp.gamma, hp.rho1, hp.rho2))
+                lag_row.append(lagrangian())
 
             t0 = time.perf_counter()
             state.M = update_P(Y, state.Z, state.Phi, hp.lam, hp.rho1, k,
-                               seed=hp.seed)
+                               seed=hp.seed, basis=basis)
             report.subproblem_times["P"] += time.perf_counter() - t0
             if track_lagrangian:
-                lag_row.append(augmented_lagrangian(state, data, Y, hp.lam,
-                                                    hp.gamma, hp.rho1, hp.rho2))
+                lag_row.append(lagrangian())
 
             t0 = time.perf_counter()
             state.V = update_V(state.U, masks, hp.gamma, hp.threads)
             report.subproblem_times["V"] += time.perf_counter() - t0
             if track_lagrangian:
-                lag_row.append(augmented_lagrangian(state, data, Y, hp.lam,
-                                                    hp.gamma, hp.rho1, hp.rho2))
+                lag_row.append(lagrangian())
 
             t0 = time.perf_counter()
             state.Z = update_Z(state.U, state.M, state.Phi, state.Psi,
                                hp.rho1, hp.rho2)
             report.subproblem_times["Z"] += time.perf_counter() - t0
             if track_lagrangian:
-                lag_row.append(augmented_lagrangian(state, data, Y, hp.lam,
-                                                    hp.gamma, hp.rho1, hp.rho2))
+                lag_row.append(lagrangian())
                 # (L before, after U, after P, after V, after Z, ||dU||^2)
                 report.lagrangian_trace.append(tuple(lag_row) + (du_sq,))
 
@@ -381,12 +400,13 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
             report.phi_residual_trace.append(phi_res)
             report.psi_residual_trace.append(psi_res)
             if track_dual_residual:
-                report.dual_residual_trace.append(
-                    dual_residual(state, Y, hp.lam, seed=hp.seed))
+                report.dual_residual_trace.append(tracked(
+                    dual_residual, state, Y, hp.lam, seed=hp.seed,
+                    basis=basis))
             if track_objective:
-                report.objective_trace.append(
-                    objective_svd((state.U, state.V), data, Y, hp.lam,
-                                  hp.gamma).total)
+                report.objective_trace.append(tracked(
+                    objective_svd, (state.U, state.V), data, Y, hp.lam,
+                    hp.gamma).total)
             report.iterations = t + 1
             if max(phi_res ** 2, psi_res ** 2) <= hp.eps:
                 report.termination = "tolerance_met"

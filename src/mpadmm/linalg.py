@@ -1,10 +1,12 @@
 """Dense and implicit-operator linear algebra primitives.
 
-Truncated SVD / symmetric eigendecompositions are computed by block
-randomized subspace iteration (oversampling 10, at least 4 power
-iterations, then iterated to the requested tolerance).  Inputs whose
-smaller dimension is at most ``DENSE_CUTOFF`` take a full dense
-decomposition instead; the dense path doubles as the test oracle.
+Truncated SVDs are computed by block randomized subspace iteration
+(oversampling 10, at least 4 power iterations, then iterated to the
+requested tolerance).  Inputs whose smaller dimension is at most
+``DENSE_CUTOFF`` take a full dense decomposition instead; the dense path
+doubles as the test oracle.  The symmetric eigenproblems of the P update
+are low-rank and solved exactly by Rayleigh-Ritz on a basis of their
+range, never as n x n matrices.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.linalg
 
 from .exceptions import ConvergenceError, ParameterError
 
@@ -139,95 +142,6 @@ def truncated_svd(op, k: int, tol: float = 1e-10, seed: int = 0) -> TruncatedSVD
     return TruncatedSVD(U=U, S=s[:k].copy(), V=Vh)
 
 
-def _check_symmetric(lm: LinearMap, rng: np.random.Generator, probes: int = 3):
-    n = lm.rows
-    for _ in range(probes):
-        v = rng.standard_normal(n)
-        w = rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        w /= np.linalg.norm(w)
-        lv, lw = lm.apply(v), lm.apply(w)
-        scale = 1.0 + max(np.linalg.norm(lv), np.linalg.norm(lw))
-        if abs(lv @ w - lw @ v) > 1e-8 * scale:
-            raise ParameterError("operator failed the symmetry probe")
-
-
-def _spectral_norm_bound(lm: LinearMap, rng: np.random.Generator) -> float:
-    """Cheap upper-ish bound on the spectral norm via power iteration."""
-    v = rng.standard_normal(lm.rows)
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(30):
-        w = lm.apply(v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        est = nw
-        v = w / nw
-    return 1.5 * est + 1e-12
-
-
-def symmetric_eig_topk(op, k: int, tol: float = 1e-10, seed: int = 0):
-    """Top-k eigenpairs (largest algebraic eigenvalues) of a symmetric operator.
-
-    Returns (M, lambdas) with M n x k orthonormal and lambdas non-increasing.
-    Indefinite operators are handled by shifting with a spectral norm bound
-    before subspace iteration, which preserves the algebraic ordering.
-    """
-    lm = _as_linear_map(op)
-    if lm.rows != lm.cols:
-        raise ParameterError("symmetric_eig_topk requires a square operator")
-    n = lm.rows
-    if not 1 <= k <= n:
-        raise ParameterError(f"rank k={k} out of range for {n}x{n} operator")
-
-    rng = np.random.default_rng(seed)
-    _check_symmetric(lm, rng)
-
-    if n <= DENSE_CUTOFF:
-        A = lm.to_dense() if not isinstance(op, np.ndarray) else np.asarray(op, dtype=float)
-        lam, vecs = np.linalg.eigh(0.5 * (A + A.T))
-        order = np.argsort(lam)[::-1][:k]
-        M = vecs[:, order].copy()
-        _fix_signs(M)
-        return M, lam[order].copy()
-
-    shift = _spectral_norm_bound(lm, rng)
-
-    def shifted(block):
-        return lm.apply(block) + shift * block
-
-    Q = np.linalg.qr(shifted(rng.standard_normal((n, min(k + OVERSAMPLE, n)))))[0]
-    prev = None
-    for it in range(MAX_POWER_ITERS):
-        AQ = shifted(Q)
-        T = Q.T @ AQ
-        lam, W = np.linalg.eigh(0.5 * (T + T.T))
-        order = np.argsort(lam)[::-1]
-        ritz = lam[order][:k] - shift
-        Q = np.linalg.qr(AQ)[0]
-        if it + 1 >= MIN_POWER_ITERS and prev is not None:
-            scale = max(np.max(np.abs(ritz)), shift, np.finfo(float).tiny)
-            if np.max(np.abs(ritz - prev)) <= tol * scale:
-                break
-        prev = ritz
-    else:
-        raise ConvergenceError(
-            f"symmetric_eig_topk did not stabilize within {MAX_POWER_ITERS} iterations",
-            best=(Q[:, :k], prev))
-
-    AQ = lm.apply(Q)
-    T = Q.T @ AQ
-    lam, W = np.linalg.eigh(0.5 * (T + T.T))
-    order = np.argsort(lam)[::-1][:k]
-    M = Q @ W[:, order]
-    M = np.linalg.qr(M)[0]
-    _fix_signs(M)
-    lambdas = np.array([M[:, j] @ lm.apply(M[:, j]) for j in range(k)])
-    idx = np.argsort(lambdas)[::-1]
-    return M[:, idx].copy(), lambdas[idx]
-
-
 def symmetric_eig_topk_factored(F1: np.ndarray, F2: np.ndarray, k: int,
                                 seed: int = 0):
     """Top-k algebraic eigenpairs of the symmetric product C = F1 F2^T.
@@ -276,6 +190,95 @@ def symmetric_eig_topk_factored(F1: np.ndarray, F2: np.ndarray, k: int,
         M = np.hstack([M, Mc])
         lambdas = np.concatenate([lambdas, np.zeros(pad)])
 
+    M = np.ascontiguousarray(M)
+    _fix_signs(M)
+    return M, lambdas
+
+
+def side_basis(Y: np.ndarray):
+    """(Qy, s2): orthonormal basis of col(Y) at numerical rank and the
+    squared singular values, so that Y Y^T = Qy diag(s2) Qy^T.
+
+    Directions whose singular value falls below s_1 * max(n, d) * eps
+    are dropped; their share of Y Y^T is below rounding.
+    """
+    Y = np.asarray(Y, dtype=float)
+    U, s, _ = np.linalg.svd(Y, full_matrices=False)
+    if s.size and s[0] > 0:
+        r = int(np.sum(s > s[0] * max(Y.shape) * np.finfo(float).eps))
+    else:
+        r = 0
+    return np.ascontiguousarray(U[:, :r]), s[:r] ** 2
+
+
+def pgram_eig_topk(basis, Z: np.ndarray, Phi: np.ndarray, lam: float,
+                   rho1: float, k: int, seed: int = 0):
+    """Top-k algebraic eigenpairs of lam*YY^T + (rho1/2)ZZ^T +
+    (Phi Z^T + Z Phi^T)/2, with Y given by its `side_basis` (Qy, s2).
+
+    Rayleigh-Ritz on the orthonormal basis [Qy, Q2], where Q2 spans the
+    part of G = [Z, Phi] outside col(Y): that basis holds the operator's
+    range, so the compressed (d + 2k)-order eigenproblem is exact up to
+    rounding.  G is projected off Qy twice (classical Gram-Schmidt with
+    reorthogonalization) and Q2 is taken from the remainder's SVD at
+    numerical rank relative to ||G||: G is often rank-deficient (the
+    all-ones initial dual), and a QR would then return filler columns
+    that are not orthogonal to Qy.  Returns (M, lambdas) with M n x k
+    orthonormal and lambdas non-increasing.  The operator vanishes on the
+    complement of [Qy, Q2], so complement directions (eigenvalue 0, drawn
+    from a seeded Gaussian block) are preferred over negative ones.
+    """
+    Qy, s2 = basis
+    Z = np.asarray(Z, dtype=float)
+    Phi = np.asarray(Phi, dtype=float)
+    n = Qy.shape[0]
+    if Z.shape[0] != n or Phi.shape != Z.shape:
+        raise ParameterError("Y, Z, Phi row counts / shapes are inconsistent")
+    if lam < 0 or rho1 < 0:
+        raise ParameterError("lam and rho1 must be nonnegative")
+    if not 1 <= k <= n:
+        raise ParameterError(f"rank k={k} out of range for {n}x{n} operator")
+
+    G = np.hstack([Z, Phi])
+    Cy = Qy.T @ G
+    R = G - Qy @ Cy
+    C2 = Qy.T @ R
+    R -= Qy @ C2
+    Cy += C2
+    U2, s_r, Vt_r = np.linalg.svd(R, full_matrices=False)
+    cut = max(G.shape) * np.finfo(float).eps * np.linalg.norm(G)
+    r2 = int(np.sum(s_r > cut))
+    Q2 = U2[:, :r2]
+    # coordinates of G in the basis [Qy, Q2]: the dropped part of R is
+    # below rounding
+    B = np.vstack([Cy, s_r[:r2, None] * Vt_r[:r2]])
+    kz = Z.shape[1]
+    Zb, Phib = B[:, :kz], B[:, kz:]
+    H = Zb @ (0.5 * rho1 * Zb + Phib).T
+    T = 0.5 * (H + H.T)
+    r = Qy.shape[1]
+    T[np.arange(r), np.arange(r)] += lam * s2
+
+    q = r + r2
+    take = min(k, q)
+    if take:
+        lams, W = scipy.linalg.eigh(T, subset_by_index=[q - take, q - 1])
+        lams, W = lams[::-1], W[:, ::-1]
+    else:
+        lams, W = np.zeros(0), np.zeros((0, 0))
+    # n - q complement directions of eigenvalue 0 rank above negatives
+    pad = min(n - q, k - int(np.sum(lams >= 0.0)))
+    keep = k - pad
+    M = Qy @ W[:r, :keep] + Q2 @ W[r:, :keep]
+    lambdas = lams[:keep]
+    if pad:
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, pad))
+        for Q in (Qy, Q2, M):
+            X -= Q @ (Q.T @ X)
+        at = int(np.sum(lambdas >= 0.0))  # zeros go before any negatives
+        M = np.hstack([M[:, :at], np.linalg.qr(X)[0], M[:, at:]])
+        lambdas = np.concatenate([lambdas[:at], np.zeros(pad), lambdas[at:]])
     M = np.ascontiguousarray(M)
     _fix_signs(M)
     return M, lambdas

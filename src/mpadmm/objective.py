@@ -57,11 +57,12 @@ def _compact_svd(X_or_factors):
     return np.linalg.svd(X, full_matrices=False)
 
 
-def ols_alpha(X_or_factors, Y: np.ndarray) -> np.ndarray:
+def ols_alpha(X_or_factors, Y: np.ndarray, *, svd=None) -> np.ndarray:
     """Minimum-norm least squares solution (X^T X)^+ X^T Y; X is a dense
-    matrix or a factor pair (U_f, V_f) with X = U_f V_f^T."""
+    matrix or a factor pair (U_f, V_f) with X = U_f V_f^T.  `svd`, when
+    given, is X's thin SVD (U, s, Vt), taken instead of computing it."""
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    U, s, Vt = _compact_svd(X_or_factors)
+    U, s, Vt = _compact_svd(X_or_factors) if svd is None else svd
     if U.shape[0] != Y.shape[0]:
         raise ParameterError("X and Y row counts disagree")
     if s.size == 0 or s[0] == 0.0:
@@ -73,8 +74,10 @@ def ols_alpha(X_or_factors, Y: np.ndarray) -> np.ndarray:
 
 
 def _fit_term(X_at, data: PartialMatrix) -> float:
-    diff = X_at - data.values
-    return float(diff @ diff)
+    """Squared fit residual on Omega; overwrites X_at, a fresh array of
+    the estimate's observed entries, so no second nnz buffer is made."""
+    X_at -= data.values
+    return float(X_at @ X_at)
 
 
 def objective_naive(X: np.ndarray, data: PartialMatrix, Y: np.ndarray,
@@ -92,15 +95,17 @@ def objective_naive(X: np.ndarray, data: PartialMatrix, Y: np.ndarray,
 
 
 def objective_svd(X_or_factors, data: PartialMatrix, Y: np.ndarray,
-                  lam: float, gamma: float) -> ObjectiveBreakdown:
+                  lam: float, gamma: float, *, svd=None) -> ObjectiveBreakdown:
     """SVD route; accepts a dense matrix or a factor pair (U_f, V_f).
 
     The side term uses Tr(Y^T (I - U U^T) Y) from the compact SVD of X at
     numerical rank; factored input is handled through thin QR of each
     factor, at O(k n (m + d)) cost and without densifying U_f V_f^T.
+    `svd`, when given, is X's thin SVD (U, s, Vt), taken instead of
+    computing it; only U and s are read.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    left, s, _ = _compact_svd(X_or_factors)
+    left, s, _ = _compact_svd(X_or_factors) if svd is None else svd
     if isinstance(X_or_factors, tuple):
         Uf, Vf = (np.asarray(f, dtype=float) for f in X_or_factors)
         X_at = np.einsum("ij,ij->i", Uf[data.rows], Vf[data.cols])
@@ -143,28 +148,34 @@ def worst_case_delta(X: np.ndarray, gamma: float):
     return Delta, gamma * float(s[:r].sum())
 
 
+def _square_sum(A: np.ndarray) -> float:
+    """Sum of squares of a fresh temporary, squared in place so that no
+    second buffer of its size is made."""
+    A *= A
+    return float(np.sum(A))
+
+
 def err_l2(X_hat: np.ndarray, A_true: np.ndarray) -> float:
     """Relative squared Frobenius reconstruction error."""
     A_true = np.asarray(A_true, dtype=float)
     denom = float(np.sum(A_true * A_true))
     if denom == 0.0:
         raise ParameterError("A_true must be nonzero")
-    diff = np.asarray(X_hat, dtype=float) - A_true
-    return float(np.sum(diff * diff)) / denom
+    return _square_sum(np.asarray(X_hat, dtype=float) - A_true) / denom
 
 
-def r_squared(X_hat: np.ndarray, Y: np.ndarray) -> float:
+def r_squared(X_hat: np.ndarray, Y: np.ndarray, *, svd=None) -> float:
     """Pooled multivariate R^2 of the side info regressed on X_hat.
 
     Total sum of squares is column-mean centered and pooled over columns.
+    `svd`, when given, is X_hat's thin SVD, passed on to `ols_alpha`.
     """
     X_hat = np.atleast_2d(np.asarray(X_hat, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    alpha = ols_alpha(X_hat, Y)
-    resid = Y - X_hat @ alpha
-    ss_res = float(np.sum(resid * resid))
-    centered = Y - Y.mean(axis=0, keepdims=True)
-    ss_tot = float(np.sum(centered * centered))
+    alpha = ols_alpha(X_hat, Y, svd=svd)
+    fitted = X_hat @ alpha
+    ss_res = _square_sum(np.subtract(Y, fitted, out=fitted))
+    ss_tot = _square_sum(Y - Y.mean(axis=0, keepdims=True))
     if ss_tot == 0.0:
         if ss_res <= 1e-12 * max(1.0, float(np.sum(Y * Y))):
             return 1.0
@@ -184,10 +195,16 @@ def fitted_rank(X_hat: np.ndarray) -> int:
 
 def evaluate(X_hat: np.ndarray, data: PartialMatrix, Y: np.ndarray,
              A_true: np.ndarray, lam: float, gamma: float) -> Metrics:
-    """Bundle of all solution quality metrics against a known ground truth."""
-    return Metrics(
-        err_l2=err_l2(X_hat, A_true),
-        r2=r_squared(X_hat, Y),
-        fitted_rank=fitted_rank(X_hat),
-        objective=objective_svd(X_hat, data, Y, lam, gamma),
-    )
+    """Bundle of all solution quality metrics against a known ground truth.
+
+    The thin SVD of X_hat is taken once and shared by `r_squared` and
+    `objective_svd`; `fitted_rank` takes its own values-only SVD.
+    """
+    X_hat = np.atleast_2d(np.asarray(X_hat, dtype=float))
+    err, rank = err_l2(X_hat, A_true), fitted_rank(X_hat)
+    U, s, Vt = np.linalg.svd(X_hat, full_matrices=False)
+    r2 = r_squared(X_hat, Y, svd=(U, s, Vt))
+    del Vt  # objective_svd reads U and s only; frees an m x min(n, m) buffer
+    return Metrics(err_l2=err, r2=r2, fitted_rank=rank,
+                   objective=objective_svd(X_hat, data, Y, lam, gamma,
+                                           svd=(U, s, None)))

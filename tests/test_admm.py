@@ -11,7 +11,7 @@ from mpadmm.admm import (IterateState, ObservationMasks, RankDeficiencyWarning,
 from mpadmm.data import (Hyperparams, PartialMatrix, SideInfo,
                          generate_synthetic)
 from mpadmm.exceptions import NumericalError, ParameterError
-from mpadmm.linalg import _openblas_threads_api
+from mpadmm.linalg import _openblas_threads_api, side_basis
 from mpadmm.objective import err_l2
 
 
@@ -247,6 +247,17 @@ class TestUpdateP:
             update_P(np.ones((3, 1)), np.ones((3, 1)), np.ones((3, 1)),
                      1.0, 1.0, 4)
 
+    def test_precomputed_basis_is_bitwise_identical(self):
+        rng = np.random.default_rng(11)
+        n, d, k = 60, 8, 3
+        Y = rng.standard_normal((n, d))
+        Z = rng.standard_normal((n, k))
+        for Phi in (np.ones((n, k)), rng.standard_normal((n, k))):
+            M = update_P(Y, Z, Phi, 1.0, 10.0, k, seed=4)
+            Mb = update_P(Y, Z, Phi, 1.0, 10.0, k, seed=4,
+                          basis=side_basis(Y))
+            assert np.array_equal(M, Mb)
+
 
 class TestUpdateZ:
     def test_dense_stationarity_oracle(self):
@@ -336,6 +347,14 @@ class TestDualResidual:
         want = np.linalg.norm(M2 - P1 @ M2)
         assert got == pytest.approx(want, rel=1e-8)
 
+    def test_precomputed_basis_is_bitwise_identical(self):
+        rng = np.random.default_rng(16)
+        n, d = 30, 5
+        Y = rng.standard_normal((n, d))
+        _, st = _random_state(rng, n=n, k=3)
+        assert (dual_residual(st, Y, 0.9, seed=2)
+                == dual_residual(st, Y, 0.9, seed=2, basis=side_basis(Y)))
+
     def test_rank_deficiency_warns(self):
         n, k = 6, 2
         Z = np.zeros((n, k))
@@ -419,6 +438,31 @@ class TestSolve:
         _, report = solve(pm, si, Hyperparams(k=2, max_iters=2))
         assert report.init_time > 0.0
         assert set(report.subproblem_times) == {"U", "V", "P", "Z"}
+
+    def test_tracking_time_reported_apart(self):
+        pm, si, _ = generate_synthetic(15, 10, 2, 2, 0.4, 0.5, seed=6)
+        hp = Hyperparams(k=2, max_iters=3)
+        _, on = solve(pm, si, hp, track_lagrangian=True)
+        _, off = solve(pm, si, hp, track_objective=False,
+                       track_dual_residual=False)
+        assert on.tracking_time > 0.0
+        assert off.tracking_time == 0.0
+        for report in (on, off):
+            assert set(report.subproblem_times) == {"U", "V", "P", "Z"}
+
+    def test_side_matrix_factored_once(self, monkeypatch):
+        calls = []
+        basis = admm.side_basis
+
+        def spy(Y):
+            calls.append(Y.shape)
+            return basis(Y)
+
+        monkeypatch.setattr(admm, "side_basis", spy)
+        pm, si, _ = generate_synthetic(15, 10, 2, 3, 0.4, 0.5, seed=6)
+        _, report = solve(pm, si, Hyperparams(k=2, max_iters=4, eps=1e-16))
+        assert report.iterations == 4 and len(report.dual_residual_trace) == 4
+        assert calls == [(15, 3)]
 
     def test_blas_single_threaded_inside_and_restored(self, monkeypatch):
         api = _openblas_threads_api()

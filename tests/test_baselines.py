@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+import mpadmm.baselines as baselines
 from mpadmm.baselines import (iterative_svd, scaled_gd, scaled_gd_gradients,
                               scaled_gd_loss, soft_impute)
 from mpadmm.data import PartialMatrix, generate_synthetic
 from mpadmm.exceptions import ParameterError
-from mpadmm.linalg import soft_threshold_svd
+from mpadmm.linalg import _openblas_threads_api, soft_threshold_svd
 from mpadmm.objective import err_l2, ols_alpha
 
 
@@ -211,3 +212,28 @@ class TestScaledGD:
         empty = PartialMatrix(n=3, m=3, rows=[0], cols=[0], values=[0.0])
         with pytest.raises(ParameterError):
             scaled_gd(empty, np.zeros((3, 1)), 1.0, 1.0, 1)
+
+
+@pytest.mark.parametrize("run", [
+    lambda pm, Y: iterative_svd(pm, 2),
+    lambda pm, Y: soft_impute(pm, 0.5, k_cap=2),
+    lambda pm, Y: scaled_gd(pm, Y, 1.0, 1.0, 2),
+], ids=["iterative_svd", "soft_impute", "scaled_gd"])
+def test_blas_single_threaded_inside_and_restored(run, monkeypatch):
+    api = _openblas_threads_api()
+    if api is None:
+        pytest.skip("NumPy links no OpenBLAS with a thread-count API")
+    get, _ = api
+    before = get()
+    seen = []
+    result_type = baselines.BaselineResult
+
+    def spy(*args, **kwargs):
+        seen.append(get())
+        return result_type(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "BaselineResult", spy)
+    pm, si, _ = generate_synthetic(15, 10, 2, 2, 0.4, 0.5, seed=6)
+    run(pm, si.Y)
+    assert seen == [1]
+    assert get() == before

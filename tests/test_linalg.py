@@ -6,8 +6,8 @@ import pytest
 
 from mpadmm.exceptions import ParameterError
 from mpadmm.linalg import (LinearMap, _openblas_threads_api, apply_projection,
-                           build_pgram_operator, single_blas_thread,
-                           soft_threshold_svd, symmetric_eig_topk,
+                           build_pgram_operator, pgram_eig_topk, side_basis,
+                           single_blas_thread, soft_threshold_svd,
                            symmetric_eig_topk_factored, truncated_svd)
 
 
@@ -67,41 +67,6 @@ class TestTruncatedSVD:
             truncated_svd(np.eye(4), 0)
 
 
-class TestSymmetricEigTopk:
-    def test_diagonal(self):
-        M, lam = symmetric_eig_topk(np.diag([5.0, 1.0, 0.0]), 1)
-        assert np.allclose(lam, [5.0])
-        assert np.allclose(np.abs(M[:, 0]), [1, 0, 0], atol=1e-12)
-
-    def test_zero_matrix(self):
-        M, lam = symmetric_eig_topk(np.zeros((6, 6)), 2)
-        assert np.allclose(lam, 0.0)
-        assert np.linalg.norm(M.T @ M - np.eye(2)) < 1e-10
-
-    def test_random_symmetric_against_eigh(self):
-        rng = np.random.default_rng(4)
-        G = rng.standard_normal((30, 30))
-        S = G + G.T
-        M, lam = symmetric_eig_topk(S, 4)
-        w, vecs = np.linalg.eigh(S)
-        order = np.argsort(w)[::-1][:4]
-        assert np.max(np.abs(lam - w[order])) < 1e-8
-        assert _projector_distance(M, vecs[:, order]) < 1e-8
-
-    def test_large_indefinite_against_eigh(self):
-        rng = np.random.default_rng(5)
-        G = rng.standard_normal((80, 80))
-        S = G + G.T  # indefinite, above the dense cutoff
-        M, lam = symmetric_eig_topk(S, 3, tol=1e-12)
-        w = np.sort(np.linalg.eigvalsh(S))[::-1]
-        assert np.max(np.abs(lam - w[:3])) < 1e-6 * np.abs(w[0])
-
-    def test_asymmetric_rejected(self):
-        A = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ParameterError):
-            symmetric_eig_topk(LinearMap.from_dense(A), 1)
-
-
 class TestSymmetricEigTopkFactored:
     def test_matches_dense_eigh(self):
         rng = np.random.default_rng(6)
@@ -124,6 +89,109 @@ class TestSymmetricEigTopkFactored:
         M, lam = symmetric_eig_topk_factored(v, -v, 2)
         assert lam[0] == pytest.approx(0.0, abs=1e-12)
         assert np.linalg.norm(M.T @ M - np.eye(2)) < 1e-10
+
+
+class TestPgramEigTopk:
+    """The compressed eigensolve against a dense eigh of
+    C = lam YY^T + (rho1/2) ZZ^T + (Phi Z^T + Z Phi^T)/2."""
+
+    @staticmethod
+    def _check(Y, Z, Phi, lam, rho1, k):
+        """M orthonormal, C M = M diag(vals), vals the top k of eigh(C),
+        and the projector equal to eigh's when the k-th gap is open."""
+        M, vals = pgram_eig_topk(side_basis(Y), Z, Phi, lam, rho1, k)
+        C = (lam * Y @ Y.T + 0.5 * rho1 * Z @ Z.T
+             + 0.5 * (Phi @ Z.T + Z @ Phi.T))
+        w, vecs = np.linalg.eigh(C)
+        order = np.argsort(w)[::-1]
+        scale = np.max(np.abs(w))
+        assert np.linalg.norm(M.T @ M - np.eye(k)) < 1e-12
+        assert np.linalg.norm(C @ M - M * vals) <= 1e-10 * scale
+        assert np.max(np.abs(vals - w[order[:k]])) <= 1e-10 * scale
+        if k == len(w) or w[order[k - 1]] - w[order[k]] > 1e-6 * scale:
+            assert _projector_distance(M, vecs[:, order[:k]]) <= 1e-10
+        return M, vals
+
+    def test_all_ones_dual_rank_deficient_block(self):
+        rng = np.random.default_rng(20)
+        n, d, k = 40, 6, 3
+        Y = rng.standard_normal((n, d))
+        Z = rng.standard_normal((n, k))
+        self._check(Y, Z, np.ones((n, k)), 1.0, 10.0, k)
+        # more directions than C has nonzero eigenvalues: the rest must be
+        # null vectors orthogonal to col(Y), never filler of a rank-
+        # deficient block
+        self._check(Y[:, :2], Z, np.ones((n, k)), 1.0, 10.0, 12)
+
+    def test_copy_inside_side_span(self):
+        rng = np.random.default_rng(21)
+        n, d, k = 40, 6, 3
+        Y = rng.standard_normal((n, d))
+        Z = Y @ rng.standard_normal((d, k))
+        self._check(Y, Z, rng.standard_normal((n, k)), 0.8, 4.0, k)
+
+    def test_basis_covers_whole_space(self):
+        rng = np.random.default_rng(22)
+        n, d, k = 12, 8, 3  # d + 2k >= n
+        Y = rng.standard_normal((n, d))
+        self._check(Y, rng.standard_normal((n, k)),
+                    rng.standard_normal((n, k)), 1.5, 2.0, k)
+
+    def test_no_side_term(self):
+        rng = np.random.default_rng(23)
+        n, d, k = 40, 6, 3
+        self._check(rng.standard_normal((n, d)), rng.standard_normal((n, k)),
+                    rng.standard_normal((n, k)), 0.0, 10.0, k)
+
+    def test_side_matrix_rank_below_d(self):
+        rng = np.random.default_rng(24)
+        n, d, k = 40, 6, 3
+        Y = rng.standard_normal((n, 2)) @ rng.standard_normal((2, d))
+        Qy, s2 = side_basis(Y)
+        assert Qy.shape == (n, 2) and s2.shape == (2,)
+        self._check(Y, rng.standard_normal((n, k)),
+                    rng.standard_normal((n, k)), 1.0, 5.0, k)
+
+    def test_negative_spectrum_prefers_null_directions(self):
+        # C = YY^T - ZZ^T with col(Z) orthogonal to col(Y): two positive
+        # eigenvalues, three negative, and n - 5 zeros; the top 3 are the
+        # two positive ones and a null direction
+        rng = np.random.default_rng(25)
+        n, rho1 = 20, 4.0
+        Q = np.linalg.qr(rng.standard_normal((n, 5)))[0]
+        Y, Z = Q[:, :2] * [3.0, 2.0], Q[:, 2:] * [1.0, 1.5, 2.0]
+        Phi = -(0.5 * rho1 + 1.0) * Z
+        M, vals = pgram_eig_topk(side_basis(Y), Z, Phi, 1.0, rho1, 3)
+        assert np.allclose(vals, [9.0, 4.0, 0.0], atol=1e-12)
+        assert np.linalg.norm(M.T @ M - np.eye(3)) < 1e-12
+        assert _projector_distance(M[:, :2], Q[:, :2]) < 1e-12
+        assert np.linalg.norm(Q.T @ M[:, 2]) < 1e-12
+        # col(Y) of order n - 1 holds Z, so one null direction is left
+        # outside the basis: the top n - 2 are n - 3 zeros and the -1
+        Qf = np.linalg.qr(np.hstack([Q, rng.standard_normal((n, n - 5))]))[0]
+        Y = Qf[:, :n - 1] @ rng.standard_normal((n - 1, n - 1))
+        M, vals = self._check(Y, Z, Phi, 0.0, rho1, n - 2)
+        assert vals[-1] == pytest.approx(-1.0, abs=1e-12)
+
+    def test_zero_operator_is_padded(self):
+        n, k = 7, 2
+        M, vals = pgram_eig_topk(side_basis(np.zeros((n, 3))),
+                                 np.zeros((n, k)), np.zeros((n, k)), 1.0, 1.0,
+                                 k)
+        assert np.array_equal(vals, np.zeros(k))
+        assert np.linalg.norm(M.T @ M - np.eye(k)) < 1e-12
+
+    def test_agrees_with_factored_solver(self):
+        rng = np.random.default_rng(26)
+        n, d, k = 200, 30, 4
+        Y = rng.standard_normal((n, d))
+        Z = rng.standard_normal((n, k))
+        Phi = rng.standard_normal((n, k))
+        op = build_pgram_operator(Y, Z, Phi, 1.0, 10.0)
+        M0, v0 = symmetric_eig_topk_factored(op.F1, op.F2, k)
+        M1, v1 = pgram_eig_topk(side_basis(Y), Z, Phi, 1.0, 10.0, k)
+        assert _projector_distance(M0, M1) < 1e-12
+        assert np.max(np.abs(v0 - v1)) < 1e-12 * np.max(np.abs(v0))
 
 
 class TestBuildPgramOperator:

@@ -3,9 +3,9 @@ import pytest
 
 from mpadmm.data import PartialMatrix, generate_synthetic
 from mpadmm.exceptions import ParameterError
-from mpadmm.objective import (err_l2, evaluate, fitted_rank, objective_naive,
-                              objective_svd, ols_alpha, r_squared,
-                              spectral_bound, worst_case_delta)
+from mpadmm.objective import (Metrics, err_l2, evaluate, fitted_rank,
+                              objective_naive, objective_svd, ols_alpha,
+                              r_squared, spectral_bound, worst_case_delta)
 
 
 def _random_instance(rng, n=15, m=10, d=4, frac=0.5):
@@ -244,6 +244,31 @@ class TestMetrics:
         assert m.err_l2 == pytest.approx(err_l2(X, A_true))
         assert m.objective.total == pytest.approx(
             objective_naive(X, pm, Y, 1.0, 1.0).total, rel=1e-8)
+
+
+    @pytest.mark.parametrize("rank", [3, None], ids=["rank_k", "full_rank"])
+    def test_evaluate_one_thin_svd_same_metrics(self, rank, monkeypatch):
+        rng = np.random.default_rng(16)
+        pm, Y = _random_instance(rng, n=60, m=40, d=5)
+        A_true = rng.standard_normal((pm.n, pm.m))
+        X = (rng.standard_normal((pm.n, rank)) @ rng.standard_normal(
+            (rank, pm.m)) if rank else rng.standard_normal((pm.n, pm.m)))
+        want = Metrics(err_l2=err_l2(X, A_true), r2=r_squared(X, Y),
+                       fitted_rank=fitted_rank(X),
+                       objective=objective_svd(X, pm, Y, 0.7, 1.3))
+        svd = np.linalg.svd
+        thin_calls = []
+
+        def spy(a, *args, **kwargs):
+            if kwargs.get("compute_uv", True):
+                thin_calls.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        got = evaluate(X, pm, Y, A_true, 0.7, 1.3)
+        assert got == want  # bitwise: dataclass equality of the floats
+        assert got.fitted_rank == (rank or 40)
+        assert thin_calls == [X.shape]
 
 
 class TestFactorizationBound:
