@@ -18,8 +18,8 @@ import scipy.sparse as sp
 
 from .data import Hyperparams, PartialMatrix, SideInfo
 from .exceptions import NumericalError, ParameterError
-from .linalg import (apply_projection, build_pgram_operator, pgram_eig_topk,
-                     side_basis, single_blas_thread,
+from .linalg import (LinearMap, apply_projection, build_pgram_operator,
+                     pgram_eig_topk, side_basis, single_blas_thread,
                      symmetric_eig_topk_factored, truncated_svd)
 
 
@@ -87,7 +87,7 @@ class SolveReport:
     termination: str = "max_iters"
     warnings: list = field(default_factory=list)
     lagrangian_trace: list = field(default_factory=list)  # filled when tracked
-    # init_time: dense fill, truncated SVD, side basis and index build;
+    # init_time: index build, truncated SVD and side basis;
     # tracking_time: dual_residual, objective_svd and augmented_lagrangian.
     # Both are kept out of subproblem_times, which holds block times only.
     init_time: float = 0.0
@@ -289,7 +289,9 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
     """Run the full ADMM loop; returns (IterateState, SolveReport).
 
     Initialization: U0 = Z0 = L sqrt(S), V0 = R sqrt(S), M0 = L from the
-    rank-k truncated SVD of the zero-filled data, and all-ones duals.
+    rank-k truncated SVD of the observed entries (the zero-filled data),
+    taken by Lanczos through the CSR index of the observations, so no
+    n x m buffer is formed; and all-ones duals.
 
     Each iteration updates U, P, V and Z in turn, then the duals.  The U
     step is proximal: it minimizes the augmented Lagrangian plus
@@ -320,7 +322,10 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
         raise NumericalError("non-finite input data")
 
     t0 = time.perf_counter()
-    tsvd = truncated_svd(data.to_dense_zero_filled(), k, seed=hp.seed)
+    masks = ObservationMasks.from_partial(data)
+    tsvd = truncated_svd(LinearMap(data.n, data.m, masks.by_row.__matmul__,
+                                   masks.by_col.__matmul__),
+                         k, seed=hp.seed)
     sqrt_s = np.sqrt(tsvd.S)
     state = IterateState(
         U=tsvd.U * sqrt_s,
@@ -330,7 +335,6 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
         Phi=np.ones((data.n, k)),
         Psi=np.ones((data.n, k)),
     )
-    masks = ObservationMasks.from_partial(data)
     basis = side_basis(Y)  # Y is fixed: factored once per solve
     report = SolveReport()
     report.init_time = time.perf_counter() - t0

@@ -1,12 +1,14 @@
 """Dense and implicit-operator linear algebra primitives.
 
-Truncated SVDs are computed by block randomized subspace iteration
-(oversampling 10, at least 4 power iterations, then iterated to the
-requested tolerance).  Inputs whose smaller dimension is at most
-``DENSE_CUTOFF`` take a full dense decomposition instead; the dense path
-doubles as the test oracle.  The symmetric eigenproblems of the P update
-are low-rank and solved exactly by Rayleigh-Ritz on a basis of their
-range, never as n x n matrices.
+Truncated SVDs are computed by ARPACK's implicitly restarted Lanczos on
+the Gram operator of a dense matrix or a `LinearMap` (such as the CSR
+index of the observations), at machine precision, so they need only
+operator products and depend little on the gap after the k-th singular
+value.  Inputs whose smaller dimension is at most ``DENSE_CUTOFF``, and
+requests for all min(n, m) triplets, take a full dense decomposition
+instead; the dense path doubles as the test oracle.  The symmetric
+eigenproblems of the P update are low-rank and solved exactly by
+Rayleigh-Ritz on a basis of their range, never as n x n matrices.
 """
 
 from __future__ import annotations
@@ -22,13 +24,11 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
 from .exceptions import ConvergenceError, ParameterError
 
 DENSE_CUTOFF = 32
-OVERSAMPLE = 10
-MIN_POWER_ITERS = 4
-MAX_POWER_ITERS = 300
 
 
 class LinearMap:
@@ -96,50 +96,61 @@ def _as_linear_map(op) -> LinearMap:
     return LinearMap.from_dense(np.asarray(op, dtype=float))
 
 
-def truncated_svd(op, k: int, tol: float = 1e-10, seed: int = 0) -> TruncatedSVD:
+def truncated_svd(op, k: int, seed: int = 0) -> TruncatedSVD:
     """Leading-k singular triplets of a dense matrix or LinearMap.
 
-    tol is a relative accuracy target on the singular values (scaled by
-    the leading singular value estimate).
+    Above ``DENSE_CUTOFF``, and for k < min(n, m), ARPACK's implicitly
+    restarted Lanczos (``eigsh`` at tol=0, i.e. machine precision) finds
+    the top-k eigenvectors of the smaller Gram operator, A^T A or A A^T,
+    applied as two operator products and never formed.  The triplets are
+    read off the thin SVD of A applied to that basis.  The start vector
+    and any restart vectors (ARPACK asks for them when A has rank below
+    k) come from a generator seeded with `seed`, so equal inputs give
+    bitwise-equal results.  A zero operator gives S = 0 with
+    coordinate-axis U and V.  Raises ConvergenceError, with the converged
+    triplets as ``best``, when ARPACK runs out of restarts.
     """
     lm = _as_linear_map(op)
     n, m = lm.rows, lm.cols
     if not 1 <= k <= min(n, m):
         raise ParameterError(f"rank k={k} out of range for {n}x{m} operator")
 
-    if min(n, m) <= DENSE_CUTOFF:
+    if min(n, m) <= DENSE_CUTOFF or k == min(n, m):
         A = lm.to_dense() if not isinstance(op, np.ndarray) else np.asarray(op, dtype=float)
         U, s, Vt = np.linalg.svd(A, full_matrices=False)
         U, Vh = U[:, :k].copy(), Vt[:k].T.copy()
         _fix_signs(U, Vh)
         return TruncatedSVD(U=U, S=s[:k].copy(), V=Vh)
 
-    rng = np.random.default_rng(seed)
-    ell = min(k + OVERSAMPLE, min(n, m))
-    Q = np.linalg.qr(lm.apply(rng.standard_normal((m, ell))))[0]
-    prev = None
-    for it in range(MAX_POWER_ITERS):
-        Q = np.linalg.qr(lm.apply_transpose(Q))[0]
-        Q = np.linalg.qr(lm.apply(Q))[0]
-        B = lm.apply_transpose(Q).T  # ell x m
-        s = np.linalg.svd(B, compute_uv=False)[:k]
-        if it + 1 >= MIN_POWER_ITERS and prev is not None:
-            scale = max(s[0], np.finfo(float).tiny)
-            if np.max(np.abs(s - prev)) <= tol * scale:
-                break
-        prev = s
-    else:
-        Ub, s, Vt = np.linalg.svd(B, full_matrices=False)
-        best = TruncatedSVD(U=Q @ Ub[:, :k], S=s[:k], V=Vt[:k].T)
-        raise ConvergenceError(
-            f"truncated_svd did not stabilize within {MAX_POWER_ITERS} iterations",
-            best=best)
+    # Lanczos runs on the Gram operator of the smaller side
+    fwd, back = ((lm.apply, lm.apply_transpose) if n >= m
+                 else (lm.apply_transpose, lm.apply))
+    p = min(n, m)
+    gram = scipy.sparse.linalg.LinearOperator(
+        (p, p), matvec=lambda x: back(fwd(x)), dtype=float)
 
-    Ub, s, Vt = np.linalg.svd(B, full_matrices=False)
-    U = Q @ Ub[:, :k]
-    Vh = Vt[:k].T.copy()
-    _fix_signs(U, Vh)
-    return TruncatedSVD(U=U, S=s[:k].copy(), V=Vh)
+    def triplets(W):
+        # W: orthonormalized Gram eigenvectors; fwd(W) = Ub diag(s) Vb^T
+        W = np.linalg.qr(W)[0]
+        Ub, s, Vbt = np.linalg.svd(fwd(W), full_matrices=False)
+        Wb = W @ Vbt.T
+        U, V = (Ub, Wb) if n >= m else (Wb, Ub)
+        _fix_signs(U, V)
+        return TruncatedSVD(U=U, S=s, V=V)
+
+    # eigsh rather than svds: svds hands no generator on to eigsh, whose
+    # restart vectors would then be drawn from fresh OS entropy
+    rng = np.random.default_rng(seed)
+    v0 = rng.standard_normal(p)
+    if not np.any(gram.matvec(v0)):
+        # a zero operator: ARPACK would reject the start vector
+        return TruncatedSVD(U=np.eye(n, k), S=np.zeros(k), V=np.eye(m, k))
+    try:
+        _, W = scipy.sparse.linalg.eigsh(gram, k, v0=v0, tol=0, rng=rng)
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        raise ConvergenceError("truncated_svd: ARPACK did not converge",
+                               best=triplets(exc.eigenvectors)) from exc
+    return triplets(W)
 
 
 def symmetric_eig_topk_factored(F1: np.ndarray, F2: np.ndarray, k: int,

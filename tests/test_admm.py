@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -499,6 +504,45 @@ class TestSolve:
         state, report = solve(pm, si, hp)
         assert np.allclose(state.V, 0.0)
         assert report.objective_trace[-1] == pytest.approx(0.0, abs=1e-10)
+
+    def test_no_observations(self):
+        # above the dense cutoff: the Lanczos init sees a zero operator
+        pm = PartialMatrix(n=60, m=40, rows=[], cols=[], values=[])
+        si = SideInfo(Y=np.random.default_rng(3).standard_normal((60, 2)))
+        state, report = solve(pm, si, Hyperparams(k=3, max_iters=5))
+        assert report.iterations == 5
+        assert np.array_equal(state.x_hat(), np.zeros((60, 40)))
+        assert np.linalg.norm(state.M.T @ state.M - np.eye(3)) < 1e-12
+
+    def test_no_dense_fill(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("solve formed the zero-filled n x m matrix")
+
+        pm, si, gt = generate_synthetic(80, 50, 3, 2, 0.5, 0.5, seed=11)
+        monkeypatch.setattr(PartialMatrix, "to_dense_zero_filled", refuse)
+        state, _ = solve(pm, si, Hyperparams(k=3, max_iters=5))
+        assert err_l2(state.x_hat(), gt.A_true) < 0.1
+
+    def test_solve_loads_no_scipy_module(self):
+        # a module imported inside a call would land in the first solve's
+        # memory and time
+        code = textwrap.dedent("""
+            import sys
+            import mpadmm
+            before = {m for m in sys.modules if m.startswith("scipy")}
+            pm, si, _ = mpadmm.generate_synthetic(80, 50, 3, 2, 0.5, 0.5, 1)
+            mpadmm.solve(pm, si, mpadmm.Hyperparams(k=3, max_iters=2))
+            new = {m for m in sys.modules if m.startswith("scipy")} - before
+            print(sorted(new))
+        """)
+        src = str(Path(admm.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120,
+                             check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_determinism(self):
         pm, si, _ = generate_synthetic(18, 12, 2, 2, 0.5, 0.5, seed=8)

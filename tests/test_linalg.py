@@ -1,14 +1,19 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg
 
-from mpadmm.exceptions import ParameterError
-from mpadmm.linalg import (LinearMap, _openblas_threads_api, apply_projection,
-                           build_pgram_operator, pgram_eig_topk, side_basis,
-                           single_blas_thread, soft_threshold_svd,
-                           symmetric_eig_topk_factored, truncated_svd)
+from mpadmm.data import generate_synthetic
+from mpadmm.exceptions import ConvergenceError, ParameterError
+from mpadmm.linalg import (DENSE_CUTOFF, LinearMap, _openblas_threads_api,
+                           apply_projection, build_pgram_operator,
+                           pgram_eig_topk, side_basis, single_blas_thread,
+                           soft_threshold_svd, symmetric_eig_topk_factored,
+                           truncated_svd)
 
 
 def _projector_distance(M1, M2):
@@ -65,6 +70,102 @@ class TestTruncatedSVD:
             truncated_svd(np.eye(4), 5)
         with pytest.raises(ParameterError):
             truncated_svd(np.eye(4), 0)
+
+    def test_near_degenerate_gap_matches_lapack_subspace(self):
+        # sigma_8 / sigma_9 = 1.0104: subspace iteration stalls near such a
+        # gap, Lanczos does not
+        pm, _, _ = generate_synthetic(300, 150, 8, 3, 0.5, 1.0, 0)
+        A = pm.to_dense_zero_filled()
+        U, s, _ = np.linalg.svd(A, full_matrices=False)
+        assert s[7] / s[8] < 1.011
+        by_row = sp.csr_array((pm.values, (pm.rows, pm.cols)), shape=A.shape)
+        by_col = by_row.T.tocsr()
+        for op in (A, LinearMap(pm.n, pm.m, by_row.__matmul__,
+                                by_col.__matmul__)):
+            res = truncated_svd(op, 8)
+            assert _projector_distance(res.U, U[:, :8]) <= 1e-8
+            assert np.max(np.abs(res.S - s[:8])) <= 1e-12 * s[0]
+
+    def test_wide_operator(self):
+        rng = np.random.default_rng(4)
+        A = rng.standard_normal((40, 90))
+        res = truncated_svd(A, 6)
+        U, s, Vt = np.linalg.svd(A, full_matrices=False)
+        assert np.max(np.abs(res.S - s[:6])) < 1e-12 * s[0]
+        assert _projector_distance(res.U, U[:, :6]) < 1e-10
+        assert _projector_distance(res.V, Vt[:6].T) < 1e-10
+        assert np.linalg.norm(res.U.T @ A - res.S[:, None] * res.V.T) < 1e-10
+
+    def test_zero_operator(self):
+        # 3000 x 2000: a dense fill would need 48 MB
+        n, m, k = 3000, 2000, 3
+        Z = sp.csr_array((n, m))
+        op = LinearMap(n, m, Z.__matmul__, Z.T.tocsr().__matmul__)
+        tracemalloc.start()
+        try:
+            res = truncated_svd(op, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(res.S, np.zeros(k))
+        assert np.array_equal(res.U.T @ res.U, np.eye(k))
+        assert np.array_equal(res.V.T @ res.V, np.eye(k))
+        assert peak < 4 * 2**20
+
+    def test_k_equals_min_dim_above_cutoff(self):
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((50, 40))
+        assert min(A.shape) > DENSE_CUTOFF
+        s = np.linalg.svd(A, compute_uv=False)
+        for dense, op in ((A, A), (A.T, A.T), (A, LinearMap.from_dense(A))):
+            res = truncated_svd(op, 40)
+            assert np.max(np.abs(res.S - s)) < 1e-12 * s[0]
+            assert np.linalg.norm(res.compose() - dense) < 1e-12 * s[0]
+
+    @pytest.mark.parametrize("case", ["rank_one", "identity", "orthogonal"])
+    def test_rank_deficient_operator_is_deterministic(self, case):
+        # rank 1 < k, or a top singular value of multiplicity above k: the
+        # Krylov space collapses and ARPACK asks for restart vectors,
+        # which must come from the seeded generator
+        if case == "rank_one":
+            A = sp.csr_array(([3.0], ([4], [7])), shape=(60, 50))
+            op = LinearMap(60, 50, A.__matmul__, A.T.tocsr().__matmul__)
+            k, S = 5, np.array([3.0, 0.0, 0.0, 0.0, 0.0])
+        elif case == "identity":
+            op, k, S = np.eye(40), 3, np.ones(3)
+        else:
+            op = np.linalg.qr(np.random.default_rng(7).standard_normal((40, 40)))[0]
+            k, S = 3, np.ones(3)
+        first = truncated_svd(op, k, seed=2)
+        assert first.S.shape == (k,)
+        assert np.max(np.abs(first.S - S)) < 1e-12
+        if case != "rank_one":
+            for F in (first.U, first.V):
+                assert np.max(np.abs(F.T @ F - np.eye(k))) < 1e-12
+            A = np.asarray(op)
+            assert np.max(np.abs(A @ first.V - first.U * first.S)) < 1e-12
+        for _ in range(3):
+            again = truncated_svd(op, k, seed=2)
+            assert np.array_equal(again.U, first.U)
+            assert np.array_equal(again.S, first.S)
+            assert np.array_equal(again.V, first.V)
+
+    def test_no_convergence_raises_with_best(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        A = rng.standard_normal((80, 60)) * (0.8 ** np.arange(60))
+        _, s, Vt = np.linalg.svd(A, full_matrices=False)
+
+        def stalled(gram, k, **kwargs):
+            # two of the k requested eigenpairs converged
+            raise scipy.sparse.linalg.ArpackNoConvergence(
+                "no convergence", s[:2] ** 2, Vt[:2].T.copy())
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
+        with pytest.raises(ConvergenceError) as info:
+            truncated_svd(A, 4)
+        best = info.value.best
+        assert best.U.shape == (80, 2) and best.V.shape == (60, 2)
+        assert np.max(np.abs(best.S - s[:2])) < 1e-12 * s[0]
 
 
 class TestSymmetricEigTopkFactored:
