@@ -48,6 +48,11 @@ class ObservationMasks:
                    row_pattern=_with_data(by_row, ones),
                    col_pattern=_with_data(by_col, ones))
 
+    def linear_map(self) -> LinearMap:
+        """The zero-filled n x m data as an operator: CSR products only."""
+        return LinearMap(*self.by_row.shape, self.by_row.__matmul__,
+                         self.by_col.__matmul__)
+
     @property
     def col_rows(self) -> list:
         """Row indices observed in each column, as views into `by_col`."""
@@ -323,9 +328,7 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
 
     t0 = time.perf_counter()
     masks = ObservationMasks.from_partial(data)
-    tsvd = truncated_svd(LinearMap(data.n, data.m, masks.by_row.__matmul__,
-                                   masks.by_col.__matmul__),
-                         k, seed=hp.seed)
+    tsvd = truncated_svd(masks.linear_map(), k, seed=hp.seed)
     sqrt_s = np.sqrt(tsvd.S)
     state = IterateState(
         U=tsvd.U * sqrt_s,

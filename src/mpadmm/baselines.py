@@ -16,9 +16,10 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
+from .admm import ObservationMasks
 from .data import PartialMatrix
 from .exceptions import ParameterError
-from .linalg import single_blas_thread, soft_threshold_svd
+from .linalg import single_blas_thread, soft_threshold_svd, truncated_svd
 from .objective import ols_alpha
 
 _MAX_HALVINGS = 60  # scaled_gd backtracking: 2^-60 is below double rounding
@@ -163,31 +164,32 @@ def scaled_gd(data: PartialMatrix, Y, lam: float, gamma: float, k: int,
               max_iters: int = 1000) -> BaselineResult:
     """Preconditioned gradient descent on balanced factors U V^T.
 
-    The regression weights are refit by least squares each iteration and
-    held fixed during the gradient step; updates are right-multiplied by
-    (V^T V)^-1 and (U^T U)^-1 respectively.  Each step starts at one tenth
-    of the inverse leading singular value of the zero-filled data and is
-    halved, up to 60 times, until `scaled_gd_loss` with the weights refit
-    at the trial point does not rise; a step that raises the loss is never
-    taken.  `monotone_violations` counts the iterations in which no such
-    step was found; the iterate is then kept and the run stops.
-    Terminates at the iteration cap or when the relative objective
-    improvement falls below 1e-3.
+    The factors start from the rank-k truncated SVD of the zero-filled
+    data, taken by Lanczos on the CSR index of the observations as in
+    `admm.solve`, so no n x m buffer is formed.  The regression weights
+    are refit by least squares each iteration and held fixed during the
+    gradient step; updates are right-multiplied by (V^T V)^-1 and
+    (U^T U)^-1 respectively.  Each step starts at one tenth of the inverse
+    leading singular value of the zero-filled data and is halved, up to
+    60 times, until `scaled_gd_loss` with the weights refit at the trial
+    point does not rise; a step that raises the loss is never taken.
+    `monotone_violations` counts the iterations in which no such step was
+    found; the iterate is then kept and the run stops.  Terminates at the
+    iteration cap or when the relative objective improvement falls below
+    1e-3.
     """
     if not 1 <= k <= min(data.n, data.m):
         raise ParameterError("k out of range")
     t0 = time.perf_counter()
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
 
-    A0 = data.to_dense_zero_filled()
-    Uf, s, Vt = np.linalg.svd(A0, full_matrices=False)
-    s1 = s[0] if s.size else 0.0
-    if s1 <= 0:
+    tsvd = truncated_svd(ObservationMasks.from_partial(data).linear_map(), k)
+    if tsvd.S[0] <= 0:
         raise ParameterError("zero data matrix")
-    eta = 1.0 / (10.0 * s1)
-    sqrt_s = np.sqrt(s[:k])
-    U = Uf[:, :k] * sqrt_s
-    V = Vt[:k].T * sqrt_s
+    eta = 1.0 / (10.0 * tsvd.S[0])
+    sqrt_s = np.sqrt(tsvd.S)
+    U = tsvd.U * sqrt_s
+    V = tsvd.V * sqrt_s
 
     jitter_used = False
     violations = 0

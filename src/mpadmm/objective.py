@@ -19,6 +19,7 @@ import numpy as np
 
 from .data import PartialMatrix
 from .exceptions import ParameterError
+from .linalg import single_blas_thread
 
 PINV_CUTOFF = 1e-12  # relative singular value cutoff in ols_alpha
 
@@ -193,12 +194,15 @@ def fitted_rank(X_hat: np.ndarray) -> int:
     return int(np.sum(s > tol))
 
 
+@single_blas_thread()
 def evaluate(X_hat: np.ndarray, data: PartialMatrix, Y: np.ndarray,
              A_true: np.ndarray, lam: float, gamma: float) -> Metrics:
     """Bundle of all solution quality metrics against a known ground truth.
 
     The thin SVD of X_hat is taken once and shared by `r_squared` and
-    `objective_svd`; `fitted_rank` takes its own values-only SVD.
+    `objective_svd`; `fitted_rank` takes its own values-only SVD.  Runs
+    NumPy's BLAS on one thread, like `admm.solve`, so that no idle OpenBLAS
+    worker spins into the next solve (see `generate_synthetic`).
     """
     X_hat = np.atleast_2d(np.asarray(X_hat, dtype=float))
     err, rank = err_l2(X_hat, A_true), fitted_rank(X_hat)

@@ -2,22 +2,157 @@
 
 Generator: xoshiro256++ (Blackman & Vigna), seeded by expanding the user
 seed through splitmix64.  Uniform variates use the top 53 bits of each
-64-bit output; normal variates use the Box-Muller transform.  Any
-implementation of these well-known algorithms reproduces the streams
-bit-for-bit, independent of language or thread count.
+64-bit output; normal variates use the Box-Muller transform; bounded
+integers use unbiased rejection.  Any implementation of these well-known
+algorithms reproduces the streams bit-for-bit, independent of language or
+thread count.
+
+`next_u64`, `uniform`, `normal` and `below` draw one value at a time and
+define the streams.  The matrix helpers draw the very same values with
+NumPy and leave the generator in the same state:
+
+* Lanes.  The xoshiro256 state update is linear over GF(2)^256, so the
+  state B steps ahead is T^B s for the 256x256 bit transition matrix T
+  (jump-ahead; Haramoto et al., INFORMS J. Comput. 2008).  A run of draws
+  is split into lanes of B = ``_LANE`` consecutive outputs; their start
+  states are computed with powers of T, all lanes are stepped at once in
+  uint64, and the outputs are read lane after lane.  T and its powers are
+  built on first use, never on import.
+* Exact rejections.  `below` rejects a draw under (2^64 - b) mod b, and
+  Box-Muller draws u1 again while it is 0.  Both are rare, but each one
+  shifts the rest of the stream, so `_accepted` finds every rejection in
+  a batch and reassigns the draws that follow it.
+* Transcendentals stay in `math`.  NumPy's SIMD `log` differs from
+  `math.log` in the last bit for some inputs, which would change the
+  normal stream, so `log`, `sin` and `cos` run per element through
+  `math`; only IEEE-exact steps (products, `sqrt`) are vectorized.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 _MASK = (1 << 64) - 1
+_LANE = 128  # stream positions per lane (a power of two)
+_MIN_WINDOW = 64  # draws re-examined after a rejection, doubled when clean
 
 
 def _rotl(x: int, r: int) -> int:
     return ((x << r) | (x >> (64 - r))) & _MASK
+
+
+def _step(S: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """One xoshiro256++ step of every lane of the (4, L) uint64 state S, in
+    place; the L outputs go to `out`.  Same operations as `next_u64`."""
+    s0, s1, s2, s3 = S
+    np.add(s0, s3, out=out)
+    np.left_shift(out, 23, out=tmp)
+    np.right_shift(out, 41, out=out)
+    np.bitwise_or(out, tmp, out=out)
+    np.add(out, s0, out=out)
+    np.left_shift(s1, 17, out=tmp)
+    np.bitwise_xor(S[2:], S[:2], out=S[2:])  # s2 ^= s0; s3 ^= s1
+    np.bitwise_xor(S[1::-1], S[2:], out=S[1::-1])  # s1 ^= s2; s0 ^= s3
+    np.bitwise_xor(s2, tmp, out=s2)
+    np.left_shift(s3, 45, out=tmp)
+    np.right_shift(s3, 19, out=s3)
+    np.bitwise_or(s3, tmp, out=s3)
+
+
+def _to_bits(S: np.ndarray) -> np.ndarray:
+    """(4, L) uint64 states -> (256, L) float32 bits; row 64 w + b holds
+    bit b of word w."""
+    octets = np.ascontiguousarray(S.T, dtype="<u8").view(np.uint8)
+    return np.unpackbits(octets, axis=1, bitorder="little").T.astype(
+        np.float32)
+
+
+def _from_bits(bits: np.ndarray) -> np.ndarray:
+    octets = np.packbits(bits.astype(np.uint8), axis=0, bitorder="little")
+    words = np.ascontiguousarray(octets.T).view("<u8")
+    return np.ascontiguousarray(words.T, dtype=np.uint64)
+
+
+def _gf2(P: np.ndarray) -> np.ndarray:
+    """A float32 product of 0/1 matrices reduced mod 2.  Its entries are
+    integers <= 256, which float32 holds exactly in any summation order."""
+    return (P.astype(np.uint16) & 1).astype(np.float32)
+
+
+def _gf2_square(M: np.ndarray) -> np.ndarray:
+    P = _gf2(M @ M)
+    P.flags.writeable = False
+    return P
+
+
+@functools.cache
+def _jump(i: int) -> np.ndarray:
+    """T^(_LANE * 2^i) over GF(2): moves a state 2^i lanes ahead."""
+    if i:
+        return _gf2_square(_jump(i - 1))
+    # column c of T is the step applied to the c-th unit state
+    unit = np.zeros((4, 256), dtype=np.uint64)
+    cols = np.arange(256)
+    unit[cols // 64, cols] = np.uint64(1) << (cols % 64).astype(np.uint64)
+    _step(unit, np.empty(256, np.uint64), np.empty(256, np.uint64))
+    M = _to_bits(unit)
+    for _ in range(_LANE.bit_length() - 1):
+        M = _gf2_square(M)
+    return M
+
+
+def _lane_starts(state: list, lanes: int) -> np.ndarray:
+    """(4, lanes) uint64 states _LANE steps apart, the first being `state`."""
+    bits = _to_bits(np.array(state, dtype=np.uint64)[:, None])
+    i = 0
+    while bits.shape[1] < lanes:
+        ahead = _gf2(_jump(i) @ bits[:, :lanes - bits.shape[1]])
+        bits = np.hstack([bits, ahead])
+        i += 1
+    return _from_bits(bits)
+
+
+def _to_unit(x: np.ndarray) -> np.ndarray:
+    """uint64 draws -> uniforms on [0, 1), exactly as `uniform` maps them."""
+    return (x >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+
+
+def _fisher_yates_picks(j: np.ndarray) -> np.ndarray:
+    """picks[i] of the partial Fisher-Yates shuffle of range(population)
+    whose step i takes slot j[i] >= i and moves slot i's value into it.
+
+    Step i picks the value last written into slot j[i], by the latest
+    earlier step with the same target, or j[i] if no earlier step targeted
+    it.  Step s writes the value slot s held when s ran: the one written
+    into slot s by the latest earlier step targeting it, and so on back to
+    a step whose slot was never written, which holds its own index.  Those
+    chains are resolved by pointer jumping.
+    """
+    count = len(j)
+    # steps sorted by (target, step): any sort by target, then one sort of
+    # unique keys (target rank, step) < count**2 puts ties in step order
+    order = np.argsort(j)
+    sj = j[order]
+    same = sj[1:] == sj[:-1]  # position p + 1 has the target of p
+    rank = np.concatenate([[0], np.cumsum(~same)])
+    order = np.sort(rank * count + order) % count
+    prev = np.full(count, -1)
+    prev[order[1:][same]] = order[:-1][same]
+    # parent[s]: the latest step t < s that targeted slot s, else s
+    early = (order < sj) & (sj < count)
+    last = early.copy()
+    last[:-1] &= ~(same & early[1:])
+    parent = np.arange(count)
+    parent[sj[last]] = order[last]
+    while True:
+        up = parent[parent]
+        if np.array_equal(up, parent):
+            break
+        parent = up
+    return np.where(prev >= 0, parent[prev], j)  # parent[-1] is discarded
 
 
 class Xoshiro256pp:
@@ -77,29 +212,83 @@ class Xoshiro256pp:
             if x >= threshold:
                 return x % bound
 
+    def _u64_stream(self, count: int) -> np.ndarray:
+        """The next `count` outputs of `next_u64`, as a uint64 array."""
+        lanes = max(1, -(-count // _LANE))
+        last = count - (lanes - 1) * _LANE  # steps taken by the last lane
+        S = _lane_starts(self._s, lanes)
+        out = np.empty((min(count, _LANE), lanes), dtype=np.uint64)
+        tmp = np.empty(lanes, dtype=np.uint64)
+        end = S[:, -1].copy()
+        for t in range(len(out)):
+            _step(S, out[t], tmp)
+            if t == last - 1:
+                end = S[:, -1].copy()
+        self._s = [int(w) for w in end]
+        return out.T.reshape(-1)[:count]
+
+    def _accepted(self, thresholds: np.ndarray) -> np.ndarray:
+        """Draws for a run of rejection-sampled slots: slot i takes the
+        first `next_u64` output >= thresholds[i] after slot i - 1's draw."""
+        n = len(thresholds)
+        out = np.empty(n, dtype=np.uint64)
+        done = 0
+        window = n
+        while done < n:
+            # one draw per open slot; each rejection leaves one slot open
+            x = self._u64_stream(n - done)
+            q = 0
+            while q < len(x):
+                width = min(len(x) - q, window)
+                bad = np.flatnonzero(x[q:q + width]
+                                     < thresholds[done:done + width])
+                ok = bad[0] if len(bad) else width
+                out[done:done + ok] = x[q:q + ok]
+                done += ok
+                q += ok
+                if len(bad):
+                    q += 1  # the rejected draw
+                    window = _MIN_WINDOW
+                else:
+                    window *= 2
+        return out
+
     def uniform_matrix(self, rows: int, cols: int) -> np.ndarray:
-        out = np.empty(rows * cols)
-        for i in range(rows * cols):
-            out[i] = self.uniform()
-        return out.reshape(rows, cols)
+        return _to_unit(self._u64_stream(rows * cols)).reshape(rows, cols)
 
     def normal_matrix(self, rows: int, cols: int, sigma: float = 1.0) -> np.ndarray:
-        out = np.empty(rows * cols)
-        for i in range(rows * cols):
-            out[i] = self.normal()
+        count = rows * cols
+        out = np.empty(count)
+        head = 0
+        if count and self._spare_normal is not None:
+            out[0] = self._spare_normal
+            self._spare_normal = None
+            head = 1
+        pairs = -(-(count - head) // 2)
+        thresholds = np.zeros(2 * pairs, dtype=np.uint64)
+        thresholds[0::2] = 1 << 11  # u1 == 0 exactly when the draw is below
+        u = _to_unit(self._accepted(thresholds))
+        r = np.sqrt(-2.0 * np.fromiter(map(math.log, u[0::2].tolist()),
+                                       float, pairs))
+        angle = (2.0 * math.pi * u[1::2]).tolist()
+        z = np.empty(2 * pairs)
+        z[0::2] = r * np.fromiter(map(math.cos, angle), float, pairs)
+        z[1::2] = r * np.fromiter(map(math.sin, angle), float, pairs)
+        out[head:] = z[:count - head]
+        if (count - head) % 2:
+            self._spare_normal = float(z[-1])
         return sigma * out.reshape(rows, cols)
 
-    def sample_without_replacement(self, population: int, count: int) -> list[int]:
-        """First `count` entries of a partial Fisher-Yates shuffle of range(population)."""
+    def sample_without_replacement(self, population: int,
+                                   count: int) -> np.ndarray:
+        """First `count` entries of a partial Fisher-Yates shuffle of
+        range(population), as an int64 array; population < 2**63."""
         if count > population:
             raise ValueError("cannot sample more than the population")
-        # sparse representation: only displaced slots are stored
-        swapped: dict[int, int] = {}
-        picks = []
-        for i in range(count):
-            j = i + self.below(population - i)
-            vi = swapped.get(i, i)
-            vj = swapped.get(j, j)
-            picks.append(vj)
-            swapped[j] = vi
-        return picks
+        if population >= 1 << 63:
+            raise ValueError("population must be below 2**63")
+        steps = np.arange(count, dtype=np.int64)
+        bounds = (population - steps).astype(np.uint64)
+        # below(b) for every step: threshold (2^64 - b) mod b in uint64
+        x = self._accepted((0 - bounds) % bounds)
+        return _fisher_yates_picks(steps + (x % bounds).astype(np.int64))

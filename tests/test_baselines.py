@@ -212,6 +212,20 @@ class TestScaledGD:
         empty = PartialMatrix(n=3, m=3, rows=[0], cols=[0], values=[0.0])
         with pytest.raises(ParameterError):
             scaled_gd(empty, np.zeros((3, 1)), 1.0, 1.0, 1)
+        # zero data above the dense cutoff, where the start is Lanczos
+        zero = PartialMatrix(n=60, m=40, rows=[0, 5], cols=[1, 2],
+                             values=[0.0, 0.0])
+        with pytest.raises(ParameterError):
+            scaled_gd(zero, np.zeros((60, 1)), 1.0, 1.0, 2)
+
+    def test_no_dense_fill(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("scaled_gd formed the zero-filled matrix")
+
+        pm, si, gt = generate_synthetic(80, 50, 3, 2, 0.5, 0.5, seed=11)
+        monkeypatch.setattr(PartialMatrix, "to_dense_zero_filled", refuse)
+        res = scaled_gd(pm, si.Y, 1.0, 1.0, 3)
+        assert err_l2(res.X_hat, gt.A_true) < 0.1
 
 
 @pytest.mark.parametrize("run", [

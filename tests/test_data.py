@@ -1,11 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from mpadmm import data
 from mpadmm.data import (GroundTruth, Hyperparams, PartialMatrix, SideInfo,
                          generate_synthetic, load_dense_csv, load_partial,
                          load_side_info, save_dense_csv, save_partial,
                          save_side_info)
 from mpadmm.exceptions import ParameterError, ParseError
+from mpadmm.linalg import _openblas_threads_api
 
 
 class TestPartialMatrix:
@@ -25,6 +29,21 @@ class TestPartialMatrix:
                           values=[1.0, 2.0])
         with pytest.raises(ParameterError):
             PartialMatrix(n=2, m=2, rows=[0], cols=[0], values=[np.nan])
+
+    def test_unsorted_unique_indices_accepted(self):
+        pm = PartialMatrix(n=3, m=4, rows=[2, 0, 1, 0], cols=[1, 3, 0, 0],
+                           values=[1.0, 2.0, 3.0, 4.0])
+        assert pm.nnz == 4
+
+    @pytest.mark.parametrize("rows,cols", [
+        ([0, 1, 1, 2], [1, 0, 0, 3]),  # sorted, adjacent duplicate
+        ([2, 0, 1, 0], [1, 3, 0, 3]),  # unsorted, duplicate far apart
+        ([1, 0, 1], [2, 0, 2]),  # unsorted, duplicate of an earlier entry
+    ])
+    def test_duplicate_index_rejected(self, rows, cols):
+        with pytest.raises(ParameterError):
+            PartialMatrix(n=3, m=4, rows=rows, cols=cols,
+                          values=np.ones(len(rows)))
 
 
 class TestHyperparams:
@@ -69,6 +88,39 @@ class TestGenerateSynthetic:
         assert np.array_equal(a[0].rows, b[0].rows)
         assert np.array_equal(a[1].Y, b[1].Y)
         assert np.array_equal(a[2].A_true, b[2].A_true)
+
+    @pytest.mark.parametrize("args,digest", [
+        ((1000, 100, 5, 150, 0.9, 2.0, 0),
+         "39dbce4b5991c4b511ad3a4f76e9229e298f095aed7242ed1a7ba77a63e494ce"),
+        ((2000, 1000, 10, 20, 0.5, 2.0, 0),
+         "004d0191f80957a02634f0a19ab3e0a727e66c3cbcfbcf0ce50ad7cc6b57e4b9"),
+    ], ids=["protocol", "dense"])
+    def test_bit_reproducible_from_seed(self, args, digest):
+        # SHA-256 of the little-endian C-order bytes of rows, cols and beta,
+        # pinned from the one-draw-at-a-time generator; these arrays come
+        # from the random streams alone (no libm, no BLAS)
+        pm, _, gt = generate_synthetic(*args)
+        data = b"".join(a.astype(a.dtype.newbyteorder("<")).tobytes()
+                        for a in (pm.rows, pm.cols, gt.beta))
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    def test_blas_single_threaded_inside_and_restored(self, monkeypatch):
+        api = _openblas_threads_api()
+        if api is None:
+            pytest.skip("NumPy links no OpenBLAS with a thread-count API")
+        get, _ = api
+        before = get()
+        seen = []
+        side_info = data.SideInfo
+
+        def spy(*args, **kwargs):
+            seen.append(get())
+            return side_info(*args, **kwargs)
+
+        monkeypatch.setattr(data, "SideInfo", spy)
+        generate_synthetic(15, 10, 2, 2, 0.4, 0.5, seed=6)
+        assert seen == [1]
+        assert get() == before
 
     def test_ground_truth_rank(self):
         _, _, gt = generate_synthetic(12, 9, 3, 2, 0.5, 1.0, seed=4)

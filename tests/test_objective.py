@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from mpadmm import objective
 from mpadmm.data import PartialMatrix, generate_synthetic
 from mpadmm.exceptions import ParameterError
+from mpadmm.linalg import _openblas_threads_api
 from mpadmm.objective import (Metrics, err_l2, evaluate, fitted_rank,
                               objective_naive, objective_svd, ols_alpha,
                               r_squared, spectral_bound, worst_case_delta)
@@ -269,6 +271,28 @@ class TestMetrics:
         assert got == want  # bitwise: dataclass equality of the floats
         assert got.fitted_rank == (rank or 40)
         assert thin_calls == [X.shape]
+
+    def test_evaluate_blas_single_threaded_inside_and_restored(
+            self, monkeypatch):
+        api = _openblas_threads_api()
+        if api is None:
+            pytest.skip("NumPy links no OpenBLAS with a thread-count API")
+        get, _ = api
+        before = get()
+        seen = []
+        fit = objective.objective_svd
+
+        def spy(*args, **kwargs):
+            seen.append(get())
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(objective, "objective_svd", spy)
+        rng = np.random.default_rng(17)
+        pm, Y = _random_instance(rng)
+        X = rng.standard_normal((pm.n, pm.m))
+        evaluate(X, pm, Y, X, 1.0, 1.0)
+        assert seen == [1]
+        assert get() == before
 
 
 class TestFactorizationBound:

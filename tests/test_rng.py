@@ -1,6 +1,13 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from mpadmm import rng
 from mpadmm.rng import Xoshiro256pp
 
 MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -92,3 +99,152 @@ def test_matrix_helpers_shapes():
     N = gen.normal_matrix(2, 5, sigma=2.0)
     assert U.shape == (4, 3) and N.shape == (2, 5)
     assert np.all((U >= 0) & (U < 1))
+
+
+# Loops over the scalar primitives: the reference for the matrix helpers.
+
+def _loop_uniform(gen, rows, cols):
+    return np.array([gen.uniform() for _ in range(rows * cols)]).reshape(
+        rows, cols)
+
+
+def _loop_normal(gen, rows, cols, sigma=1.0):
+    vals = np.array([gen.normal() for _ in range(rows * cols)])
+    return sigma * vals.reshape(rows, cols)
+
+
+def _loop_sample(gen, population, count):
+    swapped = {}
+    picks = []
+    for i in range(count):
+        j = i + gen.below(population - i)
+        picks.append(swapped.get(j, j))
+        swapped[j] = swapped.get(i, i)
+    return picks
+
+
+def _assert_same_state(a, b):
+    assert a._s == b._s
+    assert a._spare_normal == b._spare_normal
+
+
+@pytest.mark.parametrize("count", [
+    0, 1, rng._LANE - 1, rng._LANE, rng._LANE + 1, 3 * rng._LANE + 1,
+    40 * rng._LANE + 3])
+def test_uniform_matrix_matches_scalar_loop(count):
+    # counts around the lane length, and one spanning several lane jumps
+    a, b = Xoshiro256pp(21), Xoshiro256pp(21)
+    assert np.array_equal(a.uniform_matrix(count, 1),
+                          _loop_uniform(b, count, 1))
+    _assert_same_state(a, b)
+    assert a.next_u64() == b.next_u64()
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (4, 5), (1, 1), (0, 4), (61, 9)],
+                         ids=["odd", "even", "one", "empty", "many-lanes"])
+@pytest.mark.parametrize("spare", [False, True])
+def test_normal_matrix_matches_scalar_loop(shape, spare):
+    a, b = Xoshiro256pp(22), Xoshiro256pp(22)
+    if spare:  # leave a cached Box-Muller spare behind
+        assert a.normal() == b.normal()
+    assert np.array_equal(a.normal_matrix(*shape, sigma=2.0),
+                          _loop_normal(b, *shape, sigma=2.0))
+    _assert_same_state(a, b)
+    assert a.normal() == b.normal()
+
+
+@pytest.mark.parametrize("population,count", [
+    (50, 45), (1000, 900), (10 ** 4, 9999), (50, 50), (7, 0), (3000, 1),
+    (2 * 10 ** 4, 10 ** 4)])
+def test_sample_without_replacement_matches_scalar_loop(population, count):
+    a, b = Xoshiro256pp(23), Xoshiro256pp(23)
+    picks = a.sample_without_replacement(population, count)
+    assert picks.dtype == np.int64
+    assert picks.tolist() == _loop_sample(b, population, count)
+    _assert_same_state(a, b)
+
+
+@pytest.mark.parametrize("population,seed,least_draws", [
+    (2 ** 62 + 1, 3, 201), (2 ** 62 + 201, 24, 230)])
+def test_below_rejections_reindex_the_stream(population, seed, least_draws):
+    # below(b) rejects draws under (2^64 - b) mod b, which is about 2^62,
+    # a quarter of all draws, for 2^62 < b < 2^62 + 2^60.  With 2^62 + 1
+    # only step 0 has such a bound (seed 3 rejects its first draw); with
+    # 2^62 + 201 every step has, and each rejection shifts all later draws.
+    a, b = Xoshiro256pp(seed), Xoshiro256pp(seed)
+    draws = []
+    scalar = b.next_u64
+
+    def counted():
+        draws.append(1)
+        return scalar()
+
+    b.next_u64 = counted
+    picks = a.sample_without_replacement(population, 200)
+    assert picks.tolist() == _loop_sample(b, population, 200)
+    assert len(draws) >= least_draws
+    _assert_same_state(a, b)
+
+
+def test_box_muller_zero_uniform_is_drawn_again():
+    # s0 = s3 = 0 makes the next output 0, so the first u1 is 0.0 and the
+    # guard draws again, shifting the stream of the whole batch
+    a, b = Xoshiro256pp(0), Xoshiro256pp(0)
+    a._s = [0, 0x0123456789ABCDEF, 0xFEDCBA9876543210, 0]
+    b._s = list(a._s)
+    probe = Xoshiro256pp(0)
+    probe._s = list(a._s)
+    assert probe.uniform() == 0.0
+    assert np.array_equal(a.normal_matrix(41, 7), _loop_normal(b, 41, 7))
+    _assert_same_state(a, b)
+    assert np.all(np.isfinite(a.normal_matrix(1, 3)))
+
+
+def test_helpers_in_sequence_match_scalar_loops():
+    a, b = Xoshiro256pp(25), Xoshiro256pp(25)
+    steps = [
+        (lambda g: g.uniform_matrix(7, 3), lambda g: _loop_uniform(g, 7, 3)),
+        (lambda g: g.normal_matrix(3, 3), lambda g: _loop_normal(g, 3, 3)),
+        (lambda g: g.sample_without_replacement(500, 300),
+         lambda g: np.array(_loop_sample(g, 500, 300))),
+        (lambda g: g.normal_matrix(2, 3), lambda g: _loop_normal(g, 2, 3)),
+        (lambda g: g.uniform_matrix(130, 2),
+         lambda g: _loop_uniform(g, 130, 2)),
+        (lambda g: np.array([g.normal()]), lambda g: np.array([g.normal()])),
+    ]
+    for helper, loop in steps:
+        assert np.array_equal(helper(a), loop(b))
+        _assert_same_state(a, b)
+    assert a.next_u64() == b.next_u64()
+
+
+def test_population_must_fit_int64():
+    with pytest.raises(ValueError):
+        Xoshiro256pp(0).sample_without_replacement(2 ** 63, 1)
+
+
+def test_stream_digest_is_pinned():
+    # SHA-256 of the little-endian C-order bytes; pinned from the
+    # one-draw-at-a-time implementation, so any change to the streams shows
+    gen = Xoshiro256pp(12345)
+    U = gen.uniform_matrix(7, 3)
+    gen.normal_matrix(5, 3, 2.0)
+    picks = np.asarray(gen.sample_without_replacement(1000, 900),
+                       dtype=np.int64)
+    digest = hashlib.sha256(U.astype("<f8").tobytes()
+                            + picks.astype("<i8").tobytes()).hexdigest()
+    assert digest == ("05efd39cd608355c7d89b3b67b2a368a"
+                      "e3d04910fe46a621f7e7e8013765de9f")
+    assert gen.next_u64() == 18136142026761811371
+
+
+def test_import_builds_no_jump_tables():
+    code = ("import mpadmm, mpadmm.rng as r; "
+            "print(r._jump.cache_info().currsize)")
+    src = str(Path(rng.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=True)
+    assert out.stdout.strip() == "0"
