@@ -9,6 +9,7 @@ dual variables Phi (projection constraint) and Psi (copy constraint).
 
 from __future__ import annotations
 
+import functools
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -19,8 +20,9 @@ import scipy.sparse as sp
 from .data import Hyperparams, PartialMatrix, SideInfo
 from .exceptions import NumericalError, ParameterError
 from .linalg import (LinearMap, apply_projection, build_pgram_operator,
-                     pgram_eig_topk, side_basis, single_blas_thread,
-                     symmetric_eig_topk_factored, truncated_svd)
+                     pgram_compress, pgram_eig_topk, pgram_ritz, side_basis,
+                     single_blas_thread, symmetric_eig_topk_factored,
+                     truncated_svd)
 
 
 class RankDeficiencyWarning(UserWarning):
@@ -29,34 +31,62 @@ class RankDeficiencyWarning(UserWarning):
 
 @dataclass
 class ObservationMasks:
-    """Observed values in canonical (sorted) CSR form, by row (n x m) and
-    by column (m x n), with 0/1 patterns that share their index arrays."""
+    """The observed values as one canonical (row-major sorted) CSR index,
+    n x m, and its 0/1 pattern, which shares the index arrays.
+
+    `by_col` and `col_pattern` are their transposes: m x n CSC views of
+    the same arrays, so column-wise products run on the one index and
+    sum each column's entries in increasing row order, as a sorted CSR
+    copy of the transpose would.  Index arrays are int32 when n, m and
+    nnz fit, else int64.
+    """
 
     by_row: sp.csr_array
-    by_col: sp.csr_array
+    by_col: sp.csc_array
     row_pattern: sp.csr_array
-    col_pattern: sp.csr_array
+    col_pattern: sp.csc_array
 
     @classmethod
     def from_partial(cls, data: PartialMatrix) -> "ObservationMasks":
-        by_row = sp.csr_array((data.values, (data.rows, data.cols)),
-                              shape=(data.n, data.m))
-        by_row.sort_indices()
-        by_col = by_row.T.tocsr()
-        ones = np.ones(data.nnz)
-        return cls(by_row=by_row, by_col=by_col,
-                   row_pattern=_with_data(by_row, ones),
-                   col_pattern=_with_data(by_col, ones))
+        """Build the index.  Row-major sorted input (as `generate_synthetic`
+        gives) is used in place and its `values` array is shared; other
+        input is put in that order by one stable argsort."""
+        n, m = data.n, data.m
+        rows, cols, values = data.rows, data.cols, data.values
+        if not _row_major_sorted(rows, cols):
+            order = np.argsort(rows * m + cols, kind="stable")
+            rows, cols, values = rows[order], cols[order], values[order]
+        fits = max(n, m, data.nnz) <= np.iinfo(np.int32).max
+        idx = np.int32 if fits else np.int64
+        indptr = np.zeros(n + 1, dtype=idx)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        by_row = sp.csr_array((values, cols.astype(idx), indptr),
+                              shape=(n, m))
+        row_pattern = _with_data(by_row, np.ones(data.nnz))
+        return cls(by_row=by_row, by_col=by_row.T,
+                   row_pattern=row_pattern, col_pattern=row_pattern.T)
 
     def linear_map(self) -> LinearMap:
-        """The zero-filled n x m data as an operator: CSR products only."""
+        """The zero-filled n x m data as an operator: sparse products only."""
         return LinearMap(*self.by_row.shape, self.by_row.__matmul__,
                          self.by_col.__matmul__)
 
-    @property
+    @functools.cached_property
     def col_rows(self) -> list:
-        """Row indices observed in each column, as views into `by_col`."""
-        return np.split(self.by_col.indices, self.by_col.indptr[1:-1])
+        """Row indices observed in each column, increasing; built on first
+        use and kept."""
+        csc = self.by_row.tocsc()
+        return np.split(csc.indices, csc.indptr[1:-1])
+
+
+def _row_major_sorted(rows: np.ndarray, cols: np.ndarray) -> bool:
+    """Whether (rows, cols) pairs strictly increase in row-major order;
+    only boolean temporaries, no nnz-sized integer key."""
+    if not np.all(rows[1:] >= rows[:-1]):
+        return False
+    step = cols[1:] > cols[:-1]
+    step |= rows[1:] != rows[:-1]
+    return bool(np.all(step))
 
 
 def _with_data(csr: sp.csr_array, data: np.ndarray) -> sp.csr_array:
@@ -95,11 +125,15 @@ class SolveReport:
     # init_time: index build, truncated SVD and side basis;
     # tracking_time: dual_residual, objective_svd and augmented_lagrangian.
     # Both are kept out of subproblem_times, which holds block times only.
+    # subproblem_times["P"] includes, when the dual residual is tracked,
+    # the one compression of [Z, Phi] per iteration that the dual residual
+    # and the next P update share; the dual residual itself then does no
+    # n-row work.
     init_time: float = 0.0
     tracking_time: float = 0.0
 
 
-def _ridge_rows(values: sp.csr_array, pattern: sp.csr_array, F, diag,
+def _ridge_rows(values: sp.sparray, pattern: sp.sparray, F, diag,
                 extra=None) -> np.ndarray:
     """Row-wise ridge solves (2 F_i^T F_i + diag I) x_i = 2 F_i^T a_i + extra_i,
     where F_i holds the rows of F at row i's observed indices and a_i the
@@ -142,7 +176,8 @@ def update_U(V, Z, Psi, masks: ObservationMasks, gamma: float, rho2: float,
 
 def update_V(U, masks: ObservationMasks, gamma: float,
              threads: int = 1) -> np.ndarray:
-    """Exact V block minimizer: one ridge solve per column of the data.
+    """Exact V block minimizer: one ridge solve per column of the data,
+    on the transposed (CSC) views of the observation index.
 
     `threads` is accepted and unused, as in `update_U`.
     """
@@ -155,19 +190,21 @@ def update_V(U, masks: ObservationMasks, gamma: float,
 
 
 def update_P(Y, Z, Phi, lam: float, rho1: float, k: int,
-             seed: int = 0, *, basis=None) -> np.ndarray:
+             seed: int = 0, *, basis=None, compressed=None) -> np.ndarray:
     """Orthonormal factor M of the projector maximizing the P subproblem.
 
     M holds the k eigenvectors of largest algebraic eigenvalue of
     lam*YY^T + (rho1/2)ZZ^T + (Phi Z^T + Z Phi^T)/2, computed by
-    `pgram_eig_topk` on the `side_basis` of Y (`basis`, computed from Y
-    when None).
+    `pgram_eig_topk` on the `side_basis` of Y (`basis`) and the
+    `pgram_compress` of Z and Phi (`compressed`); each is computed here
+    when None.
     """
     if k > Y.shape[0]:
         raise ParameterError("k exceeds the row dimension")
     if basis is None:
         basis = side_basis(Y)
-    M, _ = pgram_eig_topk(basis, Z, Phi, lam, rho1, k, seed=seed)
+    M, _ = pgram_eig_topk(basis, Z, Phi, lam, rho1, k, seed=seed,
+                          compressed=compressed)
     return M
 
 
@@ -200,13 +237,27 @@ def primal_residuals(state: IterateState):
 
 
 def dual_residual(state: IterateState, Y, lam: float, seed: int = 0, *,
-                  basis=None) -> float:
+                  basis=None, compressed=None) -> float:
     """||P2 - P1 P2||_F where P1 projects onto col(Z) and P2 onto the top-k
-    eigenspace of lam*YY^T + (Phi Z^T + Z Phi^T)/2, all in factored form;
-    `basis` is Y's `side_basis`, computed from Y when None."""
+    eigenspace of lam*YY^T + (Phi Z^T + Z Phi^T)/2.
+
+    Computed in the (d + 2k) coordinates of the basis [Qy, Q2] of
+    `compressed`, the `pgram_compress` of Z and Phi, which holds col(Z):
+    P1 comes from the SVD of Z's coordinates at numerical rank, and P2
+    from the kept Ritz vectors (`pgram_ritz`) plus `pad` complement
+    directions, each orthogonal to col(Z) and so adding exactly 1 to the
+    squared residual.  `basis` is Y's `side_basis`; it and `compressed`
+    are computed here when None.  `seed` is accepted and unused: no
+    random directions are drawn.
+    """
     Z = state.Z
     k = state.k
-    Uz, sz, _ = np.linalg.svd(Z, full_matrices=False)
+    if basis is None:
+        basis = side_basis(Y)
+    if compressed is None:
+        compressed = pgram_compress(basis, Z, state.Phi)
+    W, _, pad = pgram_ritz(basis, compressed, lam, 0.0, k)
+    Uz, sz, _ = np.linalg.svd(compressed[1][:, :k], full_matrices=False)
     if sz.size and sz[0] > 0:
         rank = int(np.sum(sz > sz[0] * max(Z.shape) * np.finfo(float).eps))
     else:
@@ -214,12 +265,9 @@ def dual_residual(state: IterateState, Y, lam: float, seed: int = 0, *,
     if rank < k:
         warnings.warn("Z has numerical rank below k; dual residual computed "
                       "at the actual rank", RankDeficiencyWarning)
-    Q1 = Uz[:, :rank]
-    if basis is None:
-        basis = side_basis(Y)
-    M2, _ = pgram_eig_topk(basis, Z, state.Phi, lam, 0.0, k, seed=seed)
-    B = M2 - Q1 @ (Q1.T @ M2) if rank else M2
-    return float(np.linalg.norm(B))
+    Qz = Uz[:, :rank]
+    R = W - Qz @ (Qz.T @ W)
+    return float(np.sqrt(np.sum(R * R) + pad))
 
 
 def augmented_lagrangian(state: IterateState, data: PartialMatrix, Y,
@@ -309,7 +357,10 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
 
     Y is factored once (`side_basis`), and the P update and the dual
     residual each solve their eigenproblem in that basis plus the span of
-    [Z, Phi] (`pgram_eig_topk`).
+    [Z, Phi] (`pgram_compress`, `pgram_ritz`).  When the dual residual is
+    tracked, [Z, Phi] is compressed once per iteration, after the dual
+    update: the dual residual of iteration t and the P update of t + 1
+    see the same Z and Phi, since the U step changes neither.
 
     Terminates when both squared primal residual norms fall to eps, or at
     the iteration cap.  The whole solve runs NumPy's BLAS on one thread
@@ -339,6 +390,7 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
         Psi=np.ones((data.n, k)),
     )
     basis = side_basis(Y)  # Y is fixed: factored once per solve
+    compressed = None  # [Z, Phi] after the last dual update, when tracked
     report = SolveReport()
     report.init_time = time.perf_counter() - t0
     prox = 0.5 * (hp.gamma + hp.rho2)  # c of the proximal U step
@@ -374,7 +426,8 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
 
             t0 = time.perf_counter()
             state.M = update_P(Y, state.Z, state.Phi, hp.lam, hp.rho1, k,
-                               seed=hp.seed, basis=basis)
+                               seed=hp.seed, basis=basis,
+                               compressed=compressed)
             report.subproblem_times["P"] += time.perf_counter() - t0
             if track_lagrangian:
                 lag_row.append(lagrangian())
@@ -407,9 +460,12 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
             report.phi_residual_trace.append(phi_res)
             report.psi_residual_trace.append(psi_res)
             if track_dual_residual:
+                t0 = time.perf_counter()
+                compressed = pgram_compress(basis, state.Z, state.Phi)
+                report.subproblem_times["P"] += time.perf_counter() - t0
                 report.dual_residual_trace.append(tracked(
                     dual_residual, state, Y, hp.lam, seed=hp.seed,
-                    basis=basis))
+                    basis=basis, compressed=compressed))
             if track_objective:
                 report.objective_trace.append(tracked(
                     objective_svd, (state.U, state.V), data, Y, hp.lam,

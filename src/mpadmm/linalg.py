@@ -222,34 +222,23 @@ def side_basis(Y: np.ndarray):
     return np.ascontiguousarray(U[:, :r]), s[:r] ** 2
 
 
-def pgram_eig_topk(basis, Z: np.ndarray, Phi: np.ndarray, lam: float,
-                   rho1: float, k: int, seed: int = 0):
-    """Top-k algebraic eigenpairs of lam*YY^T + (rho1/2)ZZ^T +
-    (Phi Z^T + Z Phi^T)/2, with Y given by its `side_basis` (Qy, s2).
+def pgram_compress(basis, Z: np.ndarray, Phi: np.ndarray):
+    """(Q2, B): an orthonormal basis Q2 of the part of G = [Z, Phi]
+    outside col(Y), and the coordinates B of G in the basis [Qy, Q2], so
+    that G = [Qy, Q2] B up to rounding; Y is given by its `side_basis`.
 
-    Rayleigh-Ritz on the orthonormal basis [Qy, Q2], where Q2 spans the
-    part of G = [Z, Phi] outside col(Y): that basis holds the operator's
-    range, so the compressed (d + 2k)-order eigenproblem is exact up to
-    rounding.  G is projected off Qy twice (classical Gram-Schmidt with
+    G is projected off Qy twice (classical Gram-Schmidt with
     reorthogonalization) and Q2 is taken from the remainder's SVD at
     numerical rank relative to ||G||: G is often rank-deficient (the
     all-ones initial dual), and a QR would then return filler columns
-    that are not orthogonal to Qy.  Returns (M, lambdas) with M n x k
-    orthonormal and lambdas non-increasing.  The operator vanishes on the
-    complement of [Qy, Q2], so complement directions (eigenvalue 0, drawn
-    from a seeded Gaussian block) are preferred over negative ones.
+    that are not orthogonal to Qy.  B has d' + rank rows, d' = Qy's
+    column count, and Z's coordinates are its first Z.shape[1] columns.
     """
-    Qy, s2 = basis
+    Qy, _ = basis
     Z = np.asarray(Z, dtype=float)
     Phi = np.asarray(Phi, dtype=float)
-    n = Qy.shape[0]
-    if Z.shape[0] != n or Phi.shape != Z.shape:
+    if Z.shape[0] != Qy.shape[0] or Phi.shape != Z.shape:
         raise ParameterError("Y, Z, Phi row counts / shapes are inconsistent")
-    if lam < 0 or rho1 < 0:
-        raise ParameterError("lam and rho1 must be nonnegative")
-    if not 1 <= k <= n:
-        raise ParameterError(f"rank k={k} out of range for {n}x{n} operator")
-
     G = np.hstack([Z, Phi])
     Cy = Qy.T @ G
     R = G - Qy @ Cy
@@ -259,29 +248,67 @@ def pgram_eig_topk(basis, Z: np.ndarray, Phi: np.ndarray, lam: float,
     U2, s_r, Vt_r = np.linalg.svd(R, full_matrices=False)
     cut = max(G.shape) * np.finfo(float).eps * np.linalg.norm(G)
     r2 = int(np.sum(s_r > cut))
-    Q2 = U2[:, :r2]
-    # coordinates of G in the basis [Qy, Q2]: the dropped part of R is
-    # below rounding
-    B = np.vstack([Cy, s_r[:r2, None] * Vt_r[:r2]])
-    kz = Z.shape[1]
+    # the dropped part of R is below rounding
+    return U2[:, :r2], np.vstack([Cy, s_r[:r2, None] * Vt_r[:r2]])
+
+
+def pgram_ritz(basis, compressed, lam: float, rho1: float, k: int):
+    """Coordinates of the top-k algebraic eigenvectors of lam*YY^T +
+    (rho1/2)ZZ^T + (Phi Z^T + Z Phi^T)/2 in the basis [Qy, Q2] of
+    `compressed` (`pgram_compress` of Z and Phi), with Y given by its
+    `side_basis` (Qy, s2).
+
+    The basis holds the operator's range, so this (d + 2k)-order
+    Rayleigh-Ritz eigenproblem is exact up to rounding, and the operator
+    vanishes on the basis' n - q dimensional complement.  Complement
+    directions (eigenvalue 0) rank above negative Ritz values.  Returns
+    (W, lambdas, pad): the q x keep coordinates of the kept Ritz vectors,
+    their non-increasing eigenvalues, and the count pad = k - keep of
+    complement directions that complete the top k.
+    """
+    Qy, s2 = basis
+    Q2, B = compressed
+    n = Qy.shape[0]
+    if lam < 0 or rho1 < 0:
+        raise ParameterError("lam and rho1 must be nonnegative")
+    if not 1 <= k <= n:
+        raise ParameterError(f"rank k={k} out of range for {n}x{n} operator")
+    kz = B.shape[1] // 2
     Zb, Phib = B[:, :kz], B[:, kz:]
     H = Zb @ (0.5 * rho1 * Zb + Phib).T
     T = 0.5 * (H + H.T)
     r = Qy.shape[1]
     T[np.arange(r), np.arange(r)] += lam * s2
 
-    q = r + r2
+    q = r + Q2.shape[1]
     take = min(k, q)
     if take:
         lams, W = scipy.linalg.eigh(T, subset_by_index=[q - take, q - 1])
         lams, W = lams[::-1], W[:, ::-1]
     else:
         lams, W = np.zeros(0), np.zeros((0, 0))
-    # n - q complement directions of eigenvalue 0 rank above negatives
     pad = min(n - q, k - int(np.sum(lams >= 0.0)))
     keep = k - pad
-    M = Qy @ W[:r, :keep] + Q2 @ W[r:, :keep]
-    lambdas = lams[:keep]
+    return W[:, :keep], lams[:keep], pad
+
+
+def pgram_eig_topk(basis, Z: np.ndarray, Phi: np.ndarray, lam: float,
+                   rho1: float, k: int, seed: int = 0, *, compressed=None):
+    """Top-k algebraic eigenpairs of lam*YY^T + (rho1/2)ZZ^T +
+    (Phi Z^T + Z Phi^T)/2, with Y given by its `side_basis` (Qy, s2).
+
+    Rayleigh-Ritz (`pgram_ritz`) on the orthonormal basis [Qy, Q2] of
+    `compressed`, the `pgram_compress` of Z and Phi (computed here when
+    None), lifted back to n rows.  Returns (M, lambdas) with M n x k
+    orthonormal and lambdas non-increasing.  Complement directions of
+    eigenvalue 0 are drawn from a Gaussian block seeded with `seed`.
+    """
+    if compressed is None:
+        compressed = pgram_compress(basis, Z, Phi)
+    W, lambdas, pad = pgram_ritz(basis, compressed, lam, rho1, k)
+    Qy, Q2 = basis[0], compressed[0]
+    n, r = Qy.shape
+    M = Qy @ W[:r] + Q2 @ W[r:]
     if pad:
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((n, pad))

@@ -3,12 +3,15 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import mpadmm.admm as admm
+import mpadmm.linalg as linalg
 from mpadmm.admm import (IterateState, ObservationMasks, RankDeficiencyWarning,
                          augmented_lagrangian, dual_residual,
                          first_order_check, primal_residuals, solve,
@@ -16,7 +19,7 @@ from mpadmm.admm import (IterateState, ObservationMasks, RankDeficiencyWarning,
 from mpadmm.data import (Hyperparams, PartialMatrix, SideInfo,
                          generate_synthetic)
 from mpadmm.exceptions import NumericalError, ParameterError
-from mpadmm.linalg import _openblas_threads_api, side_basis
+from mpadmm.linalg import _openblas_threads_api, side_basis, truncated_svd
 from mpadmm.objective import err_l2
 
 
@@ -199,6 +202,71 @@ class TestObservationIndex:
         for j, rows in enumerate(col_rows):
             assert np.array_equal(rows, np.sort(pm.rows[pm.cols == j]))
 
+    @staticmethod
+    def _reference(pm):
+        """The index built as scipy's COO conversion plus a sorted CSR copy
+        of its transpose."""
+        by_row = sp.csr_array((pm.values, (pm.rows, pm.cols)),
+                              shape=(pm.n, pm.m))
+        by_row.sort_indices()
+        by_col = by_row.T.tocsr()
+        ones = np.ones(pm.nnz)
+        return ObservationMasks(by_row=by_row, by_col=by_col,
+                                row_pattern=admm._with_data(by_row, ones),
+                                col_pattern=admm._with_data(by_col, ones))
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_bitwise_equal_to_coo_reference(self, shuffle):
+        rng = np.random.default_rng(23)
+        pm, st = _random_state(rng, n=200, m=60, k=4, frac=0.3)
+        if shuffle:
+            pm = self._shuffled(pm, rng)
+        masks, ref = ObservationMasks.from_partial(pm), self._reference(pm)
+        assert masks.by_col.shape == (pm.m, pm.n)
+        assert np.array_equal(update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0),
+                              update_U(st.V, st.Z, st.Psi, ref, 0.5, 2.0))
+        assert np.array_equal(update_V(st.U, masks, 0.6),
+                              update_V(st.U, ref, 0.6))
+        got = truncated_svd(masks.linear_map(), 4, seed=3)
+        want = truncated_svd(ref.linear_map(), 4, seed=3)
+        for a, b in ((got.U, want.U), (got.S, want.S), (got.V, want.V)):
+            assert np.array_equal(a, b)
+
+    def test_one_index_shared_by_all_views(self):
+        pm, _, _ = generate_synthetic(50, 30, 2, 2, 0.5, 0.1, seed=4)
+        masks = ObservationMasks.from_partial(pm)
+        assert np.shares_memory(masks.by_row.data, pm.values)
+        assert masks.by_row.indices.dtype == np.int32
+        for view in (masks.by_col, masks.row_pattern, masks.col_pattern):
+            assert np.shares_memory(view.indices, masks.by_row.indices)
+            assert np.shares_memory(view.indptr, masks.by_row.indptr)
+        assert np.shares_memory(masks.col_pattern.data, masks.row_pattern.data)
+
+    def test_index_widens_past_int32(self):
+        m = 2 ** 31
+        pm = PartialMatrix(n=3, m=m, rows=[2, 0, 2], cols=[m - 1, 5, 0],
+                           values=[3.0, 1.0, 2.0])
+        by_row = ObservationMasks.from_partial(pm).by_row
+        assert by_row.indices.dtype == by_row.indptr.dtype == np.int64
+        assert np.array_equal(by_row.indptr, [0, 1, 1, 3])
+        assert np.array_equal(by_row.indices, [5, 0, m - 1])
+        assert np.array_equal(by_row.data, [1.0, 2.0, 3.0])
+
+    def test_from_partial_builds_one_index(self):
+        # what scales with nnz: the int32 column index (4 bytes per entry)
+        # and the pattern's ones (8); a second index would add 4 more
+        rng = np.random.default_rng(24)
+        n, m = 2000, 500
+        r, c = np.nonzero(rng.random((n, m)) < 0.5)
+        pm = PartialMatrix(n=n, m=m, rows=r, cols=c,
+                           values=rng.standard_normal(r.size))
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        ObservationMasks.from_partial(pm)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 14 * pm.nnz + 16 * (n + m) + 2 ** 16
+
     def test_update_U_memory_stays_linear(self):
         # an nnz x k^2 gather of V would need 8 nnz k^2 bytes (61 MB here)
         rng = np.random.default_rng(22)
@@ -360,6 +428,44 @@ class TestDualResidual:
         assert (dual_residual(st, Y, 0.9, seed=2)
                 == dual_residual(st, Y, 0.9, seed=2, basis=side_basis(Y)))
 
+    @staticmethod
+    def _dense_oracle(st, Y, lam):
+        """||P2 - P1 P2|| from dense n x n eigendecompositions."""
+        n, k = st.Z.shape
+        Uz, sz, _ = np.linalg.svd(st.Z, full_matrices=False)
+        rank = (int(np.sum(sz > sz[0] * n * np.finfo(float).eps))
+                if sz[0] > 0 else 0)
+        P1 = Uz[:, :rank] @ Uz[:, :rank].T
+        C = lam * Y @ Y.T + 0.5 * (st.Phi @ st.Z.T + st.Z @ st.Phi.T)
+        w, vecs = np.linalg.eigh(C)
+        M2 = vecs[:, np.argsort(w)[::-1][:k]]
+        return np.linalg.norm(M2 - P1 @ M2)
+
+    @pytest.mark.parametrize("case", ["padding", "padding_no_side",
+                                      "rank_deficient", "zero_Z"])
+    def test_dense_oracle_special_cases(self, case):
+        # padding: C = lam y y^T - Z Z^T has one positive eigenvalue, so
+        # k - 1 of the top k directions come from the null space
+        rng = np.random.default_rng(18)
+        n, k = 20, 3
+        Y = rng.standard_normal((n, 4))
+        Z = rng.standard_normal((n, k))
+        Phi = rng.standard_normal((n, k))
+        if case == "padding":
+            Y, Phi = Y[:, :1], -Z
+        elif case == "padding_no_side":
+            Y, Phi = np.zeros((n, 2)), -Z
+        elif case == "rank_deficient":
+            Z[:, 2] = 0.5 * Z[:, 0]
+        else:
+            Z = np.zeros((n, k))
+        st = IterateState(U=Z.copy(), V=np.zeros((5, k)), M=np.eye(n)[:, :k],
+                          Z=Z, Phi=Phi, Psi=np.zeros((n, k)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankDeficiencyWarning)
+            got = dual_residual(st, Y, 1.7)
+        assert got == pytest.approx(self._dense_oracle(st, Y, 1.7), rel=1e-10)
+
     def test_rank_deficiency_warns(self):
         n, k = 6, 2
         Z = np.zeros((n, k))
@@ -487,6 +593,38 @@ class TestSolve:
         solve(pm, si, Hyperparams(k=2, max_iters=2, threads=2))
         assert seen == [1, 1]
         assert get() == before
+
+    def test_tracking_leaves_iterates_bitwise_unchanged(self):
+        # with tracking on, the P update takes [Z, Phi]'s compression from
+        # the previous iteration's dual residual
+        pm, si, _ = generate_synthetic(1000, 100, 5, 150, 0.9, 2.0, seed=0)
+        hp = Hyperparams(k=5, max_iters=20, eps=1e-16)
+        on, r_on = solve(pm, si, hp)
+        off, r_off = solve(pm, si, hp, track_objective=False,
+                           track_dual_residual=False)
+        assert r_on.iterations == r_off.iterations == 20
+        for name in ("U", "V", "M", "Z", "Phi", "Psi"):
+            assert np.array_equal(getattr(on, name), getattr(off, name)), name
+        assert r_on.phi_residual_trace == r_off.phi_residual_trace
+        assert r_on.psi_residual_trace == r_off.psi_residual_trace
+
+    @pytest.mark.parametrize("track", [True, False])
+    def test_one_compression_per_iteration(self, monkeypatch, track):
+        calls = []
+        compress = admm.pgram_compress
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return compress(*args, **kwargs)
+
+        monkeypatch.setattr(admm, "pgram_compress", spy)
+        monkeypatch.setattr(linalg, "pgram_compress", spy)
+        pm, si, _ = generate_synthetic(15, 10, 2, 3, 0.4, 0.5, seed=6)
+        _, report = solve(pm, si, Hyperparams(k=2, max_iters=4, eps=1e-16),
+                          track_dual_residual=track)
+        assert report.iterations == 4
+        # tracked: the first P update builds its own, then one per iteration
+        assert len(calls) == (5 if track else 4)
 
     def test_tolerance_termination(self):
         pm, si, _ = generate_synthetic(15, 10, 2, 2, 0.3, 0.1, seed=7)
