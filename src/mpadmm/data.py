@@ -163,10 +163,10 @@ def generate_synthetic(n: int, m: int, k: int, d: int, miss_frac: float,
     hidden = gen.sample_without_replacement(n * m, hidden_count)
     observed = np.ones(n * m, dtype=bool)
     observed[hidden] = False
-    flat = np.nonzero(observed)[0]
-    rows, cols = flat // m, flat % m
+    flat = np.flatnonzero(observed)
+    rows, cols = np.divmod(flat, m)
 
-    pm = PartialMatrix(n=n, m=m, rows=rows, cols=cols, values=A[rows, cols])
+    pm = PartialMatrix(n=n, m=m, rows=rows, cols=cols, values=A.ravel()[flat])
     return pm, SideInfo(Y=Y), GroundTruth(A_true=A, beta=beta, noise_sigma=sigma)
 
 

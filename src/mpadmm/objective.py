@@ -176,6 +176,7 @@ def r_squared(X_hat: np.ndarray, Y: np.ndarray, *, svd=None) -> float:
     alpha = ols_alpha(X_hat, Y, svd=svd)
     fitted = X_hat @ alpha
     ss_res = _square_sum(np.subtract(Y, fitted, out=fitted))
+    del fitted  # one n x d temporary at a time
     ss_tot = _square_sum(Y - Y.mean(axis=0, keepdims=True))
     if ss_tot == 0.0:
         if ss_res <= 1e-12 * max(1.0, float(np.sum(Y * Y))):
@@ -184,14 +185,19 @@ def r_squared(X_hat: np.ndarray, Y: np.ndarray, *, svd=None) -> float:
     return 1.0 - ss_res / ss_tot
 
 
+def _rank_of_values(s: np.ndarray, shape) -> int:
+    """Count of the singular values s of an n x m matrix that lie above
+    s_1 * max(n, m) * 2^-52."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s > s[0] * max(shape) * 2.0 ** -52))
+
+
 def fitted_rank(X_hat: np.ndarray) -> int:
     """Numerical rank: singular values above s_1 * max(n, m) * 2^-52."""
     X_hat = np.atleast_2d(np.asarray(X_hat, dtype=float))
-    s = np.linalg.svd(X_hat, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    tol = s[0] * max(X_hat.shape) * 2.0 ** -52
-    return int(np.sum(s > tol))
+    return _rank_of_values(np.linalg.svd(X_hat, compute_uv=False),
+                           X_hat.shape)
 
 
 @single_blas_thread()
@@ -199,14 +205,16 @@ def evaluate(X_hat: np.ndarray, data: PartialMatrix, Y: np.ndarray,
              A_true: np.ndarray, lam: float, gamma: float) -> Metrics:
     """Bundle of all solution quality metrics against a known ground truth.
 
-    The thin SVD of X_hat is taken once and shared by `r_squared` and
-    `objective_svd`; `fitted_rank` takes its own values-only SVD.  Runs
-    NumPy's BLAS on one thread, like `admm.solve`, so that no idle OpenBLAS
-    worker spins into the next solve (see `generate_synthetic`).
+    The thin SVD of X_hat is taken once: its singular values give the
+    fitted rank (by `fitted_rank`'s rule), and it is shared by `r_squared`
+    and `objective_svd`.  Runs NumPy's BLAS on one thread, like
+    `admm.solve`, so that no idle OpenBLAS worker spins into the next solve
+    (see `generate_synthetic`).
     """
     X_hat = np.atleast_2d(np.asarray(X_hat, dtype=float))
-    err, rank = err_l2(X_hat, A_true), fitted_rank(X_hat)
+    err = err_l2(X_hat, A_true)
     U, s, Vt = np.linalg.svd(X_hat, full_matrices=False)
+    rank = _rank_of_values(s, X_hat.shape)
     r2 = r_squared(X_hat, Y, svd=(U, s, Vt))
     del Vt  # objective_svd reads U and s only; frees an m x min(n, m) buffer
     return Metrics(err_l2=err, r2=r2, fitted_rank=rank,

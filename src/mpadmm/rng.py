@@ -22,6 +22,12 @@ NumPy and leave the generator in the same state:
   Box-Muller draws u1 again while it is 0.  Both are rare, but each one
   shifts the rest of the stream, so `_accepted` finds every rejection in
   a batch and reassigns the draws that follow it.
+* Fisher-Yates without a loop.  `sample_without_replacement` draws every
+  step's target j[i] = i + below(population - i) at once and resolves
+  the swaps by one in-place sort of the packed int64 keys
+  j[i] * count + i, which orders the steps by (target, step), and by
+  pointer jumping.  Dense-rank keys take over only when the packed keys
+  would overflow int64 (populations near 2^63 / count).
 * Transcendentals stay in `math`.  NumPy's SIMD `log` differs from
   `math.log` in the last bit for some inputs, which would change the
   normal stream, so `log`, `sin` and `cos` run per element through
@@ -120,9 +126,27 @@ def _to_unit(x: np.ndarray) -> np.ndarray:
     return (x >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
 
+def _rank_order(j: np.ndarray):
+    """(sorted targets, steps in (target, step) order) through dense-rank
+    keys: any sort by target, then one sort of the unique keys
+    rank * count + step < count**2, which puts ties in step order."""
+    count = len(j)
+    order = np.argsort(j)
+    sj = j[order]
+    rank = np.concatenate([[0], np.cumsum(sj[1:] != sj[:-1])])
+    order = np.sort(rank * count + order) % count
+    return sj, order
+
+
 def _fisher_yates_picks(j: np.ndarray) -> np.ndarray:
     """picks[i] of the partial Fisher-Yates shuffle of range(population)
     whose step i takes slot j[i] >= i and moves slot i's value into it.
+
+    The steps are put in (target, step) order by one in-place sort of the
+    packed keys j[i] * count + i, from which one `divmod` recovers target
+    and step.  Only when (max(j) + 1) * count does not fit in int64, i.e.
+    for populations near 2**63 / count, do they take the dense-rank keys of
+    `_rank_order` instead.
 
     Step i picks the value last written into slot j[i], by the latest
     earlier step with the same target, or j[i] if no earlier step targeted
@@ -132,15 +156,14 @@ def _fisher_yates_picks(j: np.ndarray) -> np.ndarray:
     chains are resolved by pointer jumping.
     """
     count = len(j)
-    # steps sorted by (target, step): any sort by target, then one sort of
-    # unique keys (target rank, step) < count**2 puts ties in step order
-    order = np.argsort(j)
-    sj = j[order]
+    if count and (int(j.max()) + 1) * count > 1 << 63:
+        sj, order = _rank_order(j)
+    else:
+        keys = j * count
+        keys += np.arange(count)
+        keys.sort()
+        sj, order = np.divmod(keys, count, out=(keys, np.empty_like(keys)))
     same = sj[1:] == sj[:-1]  # position p + 1 has the target of p
-    rank = np.concatenate([[0], np.cumsum(~same)])
-    order = np.sort(rank * count + order) % count
-    prev = np.full(count, -1)
-    prev[order[1:][same]] = order[:-1][same]
     # parent[s]: the latest step t < s that targeted slot s, else s
     early = (order < sj) & (sj < count)
     last = early.copy()
@@ -152,7 +175,13 @@ def _fisher_yates_picks(j: np.ndarray) -> np.ndarray:
         if np.array_equal(up, parent):
             break
         parent = up
-    return np.where(prev >= 0, parent[prev], j)  # parent[-1] is discarded
+    del up
+    # in (target, step) order: a step whose target an earlier step took
+    # picks what that step wrote, any other its target itself
+    sj[1:][same] = parent[order[:-1][same]]
+    picks = np.empty_like(sj)
+    picks[order] = sj
+    return picks
 
 
 class Xoshiro256pp:
@@ -288,7 +317,15 @@ class Xoshiro256pp:
         if population >= 1 << 63:
             raise ValueError("population must be below 2**63")
         steps = np.arange(count, dtype=np.int64)
-        bounds = (population - steps).astype(np.uint64)
+        bounds = np.subtract(population, steps).view(np.uint64)
         # below(b) for every step: threshold (2^64 - b) mod b in uint64
-        x = self._accepted((0 - bounds) % bounds)
-        return _fisher_yates_picks(steps + (x % bounds).astype(np.int64))
+        thresholds = np.negative(bounds)
+        thresholds %= bounds
+        x = self._accepted(thresholds)
+        del thresholds
+        x %= bounds
+        del bounds
+        j = x.view(np.int64)  # j[i] = i + below(population - i)
+        j += steps
+        del steps
+        return _fisher_yates_picks(j)

@@ -94,7 +94,9 @@ class TestGenerateSynthetic:
          "39dbce4b5991c4b511ad3a4f76e9229e298f095aed7242ed1a7ba77a63e494ce"),
         ((2000, 1000, 10, 20, 0.5, 2.0, 0),
          "004d0191f80957a02634f0a19ab3e0a727e66c3cbcfbcf0ce50ad7cc6b57e4b9"),
-    ], ids=["protocol", "dense"])
+        ((20000, 100, 5, 150, 0.9, 2.0, 0),
+         "522b7b507dd1cef27d2b2a2752ce36734d79f006dcf0cffdb03a716a9920c52d"),
+    ], ids=["protocol", "dense", "scale"])
     def test_bit_reproducible_from_seed(self, args, digest):
         # SHA-256 of the little-endian C-order bytes of rows, cols and beta,
         # pinned from the one-draw-at-a-time generator; these arrays come

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -271,6 +273,39 @@ class TestMetrics:
         assert got == want  # bitwise: dataclass equality of the floats
         assert got.fitted_rank == (rank or 40)
         assert thin_calls == [X.shape]
+
+    def test_evaluate_makes_one_svd_call(self, monkeypatch):
+        # the fitted rank comes from the thin SVD's singular values, so no
+        # values-only SVD runs beside it
+        rng = np.random.default_rng(18)
+        pm, Y = _random_instance(rng, n=30, m=20, d=3)
+        X = rng.standard_normal((pm.n, 4)) @ rng.standard_normal((4, pm.m))
+        svd = np.linalg.svd
+        calls = []
+
+        def spy(a, *args, **kwargs):
+            calls.append((a.shape, kwargs.get("compute_uv", True)))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        got = evaluate(X, pm, Y, X, 1.0, 1.0)
+        assert calls == [(X.shape, True)]
+        assert got.fitted_rank == 4
+
+    def test_r_squared_one_n_by_d_temporary(self):
+        # the fitted block is freed before the centered total is formed
+        rng = np.random.default_rng(19)
+        n, m, d = 4000, 6, 40
+        X = rng.standard_normal((n, m))
+        Y = rng.standard_normal((n, d))
+        svd = np.linalg.svd(X, full_matrices=False)
+        tracemalloc.start()
+        try:
+            r_squared(X, Y, svd=svd)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * d * 8
 
     def test_evaluate_blas_single_threaded_inside_and_restored(
             self, monkeypatch):

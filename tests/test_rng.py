@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +185,51 @@ def test_below_rejections_reindex_the_stream(population, seed, least_draws):
     assert picks.tolist() == _loop_sample(b, population, 200)
     assert len(draws) >= least_draws
     _assert_same_state(a, b)
+
+
+def _first_draw_below(population, value, seed=31):
+    """A generator whose first below(population) returns `value`: with
+    s0 = 0 the next output is rotl(s3, 23), so s3 sets it freely."""
+    gen = Xoshiro256pp(seed)
+    x = value + population  # at or above below's rejection threshold
+    gen._s = [0, gen._s[1], gen._s[2], ((x << 41) | (x >> 23)) & rng._MASK]
+    return gen
+
+
+@pytest.mark.parametrize("population,packed", [
+    (2 ** 60, True), (2 ** 60 + 1, False)], ids=["packed", "rank"])
+def test_fisher_yates_key_path_at_int64_boundary(population, packed,
+                                                 monkeypatch):
+    # 8 steps, the first targeting population - 1: the largest packed key
+    # (max(j) + 1) * 8 - 1 is 2^63 - 1 for 2^60, which still fits in
+    # int64, and 2^63 + 7 for 2^60 + 1, which takes the rank keys
+    rank_calls = []
+    rank_order = rng._rank_order
+
+    def spy(j):
+        rank_calls.append(len(j))
+        return rank_order(j)
+
+    monkeypatch.setattr(rng, "_rank_order", spy)
+    a = _first_draw_below(population, population - 1)
+    b = _first_draw_below(population, population - 1)
+    picks = a.sample_without_replacement(population, 8)
+    assert picks[0] == population - 1
+    assert picks.tolist() == _loop_sample(b, population, 8)
+    _assert_same_state(a, b)
+    assert rank_calls == ([] if packed else [8])
+
+
+def test_sample_without_replacement_bytes_per_pick():
+    # peak traced memory of one call, in bytes per pick
+    gen = Xoshiro256pp(7)
+    tracemalloc.start()
+    try:
+        gen.sample_without_replacement(2_000_000, 1_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 1_000_000 <= 75
 
 
 def test_box_muller_zero_uniform_is_drawn_again():
