@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,18 +51,26 @@ class ObservationMasks:
     def from_partial(cls, data: PartialMatrix) -> "ObservationMasks":
         """Build the index.  Row-major sorted input (as `generate_synthetic`
         gives) is used in place and its `values` array is shared; other
-        input is put in that order by one stable argsort."""
+        input is put in that order by one argsort of the row-major keys
+        rows * m + cols, whose sorted copy gives the columns (key % m, in
+        place): about 24 bytes per entry at the peak."""
         n, m = data.n, data.m
         rows, cols, values = data.rows, data.cols, data.values
-        if not _row_major_sorted(rows, cols):
-            order = np.argsort(rows * m + cols, kind="stable")
-            rows, cols, values = rows[order], cols[order], values[order]
         fits = max(n, m, data.nnz) <= np.iinfo(np.int32).max
         idx = np.int32 if fits else np.int64
         indptr = np.zeros(n + 1, dtype=idx)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        if not _row_major_sorted(rows, cols):
+            key = rows * m + cols
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            values = values[order]
+            del order
+            cols = np.remainder(key, m, out=key)
+            del key
         by_row = sp.csr_array((values, cols.astype(idx), indptr),
                               shape=(n, m))
+        del cols  # the int64 columns, when recovered here
         row_pattern = _with_data(by_row, np.ones(data.nnz))
         return cls(by_row=by_row, by_col=by_row.T,
                    row_pattern=row_pattern, col_pattern=row_pattern.T)
@@ -131,28 +140,100 @@ class SolveReport:
     # n-row work.
     init_time: float = 0.0
     tracking_time: float = 0.0
+    # column groups (threads) the U and V steps' sparse products ran in;
+    # 1 when they were not split (`ridge_groups`)
+    ridge_groups: int = 1
+
+
+# The ridge step's sparse products split into column groups, one per worker
+# thread, only from _SPLIT_WORK multiply-adds (nnz * (q + k), about 1 ms of
+# kernel time per worker): below it thread start-up outweighs the gain.  A
+# group holds at least _GROUP_COLUMNS columns, since each group re-reads
+# the whole index; one such pass costs about as much as _PASS_COLUMNS more
+# columns.  On 2 vCPUs, nnz * (q + k) = 4e6 ran 4% slower split in two,
+# and 55 columns in groups of 8 took 17.2 ms against 8.2 ms in one product
+# (1.5 ms a pass, 0.12 ms a column).
+_SPLIT_WORK = 1 << 24
+_GROUP_COLUMNS = 8
+_PASS_COLUMNS = 12
+
+
+def _ridge_spans(nnz: int, k: int, threads: int) -> list:
+    """Column spans [start, stop) of [Gram triangle | right-hand sides], q
+    = k(k + 1)/2 and k columns, that a ridge step with `nnz` observations
+    runs its sparse products in, one span per thread: [(0, q + k)] below
+    _SPLIT_WORK, else at most `threads` and (q + k) // _GROUP_COLUMNS spans
+    of about equal cost.  The span that crosses from the Gram columns into
+    the right-hand sides runs two products, so the cuts are laid out as if
+    _PASS_COLUMNS more columns sat between the two."""
+    q = k * (k + 1) // 2
+    width = q + k
+    if nnz * width < _SPLIT_WORK:
+        return [(0, width)]
+    groups = max(1, min(threads, width // _GROUP_COLUMNS))
+    length = width + _PASS_COLUMNS
+    cuts = {0, width}
+    for g in range(1, groups):
+        at = round(length * g / groups)
+        cuts.add(at if at <= q else max(q, at - _PASS_COLUMNS))
+    cuts = sorted(cuts)
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def ridge_groups(nnz: int, k: int, threads: int) -> int:
+    """Column groups, each on its own thread, that a ridge step with `nnz`
+    observations and rank k splits its sparse products into (1 when it
+    does not split them); see `_ridge_spans`."""
+    return len(_ridge_spans(nnz, k, threads))
 
 
 def _ridge_rows(values: sp.sparray, pattern: sp.sparray, F, diag,
-                extra=None) -> np.ndarray:
+                extra=None, threads: int = 1) -> np.ndarray:
     """Row-wise ridge solves (2 F_i^T F_i + diag I) x_i = 2 F_i^T a_i + extra_i,
     where F_i holds the rows of F at row i's observed indices and a_i the
     observed values (extra_i = 0 when `extra` is None).
 
-    All k x k Grams come from one sparse product of the pattern with the
-    row-wise outer products of F (upper triangle only), and all rows are
-    solved in one batched call; no nnz x k^2 gather is ever formed.
+    All k x k Grams come from the sparse product of the pattern with the
+    row-wise outer products of F (upper triangle only, q columns), the
+    right-hand sides from `values @ F` (k columns), and all rows are
+    solved in one batched call; no nnz x k^2 gather is ever formed.  The
+    q + k product columns run in the contiguous spans of `_ridge_spans`,
+    one per thread, the calling thread taking the first.  The sparse
+    kernel sums each output element over the same entries in the same
+    order whatever the span, so the result does not depend on `threads`,
+    bit for bit.
+    Workers run only sparse kernels and elementwise NumPy, no BLAS.
     """
     k = F.shape[1]
     iu, ju = np.triu_indices(k)
-    tri = pattern @ (F[:, iu] * F[:, ju])
-    G = np.empty((tri.shape[0], k, k))
-    G[:, iu, ju] = tri
-    G[:, ju, iu] = tri
+    q = iu.size
+    G = np.empty((pattern.shape[0], k, k))
+    rhs = np.empty((pattern.shape[0], k))
+
+    def products(start, stop):
+        """Columns [start, stop) of [Gram triangle | right-hand sides]."""
+        gram = slice(start, min(stop, q))
+        if start < q:
+            block = pattern @ (F[:, iu[gram]] * F[:, ju[gram]])
+            G[:, iu[gram], ju[gram]] = block
+            G[:, ju[gram], iu[gram]] = block
+        if stop > q:
+            lin = slice(max(start, q) - q, stop - q)
+            rhs[:, lin] = values @ F[:, lin]
+
+    first, *rest = _ridge_spans(pattern.nnz, k, threads)
+    if rest:
+        with ThreadPoolExecutor(len(rest)) as pool:
+            futures = [pool.submit(products, *span) for span in rest]
+            products(*first)
+            for future in futures:
+                future.result()
+    else:
+        products(*first)
     G *= 2.0
     diag_idx = np.arange(k)
     G[:, diag_idx, diag_idx] += diag
-    rhs = 2.0 * (values @ F)
+    rhs *= 2.0
     if extra is not None:
         rhs += extra
     return np.linalg.solve(G, rhs[..., None])[..., 0]
@@ -162,13 +243,16 @@ def update_U(V, Z, Psi, masks: ObservationMasks, gamma: float, rho2: float,
              threads: int = 1) -> np.ndarray:
     """Exact U block minimizer: one ridge solve per row of U.
 
-    `threads` is accepted and unused: the rows are solved in one batched
-    call, whose result does not depend on any thread count.
+    The sparse Gram and right-hand-side products run on up to `threads`
+    threads, split by column group, when the data are large enough
+    (`ridge_groups`); the result is bitwise the same for every `threads`.
     """
     if gamma + rho2 <= 0:
         raise ParameterError("gamma + rho2 must be > 0")
+    if threads < 1:
+        raise ParameterError("threads must be >= 1")
     out = _ridge_rows(masks.by_row, masks.row_pattern, V, gamma + rho2,
-                      Psi + rho2 * Z)
+                      Psi + rho2 * Z, threads)
     if not np.all(np.isfinite(out)):
         raise NumericalError("non-finite values after U update")
     return out
@@ -179,11 +263,15 @@ def update_V(U, masks: ObservationMasks, gamma: float,
     """Exact V block minimizer: one ridge solve per column of the data,
     on the transposed (CSC) views of the observation index.
 
-    `threads` is accepted and unused, as in `update_U`.
+    `threads` acts as in `update_U`: the same split, the same bitwise
+    result for every thread count.
     """
     if gamma <= 0:
         raise ParameterError("gamma must be > 0")
-    out = _ridge_rows(masks.by_col, masks.col_pattern, U, gamma)
+    if threads < 1:
+        raise ParameterError("threads must be >= 1")
+    out = _ridge_rows(masks.by_col, masks.col_pattern, U, gamma,
+                      threads=threads)
     if not np.all(np.isfinite(out)):
         raise NumericalError("non-finite values after V update")
     return out
@@ -362,6 +450,10 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
     update: the dual residual of iteration t and the P update of t + 1
     see the same Z and Phi, since the U step changes neither.
 
+    `hp.threads` threads share the sparse products of the U and V steps
+    when the data are large enough (`ridge_groups`; the count used is
+    `report.ridge_groups`); the iterates do not depend on it, bit for bit.
+
     Terminates when both squared primal residual norms fall to eps, or at
     the iteration cap.  The whole solve runs NumPy's BLAS on one thread
     (`single_blas_thread`), whatever `hp.threads` says.
@@ -391,7 +483,8 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
     )
     basis = side_basis(Y)  # Y is fixed: factored once per solve
     compressed = None  # [Z, Phi] after the last dual update, when tracked
-    report = SolveReport()
+    report = SolveReport(
+        ridge_groups=ridge_groups(masks.row_pattern.nnz, k, hp.threads))
     report.init_time = time.perf_counter() - t0
     prox = 0.5 * (hp.gamma + hp.rho2)  # c of the proximal U step
     rho2_prox = hp.rho2 + prox

@@ -65,8 +65,9 @@ def _build_parser() -> _Parser:
     s.add_argument("--tau", type=float, default=1.0,
                    help="soft-impute shrinkage threshold")
     s.add_argument("--threads", type=int, default=DEFAULT_THREADS,
-                   help="accepted for compatibility; unused by the solver, "
-                        "whose row solves run as one batched call")
+                   help="threads for the U/V steps' sparse products, split "
+                        "by column group once nnz*(k(k+3)/2) >= 2^24; "
+                        "results are the same for every value")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True, help="output directory")
 

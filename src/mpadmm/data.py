@@ -88,9 +88,11 @@ class SideInfo:
 
 @dataclass
 class Hyperparams:
-    """ADMM settings.  `threads` is validated (>= 1) but unused by the
-    solver: its U and V row solves run as one batched call, and `solve`
-    runs NumPy's BLAS on one thread."""
+    """ADMM settings.  `threads` (>= 1) caps the threads that share the
+    sparse Gram and right-hand-side products of the U and V steps, split
+    by column group, once the data are large enough to gain from it
+    (`admm.ridge_groups`); the iterates are bitwise the same for every
+    value.  The batched ridge solves and all BLAS work run on one thread."""
 
     k: int
     lam: float = 1.0

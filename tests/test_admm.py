@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -14,8 +15,9 @@ import mpadmm.admm as admm
 import mpadmm.linalg as linalg
 from mpadmm.admm import (IterateState, ObservationMasks, RankDeficiencyWarning,
                          augmented_lagrangian, dual_residual,
-                         first_order_check, primal_residuals, solve,
-                         update_duals, update_P, update_U, update_V, update_Z)
+                         first_order_check, primal_residuals, ridge_groups,
+                         solve, update_duals, update_P, update_U, update_V,
+                         update_Z)
 from mpadmm.data import (Hyperparams, PartialMatrix, SideInfo,
                          generate_synthetic)
 from mpadmm.exceptions import NumericalError, ParameterError
@@ -97,6 +99,14 @@ class TestUpdateU:
         with pytest.raises(ParameterError):
             update_U(st.V, st.Z, st.Psi, masks, 0.0, 0.0)
 
+    def test_bad_threads(self):
+        rng = np.random.default_rng(4)
+        pm, st = _random_state(rng)
+        masks = ObservationMasks.from_partial(pm)
+        for threads in (0, -1):
+            with pytest.raises(ParameterError):
+                update_U(st.V, st.Z, st.Psi, masks, 1.0, 1.0, threads=threads)
+
 
 class TestUpdateV:
     def test_dense_oracle(self):
@@ -140,6 +150,196 @@ class TestUpdateV:
         a = update_V(st.U, masks, 0.6, threads=1)
         b = update_V(st.U, masks, 0.6, threads=4)
         assert np.array_equal(a, b)
+
+    def test_bad_threads(self):
+        rng = np.random.default_rng(8)
+        pm, st = _random_state(rng)
+        masks = ObservationMasks.from_partial(pm)
+        for threads in (0, -1):
+            with pytest.raises(ParameterError):
+                update_V(st.U, masks, 0.6, threads=threads)
+
+
+@pytest.fixture(params=[0, admm._PASS_COLUMNS], ids=["equal", "weighted"])
+def split_always(request, monkeypatch):
+    """Split the ridge products at any size, down to one column a group,
+    in spans of equal width or weighted by the pass cost as in a solve."""
+    monkeypatch.setattr(admm, "_SPLIT_WORK", 0)
+    monkeypatch.setattr(admm, "_GROUP_COLUMNS", 1)
+    monkeypatch.setattr(admm, "_PASS_COLUMNS", request.param)
+
+
+class _ExecutorSpy:
+    """Stands in for `ThreadPoolExecutor` and counts the pools made."""
+
+    def __init__(self, monkeypatch):
+        self.pools = []
+        real = admm.ThreadPoolExecutor
+
+        def make(*args, **kwargs):
+            pool = real(*args, **kwargs)
+            self.pools.append(pool)
+            return pool
+
+        monkeypatch.setattr(admm, "ThreadPoolExecutor", make)
+
+
+class TestRidgeSplit:
+    THREADS = (1, 2, 3, 8)
+
+    def test_spans_from_size(self):
+        # k = 10: 55 Gram and 10 right-hand-side columns
+        small = -(-admm._SPLIT_WORK // 65) - 1
+        assert admm._ridge_spans(small, 10, 8) == [(0, 65)]
+        assert ridge_groups(small + 1, 10, 1) == 1
+        # the right-hand sides' product is one more pass over the index
+        assert admm._ridge_spans(small + 1, 10, 2) == [(0, 38), (38, 65)]
+        assert admm._ridge_spans(10 ** 9, 5, 2) == [(0, 15), (15, 20)]
+        for k, threads in ((10, 8), (10, 24), (20, 24), (7, 8), (6, 3)):
+            width = k * (k + 3) // 2
+            spans = admm._ridge_spans(10 ** 9, k, threads)
+            assert spans[0][0] == 0 and spans[-1][1] == width
+            assert all(a < b for a, b in spans)
+            assert all(s[1] == t[0] for s, t in zip(spans, spans[1:]))
+            # at most (q + k) // 8 groups; none below 8 columns
+            assert 1 < len(spans) <= min(threads, width // 8)
+        assert ridge_groups(10 ** 9, 2, 24) == 1
+        # the benchmark shapes: protocol and scale never split, dense does
+        assert ridge_groups(10_000, 5, 2) == 1
+        assert ridge_groups(200_000, 5, 2) == 1
+        assert ridge_groups(1_000_000, 10, 2) == 2
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_updates_bitwise_equal_for_every_thread_count(self, split_always,
+                                                          k):
+        rng = np.random.default_rng(30 + k)
+        pm, st = _random_state(rng, n=40, m=30, k=k, frac=0.5)
+        masks = ObservationMasks.from_partial(pm)
+        assert ridge_groups(pm.nnz, k, 2) == 2
+        want_u = update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0, threads=1)
+        want_v = update_V(st.U, masks, 0.6, threads=1)
+        for threads in self.THREADS[1:]:
+            got_u = update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0, threads)
+            got_v = update_V(st.U, masks, 0.6, threads)
+            assert np.array_equal(got_u, want_u), threads
+            assert np.array_equal(got_v, want_v), threads
+
+    def test_many_workers_under_fast_switching(self, split_always):
+        # more workers than cores, each writing its own columns of the
+        # shared Gram and right-hand-side buffers
+        rng = np.random.default_rng(34)
+        pm, st = _random_state(rng, n=300, m=200, k=6, frac=0.5)
+        masks = ObservationMasks.from_partial(pm)
+        want = update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                got = update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0,
+                               threads=8)
+                assert np.array_equal(got, want)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch,
+                                             split_always):
+        rng = np.random.default_rng(35)
+        pm, st = _random_state(rng, n=30, m=20, k=3)
+        masks = ObservationMasks.from_partial(pm)
+        products = admm.sp.csr_array.__matmul__
+
+        def fail_off_main(self, other):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("worker failed")
+            return products(self, other)
+
+        monkeypatch.setattr(admm.sp.csr_array, "__matmul__", fail_off_main)
+        update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0, threads=1)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0, threads=2)
+
+    def test_split_above_the_size_bitwise_equal(self, monkeypatch):
+        # the constants as they are: k = 10 and nnz above 2^24 / 65
+        rng = np.random.default_rng(33)
+        pm, st = _random_state(rng, n=600, m=500, k=10, frac=0.9)
+        assert ridge_groups(pm.nnz, 10, 2) == 2
+        masks = ObservationMasks.from_partial(pm)
+        spy = _ExecutorSpy(monkeypatch)
+        want = update_V(st.U, masks, 0.6, threads=1)
+        assert spy.pools == []
+        assert np.array_equal(update_V(st.U, masks, 0.6, threads=2), want)
+        assert len(spy.pools) == 1
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    @pytest.mark.parametrize("track", [True, False])
+    def test_solve_bitwise_equal_for_every_thread_count(self, split_always,
+                                                        k, track):
+        pm, si, _ = generate_synthetic(40, 30, k, 3, 0.5, 0.5, seed=12)
+        runs = []
+        for threads in self.THREADS:
+            hp = Hyperparams(k=k, max_iters=20, eps=1e-16, threads=threads)
+            state, report = solve(pm, si, hp, track_objective=track,
+                                  track_dual_residual=track,
+                                  track_lagrangian=track)
+            assert report.iterations == 20
+            assert report.ridge_groups == ridge_groups(pm.nnz, k, threads)
+            assert (report.ridge_groups > 1) == (threads > 1)
+            runs.append((state, report))
+        (want, r_want), *rest = runs
+        for state, report in rest:
+            for name in ("U", "V", "M", "Z", "Phi", "Psi"):
+                assert np.array_equal(getattr(state, name),
+                                      getattr(want, name)), name
+            for trace in ("phi_residual_trace", "psi_residual_trace",
+                          "dual_residual_trace", "objective_trace",
+                          "lagrangian_trace"):
+                assert getattr(report, trace) == getattr(r_want, trace), trace
+        assert len(r_want.dual_residual_trace) == (20 if track else 0)
+
+    def test_no_executor_below_the_split_size(self, monkeypatch):
+        # the benchmark's protocol instance: nnz * (q + k) = 2e5
+        spy = _ExecutorSpy(monkeypatch)
+        pm, si, _ = generate_synthetic(1000, 100, 5, 150, 0.9, 2.0, seed=0)
+        _, report = solve(pm, si, Hyperparams(k=5, max_iters=20, threads=2))
+        assert report.ridge_groups == 1
+        assert spy.pools == []
+
+    def test_one_executor_per_split_step(self, monkeypatch, split_always):
+        spy = _ExecutorSpy(monkeypatch)
+        pm, si, _ = generate_synthetic(40, 30, 3, 3, 0.5, 0.5, seed=12)
+        _, report = solve(pm, si, Hyperparams(k=3, max_iters=4, eps=1e-16,
+                                              threads=3))
+        assert report.ridge_groups > 1
+        assert len(spy.pools) == 2 * report.iterations
+
+    def test_no_worker_outlives_the_solve(self, split_always):
+        pm, si, _ = generate_synthetic(40, 30, 3, 3, 0.5, 0.5, seed=12)
+        before = threading.active_count()
+        _, report = solve(pm, si, Hyperparams(k=3, max_iters=3, threads=8))
+        assert report.ridge_groups > 1
+        assert threading.active_count() == before
+
+    def test_blas_single_threaded_inside_and_restored(self, monkeypatch,
+                                                      split_always):
+        api = _openblas_threads_api()
+        if api is None:
+            pytest.skip("NumPy links no OpenBLAS with a thread-count API")
+        get, _ = api
+        before = get()
+        seen = []
+        products = admm.sp.csr_array.__matmul__
+
+        def spy(self, other):
+            seen.append(get())
+            return products(self, other)
+
+        pm, si, _ = generate_synthetic(40, 30, 3, 3, 0.5, 0.5, seed=12)
+        monkeypatch.setattr(admm.sp.csr_array, "__matmul__", spy)
+        monkeypatch.setattr(admm.sp.csc_array, "__matmul__", spy)
+        _, report = solve(pm, si, Hyperparams(k=3, max_iters=2, threads=3))
+        assert report.ridge_groups > 1
+        assert seen and set(seen) == {1}
+        assert get() == before
 
 
 class TestObservationIndex:
@@ -266,6 +466,22 @@ class TestObservationIndex:
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert peak < 14 * pm.nnz + 16 * (n + m) + 2 ** 16
+
+    def test_from_partial_unsorted_memory(self):
+        # the argsort of the row-major keys and the keys in that order,
+        # then the permuted values; the columns come from the sorted keys
+        rng = np.random.default_rng(25)
+        n, m = 2000, 500
+        r, c = np.nonzero(rng.random((n, m)) < 0.5)
+        order = rng.permutation(r.size)
+        pm = PartialMatrix(n=n, m=m, rows=r[order], cols=c[order],
+                           values=rng.standard_normal(r.size))
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        ObservationMasks.from_partial(pm)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak <= 28 * pm.nnz
 
     def test_update_U_memory_stays_linear(self):
         # an nnz x k^2 gather of V would need 8 nnz k^2 bytes (61 MB here)
