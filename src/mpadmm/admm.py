@@ -208,28 +208,33 @@ def _ridge_rows(values: sp.sparray, pattern: sp.sparray, F, diag,
     iu, ju = np.triu_indices(k)
     q = iu.size
     G = np.empty((pattern.shape[0], k, k))
-    rhs = np.empty((pattern.shape[0], k))
 
-    def products(start, stop):
-        """Columns [start, stop) of [Gram triangle | right-hand sides]."""
-        gram = slice(start, min(stop, q))
-        if start < q:
-            block = pattern @ (F[:, iu[gram]] * F[:, ju[gram]])
-            G[:, iu[gram], ju[gram]] = block
-            G[:, ju[gram], iu[gram]] = block
-        if stop > q:
-            lin = slice(max(start, q) - q, stop - q)
-            rhs[:, lin] = values @ F[:, lin]
+    def gram(cols):
+        """Gram triangle columns `cols` (a slice of 0..q), both halves."""
+        block = pattern @ (F[:, iu[cols]] * F[:, ju[cols]])
+        G[:, iu[cols], ju[cols]] = block
+        G[:, ju[cols], iu[cols]] = block
 
     first, *rest = _ridge_spans(pattern.nnz, k, threads)
     if rest:
+        rhs = np.empty((pattern.shape[0], k))
+
+        def products(start, stop):
+            """Columns [start, stop) of [Gram triangle | right-hand sides]."""
+            if start < q:
+                gram(slice(start, min(stop, q)))
+            if stop > q:
+                lin = slice(max(start, q) - q, stop - q)
+                rhs[:, lin] = values @ F[:, lin]
+
         with ThreadPoolExecutor(len(rest)) as pool:
             futures = [pool.submit(products, *span) for span in rest]
             products(*first)
             for future in futures:
                 future.result()
     else:
-        products(*first)
+        gram(slice(0, q))
+        rhs = values @ F
     G *= 2.0
     diag_idx = np.arange(k)
     G[:, diag_idx, diag_idx] += diag

@@ -20,7 +20,8 @@ from .data import (Hyperparams, PartialMatrix, SideInfo, generate_synthetic,
                    load_dense_csv, load_partial, load_side_info,
                    save_dense_csv, save_partial, save_side_info)
 from .exceptions import ConvergenceError, NumericalError, ParameterError, ParseError
-from .objective import err_l2, fitted_rank, objective_svd, r_squared
+from .objective import (err_l2, fitted_rank, objective_svd, r_squared,
+                        spectral_basis)
 
 DEFAULT_THREADS = min(os.cpu_count() or 1, 24)
 
@@ -100,11 +101,13 @@ def _cmd_gen(args) -> int:
 
 
 def _write_metrics(path, X_hat, data, Y, lam, gamma, A_true=None):
-    obj = objective_svd(X_hat, data, Y, lam, gamma)
+    svd = spectral_basis(X_hat)  # one decomposition for all metrics
+    obj = objective_svd(X_hat, data, Y, lam, gamma, svd=svd)
     fields = [
         ("objective", obj.total), ("fit_term", obj.fit_term),
         ("side_term", obj.side_term), ("reg_term", obj.reg_term),
-        ("r2", r_squared(X_hat, Y)), ("fitted_rank", fitted_rank(X_hat)),
+        ("r2", r_squared(X_hat, Y, svd=svd)),
+        ("fitted_rank", fitted_rank(X_hat, svd=svd)),
     ]
     if A_true is not None:
         fields.append(("err_l2", err_l2(X_hat, A_true)))

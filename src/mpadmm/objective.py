@@ -9,6 +9,13 @@ The objective being minimized is
 where P_X projects onto the column space of X.  Two evaluation routes
 are provided: a naive pseudo-inverse route (the oracle) and an SVD
 route that never forms X^T X and accepts factored input U_f V_f^T.
+
+Dense estimates are decomposed by `spectral_basis`: all singular values
+from a values-only SVD, and a certified basis of the top-r left singular
+subspace from an n x (r + p) sketch, so that the metrics of a rank-r
+estimate need O((n + m) r) memory beside it rather than a thin SVD's
+n x m factors.  Sums over the estimate's rows or observed entries run in
+blocks of _BLOCK elements.
 """
 
 from __future__ import annotations
@@ -22,6 +29,19 @@ from .exceptions import ParameterError
 from .linalg import single_blas_thread
 
 PINV_CUTOFF = 1e-12  # relative singular value cutoff in ols_alpha
+_EPS = 2.0 ** -52
+_BLOCK = 1 << 18  # float64 elements (2 MB) per row or entry block
+# Range finder of Halko, Martinsson & Tropp (SIAM Rev. 2011): a Gaussian
+# test matrix with _OVERSAMPLE columns beyond the rank.  Without them the
+# residuals of the rank-5 estimates on protocol seed 2 read 114-150
+# eps ||X||_F (3.1-4.7 with them), and 2 of 31 rank-k protocol and dense
+# estimates failed the certificate.
+_OVERSAMPLE = 5
+# The basis is accepted when its residual and the singular value tail
+# agree within _CERT_ULPS * sqrt(max(n, m)) * eps * ||X||_F.  Measured
+# |residual - tail| <= 6.2 eps ||X||_F on protocol and dense estimates
+# and random rank-r products from 30 x 20 to 2000 x 1000.
+_CERT_ULPS = 4.0
 
 
 @dataclass(frozen=True)
@@ -58,12 +78,11 @@ def _compact_svd(X_or_factors):
     return np.linalg.svd(X, full_matrices=False)
 
 
-def ols_alpha(X_or_factors, Y: np.ndarray, *, svd=None) -> np.ndarray:
+def ols_alpha(X_or_factors, Y: np.ndarray) -> np.ndarray:
     """Minimum-norm least squares solution (X^T X)^+ X^T Y; X is a dense
-    matrix or a factor pair (U_f, V_f) with X = U_f V_f^T.  `svd`, when
-    given, is X's thin SVD (U, s, Vt), taken instead of computing it."""
+    matrix or a factor pair (U_f, V_f) with X = U_f V_f^T."""
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    U, s, Vt = _compact_svd(X_or_factors) if svd is None else svd
+    U, s, Vt = _compact_svd(X_or_factors)
     if U.shape[0] != Y.shape[0]:
         raise ParameterError("X and Y row counts disagree")
     if s.size == 0 or s[0] == 0.0:
@@ -74,11 +93,83 @@ def ols_alpha(X_or_factors, Y: np.ndarray, *, svd=None) -> np.ndarray:
     return Vt.T @ (inv[:, None] * (U.T @ Y))
 
 
-def _fit_term(X_at, data: PartialMatrix) -> float:
+def _fit_term(X_at, values) -> float:
     """Squared fit residual on Omega; overwrites X_at, a fresh array of
-    the estimate's observed entries, so no second nnz buffer is made."""
-    X_at -= data.values
+    the estimate's observed entries, so no second buffer of its size is
+    made."""
+    X_at -= values
     return float(X_at @ X_at)
+
+
+def _dense_fit_term(X: np.ndarray, data: PartialMatrix) -> float:
+    """`_fit_term` of a dense estimate, gathered and summed in blocks of
+    _BLOCK observed entries."""
+    fit = 0.0
+    for start in range(0, data.nnz, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        fit += _fit_term(X[data.rows[block], data.cols[block]],
+                         data.values[block])
+    return fit
+
+
+def _row_blocks(X: np.ndarray):
+    """Slices of about _BLOCK elements over the rows of X."""
+    step = max(1, _BLOCK // max(1, X.shape[1]))
+    return (slice(i, i + step) for i in range(0, X.shape[0], step))
+
+
+def _count_above(s: np.ndarray, rel: float) -> int:
+    """Number of singular values above rel * s_1 (0 for a zero matrix)."""
+    return int(np.sum(s > rel * s[0])) if s.size else 0
+
+
+def _range_basis(X: np.ndarray, r: int) -> np.ndarray:
+    """Orthonormal n x r basis of the top-r left singular subspace of X,
+    from the thin SVD of the sketch X Omega (Omega m x min(m, r + p)
+    Gaussian, fixed seed)."""
+    omega = np.random.default_rng(0).standard_normal(
+        (X.shape[1], min(X.shape[1], r + _OVERSAMPLE)))
+    return np.linalg.svd(X @ omega, full_matrices=False)[0][:, :r]
+
+
+def _certified(X: np.ndarray, basis: np.ndarray, s: np.ndarray) -> bool:
+    """Whether ||X - Q Q^T X||_F, summed over row blocks, equals the tail
+    ||s_{r+1:}|| up to rounding: then Q = basis spans X's top-r left
+    singular subspace to within rounding of X."""
+    r = basis.shape[1]
+    coef = basis.T @ X
+    resid = 0.0
+    for rows in _row_blocks(X):
+        R = basis[rows] @ coef
+        resid += _square_sum(np.subtract(X[rows], R, out=R))
+        del R  # one block alive at a time
+    tail = float(np.sqrt(s[r:] @ s[r:]))
+    bound = _CERT_ULPS * np.sqrt(max(X.shape)) * _EPS * float(np.sqrt(s @ s))
+    return abs(np.sqrt(resid) - tail) <= bound
+
+
+def spectral_basis(X_hat: np.ndarray):
+    """(left, s) of a dense estimate: s all its singular values, left an
+    orthonormal basis of its top-r left singular subspace, r its numerical
+    rank.
+
+    s comes from a values-only SVD; r is `fitted_rank`'s count, and the
+    basis is `_range_basis`'s when r is also the count above
+    `objective_svd`'s and `ols_alpha`'s cut-offs and the basis passes
+    `_certified`.  Otherwise (also when r = 0 or r = min(n, m)) the full
+    thin SVD gives (U, s).  Every consumer reads the first columns of
+    `left` that its own cut-off keeps.
+    """
+    X_hat = np.atleast_2d(np.asarray(X_hat, dtype=float))
+    s = np.linalg.svd(X_hat, compute_uv=False)
+    r = _rank_of_values(s, X_hat.shape)
+    cuts = (s.size * _EPS, PINV_CUTOFF)  # objective_svd's, ols_alpha's
+    if 0 < r < s.size and all(_count_above(s, c) == r for c in cuts):
+        basis = _range_basis(X_hat, r)
+        if _certified(X_hat, basis, s):
+            return basis, s
+    U, s, _ = np.linalg.svd(X_hat, full_matrices=False)
+    return U, s
 
 
 def objective_naive(X: np.ndarray, data: PartialMatrix, Y: np.ndarray,
@@ -86,7 +177,7 @@ def objective_naive(X: np.ndarray, data: PartialMatrix, Y: np.ndarray,
     """Oracle route: explicit pseudo-inverse of X^T X for the side term."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    fit = _fit_term(X[data.rows, data.cols], data)
+    fit = _fit_term(X[data.rows, data.cols], data.values)
     P = X @ np.linalg.pinv(X.T @ X) @ X.T
     resid = Y - P @ Y
     side = lam * float(np.trace(Y.T @ resid))
@@ -101,27 +192,26 @@ def objective_svd(X_or_factors, data: PartialMatrix, Y: np.ndarray,
 
     The side term uses Tr(Y^T (I - U U^T) Y) from the compact SVD of X at
     numerical rank; factored input is handled through thin QR of each
-    factor, at O(k n (m + d)) cost and without densifying U_f V_f^T.
-    `svd`, when given, is X's thin SVD (U, s, Vt), taken instead of
-    computing it; only U and s are read.
+    factor, at O(k n (m + d)) cost and without densifying U_f V_f^T, and
+    dense input through `spectral_basis`.  `svd`, when given, is X's
+    `spectral_basis` (left, s) or thin SVD (U, s, Vt), taken instead of
+    computing it; only its first two parts are read.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    left, s, _ = _compact_svd(X_or_factors) if svd is None else svd
     if isinstance(X_or_factors, tuple):
+        left, s, _ = _compact_svd(X_or_factors) if svd is None else svd
         Uf, Vf = (np.asarray(f, dtype=float) for f in X_or_factors)
-        X_at = np.einsum("ij,ij->i", Uf[data.rows], Vf[data.cols])
+        fit = _fit_term(np.einsum("ij,ij->i", Uf[data.rows], Vf[data.cols]),
+                        data.values)
     else:
         X = np.atleast_2d(np.asarray(X_or_factors, dtype=float))
-        X_at = X[data.rows, data.cols]
+        left, s = spectral_basis(X) if svd is None else svd[:2]
+        fit = _dense_fit_term(X, data)
 
     # numerical rank: drop directions whose singular value underflows
-    if s.size and s[0] > 0:
-        r = int(np.sum(s > s[0] * max(1, len(s)) * np.finfo(float).eps))
-    else:
-        r = 0
+    r = _count_above(s, max(1, s.size) * _EPS)
     left = left[:, :r]
 
-    fit = _fit_term(X_at, data)
     YtY = float(np.sum(Y * Y))
     proj = left.T @ Y
     side = lam * (YtY - float(np.sum(proj * proj)))
@@ -157,24 +247,38 @@ def _square_sum(A: np.ndarray) -> float:
 
 
 def err_l2(X_hat: np.ndarray, A_true: np.ndarray) -> float:
-    """Relative squared Frobenius reconstruction error."""
-    A_true = np.asarray(A_true, dtype=float)
-    denom = float(np.sum(A_true * A_true))
+    """Relative squared Frobenius reconstruction error, summed over row
+    blocks so that no temporary of the matrices' size is made."""
+    X_hat = np.atleast_2d(np.asarray(X_hat, dtype=float))
+    A_true = np.atleast_2d(np.asarray(A_true, dtype=float))
+    if X_hat.shape != A_true.shape:
+        raise ParameterError("X_hat and A_true shapes disagree")
+    num = denom = 0.0
+    for rows in _row_blocks(A_true):
+        num += _square_sum(X_hat[rows] - A_true[rows])
+        denom += _square_sum(A_true[rows].copy())
     if denom == 0.0:
         raise ParameterError("A_true must be nonzero")
-    return _square_sum(np.asarray(X_hat, dtype=float) - A_true) / denom
+    return num / denom
 
 
 def r_squared(X_hat: np.ndarray, Y: np.ndarray, *, svd=None) -> float:
     """Pooled multivariate R^2 of the side info regressed on X_hat.
 
     Total sum of squares is column-mean centered and pooled over columns.
-    `svd`, when given, is X_hat's thin SVD, passed on to `ols_alpha`.
+    The fitted values X_hat (X_hat^T X_hat)^+ X_hat^T Y are the projection
+    of Y onto the left singular vectors that `ols_alpha`'s PINV_CUTOFF
+    keeps, taken from `spectral_basis`.  `svd`, when given, is X_hat's
+    `spectral_basis` (left, s) or thin SVD (U, s, Vt), taken instead of
+    computing it.
     """
     X_hat = np.atleast_2d(np.asarray(X_hat, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    alpha = ols_alpha(X_hat, Y, svd=svd)
-    fitted = X_hat @ alpha
+    left, s = spectral_basis(X_hat) if svd is None else svd[:2]
+    if left.shape[0] != Y.shape[0]:
+        raise ParameterError("X and Y row counts disagree")
+    left = left[:, :_count_above(s, PINV_CUTOFF)]
+    fitted = left @ (left.T @ Y)
     ss_res = _square_sum(np.subtract(Y, fitted, out=fitted))
     del fitted  # one n x d temporary at a time
     ss_tot = _square_sum(Y - Y.mean(axis=0, keepdims=True))
@@ -188,16 +292,16 @@ def r_squared(X_hat: np.ndarray, Y: np.ndarray, *, svd=None) -> float:
 def _rank_of_values(s: np.ndarray, shape) -> int:
     """Count of the singular values s of an n x m matrix that lie above
     s_1 * max(n, m) * 2^-52."""
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > s[0] * max(shape) * 2.0 ** -52))
+    return _count_above(s, max(shape) * _EPS)
 
 
-def fitted_rank(X_hat: np.ndarray) -> int:
-    """Numerical rank: singular values above s_1 * max(n, m) * 2^-52."""
+def fitted_rank(X_hat: np.ndarray, *, svd=None) -> int:
+    """Numerical rank: singular values above s_1 * max(n, m) * 2^-52.
+    `svd`, when given, is X_hat's `spectral_basis` or thin SVD, whose
+    singular values are read instead of computing them."""
     X_hat = np.atleast_2d(np.asarray(X_hat, dtype=float))
-    return _rank_of_values(np.linalg.svd(X_hat, compute_uv=False),
-                           X_hat.shape)
+    s = np.linalg.svd(X_hat, compute_uv=False) if svd is None else svd[1]
+    return _rank_of_values(s, X_hat.shape)
 
 
 @single_blas_thread()
@@ -205,18 +309,16 @@ def evaluate(X_hat: np.ndarray, data: PartialMatrix, Y: np.ndarray,
              A_true: np.ndarray, lam: float, gamma: float) -> Metrics:
     """Bundle of all solution quality metrics against a known ground truth.
 
-    The thin SVD of X_hat is taken once: its singular values give the
-    fitted rank (by `fitted_rank`'s rule), and it is shared by `r_squared`
-    and `objective_svd`.  Runs NumPy's BLAS on one thread, like
+    X_hat's `spectral_basis` is taken once and shared by `fitted_rank`,
+    `r_squared` and `objective_svd`, so the bundle is bitwise the
+    standalone metrics.  Runs NumPy's BLAS on one thread, like
     `admm.solve`, so that no idle OpenBLAS worker spins into the next solve
     (see `generate_synthetic`).
     """
     X_hat = np.atleast_2d(np.asarray(X_hat, dtype=float))
     err = err_l2(X_hat, A_true)
-    U, s, Vt = np.linalg.svd(X_hat, full_matrices=False)
-    rank = _rank_of_values(s, X_hat.shape)
-    r2 = r_squared(X_hat, Y, svd=(U, s, Vt))
-    del Vt  # objective_svd reads U and s only; frees an m x min(n, m) buffer
-    return Metrics(err_l2=err, r2=r2, fitted_rank=rank,
+    svd = spectral_basis(X_hat)
+    return Metrics(err_l2=err, r2=r_squared(X_hat, Y, svd=svd),
+                   fitted_rank=fitted_rank(X_hat, svd=svd),
                    objective=objective_svd(X_hat, data, Y, lam, gamma,
-                                           svd=(U, s, None)))
+                                           svd=svd))

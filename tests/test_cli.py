@@ -5,7 +5,8 @@ import pytest
 
 from mpadmm import cli
 from mpadmm.cli import main, parse_sweep_config
-from mpadmm.data import load_dense_csv, load_partial
+from mpadmm import objective
+from mpadmm.data import PartialMatrix, load_dense_csv, load_partial
 from mpadmm.exceptions import NumericalError, ParameterError
 
 
@@ -131,6 +132,36 @@ class TestEval:
                    "--side-info", str(inst / "side_info.csv"),
                    "--out", str(out)])
         assert rc == 1
+
+    def test_metrics_share_one_decomposition(self, tmp_path, monkeypatch):
+        # one values-only SVD of the estimate and one thin SVD of its
+        # sketch serve every field, which are bitwise `evaluate`'s
+        rng = np.random.default_rng(3)
+        n, m = 30, 20
+        X = rng.standard_normal((n, 2)) @ rng.standard_normal((2, m))
+        A = rng.standard_normal((n, m))
+        Y = rng.standard_normal((n, 3))
+        rows, cols = np.nonzero(rng.random((n, m)) < 0.5)
+        data = PartialMatrix(n=n, m=m, rows=rows, cols=cols,
+                             values=A[rows, cols])
+        want = objective.evaluate(X, data, Y, A, 0.9, 1.1)
+        svd = np.linalg.svd
+        calls = []
+
+        def spy(a, *args, **kwargs):
+            calls.append((a.shape, kwargs.get("compute_uv", True)))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        got = cli._write_metrics(tmp_path / "metrics.csv", X, data, Y, 0.9,
+                                 1.1, A)
+        assert calls == [(X.shape, False),
+                         ((n, 2 + objective._OVERSAMPLE), True)]
+        ob = want.objective
+        assert got == {"objective": ob.total, "fit_term": ob.fit_term,
+                       "side_term": ob.side_term, "reg_term": ob.reg_term,
+                       "r2": want.r2, "fitted_rank": want.fitted_rank,
+                       "err_l2": want.err_l2}
 
 
 class TestExitCodes:

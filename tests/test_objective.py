@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 
 from mpadmm import objective
-from mpadmm.data import PartialMatrix, generate_synthetic
+from mpadmm.admm import solve
+from mpadmm.baselines import iterative_svd, scaled_gd, soft_impute
+from mpadmm.data import Hyperparams, PartialMatrix, generate_synthetic
 from mpadmm.exceptions import ParameterError
 from mpadmm.linalg import _openblas_threads_api
 from mpadmm.objective import (Metrics, err_l2, evaluate, fitted_rank,
                               objective_naive, objective_svd, ols_alpha,
-                              r_squared, spectral_bound, worst_case_delta)
+                              r_squared, spectral_basis, spectral_bound,
+                              worst_case_delta)
+
+PROTOCOL = dict(n=1000, m=100, k=5, d=150, miss_frac=0.9, sigma=2.0)
+DENSE = dict(n=2000, m=1000, k=10, d=20, miss_frac=0.5, sigma=2.0)
 
 
 def _random_instance(rng, n=15, m=10, d=4, frac=0.5):
@@ -252,6 +258,9 @@ class TestMetrics:
 
     @pytest.mark.parametrize("rank", [3, None], ids=["rank_k", "full_rank"])
     def test_evaluate_one_thin_svd_same_metrics(self, rank, monkeypatch):
+        # rank k < min(n, m): one values-only SVD of X and one thin SVD of
+        # the n x (k + p) sketch, never a thin SVD of X; full rank: the thin
+        # SVD of X, as before.  Either way bitwise the standalone metrics.
         rng = np.random.default_rng(16)
         pm, Y = _random_instance(rng, n=60, m=40, d=5)
         A_true = rng.standard_normal((pm.n, pm.m))
@@ -272,11 +281,14 @@ class TestMetrics:
         got = evaluate(X, pm, Y, A_true, 0.7, 1.3)
         assert got == want  # bitwise: dataclass equality of the floats
         assert got.fitted_rank == (rank or 40)
-        assert thin_calls == [X.shape]
+        if rank:
+            assert thin_calls == [(pm.n, rank + objective._OVERSAMPLE)]
+        else:
+            assert thin_calls == [X.shape]
 
     def test_evaluate_makes_one_svd_call(self, monkeypatch):
-        # the fitted rank comes from the thin SVD's singular values, so no
-        # values-only SVD runs beside it
+        # one SVD of X itself, values-only; the basis comes from the thin
+        # SVD of the n x (r + p) sketch
         rng = np.random.default_rng(18)
         pm, Y = _random_instance(rng, n=30, m=20, d=3)
         X = rng.standard_normal((pm.n, 4)) @ rng.standard_normal((4, pm.m))
@@ -289,8 +301,129 @@ class TestMetrics:
 
         monkeypatch.setattr(np.linalg, "svd", spy)
         got = evaluate(X, pm, Y, X, 1.0, 1.0)
-        assert calls == [(X.shape, True)]
+        assert calls == [(X.shape, False),
+                         ((pm.n, 4 + objective._OVERSAMPLE), True)]
         assert got.fitted_rank == 4
+
+    def test_evaluate_falls_back_when_certificate_fails(self, monkeypatch):
+        # a basis that misses X's top direction fails the certificate; the
+        # full thin SVD then gives bitwise the full-SVD route's metrics
+        rng = np.random.default_rng(20)
+        pm, Y = _random_instance(rng, n=50, m=30, d=4)
+        A_true = rng.standard_normal((pm.n, pm.m))
+        X = rng.standard_normal((pm.n, 3)) @ rng.standard_normal((3, pm.m))
+        thin = np.linalg.svd(X, full_matrices=False)
+        want = Metrics(err_l2=err_l2(X, A_true),
+                       r2=r_squared(X, Y, svd=thin),
+                       fitted_rank=fitted_rank(X, svd=thin),
+                       objective=objective_svd(X, pm, Y, 0.8, 1.2, svd=thin))
+        basis = objective._range_basis
+
+        def wrong_basis(X_, r):
+            Q = basis(X_, r).copy()
+            Q[:, 0] = np.linalg.svd(X_)[0][:, r]  # off the top-r subspace
+            return Q
+
+        assert objective._certified(X, basis(X, 3), thin.S)
+        assert not objective._certified(X, wrong_basis(X, 3), thin.S)
+        monkeypatch.setattr(objective, "_range_basis", wrong_basis)
+        left, s = spectral_basis(X)
+        assert left.shape == (pm.n, pm.m)  # the thin SVD's U
+        assert np.array_equal(left, thin.U) and np.array_equal(s, thin.S)
+        assert evaluate(X, pm, Y, A_true, 0.8, 1.2) == want
+
+    def test_spectral_basis_falls_back_when_cut_offs_disagree(self):
+        # a singular value between ols_alpha's 1e-12 cut-off and
+        # fitted_rank's max(n, m) * 2^-52 gives the cut-offs different
+        # ranks; each metric then reads the thin SVD at its own rank
+        rng = np.random.default_rng(21)
+        n, m = 60, 40
+        L = np.linalg.qr(rng.standard_normal((n, 3)))[0]
+        R = np.linalg.qr(rng.standard_normal((m, 3)))[0]
+        X = (L * [1.0, 0.5, 1e-13]) @ R.T
+        left, s = spectral_basis(X)
+        assert left.shape == (n, m)
+        assert fitted_rank(X, svd=(left, s)) == 3
+        Y = L[:, 2:] + L[:, :1]  # the 1e-13 direction is dropped in R^2
+        cen = Y - Y.mean(axis=0)
+        assert r_squared(X, Y) == pytest.approx(
+            1.0 - 1.0 / float(np.sum(cen * cen)), abs=1e-12)
+
+    @staticmethod
+    def _full_svd_metrics(X, pm, Y, A_true, lam, gamma):
+        """The full thin SVD route: err_l2 over the whole matrices, R^2
+        through `ols_alpha`'s dense path, rank and objective from X's
+        thin SVD."""
+        thin = np.linalg.svd(X, full_matrices=False)
+        resid = Y - X @ ols_alpha(X, Y)
+        cen = Y - Y.mean(axis=0)
+        return Metrics(
+            err_l2=float(np.sum((X - A_true) ** 2) / np.sum(A_true ** 2)),
+            r2=1.0 - float(np.sum(resid * resid) / np.sum(cen * cen)),
+            fitted_rank=objective._rank_of_values(thin.S, X.shape),
+            objective=objective_svd(X, pm, Y, lam, gamma, svd=thin))
+
+    def _assert_agrees_with_full_svd(self, X, pm, Y, A_true):
+        got = evaluate(X, pm, Y, A_true, 1.0, 1.0)
+        want = self._full_svd_metrics(X, pm, Y, A_true, 1.0, 1.0)
+        assert got.fitted_rank == want.fitted_rank
+        assert got.err_l2 == pytest.approx(want.err_l2, rel=1e-14, abs=0)
+        assert got.r2 == pytest.approx(want.r2, rel=0, abs=1e-12)
+        assert got.objective.total == pytest.approx(want.objective.total,
+                                                    rel=1e-9, abs=0)
+        return spectral_basis(X)[0].shape[1] < min(X.shape)
+
+    def test_evaluate_agrees_with_full_svd_on_protocol_estimates(self):
+        # all four methods on ten protocol seeds; iterative_svd is capped at
+        # 20 iterations: its imputed estimate is full rank either way, so
+        # it takes the thin SVD route
+        sketched = 0
+        for seed in range(10):
+            pm, si, gt = generate_synthetic(seed=seed, **PROTOCOL)
+            k = PROTOCOL["k"]
+            hp = Hyperparams(k=k, lam=1.0, gamma=1.0, max_iters=20,
+                             seed=seed)
+            state, _ = solve(pm, si, hp, track_objective=False,
+                             track_dual_residual=False)
+            for X in (state.x_hat(),
+                      iterative_svd(pm, k, max_iters=20).X_hat,
+                      soft_impute(pm, 1.0, k_cap=k).X_hat,
+                      scaled_gd(pm, si.Y, 1.0, 1.0, k).X_hat):
+                sketched += self._assert_agrees_with_full_svd(
+                    X, pm, si.Y, gt.A_true)
+        assert sketched == 30  # every rank-k estimate took the sketch
+
+    def test_evaluate_agrees_with_full_svd_on_dense_estimate(self):
+        pm, si, gt = generate_synthetic(seed=0, **DENSE)
+        hp = Hyperparams(k=DENSE["k"], lam=1.0, gamma=1.0, max_iters=20,
+                         seed=0)
+        state, _ = solve(pm, si, hp, track_objective=False,
+                         track_dual_residual=False)
+        assert self._assert_agrees_with_full_svd(state.x_hat(), pm, si.Y,
+                                                 gt.A_true)
+
+    def test_evaluate_memory_at_estimate_rank(self):
+        # beyond its inputs, evaluate of a rank-10 2000 x 1000 estimate
+        # holds at most a quarter of one n x m array: no n x m temporary,
+        # and no thin SVD factors U (n x m) and V^T (m x m)
+        rng = np.random.default_rng(22)
+        n, m = 2000, 1000
+        X = rng.standard_normal((n, 10)) @ rng.standard_normal((10, m))
+        A_true = X + rng.standard_normal((n, m))
+        mask = rng.random((n, m)) < 0.5
+        rows, cols = np.nonzero(mask)
+        pm = PartialMatrix(n=n, m=m, rows=rows, cols=cols,
+                           values=A_true[rows, cols])
+        del mask, rows, cols
+        Y = rng.standard_normal((n, 20))
+        tracemalloc.start()
+        try:
+            got = evaluate(X, pm, Y, A_true, 1.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.fitted_rank == 10
+        assert peak <= 0.25 * 8 * n * m
 
     def test_r_squared_one_n_by_d_temporary(self):
         # the fitted block is freed before the centered total is formed
