@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from . import objective
 from .data import Hyperparams, PartialMatrix, SideInfo
 from .exceptions import NumericalError, ParameterError
 from .linalg import (LinearMap, apply_projection, build_pgram_operator,
@@ -132,7 +133,8 @@ class SolveReport:
     warnings: list = field(default_factory=list)
     lagrangian_trace: list = field(default_factory=list)  # filled when tracked
     # init_time: index build, truncated SVD and side basis;
-    # tracking_time: dual_residual, objective_svd and augmented_lagrangian.
+    # tracking_time: dual_residual, the objective (its fit term from the
+    # V step's products, then objective_svd) and augmented_lagrangian.
     # Both are kept out of subproblem_times, which holds block times only.
     # subproblem_times["P"] includes, when the dual residual is tracked,
     # the one compression of [Z, Phi] per iteration that the dual residual
@@ -374,13 +376,12 @@ def augmented_lagrangian(state: IterateState, data: PartialMatrix, Y,
     """
     U, V, M, Z, Phi, Psi = (state.U, state.V, state.M, state.Z,
                             state.Phi, state.Psi)
-    fit = np.einsum("ij,ij->i", U[data.rows], V[data.cols]) - data.values
     ry = Y - apply_projection(M, Y)
     side = lam * float(np.sum(ry * ry))
     reg = 0.5 * gamma * (float(np.sum(U * U)) + float(np.sum(V * V)))
     rphi = Z - apply_projection(M, Z)
     rpsi = Z - U
-    return (float(fit @ fit) + side + reg
+    return (objective.fit_term((U, V), data) + side + reg
             + float(np.sum(Phi * rphi)) + float(np.sum(Psi * rpsi))
             + 0.5 * rho1 * float(np.sum(rphi * rphi))
             + 0.5 * rho2 * float(np.sum(rpsi * rpsi)))
@@ -455,6 +456,13 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
     update: the dual residual of iteration t and the P update of t + 1
     see the same Z and Phi, since the U step changes neither.
 
+    The tracked objective is `objective.objective_svd` of the factors
+    (U, V), handed its fit term, which costs one sparse product plus
+    O((m + n) k) and gathers no observed entries.  V is the exact V-block
+    minimizer for the current U, (2 G_j + gamma I) v_j = 2 r_j with G_j
+    the Gram of U's rows observed in column j and R = A^T U over the
+    observations, so the fit is ||a||^2 - <V, R> - (gamma / 2) ||V||_F^2.
+
     `hp.threads` threads share the sparse products of the U and V steps
     when the data are large enough (`ridge_groups`; the count used is
     `report.ridge_groups`); the iterates do not depend on it, bit for bit.
@@ -463,8 +471,6 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
     the iteration cap.  The whole solve runs NumPy's BLAS on one thread
     (`single_blas_thread`), whatever `hp.threads` says.
     """
-    from .objective import objective_svd  # local import avoids a cycle
-
     Y = side.Y
     if Y.shape[0] != data.n:
         raise ParameterError("side info row count does not match the data")
@@ -499,6 +505,18 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
         value = fn(*args, **kwargs)
         report.tracking_time += time.perf_counter() - t0
         return value
+
+    if track_objective:
+        values_sq = float(data.values @ data.values)
+
+    def tracked_objective() -> float:
+        """The objective at (U, V), its fit term from the V-step identity."""
+        U, V = state.U, state.V
+        R = masks.by_col @ U
+        fit = (values_sq - float(np.einsum("ij,ij->", V, R))
+               - 0.5 * hp.gamma * float(np.einsum("ij,ij->", V, V)))
+        return objective.objective_svd((U, V), data, Y, hp.lam, hp.gamma,
+                                       fit=fit).total
 
     def lagrangian() -> float:
         return tracked(augmented_lagrangian, state, data, Y, hp.lam,
@@ -565,9 +583,7 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
                     dual_residual, state, Y, hp.lam, seed=hp.seed,
                     basis=basis, compressed=compressed))
             if track_objective:
-                report.objective_trace.append(tracked(
-                    objective_svd, (state.U, state.V), data, Y, hp.lam,
-                    hp.gamma).total)
+                report.objective_trace.append(tracked(tracked_objective))
             report.iterations = t + 1
             if max(phi_res ** 2, psi_res ** 2) <= hp.eps:
                 report.termination = "tolerance_met"

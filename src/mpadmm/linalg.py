@@ -75,18 +75,19 @@ class TruncatedSVD:
 def _fix_signs(U: np.ndarray, V: Optional[np.ndarray] = None):
     """Make the first nonzero entry of each column of U nonnegative.
 
-    V, when given, is flipped in lockstep so the product is preserved.
+    An entry counts as nonzero above 1e-12 times its column's largest
+    magnitude; zero columns, and columns whose largest magnitude is not
+    finite, are left as they are.  V, when given, is flipped in lockstep
+    so the product is preserved.  Both are changed in place.
     """
-    for j in range(U.shape[1]):
-        col = U[:, j]
-        scale = np.max(np.abs(col))
-        if scale == 0.0:
-            continue
-        nz = np.nonzero(np.abs(col) > 1e-12 * scale)[0]
-        if nz.size and col[nz[0]] < 0:
-            U[:, j] = -col
-            if V is not None:
-                V[:, j] = -V[:, j]
+    mag = np.abs(U.T, order="C")  # columns contiguous: fast reductions
+    above = mag > 1e-12 * mag.max(axis=1, keepdims=True)
+    first = above.argmax(axis=1)
+    cols = np.arange(U.shape[1])
+    flip = above[cols, first] & (U[first, cols] < 0)
+    U[:, flip] = -U[:, flip]
+    if V is not None:
+        V[:, flip] = -V[:, flip]
     return U, V
 
 

@@ -101,13 +101,25 @@ def _fit_term(X_at, values) -> float:
     return float(X_at @ X_at)
 
 
-def _dense_fit_term(X: np.ndarray, data: PartialMatrix) -> float:
-    """`_fit_term` of a dense estimate, gathered and summed in blocks of
-    _BLOCK observed entries."""
+def fit_term(X_or_factors, data: PartialMatrix) -> float:
+    """Squared fit residual on Omega of a dense estimate or of U_f V_f^T
+    for a factor pair (U_f, V_f), gathered and summed in blocks of _BLOCK
+    observed entries: a factor pair gathers the row dots of U_f[rows] and
+    V_f[cols] one block at a time, so no nnz x k array is formed."""
+    if isinstance(X_or_factors, tuple):
+        Uf, Vf = (np.asarray(f, dtype=float) for f in X_or_factors)
+
+        def entries(rows, cols):
+            return np.einsum("ij,ij->i", Uf[rows], Vf[cols])
+    else:
+        X = np.atleast_2d(np.asarray(X_or_factors, dtype=float))
+
+        def entries(rows, cols):
+            return X[rows, cols]
     fit = 0.0
     for start in range(0, data.nnz, _BLOCK):
         block = slice(start, start + _BLOCK)
-        fit += _fit_term(X[data.rows[block], data.cols[block]],
+        fit += _fit_term(entries(data.rows[block], data.cols[block]),
                          data.values[block])
     return fit
 
@@ -187,7 +199,8 @@ def objective_naive(X: np.ndarray, data: PartialMatrix, Y: np.ndarray,
 
 
 def objective_svd(X_or_factors, data: PartialMatrix, Y: np.ndarray,
-                  lam: float, gamma: float, *, svd=None) -> ObjectiveBreakdown:
+                  lam: float, gamma: float, *, svd=None,
+                  fit=None) -> ObjectiveBreakdown:
     """SVD route; accepts a dense matrix or a factor pair (U_f, V_f).
 
     The side term uses Tr(Y^T (I - U U^T) Y) from the compact SVD of X at
@@ -195,24 +208,24 @@ def objective_svd(X_or_factors, data: PartialMatrix, Y: np.ndarray,
     factor, at O(k n (m + d)) cost and without densifying U_f V_f^T, and
     dense input through `spectral_basis`.  `svd`, when given, is X's
     `spectral_basis` (left, s) or thin SVD (U, s, Vt), taken instead of
-    computing it; only its first two parts are read.
+    computing it; only its first two parts are read.  `fit`, when given,
+    is X's fit term on Omega, taken instead of computing it by `fit_term`
+    (`solve` passes the one its V step determines).
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if isinstance(X_or_factors, tuple):
         left, s, _ = _compact_svd(X_or_factors) if svd is None else svd
-        Uf, Vf = (np.asarray(f, dtype=float) for f in X_or_factors)
-        fit = _fit_term(np.einsum("ij,ij->i", Uf[data.rows], Vf[data.cols]),
-                        data.values)
     else:
-        X = np.atleast_2d(np.asarray(X_or_factors, dtype=float))
-        left, s = spectral_basis(X) if svd is None else svd[:2]
-        fit = _dense_fit_term(X, data)
+        X_or_factors = np.atleast_2d(np.asarray(X_or_factors, dtype=float))
+        left, s = spectral_basis(X_or_factors) if svd is None else svd[:2]
+    if fit is None:
+        fit = fit_term(X_or_factors, data)
 
     # numerical rank: drop directions whose singular value underflows
     r = _count_above(s, max(1, s.size) * _EPS)
     left = left[:, :r]
 
-    YtY = float(np.sum(Y * Y))
+    YtY = float(np.einsum("ij,ij->", Y, Y))
     proj = left.T @ Y
     side = lam * (YtY - float(np.sum(proj * proj)))
     return ObjectiveBreakdown(fit_term=fit, side_term=side,

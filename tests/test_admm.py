@@ -13,6 +13,7 @@ import scipy.sparse as sp
 
 import mpadmm.admm as admm
 import mpadmm.linalg as linalg
+from mpadmm import objective
 from mpadmm.admm import (IterateState, ObservationMasks, RankDeficiencyWarning,
                          augmented_lagrangian, dual_residual,
                          first_order_check, primal_residuals, ridge_groups,
@@ -981,3 +982,101 @@ class TestBlockDescent:
                 + 0.5 * rho1 * np.sum(rphi ** 2)
                 + 0.5 * rho2 * np.sum(rpsi ** 2))
         assert got == pytest.approx(want, rel=1e-10)
+
+
+class _ObjectiveSpy:
+    """Stands in for `objective.objective_svd`: records each call's keyword
+    arguments and result, and the gather route's result (the fit term left
+    to `fit_term`) at the same iterate."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []  # (kwargs, result, gather-route result, ||a||^2)
+        real = objective.objective_svd
+
+        def spy(X, data, Y, lam, gamma, **kwargs):
+            got = real(X, data, Y, lam, gamma, **kwargs)
+            want = real(X, data, Y, lam, gamma)
+            self.calls.append((kwargs, got, want,
+                               float(data.values @ data.values)))
+            return got
+
+        monkeypatch.setattr(objective, "objective_svd", spy)
+
+    def check(self, report):
+        """One call per tracked iteration, each handed its fit term, within
+        1e-12 ||a||^2 of the gathered fit and 1e-10 relative in total."""
+        assert len(self.calls) == report.iterations
+        assert report.objective_trace == [got.total
+                                          for _, got, _, _ in self.calls]
+        for kwargs, got, want, values_sq in self.calls:
+            assert set(kwargs) == {"fit"}
+            assert abs(got.fit_term - want.fit_term) <= 1e-12 * values_sq
+            assert abs(got.total - want.total) <= 1e-10 * abs(want.total)
+
+
+class TestTrackedObjective:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_protocol_within_bound_of_gather_route(self, monkeypatch, seed):
+        pm, si, _ = generate_synthetic(1000, 100, 5, 150, 0.9, 2.0, seed=seed)
+        spy = _ObjectiveSpy(monkeypatch)
+        _, report = solve(pm, si, Hyperparams(k=5, max_iters=20))
+        spy.check(report)
+
+    def test_dense_size_within_bound_of_gather_route(self, monkeypatch):
+        pm, si, _ = generate_synthetic(2000, 1000, 10, 20, 0.5, 2.0, seed=0)
+        spy = _ObjectiveSpy(monkeypatch)
+        _, report = solve(pm, si, Hyperparams(k=10, max_iters=20))
+        assert report.iterations == 20
+        spy.check(report)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_random_within_bound_of_gather_route(self, monkeypatch,
+                                                 split_always, k, threads):
+        rng = np.random.default_rng(40 + k)
+        pm, _ = _random_state(rng, n=30, m=20, k=k)  # an empty row, column
+        si = SideInfo(Y=rng.standard_normal((30, 4)))
+        spy = _ObjectiveSpy(monkeypatch)
+        _, report = solve(pm, si, Hyperparams(k=k, max_iters=15, eps=1e-16,
+                                              threads=threads))
+        assert report.ridge_groups == threads
+        spy.check(report)
+
+    def test_no_observations_within_bound_of_gather_route(self,
+                                                          monkeypatch):
+        pm = PartialMatrix(n=60, m=40, rows=[], cols=[], values=[])
+        si = SideInfo(Y=np.random.default_rng(3).standard_normal((60, 2)))
+        spy = _ObjectiveSpy(monkeypatch)
+        _, report = solve(pm, si, Hyperparams(k=3, max_iters=5))
+        spy.check(report)
+        assert all(got.fit_term == 0.0 for _, got, _, _ in spy.calls)
+
+    @pytest.mark.parametrize("track", [True, False])
+    def test_one_objective_call_per_tracked_iteration(self, monkeypatch,
+                                                      track):
+        pm, si, _ = generate_synthetic(15, 10, 2, 2, 0.3, 0.1, seed=7)
+        spy = _ObjectiveSpy(monkeypatch)
+        _, report = solve(pm, si, Hyperparams(k=2, eps=1e-4, max_iters=500),
+                          track_objective=track)
+        assert report.termination == "tolerance_met"
+        if track:
+            spy.check(report)
+        else:
+            assert spy.calls == [] and report.objective_trace == []
+
+    def test_tracking_memory_without_entry_gathers(self):
+        # one nnz x k gather of this instance is 80 MB; the tracked fit term
+        # costs O((n + m) k)
+        pm, si, _ = generate_synthetic(2000, 1000, 10, 20, 0.5, 2.0, seed=0)
+        hp = Hyperparams(k=10, max_iters=2)
+        peaks = []
+        for track in (False, True):
+            tracemalloc.start()
+            try:
+                solve(pm, si, hp, track_objective=track,
+                      track_dual_residual=track)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        untracked, tracked = peaks
+        assert tracked <= untracked + 8 * 2 ** 20

@@ -9,7 +9,8 @@ import scipy.sparse.linalg
 
 from mpadmm.data import generate_synthetic
 from mpadmm.exceptions import ConvergenceError, ParameterError
-from mpadmm.linalg import (DENSE_CUTOFF, LinearMap, _openblas_threads_api,
+from mpadmm.linalg import (DENSE_CUTOFF, LinearMap, _fix_signs,
+                           _openblas_threads_api,
                            apply_projection, build_pgram_operator,
                            pgram_eig_topk, side_basis, single_blas_thread,
                            soft_threshold_svd, symmetric_eig_topk_factored,
@@ -371,6 +372,52 @@ class TestSoftThresholdSVD:
     def test_negative_tau(self):
         with pytest.raises(ParameterError):
             soft_threshold_svd(np.eye(2), -1.0)
+
+
+def _fix_signs_loop(U, V=None):
+    """Column-by-column reference of `_fix_signs`."""
+    for j in range(U.shape[1]):
+        col = U[:, j]
+        scale = np.max(np.abs(col))
+        if scale == 0.0:
+            continue
+        nz = np.nonzero(np.abs(col) > 1e-12 * scale)[0]
+        if nz.size and col[nz[0]] < 0:
+            U[:, j] = -col
+            if V is not None:
+                V[:, j] = -V[:, j]
+    return U, V
+
+
+class TestFixSigns:
+    def test_bitwise_equal_to_loop(self):
+        rng = np.random.default_rng(50)
+        U = rng.standard_normal((9, 8))
+        U[:, 0] = 0.0  # zero column
+        U[:, 1] = -0.0
+        U[:3, 2] = [-1e-13, 2e-13, -0.5]  # leading entries below the cut
+        U[:2, 3] = [0.0, -3e-12]  # first entry above the cut is negative
+        U[:2, 4] = [1e-20, -1.0]  # a positive tiny entry does not count
+        U[0, 5] = np.nan  # no finite scale: left alone
+        U[1, 6] = -np.inf
+        V = rng.standard_normal((5, 8))
+        want_u, want_v = _fix_signs_loop(U.copy(), V.copy())
+        got_u, got_v = _fix_signs(U.copy(), V.copy())
+        np.testing.assert_array_equal(got_u, want_u, strict=True)
+        np.testing.assert_array_equal(got_v, want_v, strict=True)
+        assert np.array_equal(np.signbit(got_u), np.signbit(want_u))
+        assert got_u[2, 2] == 0.5 and got_u[1, 3] == 3e-12  # flipped
+        got_u, got_v = _fix_signs(U.copy())
+        assert got_v is None
+        assert np.array_equal(np.signbit(got_u), np.signbit(want_u))
+
+    def test_in_place(self):
+        U = np.array([[-1.0, 2.0], [3.0, 4.0]])
+        V = np.ones((3, 2))
+        out_u, out_v = _fix_signs(U, V)
+        assert out_u is U and out_v is V
+        assert U.tolist() == [[1.0, 2.0], [-3.0, 4.0]]
+        assert V.tolist() == [[-1.0, 1.0]] * 3
 
 
 class TestApplyProjection:

@@ -122,6 +122,25 @@ class TestObjectiveRoutes:
             b = objective_svd((Uf, Vf), pm, Y, 0.9, 1.1)
             assert b.total == pytest.approx(a.total, rel=1e-8)
 
+    @pytest.mark.parametrize("block", [7, objective._BLOCK])
+    def test_fit_term_in_entry_blocks(self, monkeypatch, block):
+        # blocks of 7 entries agree with one gather to rounding; one block
+        # (nnz <= _BLOCK) is bitwise the one-gather sum of the factor route
+        rng = np.random.default_rng(9)
+        pm, _ = _random_instance(rng, n=20, m=12)
+        Uf = rng.standard_normal((pm.n, 3))
+        Vf = rng.standard_normal((pm.m, 3))
+        X = Uf @ Vf.T
+        resid = np.einsum("ij,ij->i", Uf[pm.rows], Vf[pm.cols]) - pm.values
+        want = float(resid @ resid)
+        monkeypatch.setattr(objective, "_BLOCK", block)
+        assert pm.nnz > 7
+        got = objective.fit_term((Uf, Vf), pm)
+        if block >= pm.nnz:
+            assert got == want
+        assert got == pytest.approx(want, rel=1e-13)
+        assert objective.fit_term(X, pm) == pytest.approx(want, rel=1e-13)
+
     def test_line_restricted_witness_values(self):
         # two-point rank-one family x = (t, t+1), scalar side info (1, 1)
         pm = PartialMatrix(n=2, m=1, rows=[], cols=[], values=[])
