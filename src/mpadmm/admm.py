@@ -23,8 +23,8 @@ from .data import Hyperparams, PartialMatrix, SideInfo
 from .exceptions import NumericalError, ParameterError
 from .linalg import (LinearMap, apply_projection, build_pgram_operator,
                      pgram_compress, pgram_eig_topk, pgram_ritz, side_basis,
-                     single_blas_thread, symmetric_eig_topk_factored,
-                     truncated_svd)
+                     single_blas_thread, svd_route,
+                     symmetric_eig_topk_factored, truncated_svd)
 
 
 class RankDeficiencyWarning(UserWarning):
@@ -34,19 +34,21 @@ class RankDeficiencyWarning(UserWarning):
 @dataclass
 class ObservationMasks:
     """The observed values as one canonical (row-major sorted) CSR index,
-    n x m, and its 0/1 pattern, which shares the index arrays.
+    n x m, and `by_col`, its transpose: an m x n CSC view of the same
+    arrays, so column-wise products run on the one index and sum each
+    column's entries in increasing row order, as a sorted CSR copy of the
+    transpose would.  Index arrays are int32 when n, m and nnz fit, else
+    int64.
 
-    `by_col` and `col_pattern` are their transposes: m x n CSC views of
-    the same arrays, so column-wise products run on the one index and
-    sum each column's entries in increasing row order, as a sorted CSR
-    copy of the transpose would.  Index arrays are int32 when n, m and
-    nnz fit, else int64.
+    The 0/1 patterns `row_pattern` and `col_pattern` (8 bytes of ones
+    per entry, shared by both, on the same index arrays) are built on
+    first use.  In `solve` that is the first ridge step, after the
+    init's truncated SVD, so the pattern is never held beside the m x m
+    Gram that the SVD's Gram route forms (`linear_map`).
     """
 
     by_row: sp.csr_array
-    by_col: sp.csc_array
-    row_pattern: sp.csr_array
-    col_pattern: sp.csc_array
+    by_col: sp.sparray
 
     @classmethod
     def from_partial(cls, data: PartialMatrix) -> "ObservationMasks":
@@ -71,15 +73,25 @@ class ObservationMasks:
             del key
         by_row = sp.csr_array((values, cols.astype(idx), indptr),
                               shape=(n, m))
-        del cols  # the int64 columns, when recovered here
-        row_pattern = _with_data(by_row, np.ones(data.nnz))
-        return cls(by_row=by_row, by_col=by_row.T,
-                   row_pattern=row_pattern, col_pattern=row_pattern.T)
+        return cls(by_row=by_row, by_col=by_row.T)
 
     def linear_map(self) -> LinearMap:
-        """The zero-filled n x m data as an operator: sparse products only."""
+        """The zero-filled n x m data as an operator: sparse products
+        only, with `by_row` as its ``csr`` array, so that `truncated_svd`
+        can form its Gram (`svd_route`)."""
         return LinearMap(*self.by_row.shape, self.by_row.__matmul__,
-                         self.by_col.__matmul__)
+                         self.by_col.__matmul__, csr=self.by_row)
+
+    @functools.cached_property
+    def row_pattern(self) -> sp.csr_array:
+        """`by_row`'s 0/1 pattern, sharing its index arrays."""
+        return _with_data(self.by_row, np.ones(self.by_row.nnz))
+
+    @functools.cached_property
+    def col_pattern(self) -> sp.sparray:
+        """`by_col`'s 0/1 pattern, sharing its index arrays and the ones
+        of `row_pattern`."""
+        return _with_data(self.by_col, self.row_pattern.data)
 
     @functools.cached_property
     def col_rows(self) -> list:
@@ -99,9 +111,10 @@ def _row_major_sorted(rows: np.ndarray, cols: np.ndarray) -> bool:
     return bool(np.all(step))
 
 
-def _with_data(csr: sp.csr_array, data: np.ndarray) -> sp.csr_array:
-    """`csr`'s sparsity structure (shared, not copied) holding `data`."""
-    return sp.csr_array((data, csr.indices, csr.indptr), shape=csr.shape)
+def _with_data(mat: sp.sparray, data: np.ndarray) -> sp.sparray:
+    """`mat`'s sparsity structure and format (CSR or CSC; shared, not
+    copied) holding `data`."""
+    return type(mat)((data, mat.indices, mat.indptr), shape=mat.shape)
 
 
 @dataclass
@@ -145,6 +158,9 @@ class SolveReport:
     # column groups (threads) the U and V steps' sparse products ran in;
     # 1 when they were not split (`ridge_groups`)
     ridge_groups: int = 1
+    # the route of the init's truncated SVD (`linalg.svd_route`): "gram",
+    # "lanczos", or "dense" for inputs at most DENSE_CUTOFF on a side
+    init_route: str = ""
 
 
 # The ridge step's sparse products split into column groups, one per worker
@@ -387,6 +403,23 @@ def augmented_lagrangian(state: IterateState, data: PartialMatrix, Y,
             + 0.5 * rho2 * float(np.sum(rpsi * rpsi)))
 
 
+def _fit_residual(masks: ObservationMasks, U, V) -> sp.csr_array:
+    """E = U V^T - A on the observed entries, in the CSR form of
+    `masks.by_row`.  Its data are filled in blocks of objective._BLOCK
+    entries, each the row dots of U and V gathered at the block's rows
+    and columns, so no nnz x k array is formed."""
+    obs = masks.by_row
+    E = np.empty(obs.nnz)
+    for start in range(0, obs.nnz, objective._BLOCK):
+        stop = min(start + objective._BLOCK, obs.nnz)
+        rows = np.searchsorted(obs.indptr, np.arange(start, stop),
+                               side="right") - 1
+        E[start:stop] = np.einsum("ij,ij->i", U[rows],
+                                  V[obs.indices[start:stop]])
+    E -= obs.data
+    return _with_data(obs, E)
+
+
 def first_order_check(state: IterateState, data: PartialMatrix, Y,
                       lam: float, gamma: float, tol: float) -> dict:
     """Residual tests of the stationarity system of the Lagrangian.
@@ -402,11 +435,7 @@ def first_order_check(state: IterateState, data: PartialMatrix, Y,
                             state.Phi, state.Psi)
     k = state.k
 
-    # fit residual E = U V^T - A on the observed entries, in CSR form
-    obs = masks.by_row
-    obs_rows = np.repeat(np.arange(data.n), np.diff(obs.indptr))
-    E = _with_data(obs, np.einsum("ij,ij->i", U[obs_rows], V[obs.indices])
-                   - obs.data)
+    E = _fit_residual(masks, U, V)
     res_u = float(np.sum((2.0 * (E @ V) + gamma * U - Psi) ** 2))
     res_v = float(np.sum((2.0 * (E.T @ U) + gamma * V) ** 2))
 
@@ -437,8 +466,12 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
 
     Initialization: U0 = Z0 = L sqrt(S), V0 = R sqrt(S), M0 = L from the
     rank-k truncated SVD of the observed entries (the zero-filled data),
-    taken by Lanczos through the CSR index of the observations, so no
-    n x m buffer is formed; and all-ones duals.
+    taken through the CSR index of the observations (`truncated_svd` of
+    `ObservationMasks.linear_map`), so no n x m buffer is formed; and
+    all-ones duals.  Tall data whose m x m Gram is no larger than the
+    index take the Gram route, which forms that Gram and draws no random
+    numbers; other data take Lanczos, seeded with `hp.seed`.  The route
+    run is `report.init_route` (`linalg.svd_route`).
 
     Each iteration updates U, P, V and Z in turn, then the duals.  The U
     step is proximal: it minimizes the augmented Lagrangian plus
@@ -495,7 +528,8 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
     basis = side_basis(Y)  # Y is fixed: factored once per solve
     compressed = None  # [Z, Phi] after the last dual update, when tracked
     report = SolveReport(
-        ridge_groups=ridge_groups(masks.row_pattern.nnz, k, hp.threads))
+        ridge_groups=ridge_groups(masks.by_row.nnz, k, hp.threads),
+        init_route=svd_route(data.n, data.m, k, masks.by_row.nnz))
     report.init_time = time.perf_counter() - t0
     prox = 0.5 * (hp.gamma + hp.rho2)  # c of the proximal U step
     rho2_prox = hp.rho2 + prox

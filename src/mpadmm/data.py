@@ -92,7 +92,11 @@ class Hyperparams:
     sparse Gram and right-hand-side products of the U and V steps, split
     by column group, once the data are large enough to gain from it
     (`admm.ridge_groups`); the iterates are bitwise the same for every
-    value.  The batched ridge solves and all BLAS work run on one thread."""
+    value.  The batched ridge solves and all BLAS work run on one thread.
+    `seed` seeds the init's Lanczos start and restart vectors and the
+    P update's complement directions (`linalg.pgram_eig_topk`); the
+    init's Gram route (`linalg.svd_route`) draws no random numbers, so
+    on the data that take it only the P update's padding uses `seed`."""
 
     k: int
     lam: float = 1.0

@@ -1,14 +1,18 @@
 """Dense and implicit-operator linear algebra primitives.
 
-Truncated SVDs are computed by ARPACK's implicitly restarted Lanczos on
-the Gram operator of a dense matrix or a `LinearMap` (such as the CSR
-index of the observations), at machine precision, so they need only
-operator products and depend little on the gap after the k-th singular
-value.  Inputs whose smaller dimension is at most ``DENSE_CUTOFF``, and
-requests for all min(n, m) triplets, take a full dense decomposition
-instead; the dense path doubles as the test oracle.  The symmetric
-eigenproblems of the P update are low-rank and solved exactly by
-Rayleigh-Ritz on a basis of their range, never as n x n matrices.
+Truncated SVDs take one of three routes (`svd_route`).  A tall operator
+with a CSR index (such as the observations') whose m x m Gram is no
+larger than the index is seeded from that Gram, formed explicitly by
+dense rank updates and solved by one LAPACK subset eigensolve.  Other
+operators, dense matrices included, go through ARPACK's implicitly
+restarted Lanczos on the Gram operator, applied as operator products
+and never formed.  Both work at machine precision and depend little on
+the gap after the k-th singular value.  Inputs whose smaller dimension
+is at most ``DENSE_CUTOFF``, and requests for all min(n, m) triplets,
+take a full dense decomposition instead; the dense path doubles as the
+test oracle.  The symmetric eigenproblems of the P update are low-rank
+and solved exactly by Rayleigh-Ritz on a basis of their range, never as
+n x n matrices.
 """
 
 from __future__ import annotations
@@ -24,27 +28,44 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
+import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from .exceptions import ConvergenceError, ParameterError
 
 DENSE_CUTOFF = 32
+_BLOCK = 1 << 18  # float64 elements (2 MB) per row or entry block
+# The Gram route's dense rank updates cost n m^2 / 2 multiply-adds, and
+# its eigensolve O(m^3), against the Lanczos route's memory-bound sparse
+# products, a few hundred passes over the nnz entries.  It is taken up to
+# n m^2 = _GRAM_WORK nnz.  Rank-10 data plus noise, k = 10, one BLAS thread
+# on 2 vCPUs, Lanczos -> Gram: 167 -> 42 ms at 2000 x 1000, density 0.5
+# (n m^2 / nnz = 2e3); 434 -> 201 ms at 2000 x 2000, density 0.5 (4e3);
+# 139 -> 97 ms at 10000 x 1000, density 0.1 (1e4); but 154 -> 233 ms at
+# 4000 x 2000, density 0.1 (2e4), and 185 -> 601 ms at 3000 x 3000,
+# density 0.1 (3e4).
+_GRAM_WORK = 1 << 12
 
 
 class LinearMap:
     """A linear operator given by matvec callbacks, never materialized.
 
     ``apply`` computes v -> M v and ``apply_transpose`` computes v -> M^T v.
-    Both accept 1-d vectors or 2-d blocks of column vectors.
+    Both accept 1-d vectors or 2-d blocks of column vectors.  ``csr``,
+    when given, is the operator as a sparse CSR array; it lets
+    `truncated_svd` take its Gram route (`svd_route`).
     """
 
     def __init__(self, rows: int, cols: int,
                  apply: Callable[[np.ndarray], np.ndarray],
-                 apply_transpose: Callable[[np.ndarray], np.ndarray]):
+                 apply_transpose: Callable[[np.ndarray], np.ndarray],
+                 csr: Optional[sp.csr_array] = None):
         self.rows = int(rows)
         self.cols = int(cols)
         self.apply = apply
         self.apply_transpose = apply_transpose
+        self.csr = csr
 
     @property
     def shape(self):
@@ -97,38 +118,97 @@ def _as_linear_map(op) -> LinearMap:
     return LinearMap.from_dense(np.asarray(op, dtype=float))
 
 
+def svd_route(n: int, m: int, k: int, nnz: Optional[int] = None) -> str:
+    """The route `truncated_svd` takes for k triplets of an n x m operator
+    whose CSR index holds `nnz` entries (None: no index).
+
+    "dense": min(n, m) <= DENSE_CUTOFF or k = min(n, m), a full SVD.
+    "gram": a tall (n >= m) indexed operator whose m x m Gram is no
+    larger than its index (m^2 <= nnz) and costs at most _GRAM_WORK
+    multiply-adds per entry to form (n m^2 <= _GRAM_WORK nnz).
+    "lanczos": every other operator.
+    """
+    n, m, k = int(n), int(m), int(k)
+    if min(n, m) <= DENSE_CUTOFF or k == min(n, m):
+        return "dense"
+    if (nnz is not None and n >= m and m * m <= nnz
+            and n * m * m <= _GRAM_WORK * int(nnz)):
+        return "gram"
+    return "lanczos"
+
+
+def _csr_gram(A: sp.csr_array) -> np.ndarray:
+    """Upper triangle of A^T A for an n x m CSR array A, as an m x m
+    Fortran-order array whose strict lower triangle is zero.
+
+    Rows are taken in blocks of at most _BLOCK dense elements: each block
+    is a zero-copy CSR view of the index arrays, scattered into one
+    reused dense buffer and added by a BLAS rank update (dsyrk).
+    """
+    n, m = A.shape
+    G = np.zeros((m, m), order="F")
+    step = max(1, _BLOCK // m)
+    buf = np.empty((min(step, n), m))
+    indptr, indices, data = A.indptr, A.indices, A.data
+    for r0 in range(0, n, step):
+        r1 = min(r0 + step, n)
+        a, b = indptr[r0], indptr[r1]
+        # the views are assigned, not passed to the constructor, which
+        # copies views of a much larger array
+        block = sp.csr_array((r1 - r0, m))
+        block.indptr = indptr[r0:r1 + 1] - a
+        block.indices = indices[a:b]
+        block.data = data[a:b]
+        dense = block.toarray(out=buf[:r1 - r0])
+        # dense^T is m x rows in Fortran order: G += dense^T dense
+        G = scipy.linalg.blas.dsyrk(1.0, dense.T, beta=1.0, c=G, trans=0,
+                                    lower=0, overwrite_c=1)
+    return G
+
+
 def truncated_svd(op, k: int, seed: int = 0) -> TruncatedSVD:
     """Leading-k singular triplets of a dense matrix or LinearMap.
 
-    Above ``DENSE_CUTOFF``, and for k < min(n, m), ARPACK's implicitly
-    restarted Lanczos (``eigsh`` at tol=0, i.e. machine precision) finds
-    the top-k eigenvectors of the smaller Gram operator, A^T A or A A^T,
-    applied as two operator products and never formed.  The triplets are
-    read off the thin SVD of A applied to that basis.  The start vector
-    and any restart vectors (ARPACK asks for them when A has rank below
-    k) come from a generator seeded with `seed`, so equal inputs give
-    bitwise-equal results.  A zero operator gives S = 0 with
-    coordinate-axis U and V.  Raises ConvergenceError, with the converged
-    triplets as ``best``, when ARPACK runs out of restarts.
+    Above ``DENSE_CUTOFF``, and for k < min(n, m), the top-k eigenvectors
+    of the smaller Gram, A^T A or A A^T, are found and the triplets read
+    off the thin SVD of A applied to that basis.  The route is
+    `svd_route`'s:
+
+    - "gram": a tall LinearMap with a ``csr`` array (as
+      `ObservationMasks.linear_map` gives) whose Gram is small forms
+      A^T A explicitly (`_csr_gram`) and takes its top k eigenvectors
+      from one LAPACK MRRR subset eigensolve (``dsyevr``).  It draws no
+      random numbers; `seed` is unused.
+    - "lanczos": ARPACK's implicitly restarted Lanczos (``eigsh`` at
+      tol=0, i.e. machine precision) on the Gram operator, applied as
+      two operator products and never formed.  The start vector and any
+      restart vectors (ARPACK asks for them when A has rank below k)
+      come from a generator seeded with `seed`.  Raises
+      ConvergenceError, with the converged triplets as ``best``, when
+      ARPACK runs out of restarts.
+
+    Equal inputs give bitwise-equal results.  A zero operator gives
+    S = 0 with coordinate-axis U and V.
     """
     lm = _as_linear_map(op)
     n, m = lm.rows, lm.cols
     if not 1 <= k <= min(n, m):
         raise ParameterError(f"rank k={k} out of range for {n}x{m} operator")
 
-    if min(n, m) <= DENSE_CUTOFF or k == min(n, m):
+    route = svd_route(n, m, k, None if lm.csr is None else lm.csr.nnz)
+    if route == "dense":
         A = lm.to_dense() if not isinstance(op, np.ndarray) else np.asarray(op, dtype=float)
         U, s, Vt = np.linalg.svd(A, full_matrices=False)
         U, Vh = U[:, :k].copy(), Vt[:k].T.copy()
         _fix_signs(U, Vh)
         return TruncatedSVD(U=U, S=s[:k].copy(), V=Vh)
 
-    # Lanczos runs on the Gram operator of the smaller side
+    # the eigenvectors are those of the Gram of the smaller side
     fwd, back = ((lm.apply, lm.apply_transpose) if n >= m
                  else (lm.apply_transpose, lm.apply))
-    p = min(n, m)
-    gram = scipy.sparse.linalg.LinearOperator(
-        (p, p), matvec=lambda x: back(fwd(x)), dtype=float)
+
+    def zero():
+        return TruncatedSVD(U=np.eye(n, k), S=np.zeros(k), V=np.eye(m, k))
 
     def triplets(W):
         # W: orthonormalized Gram eigenvectors; fwd(W) = Ub diag(s) Vb^T
@@ -139,13 +219,24 @@ def truncated_svd(op, k: int, seed: int = 0) -> TruncatedSVD:
         _fix_signs(U, V)
         return TruncatedSVD(U=U, S=s, V=V)
 
+    if route == "gram":
+        if not np.any(lm.csr.data):
+            return zero()
+        _, W = scipy.linalg.eigh(_csr_gram(lm.csr), lower=False,
+                                 subset_by_index=[m - k, m - 1],
+                                 overwrite_a=True, check_finite=False)
+        return triplets(W)
+
+    p = min(n, m)
+    gram = scipy.sparse.linalg.LinearOperator(
+        (p, p), matvec=lambda x: back(fwd(x)), dtype=float)
     # eigsh rather than svds: svds hands no generator on to eigsh, whose
     # restart vectors would then be drawn from fresh OS entropy
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(p)
     if not np.any(gram.matvec(v0)):
         # a zero operator: ARPACK would reject the start vector
-        return TruncatedSVD(U=np.eye(n, k), S=np.zeros(k), V=np.eye(m, k))
+        return zero()
     try:
         _, W = scipy.sparse.linalg.eigsh(gram, k, v0=v0, tol=0, rng=rng)
     except scipy.sparse.linalg.ArpackNoConvergence as exc:

@@ -26,11 +26,10 @@ import numpy as np
 
 from .data import PartialMatrix
 from .exceptions import ParameterError
-from .linalg import single_blas_thread
+from .linalg import _BLOCK, single_blas_thread
 
 PINV_CUTOFF = 1e-12  # relative singular value cutoff in ols_alpha
 _EPS = 2.0 ** -52
-_BLOCK = 1 << 18  # float64 elements (2 MB) per row or entry block
 # Range finder of Halko, Martinsson & Tropp (SIAM Rev. 2011): a Gaussian
 # test matrix with _OVERSAMPLE columns beyond the rank.  Without them the
 # residuals of the rank-5 estimates on protocol seed 2 read 114-150

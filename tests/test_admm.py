@@ -297,6 +297,22 @@ class TestRidgeSplit:
                 assert getattr(report, trace) == getattr(r_want, trace), trace
         assert len(r_want.dual_residual_trace) == (20 if track else 0)
 
+    def test_gram_route_solve_bitwise_equal_for_threads(self, split_always):
+        pm, si, _ = generate_synthetic(300, 60, 4, 3, 0.5, 0.5, seed=13)
+        runs = []
+        for threads in (1, 2):
+            hp = Hyperparams(k=4, max_iters=10, eps=1e-16, threads=threads)
+            state, report = solve(pm, si, hp)
+            assert report.init_route == "gram"
+            assert report.ridge_groups == threads
+            runs.append((state, report))
+        (want, r_want), (got, r_got) = runs
+        for name in ("U", "V", "M", "Z", "Phi", "Psi"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        for trace in ("phi_residual_trace", "psi_residual_trace",
+                      "dual_residual_trace", "objective_trace"):
+            assert getattr(r_got, trace) == getattr(r_want, trace), trace
+
     def test_no_executor_below_the_split_size(self, monkeypatch):
         # the benchmark's protocol instance: nnz * (q + k) = 2e5
         spy = _ExecutorSpy(monkeypatch)
@@ -406,15 +422,11 @@ class TestObservationIndex:
     @staticmethod
     def _reference(pm):
         """The index built as scipy's COO conversion plus a sorted CSR copy
-        of its transpose."""
+        of its transpose; the patterns follow on those two arrays."""
         by_row = sp.csr_array((pm.values, (pm.rows, pm.cols)),
                               shape=(pm.n, pm.m))
         by_row.sort_indices()
-        by_col = by_row.T.tocsr()
-        ones = np.ones(pm.nnz)
-        return ObservationMasks(by_row=by_row, by_col=by_col,
-                                row_pattern=admm._with_data(by_row, ones),
-                                col_pattern=admm._with_data(by_col, ones))
+        return ObservationMasks(by_row=by_row, by_col=by_row.T.tocsr())
 
     @pytest.mark.parametrize("shuffle", [False, True])
     def test_bitwise_equal_to_coo_reference(self, shuffle):
@@ -467,6 +479,36 @@ class TestObservationIndex:
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert peak < 14 * pm.nnz + 16 * (n + m) + 2 ** 16
+
+    def test_patterns_built_on_first_use(self):
+        rng = np.random.default_rng(26)
+        pm, st = _random_state(rng, n=40, m=30, k=3)
+        masks = ObservationMasks.from_partial(pm)
+        assert "row_pattern" not in vars(masks)
+        truncated_svd(masks.linear_map(), 3)
+        assert "row_pattern" not in vars(masks)
+        update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0)
+        assert "row_pattern" in vars(masks)
+        assert np.array_equal(masks.row_pattern.toarray(), pm.mask())
+        assert np.array_equal(masks.col_pattern.toarray(), pm.mask().T)
+
+    def test_init_never_holds_gram_and_pattern(self):
+        # nnz = m^2 = 1e6: the Gram and the pattern's ones take 8 MB each,
+        # beside the 4 MB int32 column index and the Gram route's 2 MB
+        # row-block buffer; holding both would reach 20 MB
+        n, m = 3000, 1000
+        pm, si, _ = generate_synthetic(n, m, 3, 2, 2.0 / 3.0, 0.5, seed=5)
+        assert pm.nnz == m * m
+        hp = Hyperparams(k=3, max_iters=1)
+        tracemalloc.start()
+        try:
+            _, report = solve(pm, si, hp, track_objective=False,
+                              track_dual_residual=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.init_route == "gram"
+        assert peak < 8 * m * m + 8 * pm.nnz
 
     def test_from_partial_unsorted_memory(self):
         # the argsort of the row-major keys and the keys in that order,
@@ -732,6 +774,23 @@ class TestFirstOrderCheck:
         assert not checks["Z_equals_U"]
         assert not checks["Z_projected"]
 
+    @pytest.mark.parametrize("block", [7, objective._BLOCK])
+    def test_fit_residual_blocks_match_unblocked(self, monkeypatch, block):
+        rng = np.random.default_rng(27)
+        pm, st = _random_state(rng, n=40, m=30, k=4, frac=0.5)
+        masks = ObservationMasks.from_partial(pm)
+        obs = masks.by_row
+        rows = np.repeat(np.arange(pm.n), np.diff(obs.indptr))
+        want = (np.einsum("ij,ij->i", st.U[rows], st.V[obs.indices])
+                - obs.data)
+        monkeypatch.setattr(objective, "_BLOCK", block)
+        E = admm._fit_residual(masks, st.U, st.V)
+        assert np.array_equal(E.data, want)
+        dense = (np.where(pm.mask(), st.x_hat(), 0.0)
+                 - pm.to_dense_zero_filled())
+        assert (np.max(np.abs(E.toarray() - dense))
+                <= 1e-14 * np.max(np.abs(dense)))
+
     def test_converged_run_feasibility(self):
         pm, si, _ = generate_synthetic(20, 12, 2, 3, 0.3, 0.1, seed=3)
         hp = Hyperparams(k=2, lam=1.0, gamma=1.0, eps=1e-10, max_iters=300)
@@ -760,6 +819,16 @@ class TestSolve:
         assert len(report.objective_trace) == t
         assert set(report.subproblem_times) == {"U", "V", "P", "Z"}
         assert all(v >= 0.0 for v in report.subproblem_times.values())
+
+    @pytest.mark.parametrize("shape, route", [((300, 60), "gram"),
+                                              ((60, 300), "lanczos"),
+                                              ((40, 30), "dense")],
+                             ids=["gram", "lanczos", "dense"])
+    def test_init_route_reported(self, shape, route):
+        n, m = shape
+        pm, si, _ = generate_synthetic(n, m, 3, 2, 0.5, 0.5, seed=7)
+        _, report = solve(pm, si, Hyperparams(k=3, max_iters=1))
+        assert report.init_route == route
 
     def test_init_time_reported_apart(self):
         pm, si, _ = generate_synthetic(15, 10, 2, 2, 0.4, 0.5, seed=6)

@@ -9,12 +9,13 @@ import scipy.sparse.linalg
 
 from mpadmm.data import generate_synthetic
 from mpadmm.exceptions import ConvergenceError, ParameterError
+import mpadmm.linalg as linalg
 from mpadmm.linalg import (DENSE_CUTOFF, LinearMap, _fix_signs,
                            _openblas_threads_api,
                            apply_projection, build_pgram_operator,
                            pgram_eig_topk, side_basis, single_blas_thread,
-                           soft_threshold_svd, symmetric_eig_topk_factored,
-                           truncated_svd)
+                           soft_threshold_svd, svd_route,
+                           symmetric_eig_topk_factored, truncated_svd)
 
 
 def _projector_distance(M1, M2):
@@ -167,6 +168,106 @@ class TestTruncatedSVD:
         best = info.value.best
         assert best.U.shape == (80, 2) and best.V.shape == (60, 2)
         assert np.max(np.abs(best.S - s[:2])) < 1e-12 * s[0]
+
+
+def _csr_map(A: sp.csr_array, csr: bool = True) -> LinearMap:
+    """A as an operator with (Gram route) or without (Lanczos) its CSR
+    array, applying the transpose through the CSC view in both cases."""
+    return LinearMap(*A.shape, A.__matmul__, A.T.__matmul__,
+                     csr=A if csr else None)
+
+
+def _observed(n, m, miss_frac):
+    """Observed-entry count of `generate_synthetic` at miss_frac."""
+    return n * m - int(miss_frac * n * m)
+
+
+class TestGramRoute:
+    def test_route_rule(self):
+        # no data: the rule reads only the shape, k and the entry count
+        protocol = (1000, 100, 5, _observed(1000, 100, 0.9))
+        dense = (2000, 1000, 10, _observed(2000, 1000, 0.5))
+        scale = (20000, 100, 5, _observed(20000, 100, 0.9))
+        for n, m, k, nnz in (protocol, dense, scale):
+            assert svd_route(n, m, k, nnz) == "gram"
+            assert svd_route(n, m, k) == "lanczos"  # no CSR index
+        # both sit exactly at m^2 = nnz, the Gram as large as the index
+        assert protocol[1] ** 2 == protocol[3]
+        assert dense[1] ** 2 == dense[3]
+        assert svd_route(1000, 100, 5, 10 ** 4 - 1) == "lanczos"
+        # m^2 > nnz: n = m = 1e4 at 10%, 20000 x 2000 at 2%
+        assert svd_route(10 ** 4, 10 ** 4, 5, 10 ** 7) == "lanczos"
+        assert svd_route(20000, 2000, 5, 8 * 10 ** 5) == "lanczos"
+        # n m^2 > _GRAM_WORK nnz although m^2 <= nnz: 10000 x 1000 at 10%
+        assert svd_route(10000, 1000, 5, 10 ** 6) == "lanczos"
+        # wide shapes: the transposes of the Gram-route shapes
+        for n, m, k, nnz in (protocol, dense, scale):
+            assert svd_route(m, n, k, nnz) == "lanczos"
+        assert svd_route(1000, DENSE_CUTOFF, 5, 32000) == "dense"
+        assert svd_route(1000, 100, 100, 10 ** 5) == "dense"
+
+    def test_gram_matches_oracle_and_lanczos_at_near_degenerate_gap(self):
+        # the instance of test_near_degenerate_gap_matches_lapack_subspace:
+        # sigma_8 / sigma_9 = 1.0104 and nnz = m^2
+        pm, _, _ = generate_synthetic(300, 150, 8, 3, 0.5, 1.0, 0)
+        A = pm.to_dense_zero_filled()
+        U, s, Vt = np.linalg.svd(A, full_matrices=False)
+        assert s[7] / s[8] < 1.011
+        by_row = sp.csr_array((pm.values, (pm.rows, pm.cols)), shape=A.shape)
+        assert svd_route(pm.n, pm.m, 8, by_row.nnz) == "gram"
+        gram = truncated_svd(_csr_map(by_row), 8)
+        lanczos = truncated_svd(_csr_map(by_row, csr=False), 8)
+        for res in (gram, lanczos):
+            assert _projector_distance(res.U, U[:, :8]) <= 1e-8
+            assert _projector_distance(res.V, Vt[:8].T) <= 1e-8
+            assert np.max(np.abs(res.S - s[:8])) <= 1e-12 * s[0]
+        assert np.max(np.abs(gram.S - lanczos.S)) <= 1e-12 * s[0]
+        assert _projector_distance(gram.U, lanczos.U) <= 1e-8
+        assert np.linalg.norm(A @ gram.V - gram.U * gram.S) <= 1e-12 * s[0]
+
+    @pytest.mark.parametrize("block", [7 * 150, linalg._BLOCK],
+                             ids=["7_rows", "one_block"])
+    def test_gram_blocks_agree(self, monkeypatch, block):
+        # blocks of 7 rows or one block: the same Gram to rounding
+        rng = np.random.default_rng(40)
+        A = sp.random_array((300, 150), density=0.6, format="csr", rng=rng)
+        monkeypatch.setattr(linalg, "_BLOCK", block)
+        G = linalg._csr_gram(A)
+        dense = A.toarray()
+        want = dense.T @ dense
+        assert np.max(np.abs(np.triu(G) - np.triu(want))) <= (
+            1e-14 * np.max(np.abs(want)))
+        assert not np.any(np.tril(G, -1))
+
+    def test_rank_deficient_is_deterministic(self):
+        # rank 2 < k = 5, every entry observed
+        rng = np.random.default_rng(41)
+        L, R = rng.standard_normal((120, 2)), rng.standard_normal((40, 2))
+        A = sp.csr_array(L @ R.T)
+        assert svd_route(120, 40, 5, A.nnz) == "gram"
+        s = np.linalg.svd(L @ R.T, compute_uv=False)
+        first = truncated_svd(_csr_map(A), 5, seed=2)
+        assert np.max(np.abs(first.S - s[:5])) <= 1e-12 * s[0]
+        for F in (first.U, first.V):
+            assert np.max(np.abs(F.T @ F - np.eye(5))) < 1e-12
+        assert np.max(np.abs(A @ first.V - first.U * first.S)) <= 1e-12 * s[0]
+        # no random numbers: the seed changes nothing
+        for seed in (2, 2, 7):
+            again = truncated_svd(_csr_map(A), 5, seed=seed)
+            assert np.array_equal(again.U, first.U)
+            assert np.array_equal(again.S, first.S)
+            assert np.array_equal(again.V, first.V)
+
+    def test_zero_operator(self):
+        # every entry observed and zero: the zero-operator contract
+        n, m, k = 100, 40, 3
+        A = sp.csr_array((np.zeros(n * m), np.tile(np.arange(m), n),
+                          np.arange(0, n * m + 1, m)), shape=(n, m))
+        assert svd_route(n, m, k, A.nnz) == "gram"
+        res = truncated_svd(_csr_map(A), k)
+        assert np.array_equal(res.S, np.zeros(k))
+        assert np.array_equal(res.U, np.eye(n, k))
+        assert np.array_equal(res.V, np.eye(m, k))
 
 
 class TestSymmetricEigTopkFactored:
