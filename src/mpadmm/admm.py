@@ -347,8 +347,8 @@ def primal_residuals(state: IterateState):
     return phi_res, psi_res
 
 
-def dual_residual(state: IterateState, Y, lam: float, seed: int = 0, *,
-                  basis=None, compressed=None) -> float:
+def dual_residual(state: IterateState, Y, lam: float, *, basis=None,
+                  compressed=None) -> float:
     """||P2 - P1 P2||_F where P1 projects onto col(Z) and P2 onto the top-k
     eigenspace of lam*YY^T + (Phi Z^T + Z Phi^T)/2.
 
@@ -358,8 +358,7 @@ def dual_residual(state: IterateState, Y, lam: float, seed: int = 0, *,
     from the kept Ritz vectors (`pgram_ritz`) plus `pad` complement
     directions, each orthogonal to col(Z) and so adding exactly 1 to the
     squared residual.  `basis` is Y's `side_basis`; it and `compressed`
-    are computed here when None.  `seed` is accepted and unused: no
-    random directions are drawn.
+    are computed here when None.  No random directions are drawn.
     """
     Z = state.Z
     k = state.k
@@ -403,20 +402,16 @@ def augmented_lagrangian(state: IterateState, data: PartialMatrix, Y,
             + 0.5 * rho2 * float(np.sum(rpsi * rpsi)))
 
 
-def _fit_residual(masks: ObservationMasks, U, V) -> sp.csr_array:
-    """E = U V^T - A on the observed entries, in the CSR form of
-    `masks.by_row`.  Its data are filled in blocks of objective._BLOCK
-    entries, each the row dots of U and V gathered at the block's rows
-    and columns, so no nnz x k array is formed."""
-    obs = masks.by_row
+def fit_residual(obs: sp.csr_array, U, V) -> sp.csr_array:
+    """E = U V^T - A on the observed entries, as a CSR array on the index
+    of `obs`, the CSR array of the observed values A; its data are filled
+    by `objective.fit_residuals`."""
+    rows = np.repeat(np.arange(obs.shape[0], dtype=obs.indices.dtype),
+                     np.diff(obs.indptr))
     E = np.empty(obs.nnz)
-    for start in range(0, obs.nnz, objective._BLOCK):
-        stop = min(start + objective._BLOCK, obs.nnz)
-        rows = np.searchsorted(obs.indptr, np.arange(start, stop),
-                               side="right") - 1
-        E[start:stop] = np.einsum("ij,ij->i", U[rows],
-                                  V[obs.indices[start:stop]])
-    E -= obs.data
+    for block, resid in objective.fit_residuals(U, V, rows, obs.indices,
+                                                obs.data):
+        E[block] = resid
     return _with_data(obs, E)
 
 
@@ -435,7 +430,7 @@ def first_order_check(state: IterateState, data: PartialMatrix, Y,
                             state.Phi, state.Psi)
     k = state.k
 
-    E = _fit_residual(masks, U, V)
+    E = fit_residual(masks.by_row, U, V)
     res_u = float(np.sum((2.0 * (E @ V) + gamma * U - Psi) ** 2))
     res_v = float(np.sum((2.0 * (E.T @ U) + gamma * V) ** 2))
 
@@ -614,8 +609,8 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
                 compressed = pgram_compress(basis, state.Z, state.Phi)
                 report.subproblem_times["P"] += time.perf_counter() - t0
                 report.dual_residual_trace.append(tracked(
-                    dual_residual, state, Y, hp.lam, seed=hp.seed,
-                    basis=basis, compressed=compressed))
+                    dual_residual, state, Y, hp.lam, basis=basis,
+                    compressed=compressed))
             if track_objective:
                 report.objective_trace.append(tracked(tracked_objective))
             report.iterations = t + 1

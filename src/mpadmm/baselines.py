@@ -3,8 +3,7 @@ row-regression iterative SVD imputation, singular-value soft-impute,
 and preconditioned (scaled) gradient descent on balanced factors.
 
 Like `admm.solve`, each method runs NumPy's BLAS on one thread
-(`single_blas_thread`): on 2 vCPUs a protocol-size `iterative_svd` took
-4.1-4.4 s on two OpenBLAS threads and 1.7-1.9 s on one.
+(`single_blas_thread`).
 """
 
 from __future__ import annotations
@@ -15,12 +14,13 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eigh
 
-from .admm import ObservationMasks
+from .admm import ObservationMasks, fit_residual
 from .data import PartialMatrix
 from .exceptions import ParameterError
 from .linalg import single_blas_thread, soft_threshold_svd, truncated_svd
-from .objective import ols_alpha
+from .objective import fit_term, ols_alpha
 
 _MAX_HALVINGS = 60  # scaled_gd backtracking: 2^-60 is below double rounding
 
@@ -40,15 +40,19 @@ class BaselineResult:
 @single_blas_thread()
 def iterative_svd(data: PartialMatrix, k: int,
                   max_iters: int = 500) -> BaselineResult:
-    """SVD imputation: re-estimate each missing entry (i, j) by regressing
-    the rest of row i (column j excluded) on the right singular factor of
-    the current rank-k iterate with its j-th row removed.
+    """SVD imputation (Troyanskaya et al. 2001): re-estimate each missing
+    entry (i, j) by regressing the rest of row i (column j excluded) on
+    the right singular factor V of the current rank-k iterate with its
+    j-th row removed.
 
-    Because the regression Gram is V^T V - v_j v_j^T, all missing entries
-    are refit in one vectorized pass per iteration.  Missing entries start
-    at their row's observed mean (global observed mean for empty rows);
-    iteration stops when the Frobenius change over the missing entries
-    drops below 0.01.
+    Any orthonormal basis of that subspace will do as V: the top-k
+    eigenvectors of X^T X, or for wide X the Q of X^T W, W X X^T's.  Its
+    leave-one-out Gram I - v_j v_j^T maps v_j by pinv(rcond=1e-10) to
+    v_j / (1 - l_j), l_j = ||v_j||^2 (Sherman-Morrison), or to 0 where
+    pinv cuts v_j (|1 - l_j| <= 1e-10 for k >= 2, 1 - l_j = 0 for k = 1).
+    Missing entries start at their row's observed mean (global observed
+    mean for empty rows) and are refit in one vectorized pass per
+    iteration until their Frobenius change drops below 0.01.
     """
     if data.nnz == 0:
         raise ParameterError("iterative_svd requires at least one observation")
@@ -73,17 +77,17 @@ def iterative_svd(data: PartialMatrix, k: int,
     termination = "max_iters"
     it = 0
     for it in range(1, max_iters + 1):
-        _, _, Vt = np.linalg.svd(X, full_matrices=False)
-        V = Vt[:k].T  # m x k
-        # per-column leave-one-out Gram inverses, batched
-        G = V.T @ V
-        Gj = G[None, :, :] - V[:, :, None] * V[:, None, :]  # m x k x k
-        H = np.linalg.pinv(Gj, rcond=1e-10) @ V[:, :, None]  # m x k x 1
-        H = H[:, :, 0]
-        # imputed_ij = v_j^T Gj^-1 (V^T x_i - v_j X_ij)
-        E = (X @ V) @ H.T  # n x m
-        s = np.sum(V * H, axis=1)  # m
-        X_new = np.where(missing, E - X * s[None, :], X)
+        if data.n >= data.m:
+            V = eigh(X.T @ X, subset_by_index=[data.m - k, data.m - 1])[1]
+        else:
+            W = eigh(X @ X.T, subset_by_index=[data.n - k, data.n - 1])[1]
+            V = np.linalg.qr(X.T @ W)[0]
+        lev = np.einsum("ij,ij->i", V, V)
+        cut = lev == 1.0 if k == 1 else np.abs(1.0 - lev) <= 1e-10
+        w = np.divide(1.0, 1.0 - lev, out=np.zeros_like(lev), where=~cut)
+        # imputed_ij = w_j v_j^T (V^T x_i - v_j X_ij)
+        E = (X @ V) @ (V * w[:, None]).T  # n x m
+        X_new = np.where(missing, E - X * (lev * w)[None, :], X)
         change = float(np.linalg.norm((X_new - X)[missing]))
         X = X_new
         if change < 0.01:
@@ -124,19 +128,19 @@ def soft_impute(data: PartialMatrix, tau: float, eps: float = 1e-4,
 
 def scaled_gd_loss(U, V, data: PartialMatrix, Y, alpha, lam: float,
                    gamma: float) -> float:
-    X_at = np.einsum("ij,ij->i", U[data.rows], V[data.cols])
-    diff = X_at - data.values
+    """`fit_term` of (U, V) plus lam ||Y - U V^T alpha||_F^2 and
+    (gamma/2)(||U||_F^2 + ||V||_F^2)."""
     E = Y - U @ (V.T @ alpha)
-    return (float(diff @ diff) + lam * float(np.sum(E * E))
+    return (fit_term((U, V), data) + lam * float(np.sum(E * E))
             + 0.5 * gamma * (float(np.sum(U * U)) + float(np.sum(V * V))))
 
 
 def scaled_gd_gradients(U, V, data: PartialMatrix, Y, alpha, lam: float,
                         gamma: float):
     """Analytic gradients of scaled_gd_loss in (U, V) at fixed alpha."""
-    X_at = np.einsum("ij,ij->i", U[data.rows], V[data.cols])
-    Rs = sp.csr_array((X_at - data.values, (data.rows, data.cols)),
-                      shape=(data.n, data.m))  # fit residual on Omega
+    obs = sp.csr_array((data.values, (data.rows, data.cols)),
+                       shape=(data.n, data.m))
+    Rs = fit_residual(obs, U, V)  # fit residual on Omega
     E = Y - U @ (V.T @ alpha)
     # the n x m product E alpha^T enters only through (E alpha^T) V and
     # (E alpha^T)^T U, so it is applied factor by factor

@@ -92,41 +92,40 @@ def ols_alpha(X_or_factors, Y: np.ndarray) -> np.ndarray:
     return Vt.T @ (inv[:, None] * (U.T @ Y))
 
 
-def _fit_term(X_at, values) -> float:
-    """Squared fit residual on Omega; overwrites X_at, a fresh array of
-    the estimate's observed entries, so no second buffer of its size is
-    made."""
-    X_at -= values
-    return float(X_at @ X_at)
+def _blocks(count: int, width: int):
+    """Slices over count items, max(1, _BLOCK // width) at a time, so that
+    a block of width values per item holds at most _BLOCK (2 MB)."""
+    step = max(1, _BLOCK // max(1, width))
+    return (slice(i, min(i + step, count)) for i in range(0, count, step))
+
+
+def fit_residuals(Uf, Vf, rows, cols, values):
+    """Yield (block, U_f V_f^T - A at the block's observed entries), from
+    the row dots of Uf[rows] and Vf[cols] gathered in `_blocks` of k
+    values per entry, so that no nnz x k array is formed."""
+    for block in _blocks(len(cols), Uf.shape[1]):
+        resid = np.einsum("ij,ij->i", Uf[rows[block]], Vf[cols[block]])
+        resid -= values[block]
+        yield block, resid
 
 
 def fit_term(X_or_factors, data: PartialMatrix) -> float:
-    """Squared fit residual on Omega of a dense estimate or of U_f V_f^T
-    for a factor pair (U_f, V_f), gathered and summed in blocks of _BLOCK
-    observed entries: a factor pair gathers the row dots of U_f[rows] and
-    V_f[cols] one block at a time, so no nnz x k array is formed."""
+    """Squared fit residual on Omega of U_f V_f^T for a factor pair
+    (`fit_residuals`), or of a dense estimate in blocks of _BLOCK entries."""
+    fit = 0.0
     if isinstance(X_or_factors, tuple):
         Uf, Vf = (np.asarray(f, dtype=float) for f in X_or_factors)
-
-        def entries(rows, cols):
-            return np.einsum("ij,ij->i", Uf[rows], Vf[cols])
-    else:
-        X = np.atleast_2d(np.asarray(X_or_factors, dtype=float))
-
-        def entries(rows, cols):
-            return X[rows, cols]
-    fit = 0.0
-    for start in range(0, data.nnz, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        fit += _fit_term(entries(data.rows[block], data.cols[block]),
-                         data.values[block])
+        for _, resid in fit_residuals(Uf, Vf, data.rows, data.cols,
+                                      data.values):
+            fit += float(resid @ resid)
+        return fit
+    X = np.atleast_2d(np.asarray(X_or_factors, dtype=float))
+    for b in _blocks(data.nnz, 1):
+        resid = X[data.rows[b], data.cols[b]]
+        resid -= data.values[b]  # in place: no second block
+        fit += float(resid @ resid)
+        del resid  # one block alive at a time
     return fit
-
-
-def _row_blocks(X: np.ndarray):
-    """Slices of about _BLOCK elements over the rows of X."""
-    step = max(1, _BLOCK // max(1, X.shape[1]))
-    return (slice(i, i + step) for i in range(0, X.shape[0], step))
 
 
 def _count_above(s: np.ndarray, rel: float) -> int:
@@ -150,7 +149,7 @@ def _certified(X: np.ndarray, basis: np.ndarray, s: np.ndarray) -> bool:
     r = basis.shape[1]
     coef = basis.T @ X
     resid = 0.0
-    for rows in _row_blocks(X):
+    for rows in _blocks(*X.shape):
         R = basis[rows] @ coef
         resid += _square_sum(np.subtract(X[rows], R, out=R))
         del R  # one block alive at a time
@@ -188,7 +187,7 @@ def objective_naive(X: np.ndarray, data: PartialMatrix, Y: np.ndarray,
     """Oracle route: explicit pseudo-inverse of X^T X for the side term."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    fit = _fit_term(X[data.rows, data.cols], data.values)
+    fit = float(np.sum((X[data.rows, data.cols] - data.values) ** 2))
     P = X @ np.linalg.pinv(X.T @ X) @ X.T
     resid = Y - P @ Y
     side = lam * float(np.trace(Y.T @ resid))
@@ -266,7 +265,7 @@ def err_l2(X_hat: np.ndarray, A_true: np.ndarray) -> float:
     if X_hat.shape != A_true.shape:
         raise ParameterError("X_hat and A_true shapes disagree")
     num = denom = 0.0
-    for rows in _row_blocks(A_true):
+    for rows in _blocks(*A_true.shape):
         num += _square_sum(X_hat[rows] - A_true[rows])
         denom += _square_sum(A_true[rows].copy())
     if denom == 0.0:

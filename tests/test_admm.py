@@ -684,8 +684,8 @@ class TestDualResidual:
         n, d = 30, 5
         Y = rng.standard_normal((n, d))
         _, st = _random_state(rng, n=n, k=3)
-        assert (dual_residual(st, Y, 0.9, seed=2)
-                == dual_residual(st, Y, 0.9, seed=2, basis=side_basis(Y)))
+        assert (dual_residual(st, Y, 0.9)
+                == dual_residual(st, Y, 0.9, basis=side_basis(Y)))
 
     @staticmethod
     def _dense_oracle(st, Y, lam):
@@ -784,12 +784,32 @@ class TestFirstOrderCheck:
         want = (np.einsum("ij,ij->i", st.U[rows], st.V[obs.indices])
                 - obs.data)
         monkeypatch.setattr(objective, "_BLOCK", block)
-        E = admm._fit_residual(masks, st.U, st.V)
+        E = admm.fit_residual(obs, st.U, st.V)
         assert np.array_equal(E.data, want)
         dense = (np.where(pm.mask(), st.x_hat(), 0.0)
                  - pm.to_dense_zero_filled())
         assert (np.max(np.abs(E.toarray() - dense))
                 <= 1e-14 * np.max(np.abs(dense)))
+
+    def test_fit_residual_gathers_factor_blocks_of_block_values(self):
+        # beyond E (8 bytes per entry) and the entries' row index (at most
+        # 8), the gather holds two factor blocks of at most _BLOCK values;
+        # _BLOCK entries at a time would hold 2 * 8 * k * _BLOCK bytes
+        rng = np.random.default_rng(28)
+        n, m, k = 1024, 512, 10
+        pm = PartialMatrix(n=n, m=m, rows=np.repeat(np.arange(n), m),
+                           cols=np.tile(np.arange(m), n),
+                           values=rng.standard_normal(n * m))
+        masks = ObservationMasks.from_partial(pm)
+        U = rng.standard_normal((n, k))
+        V = rng.standard_normal((m, k))
+        tracemalloc.start()
+        try:
+            admm.fit_residual(masks.by_row, U, V)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * pm.nnz + 3 * 8 * objective._BLOCK
 
     def test_converged_run_feasibility(self):
         pm, si, _ = generate_synthetic(20, 12, 2, 3, 0.3, 0.1, seed=3)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import mpadmm.baselines as baselines
 from mpadmm.baselines import (iterative_svd, scaled_gd, scaled_gd_gradients,
@@ -89,6 +90,116 @@ class TestIterativeSVD:
         want = _naive_isvd_step(res0.X_hat, missing, 3)
         assert np.max(np.abs(res1.X_hat - want)) < 1e-12
 
+    @staticmethod
+    def _one_pass(pm, k):
+        """(closed-form pass, per-entry reference pass) from the row-mean
+        start, and the start itself."""
+        X0 = iterative_svd(pm, k, max_iters=0).X_hat
+        got = iterative_svd(pm, k, max_iters=1).X_hat
+        return got, _naive_isvd_step(X0, ~pm.mask(), k), X0
+
+    def test_k1_matches_naive_per_entry_loop(self):
+        rng = np.random.default_rng(13)
+        A = rng.standard_normal((9, 7))
+        pm = _hide_entries(A, [(0, 1), (2, 2), (4, 6), (8, 0), (5, 3)])
+        got, want, _ = self._one_pass(pm, 1)
+        assert np.max(np.abs(got - want)) <= 1e-11 * max(1.0, np.max(np.abs(want)))
+
+    def test_wide_matches_naive_per_entry_loop(self):
+        # n < m: the basis comes from X X^T and the Q of X^T W
+        rng = np.random.default_rng(14)
+        A = rng.standard_normal((12, 30))
+        pm = _hide_entries(A, [(0, 3), (5, 7), (11, 29), (2, 0), (6, 15)])
+        got, want, _ = self._one_pass(pm, 3)
+        assert np.max(np.abs(got - want)) <= 1e-11 * max(1.0, np.max(np.abs(want)))
+
+    @staticmethod
+    def _dominant_column(tilt):
+        """12 x 6 data whose row-mean start has a largest column 2 that is
+        orthogonal to the others, then tilted by `tilt` times column 0.
+        With no tilt e_2 spans a top singular direction, so its leverage
+        is 1 to rounding; rows 1 and 5 miss column 2."""
+        rng = np.random.default_rng(15)
+        A = rng.standard_normal((12, 6))
+        hidden = [(1, 2), (1, 4), (5, 2), (5, 0)]
+        fixed, others = [1, 5], [0, 1, 3, 4, 5]
+        free = [i for i in range(12) if i not in fixed]
+        X0 = A.copy()  # the row-mean start, which column 2 does not enter
+        X0[1, [2, 4]] = A[1, [0, 1, 3, 5]].mean()
+        X0[5, [2, 0]] = A[5, [1, 3, 4, 5]].mean()
+        B = X0[:, others]
+        r = 5.0 * rng.standard_normal(len(free))
+        rhs = B[free].T @ r + B[fixed].T @ X0[fixed, 2]
+        A[free, 2] = (r - B[free] @ np.linalg.solve(B[free].T @ B[free], rhs)
+                      + tilt * B[free, 0])
+        return _hide_entries(A, hidden)
+
+    def _leverage_2(self, X):
+        V = np.linalg.svd(X)[2][:2].T
+        return V[2] @ V[2]
+
+    def test_leverage_at_pinv_cut_matches_naive_per_entry_loop(self):
+        # pinv cuts e_2 and both passes impute 0 there, where
+        # 1 / (1 - l_j) would blow up
+        got, want, start = self._one_pass(self._dominant_column(0.0), 2)
+        assert abs(1.0 - self._leverage_2(start)) <= 1e-10
+        assert np.all(got[[1, 5], 2] == 0.0)
+        assert np.max(np.abs(got - want)) <= 1e-11 * max(1.0, np.max(np.abs(want)))
+
+    def test_leverage_just_outside_pinv_cut_matches_naive_per_entry_loop(self):
+        # 1 - l_2 is about 2e-6: pinv keeps the direction, and its weight
+        # 1 / (1 - l_2) amplifies rounding in both passes alike
+        got, want, start = self._one_pass(self._dominant_column(1e-2), 2)
+        assert 1e-10 < 1.0 - self._leverage_2(start) < 1e-5
+        assert np.all(np.abs(got[[1, 5], 2]) > 1.0)
+        assert np.max(np.abs(got - want)) <= 1e-8 * max(1.0, np.max(np.abs(want)))
+
+    def test_random_passes_match_naive_per_entry_loop(self):
+        # one pass on random instances whose k-th gap is open and whose
+        # leverages stay clear of 1, where the subspace is well defined
+        rng = np.random.default_rng(16)
+        checked = 0
+        for _ in range(30):
+            n, m = rng.integers(6, 16, size=2)
+            k = int(rng.integers(1, min(n, m)))
+            A = rng.standard_normal((n, m))
+            hidden = {(int(rng.integers(n)), int(rng.integers(m)))
+                      for _ in range(4)}
+            pm = _hide_entries(A, hidden)
+            X0 = iterative_svd(pm, k, max_iters=0).X_hat
+            _, s, Vt = np.linalg.svd(X0)
+            lev = np.sum(Vt[:k] ** 2, axis=0)
+            if (s.size > k and s[k - 1] < 1.01 * s[k]) or np.max(lev) > 1 - 1e-3:
+                continue
+            got, want, _ = self._one_pass(pm, k)
+            assert (np.max(np.abs(got - want))
+                    <= 1e-11 * max(1.0, np.max(np.abs(want))))
+            checked += 1
+        assert checked >= 10
+
+    def test_several_passes_match_naive_per_entry_loop(self):
+        pm, _, _ = generate_synthetic(200, 40, 3, 5, 0.9, 0.5, seed=4)
+        missing = ~pm.mask()
+        want = iterative_svd(pm, 3, max_iters=0).X_hat
+        for _ in range(4):
+            want = _naive_isvd_step(want, missing, 3)
+        got = iterative_svd(pm, 3, max_iters=4)
+        assert got.iterations == 4 and got.termination == "max_iters"
+        assert (np.max(np.abs(got.X_hat - want))
+                <= 1e-11 * max(1.0, np.max(np.abs(want))))
+
+    def test_closed_gap_is_deterministic(self):
+        # rank-one data with constant rows: the row-mean start is the data
+        # itself, so s_2 = s_3 = 0 and the rank-3 subspace is not unique;
+        # only determinism is asked of the basis there
+        u = np.random.default_rng(17).uniform(0.5, 1.5, size=12)
+        A = np.outer(u, np.ones(8))
+        pm = _hide_entries(A, [(0, 1), (3, 4), (7, 7), (11, 0)])
+        runs = [iterative_svd(pm, 3, max_iters=3) for _ in range(2)]
+        assert np.all(np.isfinite(runs[0].X_hat))
+        assert np.array_equal(runs[0].X_hat, runs[1].X_hat)
+        assert runs[0].iterations == runs[1].iterations
+
     def test_parameter_errors(self):
         pm = PartialMatrix(n=3, m=3, rows=[], cols=[], values=[])
         with pytest.raises(ParameterError):
@@ -166,6 +277,30 @@ class TestScaledGD:
                 arr[idx] += h
                 assert grad[idx] == pytest.approx((up - dn) / (2 * h),
                                                   abs=1e-5, rel=1e-5)
+
+    def test_loss_and_gradients_bitwise_per_entry_gather(self):
+        # the blocked gather of fit_term / fit_residuals against the
+        # formula that gathers U[rows] and V[cols] at every entry at once
+        pm, si, _ = generate_synthetic(n=1000, m=100, k=5, d=150,
+                                       miss_frac=0.9, sigma=2.0, seed=0)
+        rng = np.random.default_rng(18)
+        U = rng.standard_normal((pm.n, 5))
+        V = rng.standard_normal((pm.m, 5))
+        Y = si.Y
+        alpha = ols_alpha((U, V), Y)
+        lam, gamma = 1.0, 1.0
+        diff = np.einsum("ij,ij->i", U[pm.rows], V[pm.cols]) - pm.values
+        E = Y - U @ (V.T @ alpha)
+        want = (float(diff @ diff) + lam * float(np.sum(E * E))
+                + 0.5 * gamma * (float(np.sum(U * U)) + float(np.sum(V * V))))
+        assert scaled_gd_loss(U, V, pm, Y, alpha, lam, gamma) == want
+        Rs = sp.csr_array((diff, (pm.rows, pm.cols)), shape=(pm.n, pm.m))
+        want_u = (2.0 * (Rs @ V) - 2.0 * lam * (E @ (alpha.T @ V))
+                  + gamma * U)
+        want_v = (2.0 * (Rs.T @ U) - 2.0 * lam * (alpha @ (E.T @ U))
+                  + gamma * V)
+        gU, gV = scaled_gd_gradients(U, V, pm, Y, alpha, lam, gamma)
+        assert np.array_equal(gU, want_u) and np.array_equal(gV, want_v)
 
     def test_exact_factors_are_a_fixed_point(self):
         # fully observed rank-k data with no regularization: the spectral

@@ -141,6 +141,26 @@ class TestObjectiveRoutes:
         assert got == pytest.approx(want, rel=1e-13)
         assert objective.fit_term(X, pm) == pytest.approx(want, rel=1e-13)
 
+    def test_factor_fit_term_gathers_factor_blocks_of_block_values(self):
+        # a factor pair is gathered _BLOCK // k entries at a time, so each
+        # of the two gathered factor blocks holds at most _BLOCK values
+        # (2 MB); _BLOCK entries at a time would hold 2 * 8 * k * _BLOCK
+        # bytes (42 MB at k = 10)
+        rng = np.random.default_rng(23)
+        n, m, k = 1024, 512, 10
+        pm = PartialMatrix(n=n, m=m, rows=np.repeat(np.arange(n), m),
+                           cols=np.tile(np.arange(m), n),
+                           values=rng.standard_normal(n * m))
+        Uf = rng.standard_normal((n, k))
+        Vf = rng.standard_normal((m, k))
+        tracemalloc.start()
+        try:
+            objective.fit_term((Uf, Vf), pm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * objective._BLOCK
+
     def test_line_restricted_witness_values(self):
         # two-point rank-one family x = (t, t+1), scalar side info (1, 1)
         pm = PartialMatrix(n=2, m=1, rows=[], cols=[], values=[])
