@@ -9,6 +9,7 @@ dual variables Phi (projection constraint) and Psi (copy constraint).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import time
 import warnings
@@ -21,9 +22,9 @@ import scipy.sparse as sp
 from . import objective
 from .data import Hyperparams, PartialMatrix, SideInfo
 from .exceptions import NumericalError, ParameterError
-from .linalg import (LinearMap, apply_projection, build_pgram_operator,
-                     pgram_compress, pgram_eig_topk, pgram_ritz, side_basis,
-                     single_blas_thread, svd_route,
+from .linalg import (_BLOCK, LinearMap, apply_projection,
+                     build_pgram_operator, pgram_compress, pgram_eig_topk,
+                     pgram_ritz, side_basis, single_blas_thread, svd_route,
                      symmetric_eig_topk_factored, truncated_svd)
 
 
@@ -40,11 +41,14 @@ class ObservationMasks:
     transpose would.  Index arrays are int32 when n, m and nnz fit, else
     int64.
 
-    The 0/1 patterns `row_pattern` and `col_pattern` (8 bytes of ones
-    per entry, shared by both, on the same index arrays) are built on
-    first use.  In `solve` that is the first ridge step, after the
-    init's truncated SVD, so the pattern is never held beside the m x m
-    Gram that the SVD's Gram route forms (`linear_map`).
+    The ridge steps' Gram source is built on first use: on the "sparse"
+    route (`ridge_route`) the 0/1 patterns `row_pattern` and
+    `col_pattern` (8 bytes of ones per entry, shared by both, on the same
+    index arrays), on the "mask" route the dense n x m uint8 `mask` (1
+    byte per cell), and never the other.  In `solve` that is the first
+    ridge step, after the init's truncated SVD, so neither is held
+    beside the m x m Gram that the SVD's Gram route forms
+    (`linear_map`).
     """
 
     by_row: sp.csr_array
@@ -92,6 +96,13 @@ class ObservationMasks:
         """`by_col`'s 0/1 pattern, sharing its index arrays and the ones
         of `row_pattern`."""
         return _with_data(self.by_col, self.row_pattern.data)
+
+    @functools.cached_property
+    def mask(self) -> np.ndarray:
+        """The n x m 0/1 observation mask as uint8, C order, scattered
+        from `by_row` with a 1-byte-per-entry temporary."""
+        return _with_data(self.by_row,
+                          np.ones(self.by_row.nnz, np.uint8)).toarray()
 
     @functools.cached_property
     def col_rows(self) -> list:
@@ -155,17 +166,20 @@ class SolveReport:
     # n-row work.
     init_time: float = 0.0
     tracking_time: float = 0.0
-    # column groups (threads) the U and V steps' sparse products ran in;
-    # 1 when they were not split (`ridge_groups`)
+    # column groups (threads) the U and V steps' products ran in; 1 when
+    # they were not split (`ridge_groups`)
     ridge_groups: int = 1
     # the route of the init's truncated SVD (`linalg.svd_route`): "gram",
     # "lanczos", or "dense" for inputs at most DENSE_CUTOFF on a side
     init_route: str = ""
+    # where the U and V steps' Grams came from (`ridge_route`): "sparse"
+    # (the observation pattern) or "mask" (BLAS on the dense uint8 mask)
+    ridge_route: str = ""
 
 
-# The ridge step's sparse products split into column groups, one per worker
+# The ridge step's products split into column groups, one per worker
 # thread, only from _SPLIT_WORK multiply-adds (nnz * (q + k), about 1 ms of
-# kernel time per worker): below it thread start-up outweighs the gain.  A
+# kernel time per worker): below it thread hand-off outweighs the gain.  A
 # group holds at least _GROUP_COLUMNS columns, since each group re-reads
 # the whole index; one such pass costs about as much as _PASS_COLUMNS more
 # columns.  On 2 vCPUs, nnz * (q + k) = 4e6 ran 4% slower split in two,
@@ -174,20 +188,56 @@ class SolveReport:
 _SPLIT_WORK = 1 << 24
 _GROUP_COLUMNS = 8
 _PASS_COLUMNS = 12
+# Data with nnz >= _MASK_DENSITY n m take the "mask" route of
+# `ridge_route`.  U + V step time in ms (median of 15), sparse route vs
+# mask route, one BLAS thread on 2 vCPUs, at threads = 1 / threads = 2
+# (one worker):
+#   2000 x 1000, k = 10: density 0.2  12.1 vs 12.1 / 10.5 vs 10.5
+#                        density 0.25 16.3 vs 15.8 /  9.1 vs 11.3
+#                        density 0.3  19.9 vs 14.7 / 11.5 vs 10.2
+#                        density 0.5  25.4 vs 15.0 / 15.5 vs 10.4
+#   4000 x 500, k = 5:   density 0.2   5.3 vs  6.9 /  5.1 vs  6.7
+#                        density 0.3   7.0 vs  7.5 /  7.2 vs  7.5
+#                        density 0.5  11.5 vs  9.0 /  7.5 vs  6.0
+#   1000 x 100, k = 5:   density 0.3   0.6 vs  0.6 /  0.6 vs  0.6
+#                        density 0.5   0.8 vs  0.6 /  0.8 vs  0.6
+#   2000 x 1000, k = 1:  density 0.3   1.1 vs  1.1 /  1.1 vs  1.1
+_MASK_DENSITY = 0.3
 
 
-def _ridge_spans(nnz: int, k: int, threads: int) -> list:
+def ridge_route(n: int, m: int, nnz: int) -> str:
+    """Where the U and V steps on n x m data with `nnz` observations take
+    their k x k Grams from.
+
+    "mask": densely observed data (nnz >= _MASK_DENSITY n m, i.e. 30%)
+    take them from dense BLAS products of blocks of the uint8 0/1 mask
+    (`ObservationMasks.mask`), zeros included.
+    "sparse": other data take them from the sparse product of the 0/1
+    pattern (`ObservationMasks.row_pattern`) with F's outer products.
+    Both routes take the right-hand sides from the sparse `values @ F`.
+    """
+    return "mask" if nnz >= _MASK_DENSITY * n * m else "sparse"
+
+
+def _ridge_spans(nnz: int, k: int, threads: int,
+                 route: str = "sparse") -> list:
     """Column spans [start, stop) of [Gram triangle | right-hand sides], q
     = k(k + 1)/2 and k columns, that a ridge step with `nnz` observations
-    runs its sparse products in, one span per thread: [(0, q + k)] below
-    _SPLIT_WORK, else at most `threads` and (q + k) // _GROUP_COLUMNS spans
-    of about equal cost.  The span that crosses from the Gram columns into
-    the right-hand sides runs two products, so the cuts are laid out as if
-    _PASS_COLUMNS more columns sat between the two."""
+    runs its products in, one span per thread: [(0, q + k)] below
+    _SPLIT_WORK or at threads = 1.  Otherwise, on the "mask" route, they
+    are [(0, q), (q, q + k)]: the Gram triangle's BLAS products on the
+    calling thread, the sparse right-hand sides on one worker; on the
+    "sparse" route there are at most `threads` and (q + k) //
+    _GROUP_COLUMNS spans of about equal cost.  The span that crosses from
+    the Gram columns into the right-hand sides runs two products, so the
+    cuts are laid out as if _PASS_COLUMNS more columns sat between the
+    two."""
     q = k * (k + 1) // 2
     width = q + k
-    if nnz * width < _SPLIT_WORK:
+    if nnz * width < _SPLIT_WORK or threads < 2:
         return [(0, width)]
+    if route == "mask":
+        return [(0, q), (q, width)]
     groups = max(1, min(threads, width // _GROUP_COLUMNS))
     length = width + _PASS_COLUMNS
     cuts = {0, width}
@@ -198,60 +248,87 @@ def _ridge_spans(nnz: int, k: int, threads: int) -> list:
     return list(zip(cuts[:-1], cuts[1:]))
 
 
-def ridge_groups(nnz: int, k: int, threads: int) -> int:
+def ridge_groups(nnz: int, k: int, threads: int,
+                 route: str = "sparse") -> int:
     """Column groups, each on its own thread, that a ridge step with `nnz`
-    observations and rank k splits its sparse products into (1 when it
-    does not split them); see `_ridge_spans`."""
-    return len(_ridge_spans(nnz, k, threads))
+    observations and rank k on `route` (`ridge_route`) splits its
+    products into (1 when it does not split them); see `_ridge_spans`."""
+    return len(_ridge_spans(nnz, k, threads, route))
 
 
-def _ridge_rows(values: sp.sparray, pattern: sp.sparray, F, diag,
-                extra=None, threads: int = 1) -> np.ndarray:
+def _mask_gram(mask: np.ndarray, W: np.ndarray, transpose: bool):
+    """mask @ W (n x q, W m x q), or mask^T @ W (m x q, W n x q) when
+    `transpose`, by NumPy's BLAS over blocks of rows of the uint8 mask (of
+    its columns when `transpose`), at most _BLOCK cells each.  Each block
+    is cast into one reused float64 buffer laid out in the mask's own
+    memory order and writes its own rows of the product, so nothing is
+    accumulated."""
+    src = mask.T if transpose else mask
+    length, width = src.shape
+    step = max(1, _BLOCK // width)
+    rows = min(step, length)
+    buf = np.empty((width, rows)).T if transpose else np.empty((rows, width))
+    out = np.empty((length, W.shape[1]))
+    for a in range(0, length, step):
+        block = buf[:min(step, length - a)]
+        np.copyto(block, src[a:a + step])
+        np.matmul(block, W, out=out[a:a + step])
+    return out
+
+
+def _ridge_rows(values: sp.sparray, gram, F, diag, extra, spans,
+                pool) -> np.ndarray:
     """Row-wise ridge solves (2 F_i^T F_i + diag I) x_i = 2 F_i^T a_i + extra_i,
     where F_i holds the rows of F at row i's observed indices and a_i the
     observed values (extra_i = 0 when `extra` is None).
 
-    All k x k Grams come from the sparse product of the pattern with the
-    row-wise outer products of F (upper triangle only, q columns), the
-    right-hand sides from `values @ F` (k columns), and all rows are
-    solved in one batched call; no nnz x k^2 gather is ever formed.  The
-    q + k product columns run in the contiguous spans of `_ridge_spans`,
-    one per thread, the calling thread taking the first.  The sparse
-    kernel sums each output element over the same entries in the same
-    order whatever the span, so the result does not depend on `threads`,
-    bit for bit.
-    Workers run only sparse kernels and elementwise NumPy, no BLAS.
+    All k x k Grams come from `gram` applied to the row-wise outer
+    products of F (upper triangle only, q columns): a sparse 0/1 pattern's
+    product, or `_mask_gram` (`ridge_route`).  The right-hand sides come
+    from `values @ F` (k columns), and all rows are solved in one batched
+    call; no nnz x k^2 gather is ever formed.  The q + k product columns
+    run in the contiguous `spans` (`_ridge_spans`), the calling thread
+    taking the first and `pool`'s workers the rest (a pool is opened for
+    the call when None).  Each output element comes from the same kernel
+    summing the same entries in the same order whatever the spans, so
+    the result does not depend on them, bit for bit.  Workers run only
+    sparse kernels and elementwise NumPy, no BLAS: `_mask_gram` runs
+    only in the first span (`_ridge_spans`).
     """
     k = F.shape[1]
     iu, ju = np.triu_indices(k)
     q = iu.size
-    G = np.empty((pattern.shape[0], k, k))
+    first, *rest = spans
+    if rest and pool is None:
+        with ThreadPoolExecutor(len(rest)) as own:
+            return _ridge_rows(values, gram, F, diag, extra, spans, own)
+    G = np.empty((values.shape[0], k, k))
 
-    def gram(cols):
+    def gram_columns(cols):
         """Gram triangle columns `cols` (a slice of 0..q), both halves."""
-        block = pattern @ (F[:, iu[cols]] * F[:, ju[cols]])
+        block = gram(F[:, iu[cols]] * F[:, ju[cols]])
         G[:, iu[cols], ju[cols]] = block
         G[:, ju[cols], iu[cols]] = block
 
-    first, *rest = _ridge_spans(pattern.nnz, k, threads)
     if rest:
-        rhs = np.empty((pattern.shape[0], k))
+        rhs = np.empty((values.shape[0], k))
 
         def products(start, stop):
             """Columns [start, stop) of [Gram triangle | right-hand sides]."""
             if start < q:
-                gram(slice(start, min(stop, q)))
+                gram_columns(slice(start, min(stop, q)))
             if stop > q:
                 lin = slice(max(start, q) - q, stop - q)
                 rhs[:, lin] = values @ F[:, lin]
 
-        with ThreadPoolExecutor(len(rest)) as pool:
-            futures = [pool.submit(products, *span) for span in rest]
+        futures = [pool.submit(products, *span) for span in rest]
+        try:
             products(*first)
+        finally:
             for future in futures:
                 future.result()
     else:
-        gram(slice(0, q))
+        gram_columns(slice(0, q))
         rhs = values @ F
     G *= 2.0
     diag_idx = np.arange(k)
@@ -262,39 +339,60 @@ def _ridge_rows(values: sp.sparray, pattern: sp.sparray, F, diag,
     return np.linalg.solve(G, rhs[..., None])[..., 0]
 
 
+def _ridge_plan(masks: ObservationMasks, k: int, threads: int,
+                transpose: bool):
+    """(Gram product, spans) of a U step, or of a V step when
+    `transpose`, on `ridge_route`'s route for `masks`."""
+    if threads < 1:
+        raise ParameterError("threads must be >= 1")
+    nnz = masks.by_row.nnz
+    route = ridge_route(*masks.by_row.shape, nnz)
+    if route == "mask":
+        gram = functools.partial(_mask_gram, masks.mask, transpose=transpose)
+    else:
+        pattern = masks.col_pattern if transpose else masks.row_pattern
+        gram = pattern.__matmul__
+    return gram, _ridge_spans(nnz, k, threads, route)
+
+
 def update_U(V, Z, Psi, masks: ObservationMasks, gamma: float, rho2: float,
-             threads: int = 1) -> np.ndarray:
+             threads: int = 1, *, pool=None) -> np.ndarray:
     """Exact U block minimizer: one ridge solve per row of U.
 
-    The sparse Gram and right-hand-side products run on up to `threads`
-    threads, split by column group, when the data are large enough
-    (`ridge_groups`); the result is bitwise the same for every `threads`.
+    The Grams come from the route `ridge_route` picks: sparse products
+    of the observation pattern, or, on densely observed data, BLAS
+    products of row blocks of the uint8 mask.  The products run on up to
+    `threads` threads, split by column group, when the data are large
+    enough (`ridge_groups`): on the mask route the calling thread runs
+    the BLAS products and one worker the sparse right-hand sides.  The
+    workers come from `pool` (a `ThreadPoolExecutor`, as `solve` opens
+    once per solve), or from an executor opened for the call when None.
+    The result is bitwise the same for every `threads`.
     """
     if gamma + rho2 <= 0:
         raise ParameterError("gamma + rho2 must be > 0")
-    if threads < 1:
-        raise ParameterError("threads must be >= 1")
-    out = _ridge_rows(masks.by_row, masks.row_pattern, V, gamma + rho2,
-                      Psi + rho2 * Z, threads)
+    gram, spans = _ridge_plan(masks, V.shape[1], threads, transpose=False)
+    out = _ridge_rows(masks.by_row, gram, V, gamma + rho2, Psi + rho2 * Z,
+                      spans, pool)
     if not np.all(np.isfinite(out)):
         raise NumericalError("non-finite values after U update")
     return out
 
 
 def update_V(U, masks: ObservationMasks, gamma: float,
-             threads: int = 1) -> np.ndarray:
+             threads: int = 1, *, pool=None) -> np.ndarray:
     """Exact V block minimizer: one ridge solve per column of the data,
-    on the transposed (CSC) views of the observation index.
+    its right-hand sides from the transposed (CSC) view of the
+    observation index, its Grams from the transposed pattern or, on the
+    mask route, from mask^T products over column blocks of the mask.
 
-    `threads` acts as in `update_U`: the same split, the same bitwise
-    result for every thread count.
+    `threads` and `pool` act as in `update_U`: the same route and split,
+    the same bitwise result for every thread count.
     """
     if gamma <= 0:
         raise ParameterError("gamma must be > 0")
-    if threads < 1:
-        raise ParameterError("threads must be >= 1")
-    out = _ridge_rows(masks.by_col, masks.col_pattern, U, gamma,
-                      threads=threads)
+    gram, spans = _ridge_plan(masks, U.shape[1], threads, transpose=True)
+    out = _ridge_rows(masks.by_col, gram, U, gamma, None, spans, pool)
     if not np.all(np.isfinite(out)):
         raise NumericalError("non-finite values after V update")
     return out
@@ -491,9 +589,13 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
     the Gram of U's rows observed in column j and R = A^T U over the
     observations, so the fit is ||a||^2 - <V, R> - (gamma / 2) ||V||_F^2.
 
-    `hp.threads` threads share the sparse products of the U and V steps
-    when the data are large enough (`ridge_groups`; the count used is
-    `report.ridge_groups`); the iterates do not depend on it, bit for bit.
+    The U and V steps take their Grams from the observation pattern, or,
+    on densely observed data, from BLAS on the uint8 mask (`ridge_route`;
+    the route run is `report.ridge_route`).  `hp.threads` threads share
+    their products when the data are large enough (`ridge_groups`; the
+    count used is `report.ridge_groups`), on the workers of one executor
+    opened for the solve and closed when it returns; the iterates do not
+    depend on it, bit for bit.
 
     Terminates when both squared primal residual norms fall to eps, or at
     the iteration cap.  The whole solve runs NumPy's BLAS on one thread
@@ -522,9 +624,11 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
     )
     basis = side_basis(Y)  # Y is fixed: factored once per solve
     compressed = None  # [Z, Phi] after the last dual update, when tracked
+    nnz = masks.by_row.nnz
+    route = ridge_route(data.n, data.m, nnz)
     report = SolveReport(
-        ridge_groups=ridge_groups(masks.by_row.nnz, k, hp.threads),
-        init_route=svd_route(data.n, data.m, k, masks.by_row.nnz))
+        ridge_groups=ridge_groups(nnz, k, hp.threads, route),
+        init_route=svd_route(data.n, data.m, k, nnz), ridge_route=route)
     report.init_time = time.perf_counter() - t0
     prox = 0.5 * (hp.gamma + hp.rho2)  # c of the proximal U step
     rho2_prox = hp.rho2 + prox
@@ -551,7 +655,11 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
         return tracked(augmented_lagrangian, state, data, Y, hp.lam,
                        hp.gamma, hp.rho1, hp.rho2)
 
-    with warnings.catch_warnings(record=True) as caught:
+    # one executor serves every split U and V step; leaving the block
+    # joins its workers, so none outlives the solve
+    workers = (ThreadPoolExecutor(report.ridge_groups - 1)
+               if report.ridge_groups > 1 else contextlib.nullcontext())
+    with warnings.catch_warnings(record=True) as caught, workers as pool:
         warnings.simplefilter("always", RankDeficiencyWarning)
         for t in range(hp.max_iters):
             lag_row = []
@@ -563,7 +671,7 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
             state.U = update_U(state.V,
                                (hp.rho2 * state.Z + prox * U_prev) / rho2_prox,
                                state.Psi, masks, hp.gamma, rho2_prox,
-                               hp.threads)
+                               hp.threads, pool=pool)
             report.subproblem_times["U"] += time.perf_counter() - t0
             if track_lagrangian:
                 du_sq = float(np.sum((state.U - U_prev) ** 2))
@@ -578,7 +686,8 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
                 lag_row.append(lagrangian())
 
             t0 = time.perf_counter()
-            state.V = update_V(state.U, masks, hp.gamma, hp.threads)
+            state.V = update_V(state.U, masks, hp.gamma, hp.threads,
+                               pool=pool)
             report.subproblem_times["V"] += time.perf_counter() - t0
             if track_lagrangian:
                 lag_row.append(lagrangian())

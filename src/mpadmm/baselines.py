@@ -136,10 +136,13 @@ def scaled_gd_loss(U, V, data: PartialMatrix, Y, alpha, lam: float,
 
 
 def scaled_gd_gradients(U, V, data: PartialMatrix, Y, alpha, lam: float,
-                        gamma: float):
-    """Analytic gradients of scaled_gd_loss in (U, V) at fixed alpha."""
-    obs = sp.csr_array((data.values, (data.rows, data.cols)),
-                       shape=(data.n, data.m))
+                        gamma: float, *, obs: Optional[sp.csr_array] = None):
+    """Analytic gradients of scaled_gd_loss in (U, V) at fixed alpha.
+
+    `obs` is the CSR array of the observed values,
+    `ObservationMasks.by_row` of `data`; it is built here when None."""
+    if obs is None:
+        obs = ObservationMasks.from_partial(data).by_row
     Rs = fit_residual(obs, U, V)  # fit residual on Omega
     E = Y - U @ (V.T @ alpha)
     # the n x m product E alpha^T enters only through (E alpha^T) V and
@@ -170,9 +173,10 @@ def scaled_gd(data: PartialMatrix, Y, lam: float, gamma: float, k: int,
 
     The factors start from the rank-k truncated SVD of the zero-filled
     data, taken on the CSR index of the observations as in `admm.solve`
-    (its Gram or Lanczos route), so no n x m buffer is formed.  The regression weights
-    are refit by least squares each iteration and held fixed during the
-    gradient step; updates are right-multiplied by (V^T V)^-1 and
+    (its Gram or Lanczos route), so no n x m buffer is formed; the
+    gradients reuse that index.  The regression weights are refit by
+    least squares each iteration and held fixed during the gradient
+    step; updates are right-multiplied by (V^T V)^-1 and
     (U^T U)^-1 respectively.  Each step starts at one tenth of the inverse
     leading singular value of the zero-filled data and is halved, up to
     60 times, until `scaled_gd_loss` with the weights refit at the trial
@@ -187,7 +191,8 @@ def scaled_gd(data: PartialMatrix, Y, lam: float, gamma: float, k: int,
     t0 = time.perf_counter()
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
 
-    tsvd = truncated_svd(ObservationMasks.from_partial(data).linear_map(), k)
+    masks = ObservationMasks.from_partial(data)  # one index for the run
+    tsvd = truncated_svd(masks.linear_map(), k)
     if tsvd.S[0] <= 0:
         raise ParameterError("zero data matrix")
     eta = 1.0 / (10.0 * tsvd.S[0])
@@ -202,7 +207,8 @@ def scaled_gd(data: PartialMatrix, Y, lam: float, gamma: float, k: int,
     loss_prev = scaled_gd_loss(U, V, data, Y, alpha, lam, gamma)
     it = 0
     for it in range(1, max_iters + 1):
-        gU, gV = scaled_gd_gradients(U, V, data, Y, alpha, lam, gamma)
+        gU, gV = scaled_gd_gradients(U, V, data, Y, alpha, lam, gamma,
+                                     obs=masks.by_row)
         inv_v, j1 = _stable_inverse(V.T @ V)
         inv_u, j2 = _stable_inverse(U.T @ U)
         jitter_used = jitter_used or j1 or j2

@@ -17,8 +17,8 @@ from mpadmm import objective
 from mpadmm.admm import (IterateState, ObservationMasks, RankDeficiencyWarning,
                          augmented_lagrangian, dual_residual,
                          first_order_check, primal_residuals, ridge_groups,
-                         solve, update_duals, update_P, update_U, update_V,
-                         update_Z)
+                         ridge_route, solve, update_duals, update_P,
+                         update_U, update_V, update_Z)
 from mpadmm.data import (Hyperparams, PartialMatrix, SideInfo,
                          generate_synthetic)
 from mpadmm.exceptions import NumericalError, ParameterError
@@ -170,6 +170,16 @@ def split_always(request, monkeypatch):
     monkeypatch.setattr(admm, "_PASS_COLUMNS", request.param)
 
 
+ROUTES = ("sparse", "mask")
+
+
+def _force_route(monkeypatch, route):
+    """Put every ridge step on `route` of `ridge_route`, whatever the
+    density."""
+    monkeypatch.setattr(admm, "_MASK_DENSITY",
+                        0.0 if route == "mask" else np.inf)
+
+
 class _ExecutorSpy:
     """Stands in for `ThreadPoolExecutor` and counts the pools made."""
 
@@ -212,35 +222,40 @@ class TestRidgeSplit:
 
     @pytest.mark.parametrize("k", [1, 3, 10])
     def test_updates_bitwise_equal_for_every_thread_count(self, split_always,
-                                                          k):
+                                                          monkeypatch, k):
         rng = np.random.default_rng(30 + k)
         pm, st = _random_state(rng, n=40, m=30, k=k, frac=0.5)
         masks = ObservationMasks.from_partial(pm)
-        assert ridge_groups(pm.nnz, k, 2) == 2
-        want_u = update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0, threads=1)
-        want_v = update_V(st.U, masks, 0.6, threads=1)
-        for threads in self.THREADS[1:]:
-            got_u = update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0, threads)
-            got_v = update_V(st.U, masks, 0.6, threads)
-            assert np.array_equal(got_u, want_u), threads
-            assert np.array_equal(got_v, want_v), threads
+        for route in ROUTES:
+            _force_route(monkeypatch, route)
+            assert ridge_groups(pm.nnz, k, 2, route) == 2
+            want_u = update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0, threads=1)
+            want_v = update_V(st.U, masks, 0.6, threads=1)
+            for threads in self.THREADS[1:]:
+                got_u = update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0, threads)
+                got_v = update_V(st.U, masks, 0.6, threads)
+                assert np.array_equal(got_u, want_u), (route, threads)
+                assert np.array_equal(got_v, want_v), (route, threads)
 
-    def test_many_workers_under_fast_switching(self, split_always):
+    def test_many_workers_under_fast_switching(self, split_always,
+                                               monkeypatch):
         # more workers than cores, each writing its own columns of the
         # shared Gram and right-hand-side buffers
         rng = np.random.default_rng(34)
         pm, st = _random_state(rng, n=300, m=200, k=6, frac=0.5)
         masks = ObservationMasks.from_partial(pm)
-        want = update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0, threads=1)
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(20):
-                got = update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0,
-                               threads=8)
-                assert np.array_equal(got, want)
-        finally:
-            sys.setswitchinterval(interval)
+        for route in ROUTES:
+            _force_route(monkeypatch, route)
+            want = update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0, threads=1)
+            sys.setswitchinterval(1e-6)
+            try:
+                for _ in range(20):
+                    got = update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0,
+                                   threads=8)
+                    assert np.array_equal(got, want), route
+            finally:
+                sys.setswitchinterval(interval)
 
     def test_worker_error_reaches_the_caller(self, monkeypatch,
                                              split_always):
@@ -260,42 +275,54 @@ class TestRidgeSplit:
             update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0, threads=2)
 
     def test_split_above_the_size_bitwise_equal(self, monkeypatch):
-        # the constants as they are: k = 10 and nnz above 2^24 / 65
+        # the split constants as they are: k = 10 and nnz above 2^24 / 65;
+        # a direct call without a pool opens one for the call
         rng = np.random.default_rng(33)
         pm, st = _random_state(rng, n=600, m=500, k=10, frac=0.9)
-        assert ridge_groups(pm.nnz, 10, 2) == 2
         masks = ObservationMasks.from_partial(pm)
         spy = _ExecutorSpy(monkeypatch)
-        want = update_V(st.U, masks, 0.6, threads=1)
-        assert spy.pools == []
-        assert np.array_equal(update_V(st.U, masks, 0.6, threads=2), want)
-        assert len(spy.pools) == 1
+        for route in ROUTES:
+            _force_route(monkeypatch, route)
+            assert ridge_groups(pm.nnz, 10, 2, route) == 2
+            spy.pools.clear()
+            want = update_V(st.U, masks, 0.6, threads=1)
+            assert spy.pools == []
+            assert np.array_equal(update_V(st.U, masks, 0.6, threads=2),
+                                  want)
+            assert len(spy.pools) == 1
 
     @pytest.mark.parametrize("k", [1, 3, 10])
     @pytest.mark.parametrize("track", [True, False])
     def test_solve_bitwise_equal_for_every_thread_count(self, split_always,
-                                                        k, track):
+                                                        monkeypatch, k,
+                                                        track):
         pm, si, _ = generate_synthetic(40, 30, k, 3, 0.5, 0.5, seed=12)
-        runs = []
-        for threads in self.THREADS:
-            hp = Hyperparams(k=k, max_iters=20, eps=1e-16, threads=threads)
-            state, report = solve(pm, si, hp, track_objective=track,
-                                  track_dual_residual=track,
-                                  track_lagrangian=track)
-            assert report.iterations == 20
-            assert report.ridge_groups == ridge_groups(pm.nnz, k, threads)
-            assert (report.ridge_groups > 1) == (threads > 1)
-            runs.append((state, report))
-        (want, r_want), *rest = runs
-        for state, report in rest:
-            for name in ("U", "V", "M", "Z", "Phi", "Psi"):
-                assert np.array_equal(getattr(state, name),
-                                      getattr(want, name)), name
-            for trace in ("phi_residual_trace", "psi_residual_trace",
-                          "dual_residual_trace", "objective_trace",
-                          "lagrangian_trace"):
-                assert getattr(report, trace) == getattr(r_want, trace), trace
-        assert len(r_want.dual_residual_trace) == (20 if track else 0)
+        for route in ROUTES:
+            _force_route(monkeypatch, route)
+            runs = []
+            for threads in self.THREADS:
+                hp = Hyperparams(k=k, max_iters=20, eps=1e-16,
+                                 threads=threads)
+                state, report = solve(pm, si, hp, track_objective=track,
+                                      track_dual_residual=track,
+                                      track_lagrangian=track)
+                assert report.iterations == 20
+                assert report.ridge_route == route
+                assert report.ridge_groups == ridge_groups(pm.nnz, k,
+                                                           threads, route)
+                assert (report.ridge_groups > 1) == (threads > 1)
+                runs.append((state, report))
+            (want, r_want), *rest = runs
+            for state, report in rest:
+                for name in ("U", "V", "M", "Z", "Phi", "Psi"):
+                    assert np.array_equal(getattr(state, name),
+                                          getattr(want, name)), (route, name)
+                for trace in ("phi_residual_trace", "psi_residual_trace",
+                              "dual_residual_trace", "objective_trace",
+                              "lagrangian_trace"):
+                    assert (getattr(report, trace)
+                            == getattr(r_want, trace)), (route, trace)
+            assert len(r_want.dual_residual_trace) == (20 if track else 0)
 
     def test_gram_route_solve_bitwise_equal_for_threads(self, split_always):
         pm, si, _ = generate_synthetic(300, 60, 4, 3, 0.5, 0.5, seed=13)
@@ -318,23 +345,32 @@ class TestRidgeSplit:
         spy = _ExecutorSpy(monkeypatch)
         pm, si, _ = generate_synthetic(1000, 100, 5, 150, 0.9, 2.0, seed=0)
         _, report = solve(pm, si, Hyperparams(k=5, max_iters=20, threads=2))
+        assert report.ridge_route == "sparse"
         assert report.ridge_groups == 1
         assert spy.pools == []
 
-    def test_one_executor_per_split_step(self, monkeypatch, split_always):
+    def test_one_executor_per_solve(self, monkeypatch, split_always):
         spy = _ExecutorSpy(monkeypatch)
         pm, si, _ = generate_synthetic(40, 30, 3, 3, 0.5, 0.5, seed=12)
-        _, report = solve(pm, si, Hyperparams(k=3, max_iters=4, eps=1e-16,
-                                              threads=3))
-        assert report.ridge_groups > 1
-        assert len(spy.pools) == 2 * report.iterations
+        for route in ROUTES:
+            _force_route(monkeypatch, route)
+            spy.pools.clear()
+            _, report = solve(pm, si, Hyperparams(k=3, max_iters=4,
+                                                  eps=1e-16, threads=3))
+            assert report.iterations == 4
+            assert report.ridge_groups > 1
+            assert len(spy.pools) == 1
+            assert spy.pools[0]._max_workers == report.ridge_groups - 1
 
-    def test_no_worker_outlives_the_solve(self, split_always):
+    def test_no_worker_outlives_the_solve(self, split_always, monkeypatch):
         pm, si, _ = generate_synthetic(40, 30, 3, 3, 0.5, 0.5, seed=12)
         before = threading.active_count()
-        _, report = solve(pm, si, Hyperparams(k=3, max_iters=3, threads=8))
-        assert report.ridge_groups > 1
-        assert threading.active_count() == before
+        for route in ROUTES:
+            _force_route(monkeypatch, route)
+            _, report = solve(pm, si, Hyperparams(k=3, max_iters=3,
+                                                  threads=8))
+            assert report.ridge_groups > 1
+            assert threading.active_count() == before
 
     def test_blas_single_threaded_inside_and_restored(self, monkeypatch,
                                                       split_always):
@@ -353,10 +389,80 @@ class TestRidgeSplit:
         pm, si, _ = generate_synthetic(40, 30, 3, 3, 0.5, 0.5, seed=12)
         monkeypatch.setattr(admm.sp.csr_array, "__matmul__", spy)
         monkeypatch.setattr(admm.sp.csc_array, "__matmul__", spy)
-        _, report = solve(pm, si, Hyperparams(k=3, max_iters=2, threads=3))
-        assert report.ridge_groups > 1
-        assert seen and set(seen) == {1}
-        assert get() == before
+        for route in ROUTES:
+            _force_route(monkeypatch, route)
+            seen.clear()
+            _, report = solve(pm, si, Hyperparams(k=3, max_iters=2,
+                                                  threads=3))
+            assert report.ridge_groups > 1
+            assert seen and set(seen) == {1}
+            assert get() == before
+
+
+class TestRidgeRoute:
+    def test_route_rule(self):
+        # the benchmark and criterion-10 shapes, at their observed counts
+        # ((1 - miss_frac) n m): 10% observed stays sparse, dense takes
+        # the mask
+        assert ridge_route(1000, 100, 10_000) == "sparse"  # protocol
+        assert ridge_route(20_000, 100, 200_000) == "sparse"  # scale
+        for n in (2000, 4000):  # criterion 10
+            assert ridge_route(n, 100, 10 * n) == "sparse"
+        assert ridge_route(2000, 1000, 1_000_000) == "mask"  # dense
+        # the cut at 30% observed
+        assert ridge_route(100, 50, 1499) == "sparse"
+        assert ridge_route(100, 50, 1500) == "mask"
+        assert ridge_groups(1_000_000, 10, 2, "mask") == 2
+        assert ridge_groups(1_000_000, 10, 8, "mask") == 2
+        assert ridge_groups(1_000_000, 10, 1, "mask") == 1
+        assert ridge_groups(10_000, 10, 8, "mask") == 1
+
+    def test_solve_reports_the_route(self):
+        pm, si, _ = generate_synthetic(60, 40, 3, 3, 0.5, 0.5, seed=14)
+        _, report = solve(pm, si, Hyperparams(k=3, max_iters=2))
+        assert report.ridge_route == "mask"
+        pm, si, _ = generate_synthetic(60, 40, 3, 3, 0.9, 0.5, seed=14)
+        _, report = solve(pm, si, Hyperparams(k=3, max_iters=2))
+        assert report.ridge_route == "sparse"
+
+    # Gate, fixed before measuring: the mask route's U and V steps lie
+    # within 1e-13 of the sparse route's, relative to the largest entry.
+    # The seeds were not used while the route was written.
+    @pytest.mark.parametrize("n,m,k,frac,seed", [
+        (300, 200, 5, 0.1, 401), (300, 200, 10, 0.25, 402),
+        (300, 200, 10, 0.35, 403), (500, 60, 2, 0.7, 404),
+        (80, 400, 6, 0.5, 405), (120, 90, 4, 1.0, 406)])
+    @pytest.mark.parametrize("block", [None, 100])
+    def test_mask_route_agrees_with_sparse(self, monkeypatch, n, m, k, frac,
+                                           seed, block):
+        if block is not None:  # many row blocks, a partial one last
+            monkeypatch.setattr(admm, "_BLOCK", block)
+        rng = np.random.default_rng(seed)
+        pm, st = _random_state(rng, n=n, m=m, k=k, frac=frac)
+        masks = ObservationMasks.from_partial(pm)
+        got = {}
+        for route, density in (("sparse", np.inf), ("mask", 0.0)):
+            monkeypatch.setattr(admm, "_MASK_DENSITY", density)
+            assert ridge_route(n, m, pm.nnz) == route
+            got[route] = (update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0),
+                          update_V(st.U, masks, 0.6))
+        for a, b in zip(got["mask"], got["sparse"]):
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+        # the dense oracle holds on the mask route too
+        want = _dense_row_oracle(pm, st.V, st.Z, st.Psi, 0.5, 2.0)
+        assert np.max(np.abs(got["mask"][0] - want)) < 1e-10
+
+    def test_mask_route_never_builds_the_pattern(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("pattern built on the mask route")
+
+        monkeypatch.setattr(ObservationMasks, "row_pattern", property(refuse))
+        monkeypatch.setattr(ObservationMasks, "col_pattern", property(refuse))
+        pm, si, _ = generate_synthetic(60, 40, 4, 3, 0.4, 0.5, seed=15)
+        for threads in (1, 2):
+            _, report = solve(pm, si, Hyperparams(k=4, max_iters=3,
+                                                  threads=threads))
+            assert report.ridge_route == "mask"
 
 
 class TestObservationIndex:
@@ -480,35 +586,51 @@ class TestObservationIndex:
         tracemalloc.stop()
         assert peak < 14 * pm.nnz + 16 * (n + m) + 2 ** 16
 
-    def test_patterns_built_on_first_use(self):
+    def test_patterns_built_on_first_use(self, monkeypatch):
+        # the ridge steps build their route's Gram source, and only that
         rng = np.random.default_rng(26)
         pm, st = _random_state(rng, n=40, m=30, k=3)
-        masks = ObservationMasks.from_partial(pm)
-        assert "row_pattern" not in vars(masks)
-        truncated_svd(masks.linear_map(), 3)
-        assert "row_pattern" not in vars(masks)
-        update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0)
-        assert "row_pattern" in vars(masks)
-        assert np.array_equal(masks.row_pattern.toarray(), pm.mask())
-        assert np.array_equal(masks.col_pattern.toarray(), pm.mask().T)
+        sources = {"row_pattern", "col_pattern", "mask"}
+        for route in ROUTES:
+            _force_route(monkeypatch, route)
+            masks = ObservationMasks.from_partial(pm)
+            truncated_svd(masks.linear_map(), 3)
+            assert sources.isdisjoint(vars(masks))
+            update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0)
+            update_V(st.U, masks, 0.6)
+            if route == "mask":
+                assert sources & set(vars(masks)) == {"mask"}
+                assert masks.mask.dtype == np.uint8
+                assert np.array_equal(masks.mask, pm.mask())
+            else:
+                assert sources & set(vars(masks)) == {"row_pattern",
+                                                      "col_pattern"}
+                assert np.array_equal(masks.row_pattern.toarray(), pm.mask())
+                assert np.array_equal(masks.col_pattern.toarray(),
+                                      pm.mask().T)
 
-    def test_init_never_holds_gram_and_pattern(self):
-        # nnz = m^2 = 1e6: the Gram and the pattern's ones take 8 MB each,
-        # beside the 4 MB int32 column index and the Gram route's 2 MB
-        # row-block buffer; holding both would reach 20 MB
+    def test_init_never_holds_gram_and_pattern(self, monkeypatch):
+        # nnz = m^2 = 1e6, beside the 4 MB int32 column index: the Gram
+        # takes 8 MB, and the Gram route's row-block buffer 2 MB.  The
+        # sparse route's pattern takes 8 MB of ones, the mask route's mask
+        # 3 MB plus a 2 MB cast buffer; the Gram held with either one
+        # would pass the bound of 8 m^2 + 8 nnz = 16 MB (22 and 17 MB)
         n, m = 3000, 1000
         pm, si, _ = generate_synthetic(n, m, 3, 2, 2.0 / 3.0, 0.5, seed=5)
         assert pm.nnz == m * m
         hp = Hyperparams(k=3, max_iters=1)
-        tracemalloc.start()
-        try:
-            _, report = solve(pm, si, hp, track_objective=False,
-                              track_dual_residual=False)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert report.init_route == "gram"
-        assert peak < 8 * m * m + 8 * pm.nnz
+        for route in ROUTES:
+            _force_route(monkeypatch, route)
+            tracemalloc.start()
+            try:
+                _, report = solve(pm, si, hp, track_objective=False,
+                                  track_dual_residual=False)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report.init_route == "gram"
+            assert report.ridge_route == route
+            assert peak < 8 * m * m + 8 * pm.nnz, route
 
     def test_from_partial_unsorted_memory(self):
         # the argsort of the row-major keys and the keys in that order,

@@ -302,6 +302,35 @@ class TestScaledGD:
         gU, gV = scaled_gd_gradients(U, V, pm, Y, alpha, lam, gamma)
         assert np.array_equal(gU, want_u) and np.array_equal(gV, want_v)
 
+    def test_gradients_on_one_index_per_run(self, monkeypatch):
+        # scaled_gd builds the observation index once and hands it to
+        # every gradient call; the gradients are bitwise those on a COO
+        # conversion of the observations, as built per call before
+        pm, si, _ = generate_synthetic(n=1000, m=100, k=5, d=150,
+                                       miss_frac=0.9, sigma=2.0, seed=0)
+        coo = sp.csr_array((pm.values, (pm.rows, pm.cols)),
+                           shape=(pm.n, pm.m))
+        built, seen, grads = [], [], baselines.scaled_gd_gradients
+        from_partial = baselines.ObservationMasks.from_partial
+
+        def count(data):
+            built.append(from_partial(data))
+            return built[-1]
+
+        def spy(U, V, data, Y, alpha, lam, gamma, *, obs=None):
+            seen.append(obs)
+            got = grads(U, V, data, Y, alpha, lam, gamma, obs=obs)
+            want = grads(U, V, data, Y, alpha, lam, gamma, obs=coo)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            return got
+
+        monkeypatch.setattr(baselines.ObservationMasks, "from_partial", count)
+        monkeypatch.setattr(baselines, "scaled_gd_gradients", spy)
+        res = scaled_gd(pm, si.Y, 1.0, 1.0, 5, max_iters=5)
+        assert len(seen) == res.iterations >= 1
+        assert len(built) == 1
+        assert all(obs is built[0].by_row for obs in seen)
+
     def test_exact_factors_are_a_fixed_point(self):
         # fully observed rank-k data with no regularization: the spectral
         # initialization is already optimal, so the run stops immediately
