@@ -56,26 +56,16 @@ class ObservationMasks:
 
     @classmethod
     def from_partial(cls, data: PartialMatrix) -> "ObservationMasks":
-        """Build the index.  Row-major sorted input (as `generate_synthetic`
-        gives) is used in place and its `values` array is shared; other
-        input is put in that order by one argsort of the row-major keys
-        rows * m + cols, whose sorted copy gives the columns (key % m, in
-        place): about 24 bytes per entry at the peak."""
+        """Build the index on `data`'s entries, which `PartialMatrix`
+        keeps in row-major order: `indptr` from the row counts, the
+        columns copied to the index dtype (4 bytes per entry when int32),
+        and `values` shared with `data`."""
         n, m = data.n, data.m
-        rows, cols, values = data.rows, data.cols, data.values
         fits = max(n, m, data.nnz) <= np.iinfo(np.int32).max
         idx = np.int32 if fits else np.int64
         indptr = np.zeros(n + 1, dtype=idx)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        if not _row_major_sorted(rows, cols):
-            key = rows * m + cols
-            order = np.argsort(key, kind="stable")
-            key = key[order]
-            values = values[order]
-            del order
-            cols = np.remainder(key, m, out=key)
-            del key
-        by_row = sp.csr_array((values, cols.astype(idx), indptr),
+        np.cumsum(np.bincount(data.rows, minlength=n), out=indptr[1:])
+        by_row = sp.csr_array((data.values, data.cols.astype(idx), indptr),
                               shape=(n, m))
         return cls(by_row=by_row, by_col=by_row.T)
 
@@ -110,16 +100,6 @@ class ObservationMasks:
         use and kept."""
         csc = self.by_row.tocsc()
         return np.split(csc.indices, csc.indptr[1:-1])
-
-
-def _row_major_sorted(rows: np.ndarray, cols: np.ndarray) -> bool:
-    """Whether (rows, cols) pairs strictly increase in row-major order;
-    only boolean temporaries, no nnz-sized integer key."""
-    if not np.all(rows[1:] >= rows[:-1]):
-        return False
-    step = cols[1:] > cols[:-1]
-    step |= rows[1:] != rows[:-1]
-    return bool(np.all(step))
 
 
 def _with_data(mat: sp.sparray, data: np.ndarray) -> sp.sparray:

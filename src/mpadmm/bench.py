@@ -43,6 +43,10 @@ class SweepConfig:
             raise ParameterError("values must be non-empty and positive")
         if self.trials < 1:
             raise ParameterError("trials must be >= 1")
+        if len(self.values) > 1000 or self.trials > 1000 or self.base_seed < 0:
+            # past these limits `trial_seed` repeats seeds
+            raise ParameterError("need base_seed >= 0 and at most 1000 "
+                                 "values and 1000 trials")
         unknown = set(self.methods) - set(METHOD_NAMES)
         if unknown or not self.methods:
             raise ParameterError(f"unknown methods: {sorted(unknown)}")

@@ -20,8 +20,7 @@ from .data import (Hyperparams, PartialMatrix, SideInfo, generate_synthetic,
                    load_dense_csv, load_partial, load_side_info,
                    save_dense_csv, save_partial, save_side_info)
 from .exceptions import ConvergenceError, NumericalError, ParameterError, ParseError
-from .objective import (err_l2, fitted_rank, objective_svd, r_squared,
-                        spectral_basis)
+from .objective import evaluate
 
 DEFAULT_THREADS = min(os.cpu_count() or 1, 24)
 
@@ -101,28 +100,21 @@ def _cmd_gen(args) -> int:
 
 
 def _write_metrics(path, X_hat, data, Y, lam, gamma, A_true=None):
-    svd = spectral_basis(X_hat)  # one decomposition for all metrics
-    obj = objective_svd(X_hat, data, Y, lam, gamma, svd=svd)
+    met = evaluate(X_hat, data, Y, A_true, lam, gamma)
+    obj = met.objective
     fields = [
         ("objective", obj.total), ("fit_term", obj.fit_term),
         ("side_term", obj.side_term), ("reg_term", obj.reg_term),
-        ("r2", r_squared(X_hat, Y, svd=svd)),
-        ("fitted_rank", fitted_rank(X_hat, svd=svd)),
+        ("r2", met.r2), ("fitted_rank", met.fitted_rank),
     ]
     if A_true is not None:
-        fields.append(("err_l2", err_l2(X_hat, A_true)))
+        fields.append(("err_l2", met.err_l2))
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([name for name, _ in fields])
         writer.writerow(["%.17g" % v if isinstance(v, float) else str(v)
                          for _, v in fields])
     return dict(fields)
-
-
-def _factor_dense(X_hat):
-    """Exact factorization X_hat = U V^T through a compact SVD."""
-    U, s, Vt = np.linalg.svd(X_hat, full_matrices=False)
-    return U * s, Vt.T
 
 
 def _cmd_solve(args) -> int:
@@ -168,8 +160,10 @@ def _cmd_solve(args) -> int:
         X_hat = res.X_hat
         if res.U_f is not None:
             U_out, V_out = res.U_f, res.V_f
+        elif data.n >= data.m:  # X_hat I^T and I X_hat are exactly X_hat
+            U_out, V_out = X_hat, np.eye(data.m)
         else:
-            U_out, V_out = _factor_dense(X_hat)
+            U_out, V_out = np.eye(data.n), X_hat.T
         report_rows.append([str(res.iterations), "", "", "", "",
                             res.termination])
 

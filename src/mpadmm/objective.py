@@ -56,7 +56,7 @@ class ObjectiveBreakdown:
 
 @dataclass(frozen=True)
 class Metrics:
-    err_l2: float
+    err_l2: float | None  # None without a ground truth
     r2: float
     fitted_rank: int
     objective: ObjectiveBreakdown
@@ -317,17 +317,19 @@ def fitted_rank(X_hat: np.ndarray, *, svd=None) -> int:
 
 @single_blas_thread()
 def evaluate(X_hat: np.ndarray, data: PartialMatrix, Y: np.ndarray,
-             A_true: np.ndarray, lam: float, gamma: float) -> Metrics:
-    """Bundle of all solution quality metrics against a known ground truth.
+             A_true: np.ndarray | None, lam: float, gamma: float) -> Metrics:
+    """Bundle of all solution quality metrics, against the ground truth
+    A_true when it is known (`err_l2` is None when A_true is None).
 
     X_hat's `spectral_basis` is taken once and shared by `fitted_rank`,
     `r_squared` and `objective_svd`, so the bundle is bitwise the
     standalone metrics.  Runs NumPy's BLAS on one thread, like
-    `admm.solve`, so that no idle OpenBLAS worker spins into the next solve
-    (see `generate_synthetic`).
+    `admm.solve`, so that the metrics (and the CLI's metrics.csv) do not
+    depend on the BLAS thread count and no idle OpenBLAS worker spins
+    into the next solve (see `generate_synthetic`).
     """
     X_hat = np.atleast_2d(np.asarray(X_hat, dtype=float))
-    err = err_l2(X_hat, A_true)
+    err = None if A_true is None else err_l2(X_hat, A_true)
     svd = spectral_basis(X_hat)
     return Metrics(err_l2=err, r2=r_squared(X_hat, Y, svd=svd),
                    fitted_rank=fitted_rank(X_hat, svd=svd),

@@ -501,6 +501,23 @@ class TestObservationIndex:
                     for data in (pm, self._shuffled(pm, rng)))
             assert a == b
             assert a == pytest.approx(np.linalg.norm(resid), rel=1e-12)
+        # PartialMatrix stores the entries row-major, so every sum over
+        # them, ||a||^2 of the tracked objective and evaluate's fit term
+        # included, runs in one order
+        pm, si, gt = generate_synthetic(2000, 1000, 10, 20, 0.5, 0.5,
+                                        seed=20)
+        hp = Hyperparams(k=10, max_iters=5, seed=20)
+        (st_a, rep_a), (st_b, rep_b) = (
+            solve(data, si, hp) for data in (pm, self._shuffled(pm, rng)))
+        for name in ("U", "V", "M", "Z", "Phi", "Psi"):
+            assert np.array_equal(getattr(st_a, name), getattr(st_b, name))
+        assert rep_a.objective_trace == rep_b.objective_trace
+        assert rep_a.dual_residual_trace == rep_b.dual_residual_trace
+        assert rep_a.phi_residual_trace == rep_b.phi_residual_trace
+        X_hat = st_a.x_hat()
+        assert (objective.evaluate(X_hat, pm, si.Y, gt.A_true, 1.0, 1.0)
+                == objective.evaluate(X_hat, self._shuffled(pm, rng), si.Y,
+                                      gt.A_true, 1.0, 1.0))
 
     @staticmethod
     def _residual_norm(st, pm, Y, key):
@@ -633,20 +650,25 @@ class TestObservationIndex:
             assert peak < 8 * m * m + 8 * pm.nnz, route
 
     def test_from_partial_unsorted_memory(self):
-        # the argsort of the row-major keys and the keys in that order,
-        # then the permuted values; the columns come from the sorted keys
+        # PartialMatrix puts unsorted input in row-major order, so the
+        # index of either input costs the int32 columns (4 bytes per
+        # entry) and indptr, its values shared with the PartialMatrix
         rng = np.random.default_rng(25)
         n, m = 2000, 500
-        r, c = np.nonzero(rng.random((n, m)) < 0.5)
-        order = rng.permutation(r.size)
-        pm = PartialMatrix(n=n, m=m, rows=r[order], cols=c[order],
-                           values=rng.standard_normal(r.size))
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        ObservationMasks.from_partial(pm)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert peak <= 28 * pm.nnz
+        rows, cols = np.divmod(np.flatnonzero(rng.random(n * m) < 0.5), m)
+        values = rng.standard_normal(rows.size)
+        order = rng.permutation(rows.size)
+        for pm in (PartialMatrix(n=n, m=m, rows=rows, cols=cols,
+                                 values=values),
+                   PartialMatrix(n=n, m=m, rows=rows[order],
+                                 cols=cols[order], values=values[order])):
+            tracemalloc.start()
+            tracemalloc.reset_peak()
+            masks = ObservationMasks.from_partial(pm)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            assert np.shares_memory(masks.by_row.data, pm.values)
+            assert peak < 4 * pm.nnz + 16 * (n + 1) + 2 ** 16
 
     def test_update_U_memory_stays_linear(self):
         # an nnz x k^2 gather of V would need 8 nnz k^2 bytes (61 MB here)

@@ -45,6 +45,9 @@ class TestConfigAndSeeds:
         dict(methods=["nope"]),
         dict(methods=[]),
         dict(fixed={"n": 12, "m": 8, "k": 2}),
+        dict(base_seed=-1),
+        dict(trials=1001),  # trial_seed(0, 0, 1000) == trial_seed(0, 1, 0)
+        dict(values=list(range(1, 1002))),
     ])
     def test_validation(self, overrides):
         with pytest.raises(ParameterError):

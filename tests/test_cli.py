@@ -6,8 +6,10 @@ import pytest
 from mpadmm import cli
 from mpadmm.cli import main, parse_sweep_config
 from mpadmm import objective
-from mpadmm.data import PartialMatrix, load_dense_csv, load_partial
+from mpadmm.data import (PartialMatrix, generate_synthetic, load_dense_csv,
+                         load_partial)
 from mpadmm.exceptions import NumericalError, ParameterError
+from mpadmm.linalg import _openblas_threads_api
 
 
 def _gen(tmp_path, n=14, m=10, k=2, d=2, miss=0.3, sigma=0.2, seed=1):
@@ -80,21 +82,23 @@ class TestSolve:
         assert U.shape[0] == 14 and V.shape[0] == 10
         assert U.shape[1] == V.shape[1]
 
-    def test_solve_then_eval_reproduces_metrics(self, tmp_path):
+    @pytest.mark.parametrize("method", ["admm", "iterative-svd",
+                                        "soft-impute", "scaled-gd"])
+    def test_solve_then_eval_reproduces_metrics(self, tmp_path, method):
+        # the factors written recompose the estimate exactly, so eval
+        # reproduces solve's metrics.csv byte for byte
         inst = _gen(tmp_path)
         out = tmp_path / "sol"
-        assert main(["solve", "--data", str(inst / "partial.txt"),
-                     "--side-info", str(inst / "side_info.csv"), "--truth",
+        assert main(["solve", "--method", method, "--data",
+                     str(inst / "partial.txt"), "--side-info",
+                     str(inst / "side_info.csv"), "--truth",
                      str(inst / "truth.csv"), "--rank", "2", "--max-iter",
                      "5", "--out", str(out)]) == 0
-        first = dict(zip(*_read_csv(out / "metrics.csv")))
+        first = (out / "metrics.csv").read_bytes()
         assert main(["eval", "--data", str(inst / "partial.txt"),
                      "--side-info", str(inst / "side_info.csv"), "--truth",
                      str(inst / "truth.csv"), "--out", str(out)]) == 0
-        second = dict(zip(*_read_csv(out / "metrics.csv")))
-        for key in first:
-            a, b = float(first[key]), float(second[key])
-            assert b == pytest.approx(a, rel=1e-8, abs=1e-8)
+        assert (out / "metrics.csv").read_bytes() == first
 
     def test_admm_requires_side_info(self, tmp_path):
         inst = _gen(tmp_path)
@@ -163,6 +167,30 @@ class TestEval:
                        "r2": want.r2, "fitted_rank": want.fitted_rank,
                        "err_l2": want.err_l2}
 
+    def test_metrics_are_evaluate_at_any_blas_thread_count(self, tmp_path):
+        api = _openblas_threads_api()
+        if api is None:
+            pytest.skip("NumPy links no OpenBLAS with a thread-count API")
+        get, set_ = api
+        data, side, truth = generate_synthetic(300, 200, 4, 5, 0.5, 0.5,
+                                               seed=8)
+        rng = np.random.default_rng(8)
+        X = (truth.A_true + 0.1 * rng.standard_normal((300, 4))
+             @ rng.standard_normal((4, 200)))
+        before = get()
+        set_(2)
+        try:
+            got = cli._write_metrics(tmp_path / "metrics.csv", X, data,
+                                     side.Y, 0.9, 1.1, truth.A_true)
+        finally:
+            set_(before)
+        want = objective.evaluate(X, data, side.Y, truth.A_true, 0.9, 1.1)
+        ob = want.objective
+        assert got == {"objective": ob.total, "fit_term": ob.fit_term,
+                       "side_term": ob.side_term, "reg_term": ob.reg_term,
+                       "r2": want.r2, "fitted_rank": want.fitted_rank,
+                       "err_l2": want.err_l2}
+
 
 class TestExitCodes:
     def test_unknown_flag(self):
@@ -178,6 +206,15 @@ class TestExitCodes:
         rc = main(["solve", "--data", str(inst / "partial.txt"),
                    "--side-info", str(inst / "side_info.csv"),
                    "--rank", "2", "--gamma", "0.0",
+                   "--out", str(tmp_path / "sol")])
+        assert rc == 1
+
+    def test_negative_seed(self, tmp_path):
+        # 40 x 80 takes the init's Lanczos route, the one that draws
+        inst = _gen(tmp_path, n=40, m=80)
+        rc = main(["solve", "--data", str(inst / "partial.txt"),
+                   "--side-info", str(inst / "side_info.csv"),
+                   "--rank", "2", "--seed", "-1",
                    "--out", str(tmp_path / "sol")])
         assert rc == 1
 

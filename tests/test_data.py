@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,29 @@ class TestPartialMatrix:
         pm = PartialMatrix(n=3, m=4, rows=[2, 0, 1, 0], cols=[1, 3, 0, 0],
                            values=[1.0, 2.0, 3.0, 4.0])
         assert pm.nnz == 4
+        # stored in row-major order
+        assert pm.rows.tolist() == [0, 0, 1, 2]
+        assert pm.cols.tolist() == [0, 3, 0, 1]
+        assert pm.values.tolist() == [4.0, 2.0, 3.0, 1.0]
+
+    def test_unsorted_input_memory(self):
+        # the argsort of the row-major keys and the keys in that order,
+        # then the permuted values; rows and columns come from the sorted
+        # keys (key // m, then key % m in place)
+        rng = np.random.default_rng(25)
+        n, m = 2000, 500
+        r, c = np.nonzero(rng.random((n, m)) < 0.5)
+        order = rng.permutation(r.size)
+        rows, cols = r[order], c[order]
+        values = rng.standard_normal(r.size)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        pm = PartialMatrix(n=n, m=m, rows=rows, cols=cols, values=values)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert np.array_equal(pm.rows * m + pm.cols, r * m + c)
+        assert np.array_equal(pm.values[order], values)
+        assert peak <= 28 * pm.nnz
 
     @pytest.mark.parametrize("rows,cols", [
         ([0, 1, 1, 2], [1, 0, 0, 3]),  # sorted, adjacent duplicate
@@ -56,7 +80,7 @@ class TestHyperparams:
     @pytest.mark.parametrize("kwargs", [
         dict(k=0), dict(k=2, lam=-1.0), dict(k=2, gamma=0.0),
         dict(k=2, rho1=0.0), dict(k=2, rho2=-1.0), dict(k=2, eps=0.0),
-        dict(k=2, max_iters=0), dict(k=2, threads=0),
+        dict(k=2, max_iters=0), dict(k=2, threads=0), dict(k=2, seed=-1),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ParameterError):
@@ -177,6 +201,8 @@ class TestPartialIO:
         ("2 2 1\n1 2 abc\n", 2),
         ("2 2 1\n3 1 1.0\n", 2),
         ("2 2 2\n1 1 1.0\n", 3),
+        ("2 2 1\n1 1 3.0\n2 2 4.0\n", 3),  # entry past the count
+        ("2 2 1\n1 1 3.0\n\n\n2 2 4.0\n", 5),
     ])
     def test_parse_errors_carry_line(self, tmp_path, text, line):
         p = tmp_path / "bad.txt"
