@@ -22,10 +22,10 @@ import scipy.sparse as sp
 from . import objective
 from .data import Hyperparams, PartialMatrix, SideInfo
 from .exceptions import NumericalError, ParameterError
-from .linalg import (_BLOCK, LinearMap, apply_projection,
-                     build_pgram_operator, pgram_compress, pgram_eig_topk,
-                     pgram_ritz, side_basis, single_blas_thread, svd_route,
-                     symmetric_eig_topk_factored, truncated_svd)
+from .linalg import (_BLOCK, apply_projection, build_pgram_operator,
+                     pgram_compress, pgram_eig_topk, pgram_ritz, side_basis,
+                     single_blas_thread, symmetric_eig_topk_factored,
+                     truncated_svd)
 
 
 class RankDeficiencyWarning(UserWarning):
@@ -47,8 +47,7 @@ class ObservationMasks:
     index arrays), on the "mask" route the dense n x m uint8 `mask` (1
     byte per cell), and never the other.  In `solve` that is the first
     ridge step, after the init's truncated SVD, so neither is held
-    beside the m x m Gram that the SVD's Gram route forms
-    (`linear_map`).
+    beside the m x m Gram that the SVD's Gram route forms from `by_row`.
     """
 
     by_row: sp.csr_array
@@ -68,13 +67,6 @@ class ObservationMasks:
         by_row = sp.csr_array((data.values, data.cols.astype(idx), indptr),
                               shape=(n, m))
         return cls(by_row=by_row, by_col=by_row.T)
-
-    def linear_map(self) -> LinearMap:
-        """The zero-filled n x m data as an operator: sparse products
-        only, with `by_row` as its ``csr`` array, so that `truncated_svd`
-        can form its Gram (`svd_route`)."""
-        return LinearMap(*self.by_row.shape, self.by_row.__matmul__,
-                         self.by_col.__matmul__, csr=self.by_row)
 
     @functools.cached_property
     def row_pattern(self) -> sp.csr_array:
@@ -149,8 +141,9 @@ class SolveReport:
     # column groups (threads) the U and V steps' products ran in; 1 when
     # they were not split (`ridge_groups`)
     ridge_groups: int = 1
-    # the route of the init's truncated SVD (`linalg.svd_route`): "gram",
-    # "lanczos", or "dense" for inputs at most DENSE_CUTOFF on a side
+    # the route the init's truncated SVD took (`TruncatedSVD.route`, by
+    # `linalg.svd_route`): "gram", "lanczos", or "dense" for inputs at
+    # most DENSE_CUTOFF on a side
     init_route: str = ""
     # where the U and V steps' Grams came from (`ridge_route`): "sparse"
     # (the observation pattern) or "mask" (BLAS on the dense uint8 mask)
@@ -539,12 +532,12 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
 
     Initialization: U0 = Z0 = L sqrt(S), V0 = R sqrt(S), M0 = L from the
     rank-k truncated SVD of the observed entries (the zero-filled data),
-    taken through the CSR index of the observations (`truncated_svd` of
-    `ObservationMasks.linear_map`), so no n x m buffer is formed; and
+    taken on the CSR index of the observations (`truncated_svd` of
+    `ObservationMasks.by_row`), so no n x m buffer is formed; and
     all-ones duals.  Tall data whose m x m Gram is no larger than the
     index take the Gram route, which forms that Gram and draws no random
     numbers; other data take Lanczos, seeded with `hp.seed`.  The route
-    run is `report.init_route` (`linalg.svd_route`).
+    run is `report.init_route` (`TruncatedSVD.route`).
 
     Each iteration updates U, P, V and Z in turn, then the duals.  The U
     step is proximal: it minimizes the augmented Lagrangian plus
@@ -592,7 +585,7 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
 
     t0 = time.perf_counter()
     masks = ObservationMasks.from_partial(data)
-    tsvd = truncated_svd(masks.linear_map(), k, seed=hp.seed)
+    tsvd = truncated_svd(masks.by_row, k, seed=hp.seed)
     sqrt_s = np.sqrt(tsvd.S)
     state = IterateState(
         U=tsvd.U * sqrt_s,
@@ -608,7 +601,7 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
     route = ridge_route(data.n, data.m, nnz)
     report = SolveReport(
         ridge_groups=ridge_groups(nnz, k, hp.threads, route),
-        init_route=svd_route(data.n, data.m, k, nnz), ridge_route=route)
+        init_route=tsvd.route, ridge_route=route)
     report.init_time = time.perf_counter() - t0
     prox = 0.5 * (hp.gamma + hp.rho2)  # c of the proximal U step
     rho2_prox = hp.rho2 + prox

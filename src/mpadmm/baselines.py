@@ -192,7 +192,7 @@ def scaled_gd(data: PartialMatrix, Y, lam: float, gamma: float, k: int,
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
 
     masks = ObservationMasks.from_partial(data)  # one index for the run
-    tsvd = truncated_svd(masks.linear_map(), k)
+    tsvd = truncated_svd(masks.by_row, k)
     if tsvd.S[0] <= 0:
         raise ParameterError("zero data matrix")
     eta = 1.0 / (10.0 * tsvd.S[0])

@@ -9,6 +9,7 @@ File formats (both LF-terminated ASCII):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -39,8 +40,10 @@ class PartialMatrix:
     values: np.ndarray  # float, len nnz
 
     def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.int64)
-        self.cols = np.asarray(self.cols, dtype=np.int64)
+        # contiguous: a strided view (np.nonzero's) would be copied by
+        # every index build
+        self.rows = np.ascontiguousarray(self.rows, dtype=np.int64)
+        self.cols = np.ascontiguousarray(self.cols, dtype=np.int64)
         self.values = np.asarray(self.values, dtype=float)
         if not (len(self.rows) == len(self.cols) == len(self.values)):
             raise ParameterError("index/value lengths disagree")
@@ -112,7 +115,8 @@ class Hyperparams:
     `seed` (>= 0) seeds the init's Lanczos start and restart vectors and
     the P update's complement directions (`linalg.pgram_eig_topk`); the
     init's Gram route (`linalg.svd_route`) draws no random numbers, so
-    on the data that take it only the P update's padding uses `seed`."""
+    on the data that take it only the P update's padding uses `seed`.
+    `k`, `max_iters`, `threads` and `seed` must be integers (not bool)."""
 
     k: int
     lam: float = 1.0
@@ -125,6 +129,10 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("k", "max_iters", "threads", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ParameterError(f"{name} must be an integer")
         if self.k < 1:
             raise ParameterError("k must be >= 1")
         if self.lam < 0:

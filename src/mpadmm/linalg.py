@@ -1,18 +1,18 @@
 """Dense and implicit-operator linear algebra primitives.
 
-Truncated SVDs take one of three routes (`svd_route`).  A tall operator
-with a CSR index (such as the observations') whose m x m Gram is no
-larger than the index is seeded from that Gram, formed explicitly by
-dense rank updates and solved by one LAPACK subset eigensolve.  Other
-operators, dense matrices included, go through ARPACK's implicitly
-restarted Lanczos on the Gram operator, applied as operator products
-and never formed.  Both work at machine precision and depend little on
-the gap after the k-th singular value.  Inputs whose smaller dimension
-is at most ``DENSE_CUTOFF``, and requests for all min(n, m) triplets,
-take a full dense decomposition instead; the dense path doubles as the
-test oracle.  The symmetric eigenproblems of the P update are low-rank
-and solved exactly by Rayleigh-Ritz on a basis of their range, never as
-n x n matrices.
+Truncated SVDs of dense or SciPy sparse arrays take one of three routes
+(`svd_route`).  A tall sparse array (such as the observations' CSR
+index) whose m x m Gram is no larger than its entry count is seeded
+from that Gram, formed explicitly by dense rank updates and solved by
+one LAPACK subset eigensolve.  Other arrays, dense ones included, go
+through ARPACK's implicitly restarted Lanczos on the Gram operator,
+applied as the products A x and A^T y and never formed.  Both work at
+machine precision and depend little on the gap after the k-th singular
+value.  Inputs whose smaller dimension is at most ``DENSE_CUTOFF``, and
+requests for all min(n, m) triplets, take a full dense decomposition
+instead; the dense path doubles as the test oracle.  The symmetric
+eigenproblems of the P update are low-rank and solved exactly by
+Rayleigh-Ritz on a basis of their range, never as n x n matrices.
 """
 
 from __future__ import annotations
@@ -52,42 +52,31 @@ class LinearMap:
     """A linear operator given by matvec callbacks, never materialized.
 
     ``apply`` computes v -> M v and ``apply_transpose`` computes v -> M^T v.
-    Both accept 1-d vectors or 2-d blocks of column vectors.  ``csr``,
-    when given, is the operator as a sparse CSR array; it lets
-    `truncated_svd` take its Gram route (`svd_route`).
+    Both accept 1-d vectors or 2-d blocks of column vectors.
     """
 
     def __init__(self, rows: int, cols: int,
                  apply: Callable[[np.ndarray], np.ndarray],
-                 apply_transpose: Callable[[np.ndarray], np.ndarray],
-                 csr: Optional[sp.csr_array] = None):
+                 apply_transpose: Callable[[np.ndarray], np.ndarray]):
         self.rows = int(rows)
         self.cols = int(cols)
         self.apply = apply
         self.apply_transpose = apply_transpose
-        self.csr = csr
 
     @property
     def shape(self):
         return (self.rows, self.cols)
 
-    @classmethod
-    def from_dense(cls, A: np.ndarray) -> "LinearMap":
-        A = np.asarray(A, dtype=float)
-        return cls(A.shape[0], A.shape[1],
-                   lambda v: A @ v, lambda v: A.T @ v)
-
-    def to_dense(self) -> np.ndarray:
-        return self.apply(np.eye(self.cols))
-
 
 @dataclass(frozen=True)
 class TruncatedSVD:
-    """Leading singular triplets: U (n x k), S (k,), V (m x k)."""
+    """Leading singular triplets: U (n x k), S (k,), V (m x k), and the
+    `svd_route` that computed them."""
 
     U: np.ndarray
     S: np.ndarray
     V: np.ndarray
+    route: str
 
     def compose(self) -> np.ndarray:
         return (self.U * self.S) @ self.V.T
@@ -112,21 +101,15 @@ def _fix_signs(U: np.ndarray, V: Optional[np.ndarray] = None):
     return U, V
 
 
-def _as_linear_map(op) -> LinearMap:
-    if isinstance(op, LinearMap):
-        return op
-    return LinearMap.from_dense(np.asarray(op, dtype=float))
-
-
 def svd_route(n: int, m: int, k: int, nnz: Optional[int] = None) -> str:
-    """The route `truncated_svd` takes for k triplets of an n x m operator
-    whose CSR index holds `nnz` entries (None: no index).
+    """The route `truncated_svd` takes for k triplets of an n x m array
+    holding `nnz` stored entries (None: a dense array).
 
     "dense": min(n, m) <= DENSE_CUTOFF or k = min(n, m), a full SVD.
-    "gram": a tall (n >= m) indexed operator whose m x m Gram is no
-    larger than its index (m^2 <= nnz) and costs at most _GRAM_WORK
+    "gram": a tall (n >= m) sparse array whose m x m Gram is no larger
+    than its entries (m^2 <= nnz) and costs at most _GRAM_WORK
     multiply-adds per entry to form (n m^2 <= _GRAM_WORK nnz).
-    "lanczos": every other operator.
+    "lanczos": every other array.
     """
     n, m, k = int(n), int(m), int(k)
     if min(n, m) <= DENSE_CUTOFF or k == min(n, m):
@@ -166,77 +149,75 @@ def _csr_gram(A: sp.csr_array) -> np.ndarray:
     return G
 
 
-def truncated_svd(op, k: int, seed: int = 0) -> TruncatedSVD:
-    """Leading-k singular triplets of a dense matrix or LinearMap.
+def truncated_svd(A, k: int, seed: int = 0) -> TruncatedSVD:
+    """Leading-k singular triplets of A, a dense array or any SciPy
+    sparse array.
 
     Above ``DENSE_CUTOFF``, and for k < min(n, m), the top-k eigenvectors
     of the smaller Gram, A^T A or A A^T, are found and the triplets read
     off the thin SVD of A applied to that basis.  The route is
-    `svd_route`'s:
+    `svd_route`'s, with the entry count of a sparse A, and is returned
+    as ``route``:
 
-    - "gram": a tall LinearMap with a ``csr`` array (as
-      `ObservationMasks.linear_map` gives) whose Gram is small forms
-      A^T A explicitly (`_csr_gram`) and takes its top k eigenvectors
+    - "gram": a tall sparse A whose Gram is small forms A^T A explicitly
+      (`_csr_gram` of its CSR form) and takes its top k eigenvectors
       from one LAPACK MRRR subset eigensolve (``dsyevr``).  It draws no
       random numbers; `seed` is unused.
     - "lanczos": ARPACK's implicitly restarted Lanczos (``eigsh`` at
       tol=0, i.e. machine precision) on the Gram operator, applied as
-      two operator products and never formed.  The start vector and any
-      restart vectors (ARPACK asks for them when A has rank below k)
+      the products A x and A^T y and never formed.  The start vector and
+      any restart vectors (ARPACK asks for them when A has rank below k)
       come from a generator seeded with `seed`.  Raises
       ConvergenceError, with the converged triplets as ``best``, when
       ARPACK runs out of restarts.
 
-    Equal inputs give bitwise-equal results.  A zero operator gives
-    S = 0 with coordinate-axis U and V.
+    Equal inputs give bitwise-equal results.  A zero A off the dense
+    route gives S = 0 with coordinate-axis U and V.
     """
-    lm = _as_linear_map(op)
-    n, m = lm.rows, lm.cols
+    sparse = sp.issparse(A)
+    if sparse and A.format not in ("csr", "csc", "coo"):
+        A = A.tocsr()  # one flat array of stored values (`data`)
+    A = A.astype(float, copy=False) if sparse else np.asarray(A, dtype=float)
+    n, m = A.shape
     if not 1 <= k <= min(n, m):
         raise ParameterError(f"rank k={k} out of range for {n}x{m} operator")
 
-    route = svd_route(n, m, k, None if lm.csr is None else lm.csr.nnz)
+    route = svd_route(n, m, k, A.nnz if sparse else None)
     if route == "dense":
-        A = lm.to_dense() if not isinstance(op, np.ndarray) else np.asarray(op, dtype=float)
-        U, s, Vt = np.linalg.svd(A, full_matrices=False)
+        U, s, Vt = np.linalg.svd(A.toarray() if sparse else A,
+                                 full_matrices=False)
         U, Vh = U[:, :k].copy(), Vt[:k].T.copy()
         _fix_signs(U, Vh)
-        return TruncatedSVD(U=U, S=s[:k].copy(), V=Vh)
+        return TruncatedSVD(U=U, S=s[:k].copy(), V=Vh, route=route)
+    if not np.any(A.data if sparse else A):  # ARPACK would reject it
+        return TruncatedSVD(U=np.eye(n, k), S=np.zeros(k), V=np.eye(m, k),
+                            route=route)
 
     # the eigenvectors are those of the Gram of the smaller side
-    fwd, back = ((lm.apply, lm.apply_transpose) if n >= m
-                 else (lm.apply_transpose, lm.apply))
-
-    def zero():
-        return TruncatedSVD(U=np.eye(n, k), S=np.zeros(k), V=np.eye(m, k))
+    fwd, back = (A, A.T) if n >= m else (A.T, A)
 
     def triplets(W):
-        # W: orthonormalized Gram eigenvectors; fwd(W) = Ub diag(s) Vb^T
+        # W: orthonormalized Gram eigenvectors; fwd W = Ub diag(s) Vb^T
         W = np.linalg.qr(W)[0]
-        Ub, s, Vbt = np.linalg.svd(fwd(W), full_matrices=False)
+        Ub, s, Vbt = np.linalg.svd(fwd @ W, full_matrices=False)
         Wb = W @ Vbt.T
         U, V = (Ub, Wb) if n >= m else (Wb, Ub)
         _fix_signs(U, V)
-        return TruncatedSVD(U=U, S=s, V=V)
+        return TruncatedSVD(U=U, S=s, V=V, route=route)
 
     if route == "gram":
-        if not np.any(lm.csr.data):
-            return zero()
-        _, W = scipy.linalg.eigh(_csr_gram(lm.csr), lower=False,
+        _, W = scipy.linalg.eigh(_csr_gram(A.tocsr()), lower=False,
                                  subset_by_index=[m - k, m - 1],
                                  overwrite_a=True, check_finite=False)
         return triplets(W)
 
     p = min(n, m)
     gram = scipy.sparse.linalg.LinearOperator(
-        (p, p), matvec=lambda x: back(fwd(x)), dtype=float)
+        (p, p), matvec=lambda x: back @ (fwd @ x), dtype=float)
     # eigsh rather than svds: svds hands no generator on to eigsh, whose
     # restart vectors would then be drawn from fresh OS entropy
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(p)
-    if not np.any(gram.matvec(v0)):
-        # a zero operator: ARPACK would reject the start vector
-        return zero()
     try:
         _, W = scipy.sparse.linalg.eigsh(gram, k, v0=v0, tol=0, rng=rng)
     except scipy.sparse.linalg.ArpackNoConvergence as exc:

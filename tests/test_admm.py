@@ -563,8 +563,8 @@ class TestObservationIndex:
                               update_U(st.V, st.Z, st.Psi, ref, 0.5, 2.0))
         assert np.array_equal(update_V(st.U, masks, 0.6),
                               update_V(st.U, ref, 0.6))
-        got = truncated_svd(masks.linear_map(), 4, seed=3)
-        want = truncated_svd(ref.linear_map(), 4, seed=3)
+        got = truncated_svd(masks.by_row, 4, seed=3)
+        want = truncated_svd(ref.by_row, 4, seed=3)
         for a, b in ((got.U, want.U), (got.S, want.S), (got.V, want.V)):
             assert np.array_equal(a, b)
 
@@ -589,8 +589,9 @@ class TestObservationIndex:
         assert np.array_equal(by_row.data, [1.0, 2.0, 3.0])
 
     def test_from_partial_builds_one_index(self):
-        # what scales with nnz: the int32 column index (4 bytes per entry)
-        # and the pattern's ones (8); a second index would add 4 more
+        # what scales with nnz: the int32 column index (4 bytes per entry);
+        # a second index, or a copy of np.nonzero's strided rows, would
+        # add 4 or 8 more
         rng = np.random.default_rng(24)
         n, m = 2000, 500
         r, c = np.nonzero(rng.random((n, m)) < 0.5)
@@ -601,7 +602,7 @@ class TestObservationIndex:
         ObservationMasks.from_partial(pm)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        assert peak < 14 * pm.nnz + 16 * (n + m) + 2 ** 16
+        assert peak < 4 * pm.nnz + 16 * (n + 1) + 2 ** 16
 
     def test_patterns_built_on_first_use(self, monkeypatch):
         # the ridge steps build their route's Gram source, and only that
@@ -611,7 +612,7 @@ class TestObservationIndex:
         for route in ROUTES:
             _force_route(monkeypatch, route)
             masks = ObservationMasks.from_partial(pm)
-            truncated_svd(masks.linear_map(), 3)
+            truncated_svd(masks.by_row, 3)
             assert sources.isdisjoint(vars(masks))
             update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0)
             update_V(st.U, masks, 0.6)

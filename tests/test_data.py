@@ -81,10 +81,19 @@ class TestHyperparams:
         dict(k=0), dict(k=2, lam=-1.0), dict(k=2, gamma=0.0),
         dict(k=2, rho1=0.0), dict(k=2, rho2=-1.0), dict(k=2, eps=0.0),
         dict(k=2, max_iters=0), dict(k=2, threads=0), dict(k=2, seed=-1),
+        # integers only: floats and bools are refused, not truncated
+        dict(k=3.0), dict(k=True), dict(k=2, max_iters=2.5),
+        dict(k=2, threads=2.0), dict(k=2, seed=1.5), dict(k=2, seed=False),
+        dict(k=2, max_iters=np.float64(3.0)),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ParameterError):
             Hyperparams(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        hp = Hyperparams(k=np.int64(3), max_iters=np.int32(5),
+                         threads=np.uint8(2), seed=np.int64(7))
+        assert (hp.k, hp.max_iters, hp.threads, hp.seed) == (3, 5, 2, 7)
 
 
 class TestGenerateSynthetic:

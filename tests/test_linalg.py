@@ -10,7 +10,7 @@ import scipy.sparse.linalg
 from mpadmm.data import generate_synthetic
 from mpadmm.exceptions import ConvergenceError, ParameterError
 import mpadmm.linalg as linalg
-from mpadmm.linalg import (DENSE_CUTOFF, LinearMap, _fix_signs,
+from mpadmm.linalg import (DENSE_CUTOFF, _fix_signs,
                            _openblas_threads_api,
                            apply_projection, build_pgram_operator,
                            pgram_eig_topk, side_basis, single_blas_thread,
@@ -54,11 +54,24 @@ class TestTruncatedSVD:
                               (np.linalg.svd(B)[0][:, :4] * s_full[:4])
                               @ np.linalg.svd(B)[2][:4]) < 1e-6 * s_full[0]
 
-    def test_linear_map_input(self):
+    def test_sparse_formats_match_csr(self):
+        # CSC, COO, DOK and LIL input give bitwise the CSR result, on
+        # every route
         rng = np.random.default_rng(2)
-        A = rng.standard_normal((25, 12))
-        res = truncated_svd(LinearMap.from_dense(A), 3)
-        assert np.max(np.abs(res.S - np.linalg.svd(A, compute_uv=False)[:3])) < 1e-8
+        for (n, m, density), route in (((120, 40, 0.5), "gram"),
+                                       ((60, 150, 0.3), "lanczos"),
+                                       ((25, 12, 0.6), "dense")):
+            A = sp.random_array((n, m), density=density, format="csr",
+                                rng=rng)
+            assert svd_route(n, m, 3, A.nnz) == route
+            want = truncated_svd(A, 3, seed=4)
+            assert want.route == route
+            for other in (A.tocsc(), A.tocoo(), A.todok(), A.tolil()):
+                got = truncated_svd(other, 3, seed=4)
+                assert got.route == route
+                for a, b in ((got.U, want.U), (got.S, want.S),
+                             (got.V, want.V)):
+                    assert np.array_equal(a, b)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
@@ -73,7 +86,7 @@ class TestTruncatedSVD:
         with pytest.raises(ParameterError):
             truncated_svd(np.eye(4), 0)
 
-    def test_near_degenerate_gap_matches_lapack_subspace(self):
+    def test_near_degenerate_gap_matches_lapack_subspace(self, monkeypatch):
         # sigma_8 / sigma_9 = 1.0104: subspace iteration stalls near such a
         # gap, Lanczos does not
         pm, _, _ = generate_synthetic(300, 150, 8, 3, 0.5, 1.0, 0)
@@ -81,10 +94,10 @@ class TestTruncatedSVD:
         U, s, _ = np.linalg.svd(A, full_matrices=False)
         assert s[7] / s[8] < 1.011
         by_row = sp.csr_array((pm.values, (pm.rows, pm.cols)), shape=A.shape)
-        by_col = by_row.T.tocsr()
-        for op in (A, LinearMap(pm.n, pm.m, by_row.__matmul__,
-                                by_col.__matmul__)):
+        monkeypatch.setattr(linalg, "_GRAM_WORK", 0)  # Lanczos for both
+        for op in (A, by_row):
             res = truncated_svd(op, 8)
+            assert res.route == "lanczos"
             assert _projector_distance(res.U, U[:, :8]) <= 1e-8
             assert np.max(np.abs(res.S - s[:8])) <= 1e-12 * s[0]
 
@@ -102,13 +115,13 @@ class TestTruncatedSVD:
         # 3000 x 2000: a dense fill would need 48 MB
         n, m, k = 3000, 2000, 3
         Z = sp.csr_array((n, m))
-        op = LinearMap(n, m, Z.__matmul__, Z.T.tocsr().__matmul__)
         tracemalloc.start()
         try:
-            res = truncated_svd(op, k)
+            res = truncated_svd(Z, k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert res.route == "lanczos"
         assert np.array_equal(res.S, np.zeros(k))
         assert np.array_equal(res.U.T @ res.U, np.eye(k))
         assert np.array_equal(res.V.T @ res.V, np.eye(k))
@@ -119,7 +132,7 @@ class TestTruncatedSVD:
         A = rng.standard_normal((50, 40))
         assert min(A.shape) > DENSE_CUTOFF
         s = np.linalg.svd(A, compute_uv=False)
-        for dense, op in ((A, A), (A.T, A.T), (A, LinearMap.from_dense(A))):
+        for dense, op in ((A, A), (A.T, A.T), (A, sp.csr_array(A))):
             res = truncated_svd(op, 40)
             assert np.max(np.abs(res.S - s)) < 1e-12 * s[0]
             assert np.linalg.norm(res.compose() - dense) < 1e-12 * s[0]
@@ -130,8 +143,7 @@ class TestTruncatedSVD:
         # Krylov space collapses and ARPACK asks for restart vectors,
         # which must come from the seeded generator
         if case == "rank_one":
-            A = sp.csr_array(([3.0], ([4], [7])), shape=(60, 50))
-            op = LinearMap(60, 50, A.__matmul__, A.T.tocsr().__matmul__)
+            op = sp.csr_array(([3.0], ([4], [7])), shape=(60, 50))
             k, S = 5, np.array([3.0, 0.0, 0.0, 0.0, 0.0])
         elif case == "identity":
             op, k, S = np.eye(40), 3, np.ones(3)
@@ -170,13 +182,6 @@ class TestTruncatedSVD:
         assert np.max(np.abs(best.S - s[:2])) < 1e-12 * s[0]
 
 
-def _csr_map(A: sp.csr_array, csr: bool = True) -> LinearMap:
-    """A as an operator with (Gram route) or without (Lanczos) its CSR
-    array, applying the transpose through the CSC view in both cases."""
-    return LinearMap(*A.shape, A.__matmul__, A.T.__matmul__,
-                     csr=A if csr else None)
-
-
 def _observed(n, m, miss_frac):
     """Observed-entry count of `generate_synthetic` at miss_frac."""
     return n * m - int(miss_frac * n * m)
@@ -206,7 +211,21 @@ class TestGramRoute:
         assert svd_route(1000, DENSE_CUTOFF, 5, 32000) == "dense"
         assert svd_route(1000, 100, 100, 10 ** 5) == "dense"
 
-    def test_gram_matches_oracle_and_lanczos_at_near_degenerate_gap(self):
+    def test_result_names_its_route(self):
+        # TruncatedSVD.route is svd_route's answer for the input: its
+        # shape, k and, when sparse, its entry count
+        rng = np.random.default_rng(42)
+        for (n, m), want in (((300, 60), "gram"), ((80, 200), "lanczos"),
+                             ((200, 20), "dense")):
+            A = sp.random_array((n, m), density=0.5, format="csr", rng=rng)
+            assert truncated_svd(A, 4).route == svd_route(n, m, 4, A.nnz)
+            assert svd_route(n, m, 4, A.nnz) == want
+        dense = rng.standard_normal((300, 60))
+        assert truncated_svd(dense, 4).route == svd_route(300, 60, 4)
+        assert svd_route(300, 60, 4) == "lanczos"
+
+    def test_gram_matches_oracle_and_lanczos_at_near_degenerate_gap(
+            self, monkeypatch):
         # the instance of test_near_degenerate_gap_matches_lapack_subspace:
         # sigma_8 / sigma_9 = 1.0104 and nnz = m^2
         pm, _, _ = generate_synthetic(300, 150, 8, 3, 0.5, 1.0, 0)
@@ -215,8 +234,10 @@ class TestGramRoute:
         assert s[7] / s[8] < 1.011
         by_row = sp.csr_array((pm.values, (pm.rows, pm.cols)), shape=A.shape)
         assert svd_route(pm.n, pm.m, 8, by_row.nnz) == "gram"
-        gram = truncated_svd(_csr_map(by_row), 8)
-        lanczos = truncated_svd(_csr_map(by_row, csr=False), 8)
+        gram = truncated_svd(by_row, 8)
+        monkeypatch.setattr(linalg, "_GRAM_WORK", 0)
+        lanczos = truncated_svd(by_row, 8)
+        assert (gram.route, lanczos.route) == ("gram", "lanczos")
         for res in (gram, lanczos):
             assert _projector_distance(res.U, U[:, :8]) <= 1e-8
             assert _projector_distance(res.V, Vt[:8].T) <= 1e-8
@@ -246,14 +267,14 @@ class TestGramRoute:
         A = sp.csr_array(L @ R.T)
         assert svd_route(120, 40, 5, A.nnz) == "gram"
         s = np.linalg.svd(L @ R.T, compute_uv=False)
-        first = truncated_svd(_csr_map(A), 5, seed=2)
+        first = truncated_svd(A, 5, seed=2)
         assert np.max(np.abs(first.S - s[:5])) <= 1e-12 * s[0]
         for F in (first.U, first.V):
             assert np.max(np.abs(F.T @ F - np.eye(5))) < 1e-12
         assert np.max(np.abs(A @ first.V - first.U * first.S)) <= 1e-12 * s[0]
         # no random numbers: the seed changes nothing
         for seed in (2, 2, 7):
-            again = truncated_svd(_csr_map(A), 5, seed=seed)
+            again = truncated_svd(A, 5, seed=seed)
             assert np.array_equal(again.U, first.U)
             assert np.array_equal(again.S, first.S)
             assert np.array_equal(again.V, first.V)
@@ -264,7 +285,8 @@ class TestGramRoute:
         A = sp.csr_array((np.zeros(n * m), np.tile(np.arange(m), n),
                           np.arange(0, n * m + 1, m)), shape=(n, m))
         assert svd_route(n, m, k, A.nnz) == "gram"
-        res = truncated_svd(_csr_map(A), k)
+        res = truncated_svd(A, k)
+        assert res.route == "gram"
         assert np.array_equal(res.S, np.zeros(k))
         assert np.array_equal(res.U, np.eye(n, k))
         assert np.array_equal(res.V, np.eye(m, k))
