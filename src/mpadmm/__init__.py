@@ -15,9 +15,9 @@ from .data import (GroundTruth, Hyperparams, PartialMatrix, SideInfo,
                    save_partial, save_side_info)
 from .exceptions import (ConvergenceError, NumericalError, ParameterError,
                          ParseError)
-from .linalg import (LinearMap, TruncatedSVD, apply_projection,
-                     build_pgram_operator, pgram_compress, pgram_eig_topk,
-                     side_basis, soft_threshold_svd, truncated_svd)
+from .linalg import (TruncatedSVD, apply_projection, build_pgram_operator,
+                     pgram_compress, pgram_eig_topk, side_basis,
+                     soft_threshold_svd, truncated_svd)
 from .objective import (Metrics, ObjectiveBreakdown, err_l2, evaluate,
                         fitted_rank, objective_naive, objective_svd,
                         ols_alpha, r_squared, spectral_bound,
@@ -34,7 +34,7 @@ __all__ = [
     "generate_synthetic", "load_partial", "load_side_info",
     "save_partial", "save_side_info",
     "ConvergenceError", "NumericalError", "ParameterError", "ParseError",
-    "LinearMap", "TruncatedSVD", "apply_projection", "build_pgram_operator",
+    "TruncatedSVD", "apply_projection", "build_pgram_operator",
     "pgram_compress", "pgram_eig_topk", "side_basis", "soft_threshold_svd", "truncated_svd",
     "Metrics", "ObjectiveBreakdown", "err_l2", "evaluate", "fitted_rank",
     "objective_naive", "objective_svd", "ols_alpha", "r_squared",

@@ -22,10 +22,10 @@ import scipy.sparse as sp
 from . import objective
 from .data import Hyperparams, PartialMatrix, SideInfo
 from .exceptions import NumericalError, ParameterError
-from .linalg import (_BLOCK, apply_projection, build_pgram_operator,
-                     pgram_compress, pgram_eig_topk, pgram_ritz, side_basis,
-                     single_blas_thread, symmetric_eig_topk_factored,
-                     truncated_svd)
+from .linalg import (_blocks, apply_projection, build_pgram_operator,
+                     numerical_rank, pgram_compress, pgram_eig_topk,
+                     pgram_ritz, side_basis, single_blas_thread,
+                     symmetric_eig_topk_factored, truncated_svd)
 
 
 class RankDeficiencyWarning(UserWarning):
@@ -232,20 +232,20 @@ def ridge_groups(nnz: int, k: int, threads: int,
 def _mask_gram(mask: np.ndarray, W: np.ndarray, transpose: bool):
     """mask @ W (n x q, W m x q), or mask^T @ W (m x q, W n x q) when
     `transpose`, by NumPy's BLAS over blocks of rows of the uint8 mask (of
-    its columns when `transpose`), at most _BLOCK cells each.  Each block
-    is cast into one reused float64 buffer laid out in the mask's own
-    memory order and writes its own rows of the product, so nothing is
-    accumulated."""
+    its columns when `transpose`), in `_blocks` of at most 2 MB as float64.
+    Each block is cast into one reused float64 buffer laid out in the
+    mask's own memory order and writes its own rows of the product, so
+    nothing is accumulated."""
     src = mask.T if transpose else mask
     length, width = src.shape
-    step = max(1, _BLOCK // width)
-    rows = min(step, length)
+    blocks = list(_blocks(length, width))  # the first is the largest
+    rows = blocks[0].stop if blocks else 0
     buf = np.empty((width, rows)).T if transpose else np.empty((rows, width))
     out = np.empty((length, W.shape[1]))
-    for a in range(0, length, step):
-        block = buf[:min(step, length - a)]
-        np.copyto(block, src[a:a + step])
-        np.matmul(block, W, out=out[a:a + step])
+    for b in blocks:
+        block = buf[:b.stop - b.start]
+        np.copyto(block, src[b])
+        np.matmul(block, W, out=out[b])
     return out
 
 
@@ -439,10 +439,7 @@ def dual_residual(state: IterateState, Y, lam: float, *, basis=None,
         compressed = pgram_compress(basis, Z, state.Phi)
     W, _, pad = pgram_ritz(basis, compressed, lam, 0.0, k)
     Uz, sz, _ = np.linalg.svd(compressed[1][:, :k], full_matrices=False)
-    if sz.size and sz[0] > 0:
-        rank = int(np.sum(sz > sz[0] * max(Z.shape) * np.finfo(float).eps))
-    else:
-        rank = 0
+    rank = numerical_rank(sz, Z.shape)  # n x k, not the coordinates' shape
     if rank < k:
         warnings.warn("Z has numerical rank below k; dual residual computed "
                       "at the actual rank", RankDeficiencyWarning)
@@ -505,8 +502,8 @@ def first_order_check(state: IterateState, data: PartialMatrix, Y,
     res_u = float(np.sum((2.0 * (E @ V) + gamma * U - Psi) ** 2))
     res_v = float(np.sum((2.0 * (E.T @ U) + gamma * V) ** 2))
 
-    op = build_pgram_operator(Y, Z, Phi, lam, 0.0)
-    M2, _ = symmetric_eig_topk_factored(op.F1, op.F2, k, seed=0)
+    F1, F2 = build_pgram_operator(Y, Z, Phi, lam, 0.0)
+    M2, _ = symmetric_eig_topk_factored(F1, F2, k, seed=0)
     cross = float(np.sum((M.T @ M2) ** 2))
     res_p = np.sqrt(max(2.0 * k - 2.0 * cross, 0.0))
 

@@ -104,8 +104,8 @@ def soft_impute(data: PartialMatrix, tau: float, eps: float = 1e-4,
                 max_iters: int = 500) -> BaselineResult:
     """Proximal imputation: Z <- S_tau(observed entries + previous iterate
     on the unobserved ones), starting from Z = 0."""
-    if tau < 0:
-        raise ParameterError("tau must be nonnegative")
+    if not 0 <= tau < np.inf:
+        raise ParameterError("tau must be finite and nonnegative")
     t0 = time.perf_counter()
     obs = data.mask()
     A_obs = data.to_dense_zero_filled()
@@ -188,6 +188,8 @@ def scaled_gd(data: PartialMatrix, Y, lam: float, gamma: float, k: int,
     """
     if not 1 <= k <= min(data.n, data.m):
         raise ParameterError("k out of range")
+    if not (np.isfinite(lam) and np.isfinite(gamma)):
+        raise ParameterError("lam and gamma must be finite")
     t0 = time.perf_counter()
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
 

@@ -97,6 +97,20 @@ def trial_seed(base_seed: int, value_index: int, trial_index: int) -> int:
     return base_seed * 10 ** 6 + value_index * 10 ** 3 + trial_index
 
 
+def run_baseline(method: str, data, Y, k: int, lam: float, gamma: float,
+                 soft_impute_tau: float) -> baselines.BaselineResult:
+    """Run the reference method `method` ("iterative_svd", "soft_impute"
+    or "scaled_gd") at rank k; lam and gamma reach only scaled_gd, and
+    soft_impute_tau only soft_impute."""
+    if method == "iterative_svd":
+        return baselines.iterative_svd(data, k)
+    if method == "soft_impute":
+        return baselines.soft_impute(data, soft_impute_tau, k_cap=k)
+    if method == "scaled_gd":
+        return baselines.scaled_gd(data, Y, lam, gamma, k)
+    raise ParameterError(f"unknown method {method!r}")
+
+
 def run_trial(method: str, data, side, truth, hp: Hyperparams,
               soft_impute_tau: float, record_timings: bool) -> TrialRow:
     row = TrialRow(method=method, n=data.n, m=data.m, k=hp.k, d=side.d,
@@ -120,14 +134,8 @@ def run_trial(method: str, data, side, truth, hp: Hyperparams,
             row.t_Z_ms = 1e3 * st["Z"]
             row.time_ms = 1e3 * elapsed
     else:
-        if method == "iterative_svd":
-            res = baselines.iterative_svd(data, hp.k)
-        elif method == "soft_impute":
-            res = baselines.soft_impute(data, soft_impute_tau, k_cap=hp.k)
-        elif method == "scaled_gd":
-            res = baselines.scaled_gd(data, side.Y, hp.lam, hp.gamma, hp.k)
-        else:
-            raise ParameterError(f"unknown method {method!r}")
+        res = run_baseline(method, data, side.Y, hp.k, hp.lam, hp.gamma,
+                           soft_impute_tau)
         X_hat = res.X_hat
         row.iters = res.iterations
         if record_timings:

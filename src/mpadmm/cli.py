@@ -14,8 +14,8 @@ import sys
 
 import numpy as np
 
-from . import admm, baselines
-from .bench import SweepConfig, run_sweep
+from . import admm
+from .bench import SweepConfig, run_baseline, run_sweep
 from .data import (Hyperparams, PartialMatrix, SideInfo, generate_synthetic,
                    load_dense_csv, load_partial, load_side_info,
                    save_dense_csv, save_partial, save_side_info)
@@ -150,13 +150,8 @@ def _cmd_solve(args) -> int:
         if not report_rows:  # converged before the first iteration
             report_rows.append(["0", "", "", "", "", report.termination])
     else:
-        if args.method == "iterative-svd":
-            res = baselines.iterative_svd(data, args.rank)
-        elif args.method == "soft-impute":
-            res = baselines.soft_impute(data, args.tau, k_cap=args.rank)
-        else:
-            res = baselines.scaled_gd(data, side.Y, args.lam, args.gamma,
-                                      args.rank)
+        res = run_baseline(args.method.replace("-", "_"), data, side.Y,
+                           args.rank, args.lam, args.gamma, args.tau)
         X_hat = res.X_hat
         if res.U_f is not None:
             U_out, V_out = res.U_f, res.V_f

@@ -133,6 +133,9 @@ class Hyperparams:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral):
                 raise ParameterError(f"{name} must be an integer")
+        for name in ("lam", "gamma", "rho1", "rho2", "eps"):
+            if not np.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite")
         if self.k < 1:
             raise ParameterError("k must be >= 1")
         if self.lam < 0:

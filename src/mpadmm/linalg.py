@@ -1,4 +1,7 @@
-"""Dense and implicit-operator linear algebra primitives.
+"""Dense and sparse linear algebra primitives, and the two rules the
+package shares: blocks of at most ``_BLOCK`` elements (`_blocks`) for
+every blocked gather, scatter and sum, and the numerical-rank cut
+s > s_1 max(n, m) eps (`numerical_rank`).
 
 Truncated SVDs of dense or SciPy sparse arrays take one of three routes
 (`svd_route`).  A tall sparse array (such as the observations' CSR
@@ -12,7 +15,9 @@ value.  Inputs whose smaller dimension is at most ``DENSE_CUTOFF``, and
 requests for all min(n, m) triplets, take a full dense decomposition
 instead; the dense path doubles as the test oracle.  The symmetric
 eigenproblems of the P update are low-rank and solved exactly by
-Rayleigh-Ritz on a basis of their range, never as n x n matrices.
+Rayleigh-Ritz on a basis of their range, never as n x n matrices;
+their reference solve works on the operator's factor pair
+(`build_pgram_operator`, `symmetric_eig_topk_factored`).
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -36,6 +41,7 @@ from .exceptions import ConvergenceError, ParameterError
 
 DENSE_CUTOFF = 32
 _BLOCK = 1 << 18  # float64 elements (2 MB) per row or entry block
+_EPS = np.finfo(float).eps  # 2^-52
 # The Gram route's dense rank updates cost n m^2 / 2 multiply-adds, and
 # its eigensolve O(m^3), against the Lanczos route's memory-bound sparse
 # products, a few hundred passes over the nnz entries.  It is taken up to
@@ -48,24 +54,18 @@ _BLOCK = 1 << 18  # float64 elements (2 MB) per row or entry block
 _GRAM_WORK = 1 << 12
 
 
-class LinearMap:
-    """A linear operator given by matvec callbacks, never materialized.
+def _blocks(count: int, width: int):
+    """Slices over count items, max(1, _BLOCK // width) at a time, so that
+    a block of width values per item holds at most _BLOCK (2 MB)."""
+    step = max(1, _BLOCK // max(1, width))
+    return (slice(i, min(i + step, count)) for i in range(0, count, step))
 
-    ``apply`` computes v -> M v and ``apply_transpose`` computes v -> M^T v.
-    Both accept 1-d vectors or 2-d blocks of column vectors.
-    """
 
-    def __init__(self, rows: int, cols: int,
-                 apply: Callable[[np.ndarray], np.ndarray],
-                 apply_transpose: Callable[[np.ndarray], np.ndarray]):
-        self.rows = int(rows)
-        self.cols = int(cols)
-        self.apply = apply
-        self.apply_transpose = apply_transpose
-
-    @property
-    def shape(self):
-        return (self.rows, self.cols)
+def numerical_rank(s: np.ndarray, shape) -> int:
+    """Count of the singular values s (non-increasing) of a matrix of
+    `shape` that lie above s_1 * max(shape) * eps; 0 when s is empty or
+    zero."""
+    return int(np.sum(s > max(shape) * _EPS * s[0])) if s.size else 0
 
 
 @dataclass(frozen=True)
@@ -77,9 +77,6 @@ class TruncatedSVD:
     S: np.ndarray
     V: np.ndarray
     route: str
-
-    def compose(self) -> np.ndarray:
-        return (self.U * self.S) @ self.V.T
 
 
 def _fix_signs(U: np.ndarray, V: Optional[np.ndarray] = None):
@@ -130,11 +127,11 @@ def _csr_gram(A: sp.csr_array) -> np.ndarray:
     """
     n, m = A.shape
     G = np.zeros((m, m), order="F")
-    step = max(1, _BLOCK // m)
-    buf = np.empty((min(step, n), m))
+    blocks = list(_blocks(n, m))  # the first is the largest
+    buf = np.empty((blocks[0].stop if blocks else 0, m))
     indptr, indices, data = A.indptr, A.indices, A.data
-    for r0 in range(0, n, step):
-        r1 = min(r0 + step, n)
+    for rows in blocks:
+        r0, r1 = rows.start, rows.stop
         a, b = indptr[r0], indptr[r1]
         # the views are assigned, not passed to the constructor, which
         # copies views of a much larger array
@@ -283,15 +280,12 @@ def side_basis(Y: np.ndarray):
     """(Qy, s2): orthonormal basis of col(Y) at numerical rank and the
     squared singular values, so that Y Y^T = Qy diag(s2) Qy^T.
 
-    Directions whose singular value falls below s_1 * max(n, d) * eps
-    are dropped; their share of Y Y^T is below rounding.
+    Directions past `numerical_rank` (singular value at most s_1 *
+    max(n, d) * eps) are dropped; their share of Y Y^T is below rounding.
     """
     Y = np.asarray(Y, dtype=float)
     U, s, _ = np.linalg.svd(Y, full_matrices=False)
-    if s.size and s[0] > 0:
-        r = int(np.sum(s > s[0] * max(Y.shape) * np.finfo(float).eps))
-    else:
-        r = 0
+    r = numerical_rank(s, Y.shape)
     return np.ascontiguousarray(U[:, :r]), s[:r] ** 2
 
 
@@ -396,11 +390,13 @@ def pgram_eig_topk(basis, Z: np.ndarray, Phi: np.ndarray, lam: float,
 
 
 def build_pgram_operator(Y: np.ndarray, Z: np.ndarray, Phi: np.ndarray,
-                         lam: float, rho1: float) -> LinearMap:
-    """Implicit symmetric operator lam*YY^T + (rho1/2)ZZ^T + (Phi Z^T + Z Phi^T)/2.
+                         lam: float, rho1: float
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Factor pair (F1, F2), both n x (d + 3k), of the symmetric operator
+    C = lam*YY^T + (rho1/2)ZZ^T + (Phi Z^T + Z Phi^T)/2 = F1 F2^T.
 
-    Stored only through its n x (d + 3k) factors F1, F2 with C = F1 F2^T;
-    a matvec costs O(n(d + k)) and no n x n buffer is ever allocated.
+    C is never formed: C v = F1 (F2^T v) costs O(n(d + k)), and
+    `symmetric_eig_topk_factored` takes the pair as it is.
     """
     Y = np.asarray(Y, dtype=float)
     Z = np.asarray(Z, dtype=float)
@@ -414,18 +410,14 @@ def build_pgram_operator(Y: np.ndarray, Z: np.ndarray, Phi: np.ndarray,
     sl, sr, sh = np.sqrt(lam), np.sqrt(rho1 / 2.0), np.sqrt(0.5)
     F1 = np.hstack([sl * Y, sr * Z, sh * Phi, sh * Z])
     F2 = np.hstack([sl * Y, sr * Z, sh * Z, sh * Phi])
-
-    op = LinearMap(n, n, lambda v: F1 @ (F2.T @ v), lambda v: F2 @ (F1.T @ v))
-    op.F1 = F1
-    op.F2 = F2
-    return op
+    return F1, F2
 
 
 def soft_threshold_svd(X: np.ndarray, tau: float,
                        max_rank: Optional[int] = None) -> np.ndarray:
     """Singular value soft-thresholding: sum_i max(s_i - tau, 0) u_i v_i^T."""
-    if tau < 0:
-        raise ParameterError("tau must be nonnegative")
+    if not 0 <= tau < np.inf:
+        raise ParameterError("tau must be finite and nonnegative")
     X = np.asarray(X, dtype=float)
     U, s, Vt = np.linalg.svd(X, full_matrices=False)
     s = np.maximum(s - tau, 0.0)

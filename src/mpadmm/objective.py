@@ -15,7 +15,7 @@ from a values-only SVD, and a certified basis of the top-r left singular
 subspace from an n x (r + p) sketch, so that the metrics of a rank-r
 estimate need O((n + m) r) memory beside it rather than a thin SVD's
 n x m factors.  Sums over the estimate's rows or observed entries run in
-blocks of _BLOCK elements.
+`linalg._blocks`, 2 MB at a time.
 """
 
 from __future__ import annotations
@@ -26,10 +26,9 @@ import numpy as np
 
 from .data import PartialMatrix
 from .exceptions import ParameterError
-from .linalg import _BLOCK, single_blas_thread
+from .linalg import _EPS, _blocks, numerical_rank, single_blas_thread
 
 PINV_CUTOFF = 1e-12  # relative singular value cutoff in ols_alpha
-_EPS = 2.0 ** -52
 # Range finder of Halko, Martinsson & Tropp (SIAM Rev. 2011): a Gaussian
 # test matrix with _OVERSAMPLE columns beyond the rank.  Without them the
 # residuals of the rank-5 estimates on protocol seed 2 read 114-150
@@ -92,13 +91,6 @@ def ols_alpha(X_or_factors, Y: np.ndarray) -> np.ndarray:
     return Vt.T @ (inv[:, None] * (U.T @ Y))
 
 
-def _blocks(count: int, width: int):
-    """Slices over count items, max(1, _BLOCK // width) at a time, so that
-    a block of width values per item holds at most _BLOCK (2 MB)."""
-    step = max(1, _BLOCK // max(1, width))
-    return (slice(i, min(i + step, count)) for i in range(0, count, step))
-
-
 def fit_residuals(Uf, Vf, rows, cols, values):
     """Yield (block, U_f V_f^T - A at the block's observed entries), from
     the row dots of Uf[rows] and Vf[cols] gathered in `_blocks` of k
@@ -111,7 +103,7 @@ def fit_residuals(Uf, Vf, rows, cols, values):
 
 def fit_term(X_or_factors, data: PartialMatrix) -> float:
     """Squared fit residual on Omega of U_f V_f^T for a factor pair
-    (`fit_residuals`), or of a dense estimate in blocks of _BLOCK entries."""
+    (`fit_residuals`), or of a dense estimate in `_blocks` of entries."""
     fit = 0.0
     if isinstance(X_or_factors, tuple):
         Uf, Vf = (np.asarray(f, dtype=float) for f in X_or_factors)
@@ -172,7 +164,7 @@ def spectral_basis(X_hat: np.ndarray):
     """
     X_hat = np.atleast_2d(np.asarray(X_hat, dtype=float))
     s = np.linalg.svd(X_hat, compute_uv=False)
-    r = _rank_of_values(s, X_hat.shape)
+    r = numerical_rank(s, X_hat.shape)
     cuts = (s.size * _EPS, PINV_CUTOFF)  # objective_svd's, ols_alpha's
     if 0 < r < s.size and all(_count_above(s, c) == r for c in cuts):
         basis = _range_basis(X_hat, r)
@@ -300,19 +292,13 @@ def r_squared(X_hat: np.ndarray, Y: np.ndarray, *, svd=None) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-def _rank_of_values(s: np.ndarray, shape) -> int:
-    """Count of the singular values s of an n x m matrix that lie above
-    s_1 * max(n, m) * 2^-52."""
-    return _count_above(s, max(shape) * _EPS)
-
-
 def fitted_rank(X_hat: np.ndarray, *, svd=None) -> int:
-    """Numerical rank: singular values above s_1 * max(n, m) * 2^-52.
+    """`numerical_rank`: singular values above s_1 * max(n, m) * 2^-52.
     `svd`, when given, is X_hat's `spectral_basis` or thin SVD, whose
     singular values are read instead of computing them."""
     X_hat = np.atleast_2d(np.asarray(X_hat, dtype=float))
     s = np.linalg.svd(X_hat, compute_uv=False) if svd is None else svd[1]
-    return _rank_of_values(s, X_hat.shape)
+    return numerical_rank(s, X_hat.shape)
 
 
 @single_blas_thread()

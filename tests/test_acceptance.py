@@ -339,11 +339,11 @@ def test_criterion_13_implicit_operator_fidelity():
         Z = rng.standard_normal((n, k))
         Phi = rng.standard_normal((n, k))
         lam, rho1 = rng.uniform(0.1, 3.0, size=2)
-        op = build_pgram_operator(Y, Z, Phi, lam, rho1)
+        F1, F2 = build_pgram_operator(Y, Z, Phi, lam, rho1)
         C = (lam * Y @ Y.T + 0.5 * rho1 * Z @ Z.T
              + 0.5 * (Phi @ Z.T + Z @ Phi.T))
         v = rng.standard_normal(n)
-        worst = max(worst, float(np.max(np.abs(op.apply(v) - C @ v))))
+        worst = max(worst, float(np.max(np.abs(F1 @ (F2.T @ v) - C @ v))))
     fidelity_ok = worst <= 1e-10
 
     n, d, k = 5000, 150, 5

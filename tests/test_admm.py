@@ -435,8 +435,10 @@ class TestRidgeRoute:
     @pytest.mark.parametrize("block", [None, 100])
     def test_mask_route_agrees_with_sparse(self, monkeypatch, n, m, k, frac,
                                            seed, block):
-        if block is not None:  # many row blocks, a partial one last
-            monkeypatch.setattr(admm, "_BLOCK", block)
+        if block is not None:  # many row blocks and many column blocks
+            monkeypatch.setattr(linalg, "_BLOCK", block)
+            assert min(len(list(linalg._blocks(n, m))),
+                       len(list(linalg._blocks(m, n)))) > 1
         rng = np.random.default_rng(seed)
         pm, st = _random_state(rng, n=n, m=m, k=k, frac=frac)
         masks = ObservationMasks.from_partial(pm)
@@ -919,7 +921,7 @@ class TestFirstOrderCheck:
         assert not checks["Z_equals_U"]
         assert not checks["Z_projected"]
 
-    @pytest.mark.parametrize("block", [7, objective._BLOCK])
+    @pytest.mark.parametrize("block", [7, linalg._BLOCK])
     def test_fit_residual_blocks_match_unblocked(self, monkeypatch, block):
         rng = np.random.default_rng(27)
         pm, st = _random_state(rng, n=40, m=30, k=4, frac=0.5)
@@ -928,7 +930,9 @@ class TestFirstOrderCheck:
         rows = np.repeat(np.arange(pm.n), np.diff(obs.indptr))
         want = (np.einsum("ij,ij->i", st.U[rows], st.V[obs.indices])
                 - obs.data)
-        monkeypatch.setattr(objective, "_BLOCK", block)
+        monkeypatch.setattr(linalg, "_BLOCK", block)
+        if block == 7:  # k = 4 values per entry: one entry a block
+            assert len(list(linalg._blocks(obs.nnz, 4))) == obs.nnz
         E = admm.fit_residual(obs, st.U, st.V)
         assert np.array_equal(E.data, want)
         dense = (np.where(pm.mask(), st.x_hat(), 0.0)
@@ -954,7 +958,7 @@ class TestFirstOrderCheck:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * pm.nnz + 3 * 8 * objective._BLOCK
+        assert peak <= 16 * pm.nnz + 3 * 8 * linalg._BLOCK
 
     def test_converged_run_feasibility(self):
         pm, si, _ = generate_synthetic(20, 12, 2, 3, 0.3, 0.1, seed=3)

@@ -254,6 +254,14 @@ class TestSoftImpute:
         with pytest.raises(ParameterError):
             soft_impute(pm, -1.0)
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_non_finite_tau(self, tau):
+        pm, _, _ = generate_synthetic(20, 15, 2, 2, 0.4, 0.0, seed=6)
+        with pytest.raises(ParameterError):
+            soft_impute(pm, tau)
+        with pytest.raises(ParameterError):
+            soft_threshold_svd(pm.to_dense_zero_filled(), tau)
+
 
 class TestScaledGD:
     def test_gradients_match_finite_differences(self):
@@ -381,6 +389,13 @@ class TestScaledGD:
                              values=[0.0, 0.0])
         with pytest.raises(ParameterError):
             scaled_gd(zero, np.zeros((60, 1)), 1.0, 1.0, 2)
+
+    @pytest.mark.parametrize("lam,gamma", [(np.nan, 1.0), (np.inf, 1.0),
+                                           (1.0, np.nan), (1.0, np.inf)])
+    def test_non_finite_weights(self, lam, gamma):
+        pm, si, _ = generate_synthetic(20, 15, 2, 2, 0.4, 0.5, seed=8)
+        with pytest.raises(ParameterError):
+            scaled_gd(pm, si.Y, lam, gamma, 2)
 
     def test_no_dense_fill(self, monkeypatch):
         def refuse(self):

@@ -93,6 +93,26 @@ class TestTrialRow:
         assert row.fitted_rank == metrics.fitted_rank
 
 
+class TestRunBaseline:
+    @pytest.mark.parametrize("method,call", [
+        ("iterative_svd", lambda pm, Y: baselines.iterative_svd(pm, 2)),
+        ("soft_impute", lambda pm, Y: baselines.soft_impute(pm, 0.7,
+                                                            k_cap=2)),
+        ("scaled_gd", lambda pm, Y: baselines.scaled_gd(pm, Y, 0.4, 1.3, 2)),
+    ])
+    def test_is_the_direct_call(self, method, call):
+        data, side, _ = generate_synthetic(14, 9, 2, 2, 0.4, 0.5, seed=4)
+        got = bench.run_baseline(method, data, side.Y, 2, 0.4, 1.3, 0.7)
+        want = call(data, side.Y)
+        assert np.array_equal(got.X_hat, want.X_hat)
+        assert got.iterations == want.iterations
+
+    def test_unknown_method(self):
+        data, side, _ = generate_synthetic(14, 9, 2, 2, 0.4, 0.5, seed=4)
+        with pytest.raises(ParameterError):
+            bench.run_baseline("admm", data, side.Y, 2, 1.0, 1.0, 1.0)
+
+
 class TestRunSweep:
     def test_csv_shape_and_header(self, tmp_path):
         cfg = _tiny_config()

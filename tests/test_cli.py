@@ -100,6 +100,26 @@ class TestSolve:
                      str(inst / "truth.csv"), "--out", str(out)]) == 0
         assert (out / "metrics.csv").read_bytes() == first
 
+    @pytest.mark.parametrize("method", ["iterative-svd", "soft-impute",
+                                        "scaled-gd"])
+    def test_baselines_run_through_the_sweep_dispatch(self, tmp_path,
+                                                      monkeypatch, method):
+        inst = _gen(tmp_path)
+        calls = []
+
+        def spy(name, *args):
+            calls.append((name, args[2:]))
+            return real(name, *args)
+
+        real = cli.run_baseline
+        monkeypatch.setattr(cli, "run_baseline", spy)
+        assert main(["solve", "--method", method, "--data",
+                     str(inst / "partial.txt"), "--side-info",
+                     str(inst / "side_info.csv"), "--rank", "2",
+                     "--lambda", "0.5", "--gamma", "2", "--tau", "0.25",
+                     "--out", str(tmp_path / "sol")]) == 0
+        assert calls == [(method.replace("-", "_"), (2, 0.5, 2.0, 0.25))]
+
     def test_admm_requires_side_info(self, tmp_path):
         inst = _gen(tmp_path)
         rc = main(["solve", "--data", str(inst / "partial.txt"), "--rank",
@@ -208,6 +228,19 @@ class TestExitCodes:
                    "--rank", "2", "--gamma", "0.0",
                    "--out", str(tmp_path / "sol")])
         assert rc == 1
+
+    @pytest.mark.parametrize("method,flag", [
+        ("admm", "--lambda"), ("admm", "--rho1"), ("admm", "--tol"),
+        ("soft-impute", "--tau"), ("scaled-gd", "--lambda")])
+    def test_non_finite_parameter(self, tmp_path, capsys, method, flag):
+        inst = _gen(tmp_path)
+        rc = main(["solve", "--method", method, "--data",
+                   str(inst / "partial.txt"), "--side-info",
+                   str(inst / "side_info.csv"), "--rank", "2", flag, "nan",
+                   "--out", str(tmp_path / "sol")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_negative_seed(self, tmp_path):
         # 40 x 80 takes the init's Lanczos route, the one that draws

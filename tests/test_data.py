@@ -85,6 +85,10 @@ class TestHyperparams:
         dict(k=3.0), dict(k=True), dict(k=2, max_iters=2.5),
         dict(k=2, threads=2.0), dict(k=2, seed=1.5), dict(k=2, seed=False),
         dict(k=2, max_iters=np.float64(3.0)),
+        # non-finite values pass every sign check
+        dict(k=2, lam=np.nan), dict(k=2, lam=np.inf), dict(k=2, gamma=np.nan),
+        dict(k=2, gamma=np.inf), dict(k=2, rho1=np.nan),
+        dict(k=2, rho2=np.inf), dict(k=2, eps=np.nan), dict(k=2, eps=np.inf),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ParameterError):

@@ -50,7 +50,7 @@ class TestTruncatedSVD:
         res = truncated_svd(B, 4)
         s_full = np.linalg.svd(B, compute_uv=False)
         assert np.max(np.abs(res.S - s_full[:4])) < 1e-8 * s_full[0]
-        assert np.linalg.norm(res.compose() -
+        assert np.linalg.norm((res.U * res.S) @ res.V.T -
                               (np.linalg.svd(B)[0][:, :4] * s_full[:4])
                               @ np.linalg.svd(B)[2][:4]) < 1e-6 * s_full[0]
 
@@ -135,7 +135,8 @@ class TestTruncatedSVD:
         for dense, op in ((A, A), (A.T, A.T), (A, sp.csr_array(A))):
             res = truncated_svd(op, 40)
             assert np.max(np.abs(res.S - s)) < 1e-12 * s[0]
-            assert np.linalg.norm(res.compose() - dense) < 1e-12 * s[0]
+            assert (np.linalg.norm((res.U * res.S) @ res.V.T - dense)
+                    < 1e-12 * s[0])
 
     @pytest.mark.parametrize("case", ["rank_one", "identity", "orthogonal"])
     def test_rank_deficient_operator_is_deterministic(self, case):
@@ -299,9 +300,9 @@ class TestSymmetricEigTopkFactored:
         Y = rng.standard_normal((n, d))
         Z = rng.standard_normal((n, k))
         Phi = rng.standard_normal((n, k))
-        op = build_pgram_operator(Y, Z, Phi, 0.7, 3.0)
-        M, lam = symmetric_eig_topk_factored(op.F1, op.F2, k)
-        C = op.F1 @ op.F2.T
+        F1, F2 = build_pgram_operator(Y, Z, Phi, 0.7, 3.0)
+        M, lam = symmetric_eig_topk_factored(F1, F2, k)
+        C = F1 @ F2.T
         w, vecs = np.linalg.eigh(0.5 * (C + C.T))
         order = np.argsort(w)[::-1][:k]
         assert np.max(np.abs(lam - w[order])) < 1e-9
@@ -412,8 +413,8 @@ class TestPgramEigTopk:
         Y = rng.standard_normal((n, d))
         Z = rng.standard_normal((n, k))
         Phi = rng.standard_normal((n, k))
-        op = build_pgram_operator(Y, Z, Phi, 1.0, 10.0)
-        M0, v0 = symmetric_eig_topk_factored(op.F1, op.F2, k)
+        M0, v0 = symmetric_eig_topk_factored(
+            *build_pgram_operator(Y, Z, Phi, 1.0, 10.0), k)
         M1, v1 = pgram_eig_topk(side_basis(Y), Z, Phi, 1.0, 10.0, k)
         assert _projector_distance(M0, M1) < 1e-12
         assert np.max(np.abs(v0 - v1)) < 1e-12 * np.max(np.abs(v0))
@@ -424,17 +425,17 @@ class TestBuildPgramOperator:
         rng = np.random.default_rng(7)
         Y = rng.standard_normal((12, 3))
         Z = np.zeros((12, 2))
-        op = build_pgram_operator(Y, Z, Z, 2.0, 5.0)
+        F1, F2 = build_pgram_operator(Y, Z, Z, 2.0, 5.0)
         e1 = np.zeros(12)
         e1[0] = 1.0
-        assert np.allclose(op.apply(e1), 2.0 * Y @ Y.T @ e1, atol=1e-12)
+        assert np.allclose(F1 @ (F2.T @ e1), 2.0 * Y @ Y.T @ e1, atol=1e-12)
 
     def test_zero_vector(self):
         rng = np.random.default_rng(8)
-        op = build_pgram_operator(rng.standard_normal((9, 2)),
-                                  rng.standard_normal((9, 2)),
-                                  rng.standard_normal((9, 2)), 1.0, 1.0)
-        assert np.allclose(op.apply(np.zeros(9)), 0.0)
+        F1, F2 = build_pgram_operator(rng.standard_normal((9, 2)),
+                                      rng.standard_normal((9, 2)),
+                                      rng.standard_normal((9, 2)), 1.0, 1.0)
+        assert np.allclose(F1 @ (F2.T @ np.zeros(9)), 0.0)
 
     def test_matches_dense_materialization(self):
         rng = np.random.default_rng(9)
@@ -444,27 +445,53 @@ class TestBuildPgramOperator:
             Z = rng.standard_normal((n, k))
             Phi = rng.standard_normal((n, k))
             lam, rho1 = rng.uniform(0.1, 3.0, size=2)
-            op = build_pgram_operator(Y, Z, Phi, lam, rho1)
+            F1, F2 = build_pgram_operator(Y, Z, Phi, lam, rho1)
             C = (lam * Y @ Y.T + 0.5 * rho1 * Z @ Z.T
                  + 0.5 * (Phi @ Z.T + Z @ Phi.T))
             v = rng.standard_normal(n)
-            assert np.max(np.abs(op.apply(v) - C @ v)) < 1e-10 * max(
+            assert np.max(np.abs(F1 @ (F2.T @ v) - C @ v)) < 1e-10 * max(
                 1.0, np.max(np.abs(C @ v)))
 
     def test_symmetry_probe(self):
         rng = np.random.default_rng(10)
-        op = build_pgram_operator(rng.standard_normal((15, 4)),
-                                  rng.standard_normal((15, 3)),
-                                  rng.standard_normal((15, 3)), 1.5, 2.5)
+        F1, F2 = build_pgram_operator(rng.standard_normal((15, 4)),
+                                      rng.standard_normal((15, 3)),
+                                      rng.standard_normal((15, 3)), 1.5, 2.5)
         for _ in range(10):
             v = rng.standard_normal(15)
             w = rng.standard_normal(15)
-            assert abs(op.apply(v) @ w - op.apply(w) @ v) < 1e-8
+            assert abs((F1 @ (F2.T @ v)) @ w - (F1 @ (F2.T @ w)) @ v) < 1e-8
 
     def test_dimension_mismatch(self):
         with pytest.raises(ParameterError):
             build_pgram_operator(np.ones((5, 2)), np.ones((4, 2)),
                                  np.ones((4, 2)), 1.0, 1.0)
+
+
+def _singular_values(case):
+    rng = np.random.default_rng(12)
+    A = {"empty": np.zeros((0, 4)), "all_zero": np.zeros((6, 4)),
+         "rank_deficient": (rng.standard_normal((30, 2))
+                            @ rng.standard_normal((2, 20))),
+         "full_rank": rng.standard_normal((30, 20))}[case]
+    return np.linalg.svd(A, compute_uv=False), A.shape
+
+
+@pytest.mark.parametrize("case", ["empty", "all_zero", "rank_deficient",
+                                  "full_rank"])
+def test_numerical_rank_is_the_inline_cut(case):
+    # the cut side_basis and dual_residual wrote out, and objective's
+    s, shape = _singular_values(case)
+    eps = np.finfo(float).eps
+    if s.size and s[0] > 0:
+        side_cut = int(np.sum(s > s[0] * max(shape) * eps))
+    else:
+        side_cut = 0
+    rel = max(shape) * 2.0 ** -52
+    objective_cut = int(np.sum(s > rel * s[0])) if s.size else 0
+    want = {"empty": 0, "all_zero": 0, "rank_deficient": 2,
+            "full_rank": 20}[case]
+    assert linalg.numerical_rank(s, shape) == side_cut == objective_cut == want
 
 
 class TestSoftThresholdSVD:

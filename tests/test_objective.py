@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mpadmm import objective
+from mpadmm import linalg, objective
 from mpadmm.admm import solve
 from mpadmm.baselines import iterative_svd, scaled_gd, soft_impute
 from mpadmm.data import Hyperparams, PartialMatrix, generate_synthetic
@@ -122,7 +122,7 @@ class TestObjectiveRoutes:
             b = objective_svd((Uf, Vf), pm, Y, 0.9, 1.1)
             assert b.total == pytest.approx(a.total, rel=1e-8)
 
-    @pytest.mark.parametrize("block", [7, objective._BLOCK])
+    @pytest.mark.parametrize("block", [7, linalg._BLOCK])
     def test_fit_term_in_entry_blocks(self, monkeypatch, block):
         # blocks of 7 entries agree with one gather to rounding; one block
         # (nnz <= _BLOCK) is bitwise the one-gather sum of the factor route
@@ -133,7 +133,7 @@ class TestObjectiveRoutes:
         X = Uf @ Vf.T
         resid = np.einsum("ij,ij->i", Uf[pm.rows], Vf[pm.cols]) - pm.values
         want = float(resid @ resid)
-        monkeypatch.setattr(objective, "_BLOCK", block)
+        monkeypatch.setattr(linalg, "_BLOCK", block)
         assert pm.nnz > 7
         got = objective.fit_term((Uf, Vf), pm)
         if block >= pm.nnz:
@@ -159,7 +159,7 @@ class TestObjectiveRoutes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * 8 * objective._BLOCK
+        assert peak <= 3 * 8 * linalg._BLOCK
 
     def test_line_restricted_witness_values(self):
         # two-point rank-one family x = (t, t+1), scalar side info (1, 1)
@@ -399,7 +399,7 @@ class TestMetrics:
         return Metrics(
             err_l2=float(np.sum((X - A_true) ** 2) / np.sum(A_true ** 2)),
             r2=1.0 - float(np.sum(resid * resid) / np.sum(cen * cen)),
-            fitted_rank=objective._rank_of_values(thin.S, X.shape),
+            fitted_rank=linalg.numerical_rank(thin.S, X.shape),
             objective=objective_svd(X, pm, Y, lam, gamma, svd=thin))
 
     def _assert_agrees_with_full_svd(self, X, pm, Y, A_true):
