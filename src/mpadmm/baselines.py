@@ -106,6 +106,10 @@ def soft_impute(data: PartialMatrix, tau: float, eps: float = 1e-4,
     on the unobserved ones), starting from Z = 0."""
     if not 0 <= tau < np.inf:
         raise ParameterError("tau must be finite and nonnegative")
+    if not 0 < eps < np.inf:
+        raise ParameterError("eps must be finite and positive")
+    if k_cap is not None and not 1 <= k_cap <= min(data.n, data.m):
+        raise ParameterError("k_cap out of range")
     t0 = time.perf_counter()
     obs = data.mask()
     A_obs = data.to_dense_zero_filled()

@@ -58,17 +58,18 @@ def _build_parser() -> _Parser:
     s.add_argument("--rank", type=int, required=True)
     s.add_argument("--lambda", dest="lam", type=float, default=1.0)
     s.add_argument("--gamma", type=float, default=1.0)
-    s.add_argument("--rho1", type=float, default=10.0)
-    s.add_argument("--rho2", type=float, default=10.0)
-    s.add_argument("--max-iter", type=int, default=20)
-    s.add_argument("--tol", type=float, default=1e-6)
+    s.add_argument("--rho1", type=float, default=10.0, help="(admm only)")
+    s.add_argument("--rho2", type=float, default=10.0, help="(admm only)")
+    s.add_argument("--max-iter", type=int, default=20, help="(admm only)")
+    s.add_argument("--tol", type=float, default=1e-6, help="(admm only)")
     s.add_argument("--tau", type=float, default=1.0,
                    help="soft-impute shrinkage threshold")
     s.add_argument("--threads", type=int, default=DEFAULT_THREADS,
-                   help="threads for the U/V steps' sparse products, split "
-                        "by column group once nnz*(k(k+3)/2) >= 2^24; "
-                        "results are the same for every value")
-    s.add_argument("--seed", type=int, default=0)
+                   help="(admm only) threads for the U/V steps' sparse "
+                        "products, split by column group once "
+                        "nnz*(k(k+3)/2) >= 2^24; results are the same for "
+                        "every value")
+    s.add_argument("--seed", type=int, default=0, help="(admm only)")
     s.add_argument("--out", required=True, help="output directory")
 
     w = sub.add_parser("sweep", help="run a benchmark sweep")

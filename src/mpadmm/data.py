@@ -182,8 +182,8 @@ def generate_synthetic(n: int, m: int, k: int, d: int, miss_frac: float,
         raise ParameterError("k must be < min(n, m)")
     if not 0 <= miss_frac < 1:
         raise ParameterError("miss_frac must lie in [0, 1)")
-    if sigma < 0:
-        raise ParameterError("sigma must be >= 0")
+    if not 0 <= sigma < np.inf:
+        raise ParameterError("sigma must be finite and nonnegative")
 
     gen = Xoshiro256pp(seed)
     U = gen.uniform_matrix(n, k)

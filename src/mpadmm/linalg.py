@@ -418,6 +418,8 @@ def soft_threshold_svd(X: np.ndarray, tau: float,
     """Singular value soft-thresholding: sum_i max(s_i - tau, 0) u_i v_i^T."""
     if not 0 <= tau < np.inf:
         raise ParameterError("tau must be finite and nonnegative")
+    if max_rank is not None and max_rank < 0:
+        raise ParameterError("max_rank must be >= 0")
     X = np.asarray(X, dtype=float)
     U, s, Vt = np.linalg.svd(X, full_matrices=False)
     s = np.maximum(s - tau, 0.0)

@@ -10,12 +10,14 @@ where P_X projects onto the column space of X.  Two evaluation routes
 are provided: a naive pseudo-inverse route (the oracle) and an SVD
 route that never forms X^T X and accepts factored input U_f V_f^T.
 
-Dense estimates are decomposed by `spectral_basis`: all singular values
-from a values-only SVD, and a certified basis of the top-r left singular
-subspace from an n x (r + p) sketch, so that the metrics of a rank-r
-estimate need O((n + m) r) memory beside it rather than a thin SVD's
-n x m factors.  Sums over the estimate's rows or observed entries run in
-`linalg._blocks`, 2 MB at a time.
+Every metric reads one decomposition of the estimate, `spectral_basis`,
+and one rank r, `linalg.numerical_rank` on its n x m shape.  A factor
+pair is decomposed through thin QR of each factor, never densified; a
+dense estimate by a values-only SVD and a certified basis of its top-r
+left singular subspace from an n x (r + p) sketch, so that the metrics
+of a rank-r estimate need O((n + m) r) memory beside it rather than a
+thin SVD's n x m factors.  Sums over the estimate's rows or observed
+entries run in `linalg._blocks`, 2 MB at a time.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .data import PartialMatrix
 from .exceptions import ParameterError
 from .linalg import _EPS, _blocks, numerical_rank, single_blas_thread
 
-PINV_CUTOFF = 1e-12  # relative singular value cutoff in ols_alpha
 # Range finder of Halko, Martinsson & Tropp (SIAM Rev. 2011): a Gaussian
 # test matrix with _OVERSAMPLE columns beyond the rank.  Without them the
 # residuals of the rank-5 estimates on protocol seed 2 read 114-150
@@ -77,18 +78,15 @@ def _compact_svd(X_or_factors):
 
 
 def ols_alpha(X_or_factors, Y: np.ndarray) -> np.ndarray:
-    """Minimum-norm least squares solution (X^T X)^+ X^T Y; X is a dense
-    matrix or a factor pair (U_f, V_f) with X = U_f V_f^T."""
+    """Minimum-norm least squares solution (X^T X)^+ X^T Y over X's
+    `numerical_rank` directions; X is a dense matrix or a factor pair
+    (U_f, V_f) with X = U_f V_f^T."""
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     U, s, Vt = _compact_svd(X_or_factors)
     if U.shape[0] != Y.shape[0]:
         raise ParameterError("X and Y row counts disagree")
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((Vt.shape[1], Y.shape[1]))
-    keep = s > PINV_CUTOFF * s[0]
-    inv = np.zeros_like(s)
-    inv[keep] = 1.0 / s[keep]
-    return Vt.T @ (inv[:, None] * (U.T @ Y))
+    r = numerical_rank(s, (U.shape[0], Vt.shape[1]))
+    return Vt[:r].T @ ((1.0 / s[:r])[:, None] * (U[:, :r].T @ Y))
 
 
 def fit_residuals(Uf, Vf, rows, cols, values):
@@ -120,11 +118,6 @@ def fit_term(X_or_factors, data: PartialMatrix) -> float:
     return fit
 
 
-def _count_above(s: np.ndarray, rel: float) -> int:
-    """Number of singular values above rel * s_1 (0 for a zero matrix)."""
-    return int(np.sum(s > rel * s[0])) if s.size else 0
-
-
 def _range_basis(X: np.ndarray, r: int) -> np.ndarray:
     """Orthonormal n x r basis of the top-r left singular subspace of X,
     from the thin SVD of the sketch X Omega (Omega m x min(m, r + p)
@@ -150,28 +143,30 @@ def _certified(X: np.ndarray, basis: np.ndarray, s: np.ndarray) -> bool:
     return abs(np.sqrt(resid) - tail) <= bound
 
 
-def spectral_basis(X_hat: np.ndarray):
-    """(left, s) of a dense estimate: s all its singular values, left an
-    orthonormal basis of its top-r left singular subspace, r its numerical
-    rank.
+def spectral_basis(X_or_factors):
+    """(left, s) of an estimate X, a dense matrix or a factor pair
+    (U_f, V_f) with X = U_f V_f^T: s its singular values (k of them for a
+    pair), left an orthonormal basis of its top-r left singular subspace,
+    where r = left.shape[1] = `numerical_rank(s, (n, m))` on X's full
+    shape.
 
-    s comes from a values-only SVD; r is `fitted_rank`'s count, and the
-    basis is `_range_basis`'s when r is also the count above
-    `objective_svd`'s and `ols_alpha`'s cut-offs and the basis passes
-    `_certified`.  Otherwise (also when r = 0 or r = min(n, m)) the full
-    thin SVD gives (U, s).  Every consumer reads the first columns of
-    `left` that its own cut-off keeps.
+    A factor pair goes through `_compact_svd`.  A dense X's s comes from a
+    values-only SVD, and its basis from `_range_basis` when that passes
+    `_certified`; otherwise (also when r = 0 or r = min(n, m)) the thin
+    SVD gives (U[:, :r], s).
     """
-    X_hat = np.atleast_2d(np.asarray(X_hat, dtype=float))
-    s = np.linalg.svd(X_hat, compute_uv=False)
-    r = numerical_rank(s, X_hat.shape)
-    cuts = (s.size * _EPS, PINV_CUTOFF)  # objective_svd's, ols_alpha's
-    if 0 < r < s.size and all(_count_above(s, c) == r for c in cuts):
-        basis = _range_basis(X_hat, r)
-        if _certified(X_hat, basis, s):
+    if isinstance(X_or_factors, tuple):
+        U, s, Vt = _compact_svd(X_or_factors)
+        return U[:, :numerical_rank(s, (U.shape[0], Vt.shape[1]))], s
+    X = np.atleast_2d(np.asarray(X_or_factors, dtype=float))
+    s = np.linalg.svd(X, compute_uv=False)
+    r = numerical_rank(s, X.shape)
+    if 0 < r < s.size:
+        basis = _range_basis(X, r)
+        if _certified(X, basis, s):
             return basis, s
-    U, s, _ = np.linalg.svd(X_hat, full_matrices=False)
-    return U, s
+    U, s, _ = np.linalg.svd(X, full_matrices=False)
+    return U[:, :numerical_rank(s, X.shape)], s
 
 
 def objective_naive(X: np.ndarray, data: PartialMatrix, Y: np.ndarray,
@@ -193,27 +188,23 @@ def objective_svd(X_or_factors, data: PartialMatrix, Y: np.ndarray,
                   fit=None) -> ObjectiveBreakdown:
     """SVD route; accepts a dense matrix or a factor pair (U_f, V_f).
 
-    The side term uses Tr(Y^T (I - U U^T) Y) from the compact SVD of X at
-    numerical rank; factored input is handled through thin QR of each
-    factor, at O(k n (m + d)) cost and without densifying U_f V_f^T, and
-    dense input through `spectral_basis`.  `svd`, when given, is X's
-    `spectral_basis` (left, s) or thin SVD (U, s, Vt), taken instead of
-    computing it; only its first two parts are read.  `fit`, when given,
-    is X's fit term on Omega, taken instead of computing it by `fit_term`
-    (`solve` passes the one its V step determines).
+    With (left, s) X's `spectral_basis` and r = left.shape[1] its
+    numerical rank, the side term is lam Tr(Y^T (I - left left^T) Y) and
+    the nuclear norm s_1 + ... + s_r; a factor pair costs O(k n (m + d))
+    and is never densified.  `svd`, when given, is that (left, s) pair,
+    taken instead of computing it.  `fit`, when given, is X's fit term on
+    Omega, taken instead of computing it by `fit_term` (`solve` passes
+    the one its V step determines).  lam and gamma must be finite and
+    nonnegative.
     """
+    for name, weight in (("lam", lam), ("gamma", gamma)):
+        if not 0 <= weight < np.inf:
+            raise ParameterError(f"{name} must be finite and nonnegative")
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if isinstance(X_or_factors, tuple):
-        left, s, _ = _compact_svd(X_or_factors) if svd is None else svd
-    else:
-        X_or_factors = np.atleast_2d(np.asarray(X_or_factors, dtype=float))
-        left, s = spectral_basis(X_or_factors) if svd is None else svd[:2]
+    left, s = spectral_basis(X_or_factors) if svd is None else svd
     if fit is None:
         fit = fit_term(X_or_factors, data)
-
-    # numerical rank: drop directions whose singular value underflows
-    r = _count_above(s, max(1, s.size) * _EPS)
-    left = left[:, :r]
+    r = left.shape[1]
 
     YtY = float(np.einsum("ij,ij->", Y, Y))
     proj = left.T @ Y
@@ -237,7 +228,7 @@ def worst_case_delta(X: np.ndarray, gamma: float):
         raise ParameterError("gamma must be >= 0")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     U, s, Vt = np.linalg.svd(X, full_matrices=False)
-    r = int(np.sum(s > (s[0] * 1e-14 if s.size and s[0] > 0 else 0.0)))
+    r = numerical_rank(s, X.shape)
     Delta = gamma * (U[:, :r] @ Vt[:r])
     return Delta, gamma * float(s[:r].sum())
 
@@ -265,22 +256,20 @@ def err_l2(X_hat: np.ndarray, A_true: np.ndarray) -> float:
     return num / denom
 
 
-def r_squared(X_hat: np.ndarray, Y: np.ndarray, *, svd=None) -> float:
-    """Pooled multivariate R^2 of the side info regressed on X_hat.
+def r_squared(X_hat, Y: np.ndarray, *, svd=None) -> float:
+    """Pooled multivariate R^2 of the side info regressed on X_hat, a
+    dense matrix or a factor pair (U_f, V_f).
 
     Total sum of squares is column-mean centered and pooled over columns.
     The fitted values X_hat (X_hat^T X_hat)^+ X_hat^T Y are the projection
-    of Y onto the left singular vectors that `ols_alpha`'s PINV_CUTOFF
-    keeps, taken from `spectral_basis`.  `svd`, when given, is X_hat's
-    `spectral_basis` (left, s) or thin SVD (U, s, Vt), taken instead of
-    computing it.
+    of Y onto the r left singular vectors of X_hat's `spectral_basis`.
+    `svd`, when given, is that (left, s) pair, taken instead of computing
+    it.
     """
-    X_hat = np.atleast_2d(np.asarray(X_hat, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    left, s = spectral_basis(X_hat) if svd is None else svd[:2]
+    left, _ = spectral_basis(X_hat) if svd is None else svd
     if left.shape[0] != Y.shape[0]:
         raise ParameterError("X and Y row counts disagree")
-    left = left[:, :_count_above(s, PINV_CUTOFF)]
     fitted = left @ (left.T @ Y)
     ss_res = _square_sum(np.subtract(Y, fitted, out=fitted))
     del fitted  # one n x d temporary at a time
@@ -292,13 +281,13 @@ def r_squared(X_hat: np.ndarray, Y: np.ndarray, *, svd=None) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-def fitted_rank(X_hat: np.ndarray, *, svd=None) -> int:
-    """`numerical_rank`: singular values above s_1 * max(n, m) * 2^-52.
-    `svd`, when given, is X_hat's `spectral_basis` or thin SVD, whose
-    singular values are read instead of computing them."""
-    X_hat = np.atleast_2d(np.asarray(X_hat, dtype=float))
-    s = np.linalg.svd(X_hat, compute_uv=False) if svd is None else svd[1]
-    return numerical_rank(s, X_hat.shape)
+def fitted_rank(X_hat, *, svd=None) -> int:
+    """Numerical rank r of X_hat, a dense matrix or a factor pair: the
+    column count of its `spectral_basis`, which keeps the singular values
+    above s_1 * max(n, m) * 2^-52.  `svd`, when given, is that (left, s)
+    pair, taken instead of computing it."""
+    left, _ = spectral_basis(X_hat) if svd is None else svd
+    return left.shape[1]
 
 
 @single_blas_thread()

@@ -262,6 +262,31 @@ class TestSoftImpute:
         with pytest.raises(ParameterError):
             soft_threshold_svd(pm.to_dense_zero_filled(), tau)
 
+    @pytest.mark.parametrize("k_cap", [0, -1, 16])
+    def test_k_cap_out_of_range(self, k_cap):
+        # -1 once zeroed only the last singular value; 16 > min(n, m)
+        pm, _, _ = generate_synthetic(20, 15, 2, 2, 0.4, 0.0, seed=6)
+        with pytest.raises(ParameterError):
+            soft_impute(pm, 0.5, k_cap=k_cap)
+
+    def test_k_cap_at_min_dimension_accepted(self):
+        pm, _, _ = generate_synthetic(20, 15, 2, 2, 0.4, 0.0, seed=6)
+        full = soft_impute(pm, 0.5, max_iters=3)
+        capped = soft_impute(pm, 0.5, k_cap=15, max_iters=3)
+        assert np.array_equal(full.X_hat, capped.X_hat)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0, -1e-4])
+    def test_bad_eps(self, eps):
+        pm, _, _ = generate_synthetic(20, 15, 2, 2, 0.4, 0.0, seed=6)
+        with pytest.raises(ParameterError):
+            soft_impute(pm, 0.5, eps=eps)
+
+    def test_negative_max_rank(self):
+        with pytest.raises(ParameterError):
+            soft_threshold_svd(np.eye(3), 0.5, max_rank=-1)
+        assert np.array_equal(soft_threshold_svd(np.eye(3), 0.5, max_rank=0),
+                              np.zeros((3, 3)))
+
 
 class TestScaledGD:
     def test_gradients_match_finite_differences(self):

@@ -43,6 +43,15 @@ class TestGen:
         for name in ("partial.txt", "side_info.csv", "truth.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_non_finite_sigma(self, tmp_path, capsys):
+        out = tmp_path / "inst"
+        rc = main(["gen", "--n", "14", "--m", "10", "--rank", "2", "--d",
+                   "2", "--sigma", "nan", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (out / "side_info.csv").exists()
+
 
 class TestSolve:
     def test_admm_outputs_and_report(self, tmp_path):
@@ -237,6 +246,53 @@ class TestExitCodes:
         rc = main(["solve", "--method", method, "--data",
                    str(inst / "partial.txt"), "--side-info",
                    str(inst / "side_info.csv"), "--rank", "2", flag, "nan",
+                   "--out", str(tmp_path / "sol")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("method,flag,value", [
+        ("iterative-svd", "--lambda", "nan"),
+        ("iterative-svd", "--lambda", "-3"),
+        ("soft-impute", "--gamma", "inf"),
+        ("soft-impute", "--gamma", "-1")])
+    def test_bad_metric_weight(self, tmp_path, capsys, method, flag, value):
+        # lam and gamma reach no iterative-svd or soft-impute solve, only
+        # the metrics, which reject them before metrics.csv is written
+        inst = _gen(tmp_path)
+        out = tmp_path / "sol"
+        rc = main(["solve", "--method", method, "--data",
+                   str(inst / "partial.txt"), "--rank", "2", flag, value,
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (out / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--gamma", "-1"), ("--gamma", "nan"), ("--lambda", "-3"),
+        ("--lambda", "inf")])
+    def test_eval_bad_weight(self, tmp_path, capsys, flag, value):
+        inst = _gen(tmp_path)
+        out = tmp_path / "sol"
+        assert main(["solve", "--data", str(inst / "partial.txt"),
+                     "--side-info", str(inst / "side_info.csv"), "--rank",
+                     "2", "--out", str(out)]) == 0
+        (out / "metrics.csv").unlink()
+        capsys.readouterr()
+        rc = main(["eval", "--data", str(inst / "partial.txt"),
+                   "--side-info", str(inst / "side_info.csv"), flag, value,
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (out / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("rank", ["0", "-1"])
+    def test_soft_impute_rank_out_of_range(self, tmp_path, capsys, rank):
+        inst = _gen(tmp_path)
+        rc = main(["solve", "--method", "soft-impute", "--data",
+                   str(inst / "partial.txt"), "--rank", rank,
                    "--out", str(tmp_path / "sol")])
         err = capsys.readouterr().err
         assert rc == 1

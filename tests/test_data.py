@@ -182,6 +182,12 @@ class TestGenerateSynthetic:
         with pytest.raises(ParameterError):
             generate_synthetic(5, 5, 2, 2, 0.5, -1.0, seed=0)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_non_finite_sigma(self, sigma):
+        # NaN once passed the sigma < 0 check and gave noise-free side info
+        with pytest.raises(ParameterError):
+            generate_synthetic(5, 5, 2, 2, 0.5, sigma, seed=0)
+
 
 class TestPartialIO:
     def test_minimal_file(self, tmp_path):

@@ -352,10 +352,12 @@ class TestMetrics:
         A_true = rng.standard_normal((pm.n, pm.m))
         X = rng.standard_normal((pm.n, 3)) @ rng.standard_normal((3, pm.m))
         thin = np.linalg.svd(X, full_matrices=False)
+        assert linalg.numerical_rank(thin.S, X.shape) == 3
+        full = (thin.U[:, :3], thin.S)  # the thin SVD's basis at rank 3
         want = Metrics(err_l2=err_l2(X, A_true),
-                       r2=r_squared(X, Y, svd=thin),
-                       fitted_rank=fitted_rank(X, svd=thin),
-                       objective=objective_svd(X, pm, Y, 0.8, 1.2, svd=thin))
+                       r2=r_squared(X, Y, svd=full),
+                       fitted_rank=fitted_rank(X, svd=full),
+                       objective=objective_svd(X, pm, Y, 0.8, 1.2, svd=full))
         basis = objective._range_basis
 
         def wrong_basis(X_, r):
@@ -367,26 +369,76 @@ class TestMetrics:
         assert not objective._certified(X, wrong_basis(X, 3), thin.S)
         monkeypatch.setattr(objective, "_range_basis", wrong_basis)
         left, s = spectral_basis(X)
-        assert left.shape == (pm.n, pm.m)  # the thin SVD's U
-        assert np.array_equal(left, thin.U) and np.array_equal(s, thin.S)
+        assert left.shape == (pm.n, 3)  # the thin SVD's U at rank 3
+        assert np.array_equal(left, full[0]) and np.array_equal(s, thin.S)
         assert evaluate(X, pm, Y, A_true, 0.8, 1.2) == want
 
-    def test_spectral_basis_falls_back_when_cut_offs_disagree(self):
-        # a singular value between ols_alpha's 1e-12 cut-off and
-        # fitted_rank's max(n, m) * 2^-52 gives the cut-offs different
-        # ranks; each metric then reads the thin SVD at its own rank
+    def test_one_rank_for_a_value_near_the_noise_floor(self):
+        # s_3 = 1e-13 s_1 lies above the numerical-rank cut
+        # max(n, m) * 2^-52 * s_1 = 8.9e-15 s_1 (and below the 1e-12
+        # relative cut that R^2 once used): every metric keeps its
+        # direction.  That direction is fixed only to about
+        # eps * s_1 / s_3, so R^2 and the side term reach their
+        # rank-3 values to 1e-6.
         rng = np.random.default_rng(21)
         n, m = 60, 40
         L = np.linalg.qr(rng.standard_normal((n, 3)))[0]
         R = np.linalg.qr(rng.standard_normal((m, 3)))[0]
         X = (L * [1.0, 0.5, 1e-13]) @ R.T
+        pm, _ = _random_instance(rng, n=n, m=m)
         left, s = spectral_basis(X)
-        assert left.shape == (n, m)
-        assert fitted_rank(X, svd=(left, s)) == 3
-        Y = L[:, 2:] + L[:, :1]  # the 1e-13 direction is dropped in R^2
-        cen = Y - Y.mean(axis=0)
-        assert r_squared(X, Y) == pytest.approx(
-            1.0 - 1.0 / float(np.sum(cen * cen)), abs=1e-12)
+        assert left.shape == (n, 3)
+        assert linalg.numerical_rank(s, X.shape) == 3
+        assert fitted_rank(X) == 3
+        Y = L[:, 2:] + L[:, :1]  # in X's range only through s_3's direction
+        assert r_squared(X, Y) == pytest.approx(1.0, rel=0, abs=1e-6)
+        ob = objective_svd(X, pm, Y, 1.0, 1.0)
+        assert ob.side_term == pytest.approx(0.0, abs=1e-6)
+        assert ob.reg_term == float(s[:3].sum())
+
+    def test_factor_pair_scores_as_its_dense_product(self):
+        # s_3 = 5e-15 s_1 lies below the numerical-rank cut of a 200 x 100
+        # estimate (4.4e-14 s_1): the factor pair and its product both
+        # drop that direction from the side term and the nuclear norm
+        rng = np.random.default_rng(23)
+        n, m = 200, 100
+        L = np.linalg.qr(rng.standard_normal((n, 3)))[0]
+        R = np.linalg.qr(rng.standard_normal((m, 3)))[0]
+        U, V = L * [1.0, 0.5, 5e-15], R
+        pm, _ = _random_instance(rng, n=n, m=m)
+        Y = rng.standard_normal((n, 4)) + 3.0 * L[:, 2:]
+        pair = objective_svd((U, V), pm, Y, 1.0, 1.0)
+        dense = objective_svd(U @ V.T, pm, Y, 1.0, 1.0)
+        for got, want in ((pair.side_term, dense.side_term),
+                          (pair.reg_term, dense.reg_term),
+                          (pair.fit_term, dense.fit_term),
+                          (pair.total, dense.total)):
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+        assert fitted_rank((U, V)) == fitted_rank(U @ V.T) == 2
+        assert spectral_basis((U, V))[0].shape == (n, 2)
+        assert r_squared((U, V), Y) == pytest.approx(r_squared(U @ V.T, Y),
+                                                     rel=1e-12)
+
+    @pytest.mark.parametrize("lam,gamma", [
+        (np.nan, 1.0), (np.inf, 1.0), (-3.0, 1.0),
+        (1.0, np.nan), (1.0, np.inf), (1.0, -1.0)])
+    def test_bad_weights_rejected(self, lam, gamma):
+        rng = np.random.default_rng(24)
+        pm, Y = _random_instance(rng)
+        X = rng.standard_normal((pm.n, pm.m))
+        with pytest.raises(ParameterError):
+            objective_svd(X, pm, Y, lam, gamma)
+        with pytest.raises(ParameterError):
+            objective_svd((X, np.eye(pm.m)), pm, Y, lam, gamma)
+        with pytest.raises(ParameterError):
+            evaluate(X, pm, Y, None, lam, gamma)
+
+    def test_zero_weights_accepted(self):
+        rng = np.random.default_rng(25)
+        pm, Y = _random_instance(rng)
+        X = rng.standard_normal((pm.n, pm.m))
+        ob = objective_svd(X, pm, Y, 0.0, 0.0)
+        assert ob.side_term == ob.reg_term == 0.0
 
     @staticmethod
     def _full_svd_metrics(X, pm, Y, A_true, lam, gamma):
@@ -394,13 +446,15 @@ class TestMetrics:
         through `ols_alpha`'s dense path, rank and objective from X's
         thin SVD."""
         thin = np.linalg.svd(X, full_matrices=False)
+        r = linalg.numerical_rank(thin.S, X.shape)
         resid = Y - X @ ols_alpha(X, Y)
         cen = Y - Y.mean(axis=0)
         return Metrics(
             err_l2=float(np.sum((X - A_true) ** 2) / np.sum(A_true ** 2)),
             r2=1.0 - float(np.sum(resid * resid) / np.sum(cen * cen)),
-            fitted_rank=linalg.numerical_rank(thin.S, X.shape),
-            objective=objective_svd(X, pm, Y, lam, gamma, svd=thin))
+            fitted_rank=r,
+            objective=objective_svd(X, pm, Y, lam, gamma,
+                                    svd=(thin.U[:, :r], thin.S)))
 
     def _assert_agrees_with_full_svd(self, X, pm, Y, A_true):
         got = evaluate(X, pm, Y, A_true, 1.0, 1.0)
@@ -470,10 +524,10 @@ class TestMetrics:
         n, m, d = 4000, 6, 40
         X = rng.standard_normal((n, m))
         Y = rng.standard_normal((n, d))
-        svd = np.linalg.svd(X, full_matrices=False)
+        U, s, _ = np.linalg.svd(X, full_matrices=False)
         tracemalloc.start()
         try:
-            r_squared(X, Y, svd=svd)
+            r_squared(X, Y, svd=(U, s))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
