@@ -256,17 +256,15 @@ def _ridge_rows(values: sp.sparray, gram, F, diag, extra, spans,
     observed values (extra_i = 0 when `extra` is None).
 
     All k x k Grams come from `gram` applied to the row-wise outer
-    products of F (upper triangle only, q columns): a sparse 0/1 pattern's
-    product, or `_mask_gram` (`ridge_route`).  The right-hand sides come
+    products of F (upper triangle only, q columns), the right-hand sides
     from `values @ F` (k columns), and all rows are solved in one batched
-    call; no nnz x k^2 gather is ever formed.  The q + k product columns
-    run in the contiguous `spans` (`_ridge_spans`), the calling thread
-    taking the first and `pool`'s workers the rest (a pool is opened for
-    the call when None).  Each output element comes from the same kernel
-    summing the same entries in the same order whatever the spans, so
-    the result does not depend on them, bit for bit.  Workers run only
-    sparse kernels and elementwise NumPy, no BLAS: `_mask_gram` runs
-    only in the first span (`_ridge_spans`).
+    call; no nnz x k^2 gather is ever formed.  Each span [start, stop) of
+    `spans` (`_ridge_spans`) runs those columns of [Gram triangle |
+    right-hand sides] as one `products` call, the first on the calling
+    thread and the rest on `pool`, a pool opened for the call when None.
+    Each output element comes from the same kernel summing the same
+    entries in the same order whatever the spans, so the result does not
+    depend on them, bit for bit.
     """
     k = F.shape[1]
     iu, ju = np.triu_indices(k)
@@ -276,33 +274,25 @@ def _ridge_rows(values: sp.sparray, gram, F, diag, extra, spans,
         with ThreadPoolExecutor(len(rest)) as own:
             return _ridge_rows(values, gram, F, diag, extra, spans, own)
     G = np.empty((values.shape[0], k, k))
+    rhs = np.empty((values.shape[0], k))
 
-    def gram_columns(cols):
-        """Gram triangle columns `cols` (a slice of 0..q), both halves."""
-        block = gram(F[:, iu[cols]] * F[:, ju[cols]])
-        G[:, iu[cols], ju[cols]] = block
-        G[:, ju[cols], iu[cols]] = block
+    def products(start, stop):
+        """Columns [start, stop) of [Gram triangle | right-hand sides]."""
+        if start < q:
+            cols = slice(start, min(stop, q))
+            block = gram(F[:, iu[cols]] * F[:, ju[cols]])
+            G[:, iu[cols], ju[cols]] = block
+            G[:, ju[cols], iu[cols]] = block
+        if stop > q:
+            lin = slice(max(start, q) - q, stop - q)
+            rhs[:, lin] = values @ F[:, lin]
 
-    if rest:
-        rhs = np.empty((values.shape[0], k))
-
-        def products(start, stop):
-            """Columns [start, stop) of [Gram triangle | right-hand sides]."""
-            if start < q:
-                gram_columns(slice(start, min(stop, q)))
-            if stop > q:
-                lin = slice(max(start, q) - q, stop - q)
-                rhs[:, lin] = values @ F[:, lin]
-
-        futures = [pool.submit(products, *span) for span in rest]
-        try:
-            products(*first)
-        finally:
-            for future in futures:
-                future.result()
-    else:
-        gram_columns(slice(0, q))
-        rhs = values @ F
+    futures = [pool.submit(products, *span) for span in rest]
+    try:
+        products(*first)
+    finally:
+        for future in futures:
+            future.result()
     G *= 2.0
     diag_idx = np.arange(k)
     G[:, diag_idx, diag_idx] += diag
@@ -312,12 +302,27 @@ def _ridge_rows(values: sp.sparray, gram, F, diag, extra, spans,
     return np.linalg.solve(G, rhs[..., None])[..., 0]
 
 
-def _ridge_plan(masks: ObservationMasks, k: int, threads: int,
-                transpose: bool):
-    """(Gram product, spans) of a U step, or of a V step when
-    `transpose`, on `ridge_route`'s route for `masks`."""
+def _ridge_step(block: str, masks: ObservationMasks, F, diag, extra,
+                threads: int, pool) -> np.ndarray:
+    """The ridge solves of the U step (`block` "U": one per row of the
+    data, F = V) or the V step ("V": one per column, F = U, on the
+    transposed index `by_col`), by `_ridge_rows`.
+
+    The Grams come from the route `ridge_route` picks: sparse products of
+    the observation pattern (its transpose for V), or, on densely
+    observed data, BLAS products of row blocks of the uint8 mask (mask^T
+    products over its column blocks for V).  The products run on up to
+    `threads` threads, split by column group, when the data are large
+    enough (`ridge_groups`): on the mask route the calling thread runs
+    the BLAS products and one worker the sparse right-hand sides, so
+    workers run no BLAS.  The workers come from `pool` (a
+    `ThreadPoolExecutor`, as `solve` opens once per solve), or from an
+    executor opened for the call when None.  The result is bitwise the
+    same for every `threads`.
+    """
     if threads < 1:
         raise ParameterError("threads must be >= 1")
+    transpose = block == "V"
     nnz = masks.by_row.nnz
     route = ridge_route(*masks.by_row.shape, nnz)
     if route == "mask":
@@ -325,50 +330,31 @@ def _ridge_plan(masks: ObservationMasks, k: int, threads: int,
     else:
         pattern = masks.col_pattern if transpose else masks.row_pattern
         gram = pattern.__matmul__
-    return gram, _ridge_spans(nnz, k, threads, route)
+    spans = _ridge_spans(nnz, F.shape[1], threads, route)
+    values = masks.by_col if transpose else masks.by_row
+    out = _ridge_rows(values, gram, F, diag, extra, spans, pool)
+    if not np.all(np.isfinite(out)):
+        raise NumericalError(f"non-finite values after {block} update")
+    return out
 
 
 def update_U(V, Z, Psi, masks: ObservationMasks, gamma: float, rho2: float,
              threads: int = 1, *, pool=None) -> np.ndarray:
-    """Exact U block minimizer: one ridge solve per row of U.
-
-    The Grams come from the route `ridge_route` picks: sparse products
-    of the observation pattern, or, on densely observed data, BLAS
-    products of row blocks of the uint8 mask.  The products run on up to
-    `threads` threads, split by column group, when the data are large
-    enough (`ridge_groups`): on the mask route the calling thread runs
-    the BLAS products and one worker the sparse right-hand sides.  The
-    workers come from `pool` (a `ThreadPoolExecutor`, as `solve` opens
-    once per solve), or from an executor opened for the call when None.
-    The result is bitwise the same for every `threads`.
-    """
+    """Exact U block minimizer: one ridge solve per row of U, by
+    `_ridge_step` with its `threads` and `pool`."""
     if gamma + rho2 <= 0:
         raise ParameterError("gamma + rho2 must be > 0")
-    gram, spans = _ridge_plan(masks, V.shape[1], threads, transpose=False)
-    out = _ridge_rows(masks.by_row, gram, V, gamma + rho2, Psi + rho2 * Z,
-                      spans, pool)
-    if not np.all(np.isfinite(out)):
-        raise NumericalError("non-finite values after U update")
-    return out
+    return _ridge_step("U", masks, V, gamma + rho2, Psi + rho2 * Z, threads,
+                       pool)
 
 
 def update_V(U, masks: ObservationMasks, gamma: float,
              threads: int = 1, *, pool=None) -> np.ndarray:
-    """Exact V block minimizer: one ridge solve per column of the data,
-    its right-hand sides from the transposed (CSC) view of the
-    observation index, its Grams from the transposed pattern or, on the
-    mask route, from mask^T products over column blocks of the mask.
-
-    `threads` and `pool` act as in `update_U`: the same route and split,
-    the same bitwise result for every thread count.
-    """
+    """Exact V block minimizer: one ridge solve per column of the data, by
+    `_ridge_step` with its `threads` and `pool`."""
     if gamma <= 0:
         raise ParameterError("gamma must be > 0")
-    gram, spans = _ridge_plan(masks, U.shape[1], threads, transpose=True)
-    out = _ridge_rows(masks.by_col, gram, U, gamma, None, spans, pool)
-    if not np.all(np.isfinite(out)):
-        raise NumericalError("non-finite values after V update")
-    return out
+    return _ridge_step("V", masks, U, gamma, None, threads, pool)
 
 
 def update_P(Y, Z, Phi, lam: float, rho1: float, k: int,
@@ -536,7 +522,12 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
     numbers; other data take Lanczos, seeded with `hp.seed`.  The route
     run is `report.init_route` (`TruncatedSVD.route`).
 
-    Each iteration updates U, P, V and Z in turn, then the duals.  The U
+    Each iteration updates U, P, V and Z in turn, then the duals.  Each
+    block update runs as one timed step, its time added to
+    `report.subproblem_times[block]`; with `track_lagrangian` the
+    augmented Lagrangian is taken before the first step and after each,
+    and `report.lagrangian_trace` gets one row per iteration: (L before,
+    after U, after P, after V, after Z, ||U^{t+1} - U^t||_F^2).  The U
     step is proximal: it minimizes the augmented Lagrangian plus
     (c/2) ||U - U^t||_F^2 with c = (gamma + rho2)/2, which guarantees the
     sufficient decrease L(U^t) - L(U^{t+1}) >= (gamma + rho2) ||U^{t+1} -
@@ -559,13 +550,10 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
     the Gram of U's rows observed in column j and R = A^T U over the
     observations, so the fit is ||a||^2 - <V, R> - (gamma / 2) ||V||_F^2.
 
-    The U and V steps take their Grams from the observation pattern, or,
-    on densely observed data, from BLAS on the uint8 mask (`ridge_route`;
-    the route run is `report.ridge_route`).  `hp.threads` threads share
-    their products when the data are large enough (`ridge_groups`; the
-    count used is `report.ridge_groups`), on the workers of one executor
-    opened for the solve and closed when it returns; the iterates do not
-    depend on it, bit for bit.
+    The U and V steps run as `_ridge_step` says, on `report.ridge_route`
+    in `report.ridge_groups` column groups, with `hp.threads` and the
+    workers of one executor opened for the solve and closed when it
+    returns; the iterates do not depend on `hp.threads`, bit for bit.
 
     Terminates when both squared primal residual norms fall to eps, or at
     the iteration cap.  The whole solve runs NumPy's BLAS on one thread
@@ -625,6 +613,15 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
         return tracked(augmented_lagrangian, state, data, Y, hp.lam,
                        hp.gamma, hp.rho1, hp.rho2)
 
+    def step(block: str, name: str, update) -> None:
+        """Set iterate `name` to `update()`, timed into
+        subproblem_times[block]; then record the Lagrangian when tracked."""
+        t0 = time.perf_counter()
+        setattr(state, name, update())
+        report.subproblem_times[block] += time.perf_counter() - t0
+        if track_lagrangian:
+            lag_row.append(lagrangian())
+
     # one executor serves every split U and V step; leaving the block
     # joins its workers, so none outlives the solve
     workers = (ThreadPoolExecutor(report.ridge_groups - 1)
@@ -632,43 +629,22 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
     with warnings.catch_warnings(record=True) as caught, workers as pool:
         warnings.simplefilter("always", RankDeficiencyWarning)
         for t in range(hp.max_iters):
-            lag_row = []
-            if track_lagrangian:
-                lag_row.append(lagrangian())
-
-            t0 = time.perf_counter()
+            lag_row = [lagrangian()] if track_lagrangian else []
             U_prev = state.U
-            state.U = update_U(state.V,
-                               (hp.rho2 * state.Z + prox * U_prev) / rho2_prox,
-                               state.Psi, masks, hp.gamma, rho2_prox,
-                               hp.threads, pool=pool)
-            report.subproblem_times["U"] += time.perf_counter() - t0
+            step("U", "U", lambda: update_U(
+                state.V, (hp.rho2 * state.Z + prox * U_prev) / rho2_prox,
+                state.Psi, masks, hp.gamma, rho2_prox, hp.threads,
+                pool=pool))
+            step("P", "M", lambda: update_P(
+                Y, state.Z, state.Phi, hp.lam, hp.rho1, k, seed=hp.seed,
+                basis=basis, compressed=compressed))
+            step("V", "V", lambda: update_V(state.U, masks, hp.gamma,
+                                            hp.threads, pool=pool))
+            step("Z", "Z", lambda: update_Z(state.U, state.M, state.Phi,
+                                            state.Psi, hp.rho1, hp.rho2))
             if track_lagrangian:
-                du_sq = float(np.sum((state.U - U_prev) ** 2))
-                lag_row.append(lagrangian())
-
-            t0 = time.perf_counter()
-            state.M = update_P(Y, state.Z, state.Phi, hp.lam, hp.rho1, k,
-                               seed=hp.seed, basis=basis,
-                               compressed=compressed)
-            report.subproblem_times["P"] += time.perf_counter() - t0
-            if track_lagrangian:
-                lag_row.append(lagrangian())
-
-            t0 = time.perf_counter()
-            state.V = update_V(state.U, masks, hp.gamma, hp.threads,
-                               pool=pool)
-            report.subproblem_times["V"] += time.perf_counter() - t0
-            if track_lagrangian:
-                lag_row.append(lagrangian())
-
-            t0 = time.perf_counter()
-            state.Z = update_Z(state.U, state.M, state.Phi, state.Psi,
-                               hp.rho1, hp.rho2)
-            report.subproblem_times["Z"] += time.perf_counter() - t0
-            if track_lagrangian:
-                lag_row.append(lagrangian())
                 # (L before, after U, after P, after V, after Z, ||dU||^2)
+                du_sq = float(np.sum((state.U - U_prev) ** 2))
                 report.lagrangian_trace.append(tuple(lag_row) + (du_sq,))
 
             state.Phi, state.Psi = update_duals(state, hp.rho1, hp.rho2)

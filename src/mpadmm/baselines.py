@@ -20,7 +20,7 @@ from .admm import ObservationMasks, fit_residual
 from .data import PartialMatrix
 from .exceptions import ParameterError
 from .linalg import single_blas_thread, soft_threshold_svd, truncated_svd
-from .objective import fit_term, ols_alpha
+from .objective import _check_weights, fit_term, ols_alpha
 
 _MAX_HALVINGS = 60  # scaled_gd backtracking: 2^-60 is below double rounding
 
@@ -188,12 +188,11 @@ def scaled_gd(data: PartialMatrix, Y, lam: float, gamma: float, k: int,
     `monotone_violations` counts the iterations in which no such step was
     found; the iterate is then kept and the run stops.  Terminates at the
     iteration cap or when the relative objective improvement falls below
-    1e-3.
+    1e-3.  lam and gamma must be finite and nonnegative.
     """
     if not 1 <= k <= min(data.n, data.m):
         raise ParameterError("k out of range")
-    if not (np.isfinite(lam) and np.isfinite(gamma)):
-        raise ParameterError("lam and gamma must be finite")
+    _check_weights(lam, gamma)
     t0 = time.perf_counter()
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
 

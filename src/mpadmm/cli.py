@@ -20,7 +20,7 @@ from .data import (Hyperparams, PartialMatrix, SideInfo, generate_synthetic,
                    load_dense_csv, load_partial, load_side_info,
                    save_dense_csv, save_partial, save_side_info)
 from .exceptions import ConvergenceError, NumericalError, ParameterError, ParseError
-from .objective import evaluate
+from .objective import _check_weights, evaluate
 
 DEFAULT_THREADS = min(os.cpu_count() or 1, 24)
 
@@ -36,6 +36,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     p = _Parser(prog="mpadmm", description=__doc__)
+    hp = Hyperparams  # the flags' defaults are the library's
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a synthetic instance")
@@ -56,13 +57,14 @@ def _build_parser() -> _Parser:
     s.add_argument("--side-info", help="side info CSV (required for admm)")
     s.add_argument("--truth", help="ground truth CSV, enables err_l2")
     s.add_argument("--rank", type=int, required=True)
-    s.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    s.add_argument("--gamma", type=float, default=1.0)
-    s.add_argument("--rho1", type=float, default=10.0, help="(admm only)")
-    s.add_argument("--rho2", type=float, default=10.0, help="(admm only)")
-    s.add_argument("--max-iter", type=int, default=20, help="(admm only)")
-    s.add_argument("--tol", type=float, default=1e-6, help="(admm only)")
-    s.add_argument("--tau", type=float, default=1.0,
+    s.add_argument("--lambda", dest="lam", type=float, default=hp.lam)
+    s.add_argument("--gamma", type=float, default=hp.gamma)
+    s.add_argument("--rho1", type=float, default=hp.rho1, help="(admm only)")
+    s.add_argument("--rho2", type=float, default=hp.rho2, help="(admm only)")
+    s.add_argument("--max-iter", type=int, default=hp.max_iters,
+                   help="(admm only)")
+    s.add_argument("--tol", type=float, default=hp.eps, help="(admm only)")
+    s.add_argument("--tau", type=float, default=SweepConfig.soft_impute_tau,
                    help="soft-impute shrinkage threshold")
     s.add_argument("--threads", type=int, default=DEFAULT_THREADS,
                    help="(admm only) threads for the U/V steps' sparse "
@@ -80,8 +82,8 @@ def _build_parser() -> _Parser:
     e.add_argument("--data", required=True)
     e.add_argument("--side-info", required=True)
     e.add_argument("--truth", help="ground truth CSV, enables err_l2")
-    e.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    e.add_argument("--gamma", type=float, default=1.0)
+    e.add_argument("--lambda", dest="lam", type=float, default=hp.lam)
+    e.add_argument("--gamma", type=float, default=hp.gamma)
     e.add_argument("--out", required=True,
                    help="directory holding U.csv / V.csv; metrics.csv is "
                         "(re)written there")
@@ -89,10 +91,10 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_gen(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     data, side, truth = generate_synthetic(args.n, args.m, args.rank, args.d,
                                            args.miss_frac, args.sigma,
                                            args.seed)
+    os.makedirs(args.out, exist_ok=True)
     save_partial(data, os.path.join(args.out, "partial.txt"))
     save_side_info(side, os.path.join(args.out, "side_info.csv"))
     save_dense_csv(truth.A_true, os.path.join(args.out, "truth.csv"))
@@ -119,6 +121,7 @@ def _write_metrics(path, X_hat, data, Y, lam, gamma, A_true=None):
 
 
 def _cmd_solve(args) -> int:
+    _check_weights(args.lam, args.gamma)  # before any method runs or writes
     data = load_partial(args.data)
     if args.side_info:
         side = SideInfo(Y=load_dense_csv(args.side_info))
@@ -148,8 +151,6 @@ def _cmd_solve(args) -> int:
                 "%.17g" % report.objective_trace[i],
                 report.termination,
             ])
-        if not report_rows:  # converged before the first iteration
-            report_rows.append(["0", "", "", "", "", report.termination])
     else:
         res = run_baseline(args.method.replace("-", "_"), data, side.Y,
                            args.rank, args.lam, args.gamma, args.tau)
@@ -222,12 +223,12 @@ def parse_sweep_config(path) -> tuple:
         fixed = {key: int(raw[key]) for key in ("n", "m", "k", "d")}
         hyper = Hyperparams(
             k=fixed["k"],
-            lam=float(raw.get("lambda", 1.0)),
-            gamma=float(raw.get("gamma", 1.0)),
-            rho1=float(raw.get("rho1", 10.0)),
-            rho2=float(raw.get("rho2", 10.0)),
-            eps=float(raw.get("tol", 1e-6)),
-            max_iters=int(raw.get("max_iter", 20)),
+            lam=float(raw.get("lambda", Hyperparams.lam)),
+            gamma=float(raw.get("gamma", Hyperparams.gamma)),
+            rho1=float(raw.get("rho1", Hyperparams.rho1)),
+            rho2=float(raw.get("rho2", Hyperparams.rho2)),
+            eps=float(raw.get("tol", Hyperparams.eps)),
+            max_iters=int(raw.get("max_iter", Hyperparams.max_iters)),
             threads=int(raw.get("threads", DEFAULT_THREADS)),
             seed=int(raw.get("base_seed", 0)),
         )
@@ -242,7 +243,7 @@ def parse_sweep_config(path) -> tuple:
             miss_frac=float(raw.get("miss_frac", 0.9)),
             sigma=float(raw.get("sigma", 0.0)),
             base_seed=int(raw.get("base_seed", 0)),
-            soft_impute_tau=float(raw.get("tau", 1.0)),
+            soft_impute_tau=float(raw.get("tau", SweepConfig.soft_impute_tau)),
             record_timings=_parse_bool(raw.get("record_timings", "true")),
         )
     except KeyError as exc:

@@ -178,8 +178,10 @@ def generate_synthetic(n: int, m: int, k: int, d: int, miss_frac: float,
     (for about 0.1 s, which slowed a protocol-size solve started right
     after generation by about 20% on 2 vCPUs).
     """
-    if k >= min(n, m):
-        raise ParameterError("k must be < min(n, m)")
+    if not 1 <= k < min(n, m):
+        raise ParameterError("k must lie in [1, min(n, m))")
+    if d < 1:
+        raise ParameterError("d must be >= 1")
     if not 0 <= miss_frac < 1:
         raise ParameterError("miss_frac must lie in [0, 1)")
     if not 0 <= sigma < np.inf:

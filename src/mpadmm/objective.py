@@ -183,6 +183,14 @@ def objective_naive(X: np.ndarray, data: PartialMatrix, Y: np.ndarray,
                               reg_term=gamma * float(s.sum()))
 
 
+def _check_weights(lam: float, gamma: float) -> None:
+    """Raise `ParameterError` unless the side-term and nuclear-norm
+    weights lam and gamma are finite and nonnegative."""
+    for name, weight in (("lam", lam), ("gamma", gamma)):
+        if not 0 <= weight < np.inf:
+            raise ParameterError(f"{name} must be finite and nonnegative")
+
+
 def objective_svd(X_or_factors, data: PartialMatrix, Y: np.ndarray,
                   lam: float, gamma: float, *, svd=None,
                   fit=None) -> ObjectiveBreakdown:
@@ -195,11 +203,9 @@ def objective_svd(X_or_factors, data: PartialMatrix, Y: np.ndarray,
     taken instead of computing it.  `fit`, when given, is X's fit term on
     Omega, taken instead of computing it by `fit_term` (`solve` passes
     the one its V step determines).  lam and gamma must be finite and
-    nonnegative.
+    nonnegative (`_check_weights`).
     """
-    for name, weight in (("lam", lam), ("gamma", gamma)):
-        if not 0 <= weight < np.inf:
-            raise ParameterError(f"{name} must be finite and nonnegative")
+    _check_weights(lam, gamma)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     left, s = spectral_basis(X_or_factors) if svd is None else svd
     if fit is None:

@@ -454,6 +454,23 @@ class TestRidgeRoute:
         want = _dense_row_oracle(pm, st.V, st.Z, st.Psi, 0.5, 2.0)
         assert np.max(np.abs(got["mask"][0] - want)) < 1e-10
 
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_non_finite_result_names_its_block(self, monkeypatch, route):
+        # row 1 is observed at column 1 (`_random_state`)
+        _force_route(monkeypatch, route)
+        rng = np.random.default_rng(36)
+        pm, st = _random_state(rng)
+        masks = ObservationMasks.from_partial(pm)
+        Z, U = st.Z.copy(), st.U.copy()
+        Z[1] = np.nan
+        U[1] = np.nan
+        with pytest.raises(NumericalError,
+                           match="^non-finite values after U update$"):
+            update_U(st.V, Z, st.Psi, masks, 0.5, 2.0)
+        with pytest.raises(NumericalError,
+                           match="^non-finite values after V update$"):
+            update_V(U, masks, 0.6)
+
     def test_mask_route_never_builds_the_pattern(self, monkeypatch):
         def refuse(self):
             raise AssertionError("pattern built on the mask route")

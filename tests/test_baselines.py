@@ -422,6 +422,13 @@ class TestScaledGD:
         with pytest.raises(ParameterError):
             scaled_gd(pm, si.Y, lam, gamma, 2)
 
+    @pytest.mark.parametrize("lam,gamma", [(-1.0, 1.0), (1.0, -1.0)])
+    def test_negative_weights(self, lam, gamma):
+        # a negative weight makes the loss unbounded below
+        pm, si, _ = generate_synthetic(20, 15, 2, 2, 0.4, 0.5, seed=8)
+        with pytest.raises(ParameterError, match="nonnegative"):
+            scaled_gd(pm, si.Y, lam, gamma, 2)
+
     def test_no_dense_fill(self, monkeypatch):
         def refuse(self):
             raise AssertionError("scaled_gd formed the zero-filled matrix")

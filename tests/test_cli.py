@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from mpadmm import cli
-from mpadmm.cli import main, parse_sweep_config
+from mpadmm.bench import SweepConfig
+from mpadmm.cli import (DEFAULT_THREADS, _build_parser, main,
+                        parse_sweep_config)
 from mpadmm import objective
-from mpadmm.data import (PartialMatrix, generate_synthetic, load_dense_csv,
-                         load_partial)
+from mpadmm.data import (Hyperparams, PartialMatrix, generate_synthetic,
+                         load_dense_csv, load_partial)
 from mpadmm.exceptions import NumericalError, ParameterError
 from mpadmm.linalg import _openblas_threads_api
 
@@ -51,6 +53,20 @@ class TestGen:
         assert rc == 1
         assert err.startswith("error:") and "Traceback" not in err
         assert not (out / "side_info.csv").exists()
+
+    @pytest.mark.parametrize("flag,value", [("--rank", "0"), ("--rank", "-2"),
+                                            ("--d", "0"), ("--d", "-1")])
+    def test_rank_and_side_width_at_least_one(self, tmp_path, capsys, flag,
+                                              value):
+        args = {"--n": "14", "--m": "10", "--rank": "2", "--d": "2",
+                flag: value}
+        out = tmp_path / "inst"
+        rc = main(["gen", *(x for item in args.items() for x in item),
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestSolve:
@@ -255,10 +271,13 @@ class TestExitCodes:
         ("iterative-svd", "--lambda", "nan"),
         ("iterative-svd", "--lambda", "-3"),
         ("soft-impute", "--gamma", "inf"),
-        ("soft-impute", "--gamma", "-1")])
+        ("soft-impute", "--gamma", "-1"),
+        ("scaled-gd", "--lambda", "-1"),
+        ("scaled-gd", "--gamma", "-1")])
     def test_bad_metric_weight(self, tmp_path, capsys, method, flag, value):
         # lam and gamma reach no iterative-svd or soft-impute solve, only
-        # the metrics, which reject them before metrics.csv is written
+        # the metrics; they are checked before any method runs, so no
+        # output file is written
         inst = _gen(tmp_path)
         out = tmp_path / "sol"
         rc = main(["solve", "--method", method, "--data",
@@ -267,7 +286,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error:") and "Traceback" not in err
-        assert not (out / "metrics.csv").exists()
+        assert not list(out.glob("*"))
 
     @pytest.mark.parametrize("flag,value", [
         ("--gamma", "-1"), ("--gamma", "nan"), ("--lambda", "-3"),
@@ -346,6 +365,28 @@ class TestSweepCommand:
         assert config.hyper.max_iters == 5
         assert config.record_timings is False
         assert out == "custom.csv"
+
+    def test_required_keys_alone_take_the_library_defaults(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("vary=n\nvalues=12\nn=12\nm=8\nk=2\nd=2\n")
+        config, out = parse_sweep_config(cfg)
+        assert config.hyper == Hyperparams(k=2, threads=DEFAULT_THREADS)
+        tau = SweepConfig.__dataclass_fields__["soft_impute_tau"].default
+        assert config.soft_impute_tau == tau
+        assert out is None
+
+    def test_flags_take_the_library_defaults(self):
+        want = Hyperparams(k=2)
+        tau = SweepConfig.__dataclass_fields__["soft_impute_tau"].default
+        solve = _build_parser().parse_args(
+            ["solve", "--data", "d", "--rank", "2", "--out", "o"])
+        assert (solve.lam, solve.gamma, solve.rho1, solve.rho2, solve.tol,
+                solve.max_iter, solve.tau, solve.threads) == (
+            want.lam, want.gamma, want.rho1, want.rho2, want.eps,
+            want.max_iters, tau, DEFAULT_THREADS)
+        ev = _build_parser().parse_args(
+            ["eval", "--data", "d", "--side-info", "s", "--out", "o"])
+        assert (ev.lam, ev.gamma) == (want.lam, want.gamma)
 
     def test_sweep_runs_and_writes_csv(self, tmp_path):
         cfg = self._write_config(tmp_path)

@@ -182,6 +182,14 @@ class TestGenerateSynthetic:
         with pytest.raises(ParameterError):
             generate_synthetic(5, 5, 2, 2, 0.5, -1.0, seed=0)
 
+    @pytest.mark.parametrize("k,d,name", [(0, 2, "k"), (-2, 2, "k"),
+                                          (2, 0, "d"), (2, -1, "d")])
+    def test_rank_and_side_width_at_least_one(self, k, d, name):
+        # k = 0 once gave an all-zero truth, d = 0 an empty side-info
+        # matrix, and negative values a NumPy ValueError
+        with pytest.raises(ParameterError, match=f"^{name} must"):
+            generate_synthetic(6, 5, k, d, 0.5, 1.0, seed=0)
+
     @pytest.mark.parametrize("sigma", [np.nan, np.inf])
     def test_non_finite_sigma(self, sigma):
         # NaN once passed the sigma < 0 check and gave noise-free side info
