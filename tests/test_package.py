@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import mpadmm
 
 
@@ -11,3 +16,15 @@ def test_star_import():
     namespace = {}
     exec("from mpadmm import *", namespace)
     assert set(mpadmm.__all__) <= set(namespace)
+
+
+def test_run_as_module():
+    # `python -m mpadmm` runs the command-line interface from a checkout
+    src = str(Path(mpadmm.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-m", "mpadmm", "--help"], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("usage: mpadmm")
