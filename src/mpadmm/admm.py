@@ -146,8 +146,8 @@ class SolveReport:
     # most DENSE_CUTOFF on a side
     init_route: str = ""
     # where the U and V steps' Grams came from (`ridge_route`): "sparse"
-    # (the observation pattern; LU solves) or "mask" (BLAS on the dense
-    # uint8 mask; Cholesky solves)
+    # (the observation pattern) or "mask" (BLAS on the dense uint8 mask);
+    # both routes solve by batched Cholesky
     ridge_route: str = ""
 
 
@@ -185,12 +185,11 @@ def ridge_route(n: int, m: int, nnz: int) -> str:
 
     "mask": densely observed data (nnz >= _MASK_DENSITY n m, i.e. 30%)
     take them from dense BLAS products of blocks of the uint8 0/1 mask
-    (`ObservationMasks.mask`), zeros included, and solve the systems by
-    batched Cholesky (`_solve_cholesky`).
+    (`ObservationMasks.mask`), zeros included.
     "sparse": other data take them from the sparse product of the 0/1
-    pattern (`ObservationMasks.row_pattern`) with F's outer products,
-    and solve the systems by batched LU (`_solve_lu`).
-    Both routes take the right-hand sides from the sparse `values @ F`.
+    pattern (`ObservationMasks.row_pattern`) with F's outer products.
+    Both routes take the right-hand sides from the sparse `values @ F`
+    and solve the systems by one batched Cholesky (`_solve_cholesky`).
     """
     return "mask" if nnz >= _MASK_DENSITY * n * m else "sparse"
 
@@ -250,85 +249,11 @@ def _mask_gram(mask: np.ndarray, W: np.ndarray, transpose: bool, out):
         np.matmul(block, W, out=out[b])
 
 
-def _pattern_gram(pattern: sp.sparray, W: np.ndarray, out) -> None:
-    """out = pattern @ W, by SciPy's sparse product."""
-    out[...] = pattern @ W
-
-
-def _ridge_rows(values: sp.sparray, gram, F, diag, extra, spans, pool,
-                solve) -> np.ndarray:
-    """Row-wise ridge solves (2 F_i^T F_i + diag I) x_i = 2 F_i^T a_i + extra_i,
-    where F_i holds the rows of F at row i's observed indices and a_i the
-    observed values (extra_i = 0 when `extra` is None).
-
-    All k x k Grams come from `gram` applied to the row-wise outer
-    products of F (upper triangle only, q columns, row by row), the
-    right-hand sides from `values @ F` (k columns), both written into one
-    n x (q + k) buffer; no nnz x k^2 gather is ever formed.  Each span
-    [start, stop) of `spans` (`_ridge_spans`) fills those columns of the
-    buffer as one `products` call, the first on the calling thread and
-    the rest on `pool`, a pool opened for the call when None.  Each
-    buffer element comes from the same kernel summing the same entries in
-    the same order whatever the spans, so the result does not depend on
-    them, bit for bit.
-
-    `solve(B, k, diag, extra)` then solves every system from the buffer
-    B on the calling thread: `_solve_cholesky` on the "mask" route,
-    `_solve_lu` on the "sparse" route.  The sparse route keeps the LU
-    solve because acceptance criterion 10 times it at n = 2000 and 4000
-    (m = 100): there a prototype of the Cholesky roughly halved the U
-    step's O(n) time but not the fixed-size V and P work, and pushed the
-    n = 4000 / n = 2000 time ratio from 1.68-1.75 down to 1.37-1.63,
-    against the criterion's 1.4 floor.
-    """
-    k = F.shape[1]
-    iu, ju = np.triu_indices(k)
-    q = iu.size
-    first, *rest = spans
-    if rest and pool is None:
-        with ThreadPoolExecutor(len(rest)) as own:
-            return _ridge_rows(values, gram, F, diag, extra, spans, own,
-                               solve)
-    B = np.empty((values.shape[0], q + k))
-
-    def products(start, stop):
-        """Columns [start, stop) of [Gram triangle | right-hand sides]."""
-        if start < q:
-            cols = slice(start, min(stop, q))
-            gram(F[:, iu[cols]] * F[:, ju[cols]], out=B[:, cols])
-        if stop > q:
-            B[:, max(start, q):stop] = values @ F[:, max(start, q) - q:stop - q]
-
-    futures = [pool.submit(products, *span) for span in rest]
-    try:
-        products(*first)
-    finally:
-        for future in futures:
-            future.result()
-    return solve(B, k, diag, extra)
-
-
-def _solve_lu(B, k, diag, extra) -> np.ndarray:
-    """The systems of `_ridge_rows`' buffer B, by one batched LU solve
-    (`np.linalg.solve`) of the n x k x k stack of both triangles."""
-    iu, ju = np.triu_indices(k)
-    q = iu.size
-    G = np.empty((B.shape[0], k, k))
-    G[:, iu, ju] = B[:, :q]
-    G[:, ju, iu] = B[:, :q]
-    G *= 2.0
-    diag_idx = np.arange(k)
-    G[:, diag_idx, diag_idx] += diag
-    rhs = B[:, q:]
-    rhs *= 2.0
-    if extra is not None:
-        rhs += extra
-    return np.linalg.solve(G, rhs[..., None])[..., 0]
-
-
 def _solve_cholesky(B, k, diag, extra) -> np.ndarray:
-    """The systems of `_ridge_rows`' buffer B, by one Cholesky
-    factorization vectorized over the batch axis, with no k x k stack.
+    """The systems (2 G_i + diag I) x_i = 2 r_i + extra_i of the n x (q +
+    k) buffer B, whose row i holds G_i's upper triangle (q = k(k + 1)/2
+    columns, row by row) and r_i, by one Cholesky factorization
+    vectorized over the batch axis, with no k x k stack.
 
     B is transposed once to (q + k) x n, so that each matrix entry and
     each right-hand side is one contiguous length-n vector.  The factor 2
@@ -336,9 +261,11 @@ def _solve_cholesky(B, k, diag, extra) -> np.ndarray:
     = r_i + extra_i / 2, where halving is exact.  The upper factor R
     (A = R^T R) overwrites the triangle in k column steps, each a
     right-looking update of the trailing triangle; the forward (R^T) and
-    back (R) substitutions take k steps each.  Raises LinAlgError on a
-    pivot <= 0; a NaN pivot yields non-finite results.  No floating-point
-    warning escapes.
+    back (R) substitutions take k steps each.  Cholesky needs no pivoting
+    to be backward stable on these symmetric positive definite systems
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, Thm
+    10.3).  Raises LinAlgError on a pivot <= 0; a NaN pivot yields
+    non-finite results.  No floating-point warning escapes.
     """
     q = B.shape[1] - k
     off = [j * k - j * (j - 1) // 2 for j in range(k)]  # R_jj's row
@@ -371,20 +298,29 @@ def _ridge_step(block: str, masks: ObservationMasks, F, diag, extra,
                 threads: int, pool) -> np.ndarray:
     """The ridge solves of the U step (`block` "U": one per row of the
     data, F = V) or the V step ("V": one per column, F = U, on the
-    transposed index `by_col`), by `_ridge_rows`.
+    transposed index `by_col`): (2 F_i^T F_i + diag I) x_i = 2 F_i^T a_i
+    + extra_i, where F_i holds the rows of F at row i's observed indices
+    and a_i the observed values (extra_i = 0 when `extra` is None).
 
-    The Grams come from the route `ridge_route` picks: sparse products of
-    the observation pattern (its transpose for V), solved by batched LU
-    (`_solve_lu`); or, on densely observed data, BLAS products of row
+    The k x k Grams come from the route `ridge_route` picks, applied to
+    the row-wise outer products of F (upper triangle only, q = k(k + 1)/2
+    columns, row by row): sparse products of the observation pattern (its
+    transpose for V), or, on densely observed data, BLAS products of row
     blocks of the uint8 mask (mask^T products over its column blocks for
-    V), solved by batched Cholesky (`_solve_cholesky`).  The products run
-    on up to `threads` threads, split by column group, when the data are
-    large enough (`ridge_groups`): on the mask route the calling thread
-    runs the BLAS products and one worker the sparse right-hand sides, so
-    workers run no BLAS.  The workers come from `pool` (a
-    `ThreadPoolExecutor`, as `solve` opens once per solve), or from an
-    executor opened for the call when None.  The solve itself runs on the
-    calling thread.  The result is bitwise the same for every `threads`.
+    V, `_mask_gram`).  The right-hand sides come from `values @ F` (k
+    columns).  Both are written into one n x (q + k) buffer; no nnz x k^2
+    gather is ever formed.  Each span [start, stop) of `_ridge_spans`
+    fills those columns of the buffer as one `products` call, the first
+    on the calling thread and the rest on up to `threads` - 1 workers
+    when the data are large enough (`ridge_groups`): on the mask route
+    the calling thread runs the BLAS products and one worker the sparse
+    right-hand sides, so workers run no BLAS.  The workers come from
+    `pool` (a `ThreadPoolExecutor`, as `solve` opens once per solve), or
+    from an executor opened for the call when None.  Each buffer element
+    comes from the same kernel summing the same entries in the same order
+    whatever the spans, so the result is bitwise the same for every
+    `threads`.  Every system is then solved on the calling thread by one
+    batched Cholesky (`_solve_cholesky`), on either route.
 
     Raises NumericalError naming the block when a system is singular or
     not positive definite, or when the result is not finite.
@@ -392,19 +328,41 @@ def _ridge_step(block: str, masks: ObservationMasks, F, diag, extra,
     if threads < 1:
         raise ParameterError("threads must be >= 1")
     transpose = block == "V"
-    nnz = masks.by_row.nnz
+    values = masks.by_col if transpose else masks.by_row
+    nnz = values.nnz
     route = ridge_route(*masks.by_row.shape, nnz)
     if route == "mask":
         gram = functools.partial(_mask_gram, masks.mask, transpose=transpose)
-        solve = _solve_cholesky
     else:
         pattern = masks.col_pattern if transpose else masks.row_pattern
-        gram = functools.partial(_pattern_gram, pattern)
-        solve = _solve_lu
-    spans = _ridge_spans(nnz, F.shape[1], threads, route)
-    values = masks.by_col if transpose else masks.by_row
+
+        def gram(W, out):
+            out[...] = pattern @ W
+    k = F.shape[1]
+    iu, ju = np.triu_indices(k)
+    q = iu.size
+    B = np.empty((values.shape[0], q + k))
+
+    def products(start, stop):
+        """Columns [start, stop) of [Gram triangle | right-hand sides]."""
+        if start < q:
+            cols = slice(start, min(stop, q))
+            gram(F[:, iu[cols]] * F[:, ju[cols]], out=B[:, cols])
+        if stop > q:
+            B[:, max(start, q):stop] = values @ F[:, max(start, q) - q:stop - q]
+
+    first, *rest = _ridge_spans(nnz, k, threads, route)
+    workers = (ThreadPoolExecutor(len(rest)) if rest and pool is None
+               else contextlib.nullcontext(pool))
+    with workers as pool:
+        futures = [pool.submit(products, *span) for span in rest]
+        try:
+            products(*first)
+        finally:
+            for future in futures:
+                future.result()
     try:
-        out = _ridge_rows(values, gram, F, diag, extra, spans, pool, solve)
+        out = _solve_cholesky(B, k, diag, extra)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"ridge system of the {block} update is "
                              f"singular or indefinite: {exc}") from exc
@@ -736,9 +694,9 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
             state.Phi, state.Psi = update_duals(state, hp.rho1, hp.rho2,
                                                 residuals=residuals)
 
-            for name, arr in (("U", state.U), ("V", state.V), ("M", state.M),
-                              ("Z", state.Z), ("Phi", state.Phi),
-                              ("Psi", state.Psi)):
+            # U and V are finite here: `_ridge_step` raises otherwise
+            for name, arr in (("M", state.M), ("Z", state.Z),
+                              ("Phi", state.Phi), ("Psi", state.Psi)):
                 if not np.all(np.isfinite(arr)):
                     raise NumericalError(f"non-finite {name} iterate",
                                          iteration=t)

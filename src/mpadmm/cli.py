@@ -103,6 +103,20 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _load_truth(path, n: int, m: int) -> np.ndarray:
+    """The ground truth CSV at `path`, checked to be n x m, finite and not
+    all zero, so that err_l2 is defined; raises ParameterError otherwise."""
+    A_true = load_dense_csv(path)
+    if A_true.shape != (n, m):
+        raise ParameterError(f"expected {n}x{m} truth, got "
+                             f"{A_true.shape[0]}x{A_true.shape[1]}")
+    if not np.all(np.isfinite(A_true)):
+        raise ParameterError("truth has non-finite entries")
+    if not np.any(A_true):
+        raise ParameterError("truth is all zero")
+    return A_true
+
+
 def _write_metrics(path, X_hat, data, Y, lam, gamma, A_true=None):
     met = evaluate(X_hat, data, Y, A_true, lam, gamma)
     obj = met.objective
@@ -132,10 +146,7 @@ def _cmd_solve(args) -> int:
         raise ParameterError("--side-info is required for method admm")
     else:
         side = SideInfo(Y=np.zeros((data.n, 1)))
-    A_true = load_dense_csv(args.truth) if args.truth else None
-    if A_true is not None and A_true.shape != (data.n, data.m):
-        raise ParameterError(f"expected {data.n}x{data.m} truth, got "
-                             f"{A_true.shape[0]}x{A_true.shape[1]}")
+    A_true = _load_truth(args.truth, data.n, data.m) if args.truth else None
     os.makedirs(args.out, exist_ok=True)
 
     report_rows = []
@@ -192,7 +203,7 @@ def _cmd_eval(args) -> int:
     if U.shape[0] != data.n or V.shape[0] != data.m or U.shape[1] != V.shape[1]:
         raise ParameterError("factor shapes do not match the data")
     X_hat = U @ V.T
-    A_true = load_dense_csv(args.truth) if args.truth else None
+    A_true = _load_truth(args.truth, data.n, data.m) if args.truth else None
     metrics = _write_metrics(os.path.join(args.out, "metrics.csv"), X_hat,
                              data, side.Y, args.lam, args.gamma, A_true)
     print(", ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"

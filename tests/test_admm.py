@@ -477,24 +477,26 @@ class TestRidgeRoute:
                            match="^non-finite values after V update$"):
             update_V(U, masks, 0.6)
 
-    # the Cholesky solve of the mask route against the per-row and
-    # per-column dense oracles; row 0 and column 0 are unobserved
+    # the Cholesky solve against the per-row and per-column dense oracles,
+    # on the mask route and on the sparse route; row 0 and column 0 are
+    # unobserved
     @pytest.mark.parametrize("k", [1, 2, 10, 15])
     @pytest.mark.parametrize("block", [None, 100])
     def test_mask_route_against_the_oracles(self, monkeypatch, k, block):
         if block is not None:  # many row blocks and many column blocks
             monkeypatch.setattr(linalg, "_BLOCK", block)
-        _force_route(monkeypatch, "mask")
         rng = np.random.default_rng(410 + k)
         pm, st = _random_state(rng, n=60, m=45, k=k, frac=0.5)
-        masks = ObservationMasks.from_partial(pm)
-        got_u = update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0)
-        got_v = update_V(st.U, masks, 0.6)
         want_u = _dense_row_oracle(pm, st.V, st.Z, st.Psi, 0.5, 2.0)
         want_v = _dense_col_oracle(pm, st.U, 0.6)
-        assert np.max(np.abs(got_u - want_u)) < 1e-10
-        assert np.max(np.abs(got_v - want_v)) < 1e-10
-        assert np.all(got_v[0] == 0.0)  # no observations, no right side
+        for route in ROUTES:
+            _force_route(monkeypatch, route)
+            masks = ObservationMasks.from_partial(pm)
+            got_u = update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0)
+            got_v = update_V(st.U, masks, 0.6)
+            assert np.max(np.abs(got_u - want_u)) < 1e-10, route
+            assert np.max(np.abs(got_v - want_v)) < 1e-10, route
+            assert np.all(got_v[0] == 0.0), route  # no observations
 
     @pytest.mark.parametrize("route", ROUTES)
     def test_singular_system_names_its_block(self, monkeypatch, route):
@@ -514,27 +516,36 @@ class TestRidgeRoute:
             update_U(F, zeros, zeros, masks, 1e-14, 0.0)
 
     def test_indefinite_or_nan_system_on_the_mask_route(self, monkeypatch):
-        _force_route(monkeypatch, "mask")
+        # and on the sparse route: a NaN row of V reaches every row's Gram
+        # on the mask route (mask zeros times NaN), and on the sparse route
+        # the Grams of the rows observed at column 2
         rng = np.random.default_rng(37)
         pm, st = _random_state(rng)
-        masks = ObservationMasks.from_partial(pm)
+        assert np.any(pm.cols == 2)
         V = st.V.copy()
-        V[2] = np.nan  # every row's Gram sums mask zeros times NaN
+        V[2] = np.nan
         real = admm._mask_gram
 
         def negated(mask, W, transpose, out):
             real(mask, W, transpose, out)
             np.negative(out, out=out)
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NumericalError,
-                               match="^non-finite values after U update$"):
-                update_U(V, st.Z, st.Psi, masks, 0.5, 2.0)
-            monkeypatch.setattr(admm, "_mask_gram", negated)
-            with pytest.raises(NumericalError,
-                               match="U update is singular or indefinite"):
-                update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0)
+        for route in ROUTES:
+            _force_route(monkeypatch, route)
+            masks = ObservationMasks.from_partial(pm)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericalError,
+                                   match="^non-finite values after U update$"):
+                    update_U(V, st.Z, st.Psi, masks, 0.5, 2.0)
+                # negate every Gram: the mask's products or the pattern
+                if route == "mask":
+                    monkeypatch.setattr(admm, "_mask_gram", negated)
+                else:
+                    masks.row_pattern = -masks.row_pattern
+                with pytest.raises(NumericalError,
+                                   match="U update is singular or indefinite"):
+                    update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0)
 
     def test_cholesky_pivots(self):
         # rows of [Gram triangle | right-hand side] at k = 2
@@ -547,9 +558,11 @@ class TestRidgeRoute:
                 admm._solve_cholesky(B.copy(), 2, 0.0, None)
             B[1, :3] = np.nan
             got = admm._solve_cholesky(B.copy(), 2, 0.0, None)
-        want = admm._solve_lu(B.copy(), 2, 0.0, None)
+        # 2 G x = 2 r, G and r as written in rows 0 and 2 of B
+        want = [np.linalg.solve([[2.0, 1.0], [1.0, 2.0]], [1.0, 1.0]),
+                np.linalg.solve([[3.0, 1.0], [1.0, 2.0]], [0.0, 1.0])]
         assert np.all(np.isnan(got[1]))
-        assert np.max(np.abs(got[[0, 2]] - want[[0, 2]])) < 1e-15
+        assert np.max(np.abs(got[[0, 2]] - want)) < 1e-15
 
     def test_mask_route_never_builds_the_pattern(self, monkeypatch):
         def refuse(self):

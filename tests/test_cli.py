@@ -29,6 +29,19 @@ def _read_csv(path):
         return list(csv.reader(fh))
 
 
+def _save_bad_truth(inst, path, kind):
+    """Write a truth of `kind` for the instance `inst` to `path`: "2x2"
+    (wrong shape), "zero" (all zero) or "nan" (one entry NaN)."""
+    A = load_dense_csv(inst / "truth.csv")
+    if kind == "2x2":
+        A = np.ones((2, 2))
+    elif kind == "zero":
+        A = np.zeros_like(A)
+    else:
+        A[3, 4] = np.nan
+    save_dense_csv(A, path)
+
+
 class TestGen:
     def test_writes_three_files(self, tmp_path):
         out = _gen(tmp_path)
@@ -152,13 +165,13 @@ class TestSolve:
                    "2", "--out", str(tmp_path / "sol")])
         assert rc == 1
 
-    @pytest.mark.parametrize("truth", ["missing", "2x2"])
+    @pytest.mark.parametrize("truth", ["missing", "2x2", "zero", "nan"])
     def test_truth_checked_before_the_method_runs(self, tmp_path, capsys,
                                                   monkeypatch, truth):
         inst = _gen(tmp_path, n=30, m=20)
         path = tmp_path / "truth.csv"
-        if truth == "2x2":
-            save_dense_csv(np.ones((2, 2)), path)
+        if truth != "missing":
+            _save_bad_truth(inst, path, truth)
 
         def refuse(*args, **kwargs):
             raise AssertionError("the method ran")
@@ -191,6 +204,23 @@ class TestEval:
         metrics = dict(zip(*_read_csv(out / "metrics.csv")))
         assert float(metrics["err_l2"]) == pytest.approx(0.0, abs=1e-12)
         assert float(metrics["fit_term"]) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("truth", ["2x2", "zero", "nan"])
+    def test_truth_checked_before_metrics_are_written(self, tmp_path, capsys,
+                                                      truth):
+        inst = _gen(tmp_path, n=30, m=20)
+        out = tmp_path / "sol"
+        out.mkdir()
+        save_dense_csv(np.ones((30, 2)), out / "U.csv")
+        save_dense_csv(np.ones((20, 2)), out / "V.csv")
+        _save_bad_truth(inst, tmp_path / "truth.csv", truth)
+        rc = main(["eval", "--data", str(inst / "partial.txt"),
+                   "--side-info", str(inst / "side_info.csv"), "--truth",
+                   str(tmp_path / "truth.csv"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (out / "metrics.csv").exists()
 
     def test_shape_mismatch(self, tmp_path):
         inst = _gen(tmp_path)
