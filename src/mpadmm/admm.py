@@ -149,6 +149,10 @@ class SolveReport:
     # (the observation pattern) or "mask" (BLAS on the dense uint8 mask);
     # both routes solve by batched Cholesky
     ridge_route: str = ""
+    # Ritz solves (P updates plus tracked dual residuals) that certified
+    # Rayleigh-quotient iteration answered (`linalg.pgram_ritz`); the
+    # others ran LAPACK's `eigh`
+    ritz_structured: int = 0
 
 
 # The ridge step's products split into column groups, one per worker
@@ -391,21 +395,22 @@ def update_V(U, masks: ObservationMasks, gamma: float,
 
 
 def update_P(Y, Z, Phi, lam: float, rho1: float, k: int,
-             seed: int = 0, *, basis=None, compressed=None) -> np.ndarray:
+             seed: int = 0, *, basis=None, compressed=None,
+             routes=None) -> np.ndarray:
     """Orthonormal factor M of the projector maximizing the P subproblem.
 
     M holds the k eigenvectors of largest algebraic eigenvalue of
     lam*YY^T + (rho1/2)ZZ^T + (Phi Z^T + Z Phi^T)/2, computed by
     `pgram_eig_topk` on the `side_basis` of Y (`basis`) and the
     `pgram_compress` of Z and Phi (`compressed`); each is computed here
-    when None.
+    when None.  `routes` is handed to `pgram_ritz`.
     """
     if k > Y.shape[0]:
         raise ParameterError("k exceeds the row dimension")
     if basis is None:
         basis = side_basis(Y)
     M, _ = pgram_eig_topk(basis, Z, Phi, lam, rho1, k, seed=seed,
-                          compressed=compressed)
+                          compressed=compressed, routes=routes)
     return M
 
 
@@ -449,7 +454,7 @@ def primal_residuals(state: IterateState, *, residuals=None):
 
 
 def dual_residual(state: IterateState, Y, lam: float, *, basis=None,
-                  compressed=None) -> float:
+                  compressed=None, routes=None) -> float:
     """||P2 - P1 P2||_F where P1 projects onto col(Z) and P2 onto the top-k
     eigenspace of lam*YY^T + (Phi Z^T + Z Phi^T)/2.
 
@@ -458,8 +463,12 @@ def dual_residual(state: IterateState, Y, lam: float, *, basis=None,
     P1 comes from the SVD of Z's coordinates at numerical rank, and P2
     from the kept Ritz vectors (`pgram_ritz`) plus `pad` complement
     directions, each orthogonal to col(Z) and so adding exactly 1 to the
-    squared residual.  `basis` is Y's `side_basis`; it and `compressed`
-    are computed here when None.  No random directions are drawn.
+    squared residual.  The Ritz vectors come from certified
+    Rayleigh-quotient iteration on the problem's diagonal-plus-rank-2k
+    form where `linalg.ritz_route` says "structured", and from LAPACK's
+    `eigh` otherwise or when the certificate fails; `routes` is handed to
+    `pgram_ritz`.  `basis` is Y's `side_basis`; it and `compressed` are
+    computed here when None.  No random directions are drawn.
     """
     Z = state.Z
     k = state.k
@@ -467,7 +476,7 @@ def dual_residual(state: IterateState, Y, lam: float, *, basis=None,
         basis = side_basis(Y)
     if compressed is None:
         compressed = pgram_compress(basis, Z, state.Phi)
-    W, _, pad = pgram_ritz(basis, compressed, lam, 0.0, k)
+    W, _, pad = pgram_ritz(basis, compressed, lam, 0.0, k, routes=routes)
     Uz, sz, _ = np.linalg.svd(compressed[1][:, :k], full_matrices=False)
     rank = numerical_rank(sz, Z.shape)  # n x k, not the coordinates' shape
     if rank < k:
@@ -583,6 +592,8 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
     tracked, [Z, Phi] is compressed once per iteration, after the dual
     update: the dual residual of iteration t and the P update of t + 1
     see the same Z and Phi, since the U step changes neither.
+    `report.ritz_structured` counts the Ritz solves that certified
+    Rayleigh-quotient iteration answered; the rest ran LAPACK.
 
     The tracked objective is `objective.objective_svd` of the factors
     (U, V), handed its fit term, which costs one sparse product plus
@@ -623,6 +634,7 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
     )
     basis = side_basis(Y)  # Y is fixed: factored once per solve
     compressed = None  # [Z, Phi] after the last dual update, when tracked
+    ritz_routes = []  # the route of every Ritz solve (`pgram_ritz`)
     nnz = masks.by_row.nnz
     route = ridge_route(data.n, data.m, nnz)
     report = SolveReport(
@@ -678,7 +690,7 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
                 pool=pool))
             step("P", "M", lambda: update_P(
                 Y, state.Z, state.Phi, hp.lam, hp.rho1, k, seed=hp.seed,
-                basis=basis, compressed=compressed))
+                basis=basis, compressed=compressed, routes=ritz_routes))
             step("V", "V", lambda: update_V(state.U, masks, hp.gamma,
                                             hp.threads, pool=pool))
             step("Z", "Z", lambda: update_Z(state.U, state.M, state.Phi,
@@ -711,7 +723,7 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
                 report.subproblem_times["P"] += time.perf_counter() - t0
                 report.dual_residual_trace.append(tracked(
                     dual_residual, state, Y, hp.lam, basis=basis,
-                    compressed=compressed))
+                    compressed=compressed, routes=ritz_routes))
             if track_objective:
                 report.objective_trace.append(tracked(tracked_objective))
             report.iterations = t + 1
@@ -720,4 +732,5 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
                 break
 
     report.warnings = [str(w.message) for w in caught]
+    report.ritz_structured = ritz_routes.count("structured")
     return state, report

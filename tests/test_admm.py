@@ -1269,6 +1269,33 @@ class TestSolve:
             solve(pm, si, Hyperparams(k=2))
 
 
+class TestRitzSolves:
+    """`report.ritz_structured` counts the P updates and dual residuals
+    that certified Rayleigh-quotient iteration answered."""
+
+    def test_protocol_is_certified(self):
+        # the paper's instance: order 160, k = 5, on the iteration's route
+        pm, si, _ = generate_synthetic(1000, 100, 5, 150, 0.9, 2.0, seed=0)
+        hp = Hyperparams(k=5, max_iters=20, seed=0)
+        _, report = solve(pm, si, hp)
+        assert report.ritz_structured >= 0.9 * 2 * report.iterations
+        # untracked, the P updates alone
+        _, report = solve(pm, si, hp, track_objective=False,
+                          track_dual_residual=False)
+        assert (0.9 * report.iterations <= report.ritz_structured
+                <= report.iterations)
+
+    def test_dense_shape_keeps_lapack(self, monkeypatch):
+        # `dense` (d = 20, k = 10, order 40) never tries the iteration
+        def never(*args):
+            raise AssertionError("the iteration was tried")
+
+        monkeypatch.setattr(linalg, "_ritz_rqi", never)
+        pm, si, _ = generate_synthetic(2000, 1000, 10, 20, 0.5, 2.0, seed=0)
+        _, report = solve(pm, si, Hyperparams(k=10, max_iters=3, seed=0))
+        assert report.iterations == 3 and report.ritz_structured == 0
+
+
 class TestBlockDescent:
     def test_lagrangian_monotone_within_iteration(self):
         pm, si, _ = generate_synthetic(20, 14, 3, 2, 0.4, 0.5, seed=11)

@@ -420,6 +420,273 @@ class TestPgramEigTopk:
         assert np.max(np.abs(v0 - v1)) < 1e-12 * np.max(np.abs(v0))
 
 
+def _ritz_problem(s2, B, n):
+    """`pgram_ritz`'s inputs for T = diag(s2, 0) + sym(Z_b H^T) on
+    coordinates B = [Z_b, Phi_b]: it reads only the bases' shapes."""
+    q, r = B.shape[0], len(s2)
+    return (np.zeros((n, r)), np.asarray(s2, float)), (np.zeros((n, q - r)), B)
+
+
+def _ritz_T(basis, compressed, lam, rho1):
+    """The order-q matrix `pgram_ritz` solves, formed densely."""
+    s2, B = basis[1], compressed[1]
+    k = B.shape[1] // 2
+    Z, H = B[:, :k], 0.5 * rho1 * B[:, :k] + B[:, k:]
+    T = 0.5 * (Z @ H.T + H @ Z.T)
+    T[np.arange(len(s2)), np.arange(len(s2))] += lam * s2
+    return T
+
+
+class TestRitzStructured:
+    """`pgram_ritz`'s structured route against its LAPACK route: a
+    certified answer matches `eigh`, anything else is the LAPACK result
+    bit for bit.
+
+    The iteration starts at T's largest diagonal entries, so it is
+    certified where T is dominated by its diagonal, as the solver's
+    problems are (the side term lam YY^T against the rank-2k part);
+    elsewhere it may fall back, and must then do so exactly."""
+
+    @staticmethod
+    def _both(monkeypatch, basis, compressed, lam, rho1, k):
+        """Check both routes' results; returns the route the structured
+        attempt ended on."""
+        monkeypatch.setattr(linalg, "ritz_route", lambda q, k: "lapack")
+        W0, v0, pad0 = linalg.pgram_ritz(basis, compressed, lam, rho1, k)
+        monkeypatch.setattr(linalg, "ritz_route", lambda q, k: "structured")
+        routes = []
+        W1, v1, pad1 = linalg.pgram_ritz(basis, compressed, lam, rho1, k,
+                                         routes=routes)
+        monkeypatch.undo()
+        assert pad1 == pad0
+        if routes == ["lapack"]:
+            assert np.array_equal(W1, W0) and np.array_equal(v1, v0)
+            return "lapack"
+        assert routes == ["structured"]
+        T = _ritz_T(basis, compressed, lam, rho1)
+        q = T.shape[0]
+        assert np.max(np.abs(v1 - v0)) <= 8 * q * np.finfo(float).eps * (
+            np.linalg.norm(T, 2))
+        assert np.linalg.norm(W1.T @ W1 - np.eye(W1.shape[1])) < 1e-13
+        assert _projector_distance(W1, W0) <= 1e-12
+        return "structured"
+
+    @staticmethod
+    def _dominant(rng, q, r, k, scale=0.1):
+        """Diagonal entries 0..1000, well spread at the top, and a rank-2k
+        part of entries about `scale`."""
+        s2 = np.sort(rng.uniform(0.0, 10.0, r) ** 3)[::-1]
+        return s2, scale * rng.standard_normal((q, 2 * k))
+
+    def test_inertia_count_matches_eigvalsh(self):
+        # Haynsworth's count against the spectrum of the formed T, at
+        # shifts between, below and above its eigenvalues
+        rng = np.random.default_rng(39)
+        for k in (1, 3):
+            for _ in range(10):
+                q = 30
+                d = np.concatenate([rng.uniform(-1.0, 4.0, q - 2 * k),
+                                    np.zeros(2 * k)])
+                L = rng.standard_normal((q, 2 * k))
+                T = np.diag(d) + 0.5 * (L[:, :k] @ L[:, k:].T
+                                        + L[:, k:] @ L[:, :k].T)
+                w = np.linalg.eigvalsh(T)
+                for sigma in np.concatenate([[w[0] - 1.0, w[-1] + 1.0],
+                                             0.5 * (w[1:] + w[:-1])]):
+                    assert (linalg._inertia_count(d, L, sigma)
+                            == int(np.sum(w > sigma)))
+        # on a diagonal entry the count is not attempted
+        assert linalg._inertia_count(d, L, d[0]) is None
+
+    def test_well_separated_is_certified(self, monkeypatch):
+        rng = np.random.default_rng(40)
+        for k in (1, 2, 5):
+            for _ in range(4):
+                s2, B = self._dominant(rng, 100 + 2 * k, 100, k)
+                basis, comp = _ritz_problem(s2, B, 300)
+                assert self._both(monkeypatch, basis, comp, 1.0, 10.0,
+                                  k) == "structured"
+
+    def test_clustered_top_eigenvalues(self, monkeypatch):
+        # the top 4 diagonal entries agree to 1e-9 and the rank-2k part
+        # is small: the top 4 eigenvalues form a tight cluster, the 5th
+        # lies far below
+        rng = np.random.default_rng(41)
+        s2 = np.concatenate([1e3 * (1 + 1e-9 * np.arange(4)),
+                             rng.uniform(0.0, 1e2, 116)])
+        for scale in (1e-3, 1e-6):
+            B = scale * rng.standard_normal((130, 10))
+            basis, comp = _ritz_problem(s2, B, 400)
+            route = self._both(monkeypatch, basis, comp, 1.0, 10.0, 4)
+            if scale == 1e-6:  # the rank-2k part is below the spacing
+                assert route == "structured"
+            # the top 2 end inside the cluster: the count finds all 4
+            # above the shift
+            assert self._both(monkeypatch, basis, comp, 1.0, 10.0,
+                              2) == "lapack"
+        # well separated, but the rank-2k part is as large as the gaps
+        for _ in range(4):
+            s2, B = self._dominant(rng, 110, 100, 5, scale=1.0)
+            basis, comp = _ritz_problem(s2, B, 300)
+            self._both(monkeypatch, basis, comp, 1.0, 10.0, 5)
+
+    def test_repeated_diagonal_and_zero_block(self, monkeypatch):
+        # d holds each value three times, then the zero block of Q2; the
+        # top k take whole triples.  Started at three coordinates of one
+        # triple, two iterates may meet on one eigenvector (they do at
+        # k = 6 here), and the Rayleigh-Ritz residual then sends the call
+        # to LAPACK
+        rng = np.random.default_rng(42)
+        for k in (3, 6):
+            s2 = np.repeat(np.arange(40.0, 0.0, -1.0) ** 2, 3)
+            B = 0.1 * rng.standard_normal((len(s2) + 2 * k, 2 * k))
+            basis, comp = _ritz_problem(s2, B, 400)
+            route = self._both(monkeypatch, basis, comp, 1.0, 10.0, k)
+            if k == 3:
+                assert route == "structured"
+            # rows of B at zero: those diagonal entries are exact
+            # eigenvalues of T, here the top one three times over
+            B[:3] = 0.0
+            self._both(monkeypatch, basis, comp, 1.0, 10.0, k)
+            # the top k eigenvalues from the zero block alone
+            B = rng.standard_normal(B.shape)
+            basis, comp = _ritz_problem(np.zeros(len(s2)), B, 400)
+            self._both(monkeypatch, basis, comp, 1.0, 10.0, k)
+
+    def test_no_side_term(self, monkeypatch):
+        # lam = 0: T = sym(Z_b H^T) has rank 2k and a zero diagonal part;
+        # Z_b and H concentrated on the first k coordinates make T's top
+        # k eigenvectors lie near them
+        rng = np.random.default_rng(43)
+        k, q = 4, 120
+        B = 0.01 * rng.standard_normal((q, 2 * k))
+        B[np.arange(k), np.arange(k)] += [3.0, 2.5, 2.0, 1.5]
+        basis, comp = _ritz_problem(rng.uniform(0, 1, q - 2 * k), B, 300)
+        assert self._both(monkeypatch, basis, comp, 0.0, 10.0,
+                          k) == "structured"
+        # generic Z_b and Phi_b, at rho1 = 10 and 0
+        s2, B = self._dominant(rng, 110, 100, 5, scale=1.0)
+        basis, comp = _ritz_problem(s2, B, 300)
+        for rho1 in (10.0, 0.0):
+            self._both(monkeypatch, basis, comp, 0.0, rho1, 5)
+
+    def test_fewer_nonnegative_ritz_values_than_k(self, monkeypatch):
+        # T = diag(9, 0.5, 0, 0, 0, 0) - Z Z^T of order q < 2k: fewer
+        # than k nonnegative eigenvalues, so pad > 0
+        rng = np.random.default_rng(44)
+        for _ in range(5):
+            Z = rng.standard_normal((6, 4))
+            B = np.hstack([Z, -6.0 * Z])  # H = 5 Z - 6 Z = -Z at rho1 = 10
+            basis, comp = _ritz_problem([9.0, 0.5], B, 50)
+            self._both(monkeypatch, basis, comp, 1.0, 10.0, 4)
+            assert linalg.pgram_ritz(basis, comp, 1.0, 10.0, 4)[2] > 0
+
+    def test_rank_deficient_first_iterate(self, monkeypatch):
+        # [Z, Phi] with Phi the all-ones initial dual, compressed as in
+        # `solve`, at a shape the route rule sends to the iteration; the
+        # factored operator is the independent reference
+        rng = np.random.default_rng(45)
+        n, d, k = 400, 120, 5
+        Y = rng.standard_normal((n, d)) * np.geomspace(10.0, 0.1, d)
+        Z = 0.1 * rng.standard_normal((n, k))
+        Phi = np.ones((n, k))
+        basis = side_basis(Y)
+        comp = linalg.pgram_compress(basis, Z, Phi)
+        assert comp[0].shape[1] == k + 1
+        assert linalg.ritz_route(d + k + 1, k) == "structured"
+        assert self._both(monkeypatch, basis, comp, 1.0, 10.0,
+                          k) == "structured"
+        routes = []
+        M1, v1 = pgram_eig_topk(basis, Z, Phi, 1.0, 10.0, k,
+                                compressed=comp, routes=routes)
+        assert routes == ["structured"]
+        M0, v0 = symmetric_eig_topk_factored(
+            *build_pgram_operator(Y, Z, Phi, 1.0, 10.0), k)
+        assert _projector_distance(M0, M1) < 1e-12
+        assert np.max(np.abs(v0 - v1)) < 1e-12 * np.max(np.abs(v0))
+
+    def test_wrong_start_falls_back_to_lapack(self, monkeypatch):
+        # T's largest diagonal entry (coordinate 0) lies near the
+        # eigenvalue 1, while the top eigenvalue 10 lives on coordinates
+        # 98 and 99, whose diagonal is 0: the iteration started at e_0
+        # finds 1, and the count finds two eigenvalues above it
+        q, a, eta = 100, np.sqrt(20.0), 1e-3
+        B = np.zeros((q, 2))
+        B[98, 0] = B[99, 1] = a
+        B[0] = eta
+        s2 = np.concatenate([[1.0, 0.9], np.linspace(0.5, 0.0, q - 4)])
+        basis, comp = _ritz_problem(s2, B, 300)
+        counts = []
+        count = linalg._inertia_count
+
+        def spy(d, L, sigma):
+            counts.append(count(d, L, sigma))
+            return counts[-1]
+
+        monkeypatch.setattr(linalg, "_inertia_count", spy)
+        monkeypatch.setattr(linalg, "ritz_route", lambda q, k: "structured")
+        routes = []
+        linalg.pgram_ritz(basis, comp, 1.0, 0.0, 1, routes=routes)
+        assert routes == ["lapack"] and counts == [2]
+        assert self._both(monkeypatch, basis, comp, 1.0, 0.0, 1) == "lapack"
+
+    def test_failed_count_falls_back_to_lapack(self, monkeypatch):
+        rng = np.random.default_rng(46)
+        s2, B = self._dominant(rng, 110, 100, 5)
+        basis, comp = _ritz_problem(s2, B, 300)
+        assert self._both(monkeypatch, basis, comp, 1.0, 10.0,
+                          5) == "structured"
+        for wrong in (6, 4, None):
+            monkeypatch.setattr(linalg, "_inertia_count",
+                                lambda d, L, sigma: wrong)
+            assert self._both(monkeypatch, basis, comp, 1.0, 10.0,
+                              5) == "lapack"
+
+    def test_badly_scaled_against_40_digit_reference(self, monkeypatch):
+        # the top diagonal entry is 1e8 times the rest, as the side
+        # matrix's mean direction makes it on `protocol`
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(47)
+        q, r, k = 24, 20, 2
+        s2 = np.concatenate([[1e8], np.arange(r - 1, 0, -1.0)])
+        B = 0.05 * rng.standard_normal((q, 2 * k))
+        basis, comp = _ritz_problem(s2, B, 100)
+        assert self._both(monkeypatch, basis, comp, 1.0, 10.0,
+                          k) == "structured"
+        monkeypatch.setattr(linalg, "ritz_route", lambda q, k: "structured")
+        W, vals, _ = linalg.pgram_ritz(basis, comp, 1.0, 10.0, k)
+        # T in 40 digits from the same double inputs (H = 5 Z_b + Phi_b)
+        with mpmath.workdps(40):
+            Zm = mpmath.matrix(B[:, :k].tolist())
+            Hm = 5 * Zm + mpmath.matrix(B[:, k:].tolist())
+            Tm = (Zm * Hm.T + Hm * Zm.T) / 2
+            for i in range(r):
+                Tm[i, i] += s2[i]
+            ev, evec = mpmath.eigsy(Tm)
+            top = sorted(range(q), key=lambda i: -ev[i])[:k]
+            ref_vals = np.array([float(ev[i]) for i in top])
+            ref_vecs = np.array([[float(evec[j, i]) for i in top]
+                                 for j in range(q)])
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(vals - ref_vals)) <= 8 * q * eps * ref_vals[0]
+        assert _projector_distance(W, ref_vecs) <= 1e-12
+
+
+class TestRitzRoute:
+    def test_route_rule(self):
+        # q = d' + 2k: protocol and criterion 10 (d = 150, k = 5, and 156
+        # at iteration 0, when [Z, Phi] has rank k + 1) iterate; `dense`
+        # (d = 20, k = 10) and small problems keep LAPACK
+        for q in (156, 160):
+            assert linalg.ritz_route(q, 5) == "structured"
+        assert linalg.ritz_route(40, 10) == "lapack"
+        assert linalg.ritz_route(31, 10) == "lapack"
+        assert linalg.ritz_route(linalg._RITZ_ORDER - 1, 2) == "lapack"
+        assert linalg.ritz_route(linalg._RITZ_ORDER, 2) == "structured"
+        assert linalg.ritz_route(149, 10) == "lapack"
+        assert linalg.ritz_route(150, 10) == "structured"
+
+
 class TestBuildPgramOperator:
     def test_zero_factors_reduce_to_side_gram(self):
         rng = np.random.default_rng(7)

@@ -28,3 +28,21 @@ def test_run_as_module():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("usage: mpadmm")
+
+
+def test_pythonpath_copy_wins_over_the_checkout(tmp_path):
+    # the root conftest.py adds the checkout's src only when no mpadmm is
+    # importable, so pytest run with PYTHONPATH naming another copy tests
+    # that copy: here a stand-in whose import fails with a known message
+    fake = tmp_path / "mpadmm"
+    fake.mkdir()
+    (fake / "__init__.py").write_text(
+        "raise ImportError('the PYTHONPATH copy was imported')\n")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(tmp_path))
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(root / "tests" / "test_package.py"), "-k", "star_import"],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert out.returncode != 0
+    assert "the PYTHONPATH copy was imported" in out.stdout + out.stderr
