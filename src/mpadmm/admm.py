@@ -138,8 +138,9 @@ class SolveReport:
     # n-row work.
     init_time: float = 0.0
     tracking_time: float = 0.0
-    # column groups (threads) the U and V steps' products ran in; 1 when
-    # they were not split (`ridge_groups`)
+    # threads (1 or 2) the U and V steps' products ran on (`ridge_groups`):
+    # 2 when their right-hand sides ran on one worker beside the Gram; the
+    # iterates are bitwise the same for every thread count
     ridge_groups: int = 1
     # the route the init's truncated SVD took (`TruncatedSVD.route`, by
     # `linalg.svd_route`): "gram", "lanczos", or "dense" for inputs at
@@ -155,17 +156,11 @@ class SolveReport:
     ritz_structured: int = 0
 
 
-# The ridge step's products split into column groups, one per worker
-# thread, only from _SPLIT_WORK multiply-adds (nnz * (q + k), about 1 ms of
-# kernel time per worker): below it thread hand-off outweighs the gain.  A
-# group holds at least _GROUP_COLUMNS columns, since each group re-reads
-# the whole index; one such pass costs about as much as _PASS_COLUMNS more
-# columns.  On 2 vCPUs, nnz * (q + k) = 4e6 ran 4% slower split in two,
-# and 55 columns in groups of 8 took 17.2 ms against 8.2 ms in one product
-# (1.5 ms a pass, 0.12 ms a column).
+# The ridge step's right-hand sides run on a worker beside the Gram only
+# from _SPLIT_WORK multiply-adds (nnz * (q + k), about 1 ms of kernel time
+# per lane): below it thread hand-off outweighs the gain.  On 2 vCPUs,
+# nnz * (q + k) = 4e6 ran 4% slower split in two.
 _SPLIT_WORK = 1 << 24
-_GROUP_COLUMNS = 8
-_PASS_COLUMNS = 12
 # Data with nnz >= _MASK_DENSITY n m take the "mask" route of
 # `ridge_route`.  U + V step time in ms (median of 15), sparse route vs
 # mask route, one BLAS thread on 2 vCPUs, at threads = 1 / threads = 2
@@ -198,83 +193,57 @@ def ridge_route(n: int, m: int, nnz: int) -> str:
     return "mask" if nnz >= _MASK_DENSITY * n * m else "sparse"
 
 
-def _ridge_spans(nnz: int, k: int, threads: int,
-                 route: str = "sparse") -> list:
-    """Column spans [start, stop) of [Gram triangle | right-hand sides], q
-    = k(k + 1)/2 and k columns, that a ridge step with `nnz` observations
-    runs its products in, one span per thread: [(0, q + k)] below
-    _SPLIT_WORK or at threads = 1.  Otherwise, on the "mask" route, they
-    are [(0, q), (q, q + k)]: the Gram triangle's BLAS products on the
-    calling thread, the sparse right-hand sides on one worker; on the
-    "sparse" route there are at most `threads` and (q + k) //
-    _GROUP_COLUMNS spans of about equal cost.  The span that crosses from
-    the Gram columns into the right-hand sides runs two products, so the
-    cuts are laid out as if _PASS_COLUMNS more columns sat between the
-    two."""
-    q = k * (k + 1) // 2
-    width = q + k
-    if nnz * width < _SPLIT_WORK or threads < 2:
-        return [(0, width)]
-    if route == "mask":
-        return [(0, q), (q, width)]
-    groups = max(1, min(threads, width // _GROUP_COLUMNS))
-    length = width + _PASS_COLUMNS
-    cuts = {0, width}
-    for g in range(1, groups):
-        at = round(length * g / groups)
-        cuts.add(at if at <= q else max(q, at - _PASS_COLUMNS))
-    cuts = sorted(cuts)
-    return list(zip(cuts[:-1], cuts[1:]))
-
-
-def ridge_groups(nnz: int, k: int, threads: int,
-                 route: str = "sparse") -> int:
-    """Column groups, each on its own thread, that a ridge step with `nnz`
-    observations and rank k on `route` (`ridge_route`) splits its
-    products into (1 when it does not split them); see `_ridge_spans`."""
-    return len(_ridge_spans(nnz, k, threads, route))
+def ridge_groups(nnz: int, k: int, threads: int) -> int:
+    """Lanes (1 or 2) that a ridge step with `nnz` observations and rank k
+    runs its two products on: 2 at `threads` >= 2 once nnz (q + k) >=
+    _SPLIT_WORK (q = k(k + 1)/2), the Gram triangle on the calling thread
+    and the right-hand sides on one worker; 1 otherwise."""
+    width = k * (k + 3) // 2
+    return 2 if threads >= 2 and nnz * width >= _SPLIT_WORK else 1
 
 
 def _mask_gram(mask: np.ndarray, W: np.ndarray, transpose: bool, out):
-    """out = mask @ W (n x q, W m x q), or mask^T @ W (m x q, W n x q) when
-    `transpose`, by NumPy's BLAS over blocks of rows of the uint8 mask (of
-    its columns when `transpose`), in `_blocks` of at most 2 MB as float64.
-    Each block is cast into one reused float64 buffer laid out in the
-    mask's own memory order and writes its own rows of `out`, so nothing
-    is accumulated."""
-    src = mask.T if transpose else mask
-    length, width = src.shape
-    blocks = list(_blocks(length, width))  # the first is the largest
-    rows = blocks[0].stop if blocks else 0
-    buf = np.empty((width, rows)).T if transpose else np.empty((rows, width))
+    """out = (mask @ W)^T (q x n, W m x q), or (mask^T @ W)^T (q x m, W n x
+    q) when `transpose`: the Grams in the layout of `_solve_cholesky`.  By
+    NumPy's BLAS over `_blocks` of rows of the uint8 mask, each cast into
+    one reused contiguous float64 buffer: a block b writes its own
+    columns W^T mask[b]^T of `out`, or, when `transpose`, adds W[b]^T
+    mask[b] to all of it."""
+    n, m = mask.shape
+    blocks = list(_blocks(n, m))  # the first is the largest
+    buf = np.empty((blocks[0].stop if blocks else 0, m))
+    if transpose:
+        out[...] = 0.0
     for b in blocks:
         block = buf[:b.stop - b.start]
-        np.copyto(block, src[b])
-        np.matmul(block, W, out=out[b])
+        np.copyto(block, mask[b])
+        if transpose:
+            out += W[b].T @ block
+        else:
+            np.matmul(W.T, block.T, out=out[:, b])
 
 
 def _solve_cholesky(B, k, diag, extra) -> np.ndarray:
-    """The systems (2 G_i + diag I) x_i = 2 r_i + extra_i of the n x (q +
-    k) buffer B, whose row i holds G_i's upper triangle (q = k(k + 1)/2
-    columns, row by row) and r_i, by one Cholesky factorization
-    vectorized over the batch axis, with no k x k stack.
+    """The systems (2 G_i + diag I) x_i = 2 r_i + extra_i of the (q + k) x
+    n buffer B, whose column i holds G_i's upper triangle (q = k(k + 1)/2
+    rows, row by row) and r_i, by one Cholesky factorization vectorized
+    over the batch axis, with no k x k stack.
 
-    B is transposed once to (q + k) x n, so that each matrix entry and
-    each right-hand side is one contiguous length-n vector.  The factor 2
-    is taken out exactly: each system is solved as (G_i + (diag/2) I) x_i
-    = r_i + extra_i / 2, where halving is exact.  The upper factor R
-    (A = R^T R) overwrites the triangle in k column steps, each a
-    right-looking update of the trailing triangle; the forward (R^T) and
-    back (R) substitutions take k steps each.  Cholesky needs no pivoting
-    to be backward stable on these symmetric positive definite systems
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, Thm
-    10.3).  Raises LinAlgError on a pivot <= 0; a NaN pivot yields
-    non-finite results.  No floating-point warning escapes.
+    B is factored in place: each matrix entry and each right-hand side is
+    one contiguous length-n row.  The factor 2 is taken out exactly: each
+    system is solved as (G_i + (diag/2) I) x_i = r_i + extra_i / 2, where
+    halving is exact.  The upper factor R (A = R^T R) overwrites the
+    triangle in k column steps, each a right-looking update of the
+    trailing triangle; the forward (R^T) and back (R) substitutions take
+    k steps each.  Cholesky needs no pivoting to be backward stable on
+    these symmetric positive definite systems (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, Thm 10.3).  Raises
+    LinAlgError on a pivot <= 0; a NaN pivot yields non-finite results.
+    No floating-point warning escapes.
     """
-    q = B.shape[1] - k
+    q = B.shape[0] - k
     off = [j * k - j * (j - 1) // 2 for j in range(k)]  # R_jj's row
-    T = np.ascontiguousarray(B.T)
-    R, x = T[:q], T[q:]
+    R, x = B[:q], B[q:]
     R[off] += 0.5 * diag
     if extra is not None:
         x += 0.5 * extra.T
@@ -299,72 +268,59 @@ def _solve_cholesky(B, k, diag, extra) -> np.ndarray:
 
 
 def _ridge_step(block: str, masks: ObservationMasks, F, diag, extra,
-                threads: int, pool) -> np.ndarray:
+                pool) -> np.ndarray:
     """The ridge solves of the U step (`block` "U": one per row of the
     data, F = V) or the V step ("V": one per column, F = U, on the
     transposed index `by_col`): (2 F_i^T F_i + diag I) x_i = 2 F_i^T a_i
     + extra_i, where F_i holds the rows of F at row i's observed indices
     and a_i the observed values (extra_i = 0 when `extra` is None).
 
-    The k x k Grams come from the route `ridge_route` picks, applied to
-    the row-wise outer products of F (upper triangle only, q = k(k + 1)/2
-    columns, row by row): sparse products of the observation pattern (its
-    transpose for V), or, on densely observed data, BLAS products of row
-    blocks of the uint8 mask (mask^T products over its column blocks for
-    V, `_mask_gram`).  The right-hand sides come from `values @ F` (k
-    columns).  Both are written into one n x (q + k) buffer; no nnz x k^2
-    gather is ever formed.  Each span [start, stop) of `_ridge_spans`
-    fills those columns of the buffer as one `products` call, the first
-    on the calling thread and the rest on up to `threads` - 1 workers
-    when the data are large enough (`ridge_groups`): on the mask route
-    the calling thread runs the BLAS products and one worker the sparse
-    right-hand sides, so workers run no BLAS.  The workers come from
-    `pool` (a `ThreadPoolExecutor`, as `solve` opens once per solve), or
-    from an executor opened for the call when None.  Each buffer element
-    comes from the same kernel summing the same entries in the same order
-    whatever the spans, so the result is bitwise the same for every
-    `threads`.  Every system is then solved on the calling thread by one
-    batched Cholesky (`_solve_cholesky`), on either route.
+    Two products fill one (q + k) x n buffer in the layout of
+    `_solve_cholesky`; no nnz x k^2 gather is ever formed.  The Gram
+    triangles (q = k(k + 1)/2 entries, row by row) come from the route
+    `ridge_route` picks, applied to the row-wise outer products of F:
+    sparse products of the observation pattern (its transpose for V), or,
+    on densely observed data, BLAS products of row blocks of the uint8
+    mask (`_mask_gram`).  The right-hand sides (k entries) come from
+    `values @ F`.  The Gram runs on the calling
+    thread; the right-hand sides run there too when `pool` is None, and
+    otherwise on `pool`'s worker (a `ThreadPoolExecutor`, as `solve`
+    opens one per solve when `ridge_groups` is 2), which runs no BLAS.
+    Each product is the same kernel on the same entries on either
+    thread, so the result does not depend on `pool`, bit for bit.  Every
+    system is then solved on the calling thread by one batched Cholesky
+    (`_solve_cholesky`), on either route.
 
     Raises NumericalError naming the block when a system is singular or
     not positive definite, or when the result is not finite.
     """
-    if threads < 1:
-        raise ParameterError("threads must be >= 1")
     transpose = block == "V"
     values = masks.by_col if transpose else masks.by_row
-    nnz = values.nnz
-    route = ridge_route(*masks.by_row.shape, nnz)
-    if route == "mask":
-        gram = functools.partial(_mask_gram, masks.mask, transpose=transpose)
-    else:
-        pattern = masks.col_pattern if transpose else masks.row_pattern
-
-        def gram(W, out):
-            out[...] = pattern @ W
     k = F.shape[1]
     iu, ju = np.triu_indices(k)
     q = iu.size
-    B = np.empty((values.shape[0], q + k))
+    B = np.empty((q + k, values.shape[0]))
 
-    def products(start, stop):
-        """Columns [start, stop) of [Gram triangle | right-hand sides]."""
-        if start < q:
-            cols = slice(start, min(stop, q))
-            gram(F[:, iu[cols]] * F[:, ju[cols]], out=B[:, cols])
-        if stop > q:
-            B[:, max(start, q):stop] = values @ F[:, max(start, q) - q:stop - q]
+    def gram():
+        W = F[:, iu] * F[:, ju]
+        if ridge_route(*masks.by_row.shape, values.nnz) == "mask":
+            _mask_gram(masks.mask, W, transpose, out=B[:q])
+        else:
+            pattern = masks.col_pattern if transpose else masks.row_pattern
+            B[:q] = (pattern @ W).T
 
-    first, *rest = _ridge_spans(nnz, k, threads, route)
-    workers = (ThreadPoolExecutor(len(rest)) if rest and pool is None
-               else contextlib.nullcontext(pool))
-    with workers as pool:
-        futures = [pool.submit(products, *span) for span in rest]
+    def rhs():
+        B[q:] = (values @ F).T
+
+    if pool is None:
+        gram()
+        rhs()
+    else:
+        worker = pool.submit(rhs)
         try:
-            products(*first)
+            gram()
         finally:
-            for future in futures:
-                future.result()
+            worker.result()
     try:
         out = _solve_cholesky(B, k, diag, extra)
     except np.linalg.LinAlgError as exc:
@@ -376,22 +332,21 @@ def _ridge_step(block: str, masks: ObservationMasks, F, diag, extra,
 
 
 def update_U(V, Z, Psi, masks: ObservationMasks, gamma: float, rho2: float,
-             threads: int = 1, *, pool=None) -> np.ndarray:
+             *, pool=None) -> np.ndarray:
     """Exact U block minimizer: one ridge solve per row of U, by
-    `_ridge_step` with its `threads` and `pool`."""
+    `_ridge_step` with its `pool`."""
     if gamma + rho2 <= 0:
         raise ParameterError("gamma + rho2 must be > 0")
-    return _ridge_step("U", masks, V, gamma + rho2, Psi + rho2 * Z, threads,
-                       pool)
+    return _ridge_step("U", masks, V, gamma + rho2, Psi + rho2 * Z, pool)
 
 
-def update_V(U, masks: ObservationMasks, gamma: float,
-             threads: int = 1, *, pool=None) -> np.ndarray:
+def update_V(U, masks: ObservationMasks, gamma: float, *,
+             pool=None) -> np.ndarray:
     """Exact V block minimizer: one ridge solve per column of the data, by
-    `_ridge_step` with its `threads` and `pool`."""
+    `_ridge_step` with its `pool`."""
     if gamma <= 0:
         raise ParameterError("gamma must be > 0")
-    return _ridge_step("V", masks, U, gamma, None, threads, pool)
+    return _ridge_step("V", masks, U, gamma, None, pool)
 
 
 def update_P(Y, Z, Phi, lam: float, rho1: float, k: int,
@@ -603,9 +558,10 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
     observations, so the fit is ||a||^2 - <V, R> - (gamma / 2) ||V||_F^2.
 
     The U and V steps run as `_ridge_step` says, on `report.ridge_route`
-    in `report.ridge_groups` column groups, with `hp.threads` and the
-    workers of one executor opened for the solve and closed when it
-    returns; the iterates do not depend on `hp.threads`, bit for bit.
+    and on `report.ridge_groups` lanes: when that is 2, their
+    right-hand sides run on the one worker of an executor opened for the
+    solve and closed when it returns.  The iterates do not depend on
+    `hp.threads`, bit for bit.
 
     Terminates when both squared primal residual norms fall to eps, or at
     the iteration cap.  The whole solve runs NumPy's BLAS on one thread
@@ -636,10 +592,9 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
     compressed = None  # [Z, Phi] after the last dual update, when tracked
     ritz_routes = []  # the route of every Ritz solve (`pgram_ritz`)
     nnz = masks.by_row.nnz
-    route = ridge_route(data.n, data.m, nnz)
-    report = SolveReport(
-        ridge_groups=ridge_groups(nnz, k, hp.threads, route),
-        init_route=tsvd.route, ridge_route=route)
+    report = SolveReport(ridge_groups=ridge_groups(nnz, k, hp.threads),
+                         init_route=tsvd.route,
+                         ridge_route=ridge_route(data.n, data.m, nnz))
     report.init_time = time.perf_counter() - t0
     prox = 0.5 * (hp.gamma + hp.rho2)  # c of the proximal U step
     rho2_prox = hp.rho2 + prox
@@ -675,10 +630,10 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
         if track_lagrangian:
             lag_row.append(lagrangian())
 
-    # one executor serves every split U and V step; leaving the block
-    # joins its workers, so none outlives the solve
-    workers = (ThreadPoolExecutor(report.ridge_groups - 1)
-               if report.ridge_groups > 1 else contextlib.nullcontext())
+    # one worker serves every split U and V step; leaving the block joins
+    # it, so none outlives the solve
+    workers = (ThreadPoolExecutor(1) if report.ridge_groups == 2
+               else contextlib.nullcontext())
     with warnings.catch_warnings(record=True) as caught, workers as pool:
         warnings.simplefilter("always", RankDeficiencyWarning)
         for t in range(hp.max_iters):
@@ -686,13 +641,12 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
             U_prev = state.U
             step("U", "U", lambda: update_U(
                 state.V, (hp.rho2 * state.Z + prox * U_prev) / rho2_prox,
-                state.Psi, masks, hp.gamma, rho2_prox, hp.threads,
-                pool=pool))
+                state.Psi, masks, hp.gamma, rho2_prox, pool=pool))
             step("P", "M", lambda: update_P(
                 Y, state.Z, state.Phi, hp.lam, hp.rho1, k, seed=hp.seed,
                 basis=basis, compressed=compressed, routes=ritz_routes))
             step("V", "V", lambda: update_V(state.U, masks, hp.gamma,
-                                            hp.threads, pool=pool))
+                                            pool=pool))
             step("Z", "Z", lambda: update_Z(state.U, state.M, state.Phi,
                                             state.Psi, hp.rho1, hp.rho2))
             if track_lagrangian:

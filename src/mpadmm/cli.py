@@ -22,7 +22,7 @@ from .data import (Hyperparams, PartialMatrix, SideInfo, generate_synthetic,
 from .exceptions import ConvergenceError, NumericalError, ParameterError, ParseError
 from .objective import _check_weights, evaluate
 
-DEFAULT_THREADS = min(os.cpu_count() or 1, 24)
+DEFAULT_THREADS = min(os.cpu_count() or 1, 2)
 
 
 class _CliError(Exception):
@@ -67,11 +67,11 @@ def _build_parser() -> _Parser:
     s.add_argument("--tau", type=float, default=SweepConfig.soft_impute_tau,
                    help="soft-impute shrinkage threshold")
     s.add_argument("--threads", type=int, default=DEFAULT_THREADS,
-                   help="(admm only) threads for the U/V steps' "
-                        "products, split by column group once "
-                        "nnz*(k(k+3)/2) >= 2^24 (on densely observed data "
-                        "at most one worker is used); results are the "
-                        "same for every value")
+                   help="(admm only) at 2 or more, the U/V steps run "
+                        "their right-hand sides on one worker beside the "
+                        "Gram once nnz*(k(k+3)/2) >= 2^24; values above 2 "
+                        "act as 2, and results are bitwise the same for "
+                        "every value")
     s.add_argument("--seed", type=int, default=0, help="(admm only)")
     s.add_argument("--out", required=True, help="output directory")
 

@@ -102,16 +102,13 @@ class SideInfo:
 
 @dataclass
 class Hyperparams:
-    """ADMM settings.  `threads` (>= 1) caps the threads that share the
-    Gram and right-hand-side products of the U and V steps, split by
-    column group, once the data are large enough to gain from it
-    (`admm.ridge_groups`): on sparse data the sparse products are split
-    into up to `threads` groups; on densely observed data (the "mask"
-    route of `admm.ridge_route`) the sparse right-hand sides run on one
-    worker beside the Gram's BLAS products.  The workers come from one
-    executor per `solve`.  The iterates are bitwise the same for every
-    value.  The batched ridge solves and all BLAS work run on the calling
-    thread.
+    """ADMM settings.  `threads` (>= 1): at 2 or more, once the data are
+    large enough to gain from it (`admm.ridge_groups`), the U and V
+    steps run their sparse right-hand-side products on one worker of an
+    executor opened per `solve`, beside the Gram products on the calling
+    thread; values above 2 act as 2.  The iterates are bitwise the same
+    for every value.  The batched ridge solves and all BLAS work run on
+    the calling thread.
     `seed` (>= 0) seeds the init's Lanczos start and restart vectors and
     the P update's complement directions (`linalg.pgram_eig_topk`); the
     init's Gram route (`linalg.svd_route`) draws no random numbers, so

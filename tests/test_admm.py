@@ -5,6 +5,7 @@ import textwrap
 import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -102,8 +103,9 @@ class TestUpdateU:
         rng = np.random.default_rng(3)
         pm, st = _random_state(rng, n=30, m=20)
         masks = ObservationMasks.from_partial(pm)
-        a = update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0, threads=1)
-        b = update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0, threads=4)
+        a = update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0)
+        with ThreadPoolExecutor(1) as pool:
+            b = update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0, pool=pool)
         assert np.array_equal(a, b)
 
     def test_bad_penalty(self):
@@ -112,14 +114,6 @@ class TestUpdateU:
         masks = ObservationMasks.from_partial(pm)
         with pytest.raises(ParameterError):
             update_U(st.V, st.Z, st.Psi, masks, 0.0, 0.0)
-
-    def test_bad_threads(self):
-        rng = np.random.default_rng(4)
-        pm, st = _random_state(rng)
-        masks = ObservationMasks.from_partial(pm)
-        for threads in (0, -1):
-            with pytest.raises(ParameterError):
-                update_U(st.V, st.Z, st.Psi, masks, 1.0, 1.0, threads=threads)
 
 
 class TestUpdateV:
@@ -154,26 +148,21 @@ class TestUpdateV:
         rng = np.random.default_rng(8)
         pm, st = _random_state(rng, n=25, m=18)
         masks = ObservationMasks.from_partial(pm)
-        a = update_V(st.U, masks, 0.6, threads=1)
-        b = update_V(st.U, masks, 0.6, threads=4)
+        a = update_V(st.U, masks, 0.6)
+        with ThreadPoolExecutor(1) as pool:
+            b = update_V(st.U, masks, 0.6, pool=pool)
         assert np.array_equal(a, b)
 
-    def test_bad_threads(self):
-        rng = np.random.default_rng(8)
-        pm, st = _random_state(rng)
-        masks = ObservationMasks.from_partial(pm)
-        for threads in (0, -1):
-            with pytest.raises(ParameterError):
-                update_V(st.U, masks, 0.6, threads=threads)
 
-
-@pytest.fixture(params=[0, admm._PASS_COLUMNS], ids=["equal", "weighted"])
+@pytest.fixture(params=[None, 64], ids=["equal", "weighted"])
 def split_always(request, monkeypatch):
-    """Split the ridge products at any size, down to one column a group,
-    in spans of equal width or weighted by the pass cost as in a solve."""
+    """Run the ridge products on two lanes at any size.  "weighted" also
+    cuts the uint8 mask into row blocks of 64 elements (`linalg._blocks`),
+    so the mask route's Gram lane runs many small products, and its V
+    step sums over them, while the worker fills the right-hand sides."""
     monkeypatch.setattr(admm, "_SPLIT_WORK", 0)
-    monkeypatch.setattr(admm, "_GROUP_COLUMNS", 1)
-    monkeypatch.setattr(admm, "_PASS_COLUMNS", request.param)
+    if request.param is not None:
+        monkeypatch.setattr(linalg, "_BLOCK", request.param)
 
 
 ROUTES = ("sparse", "mask")
@@ -204,27 +193,22 @@ class _ExecutorSpy:
 class TestRidgeSplit:
     THREADS = (1, 2, 3, 8)
 
-    def test_spans_from_size(self):
-        # k = 10: 55 Gram and 10 right-hand-side columns
+    def test_groups_rule(self):
+        # the benchmark and criterion-10 shapes at their observed counts
+        # ((1 - miss_frac) n m): protocol, scale and criterion 10 stay on
+        # one lane, dense runs its right-hand sides on one worker
+        for threads in self.THREADS:
+            assert ridge_groups(10_000, 5, threads) == 1  # protocol
+            assert ridge_groups(200_000, 5, threads) == 1  # scale
+            for n in (2000, 4000):  # criterion 10
+                assert ridge_groups(10 * n, 5, threads) == 1
+            assert ridge_groups(1_000_000, 10, threads) == min(threads, 2)
+        # k = 10: 55 Gram and 10 right-hand-side entries
         small = -(-admm._SPLIT_WORK // 65) - 1
-        assert admm._ridge_spans(small, 10, 8) == [(0, 65)]
-        assert ridge_groups(small + 1, 10, 1) == 1
-        # the right-hand sides' product is one more pass over the index
-        assert admm._ridge_spans(small + 1, 10, 2) == [(0, 38), (38, 65)]
-        assert admm._ridge_spans(10 ** 9, 5, 2) == [(0, 15), (15, 20)]
-        for k, threads in ((10, 8), (10, 24), (20, 24), (7, 8), (6, 3)):
-            width = k * (k + 3) // 2
-            spans = admm._ridge_spans(10 ** 9, k, threads)
-            assert spans[0][0] == 0 and spans[-1][1] == width
-            assert all(a < b for a, b in spans)
-            assert all(s[1] == t[0] for s, t in zip(spans, spans[1:]))
-            # at most (q + k) // 8 groups; none below 8 columns
-            assert 1 < len(spans) <= min(threads, width // 8)
-        assert ridge_groups(10 ** 9, 2, 24) == 1
-        # the benchmark shapes: protocol and scale never split, dense does
-        assert ridge_groups(10_000, 5, 2) == 1
-        assert ridge_groups(200_000, 5, 2) == 1
-        assert ridge_groups(1_000_000, 10, 2) == 2
+        for k, nnz in ((10, small + 1), (1, 10 ** 9), (20, 10 ** 9)):
+            assert ridge_groups(nnz, k, 1) == 1
+            assert ridge_groups(nnz, k, 24) == 2
+        assert ridge_groups(small, 10, 24) == 1
 
     @pytest.mark.parametrize("k", [1, 3, 10])
     def test_updates_bitwise_equal_for_every_thread_count(self, split_always,
@@ -234,32 +218,35 @@ class TestRidgeSplit:
         masks = ObservationMasks.from_partial(pm)
         for route in ROUTES:
             _force_route(monkeypatch, route)
-            assert ridge_groups(pm.nnz, k, 2, route) == 2
-            want_u = update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0, threads=1)
-            want_v = update_V(st.U, masks, 0.6, threads=1)
-            for threads in self.THREADS[1:]:
-                got_u = update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0, threads)
-                got_v = update_V(st.U, masks, 0.6, threads)
-                assert np.array_equal(got_u, want_u), (route, threads)
-                assert np.array_equal(got_v, want_v), (route, threads)
+            assert ridge_groups(pm.nnz, k, 2) == 2
+            want_u = update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0)
+            want_v = update_V(st.U, masks, 0.6)
+            with ThreadPoolExecutor(1) as pool:
+                got_u = update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0,
+                                 pool=pool)
+                got_v = update_V(st.U, masks, 0.6, pool=pool)
+            assert np.array_equal(got_u, want_u), route
+            assert np.array_equal(got_v, want_v), route
 
     def test_many_workers_under_fast_switching(self, split_always,
                                                monkeypatch):
-        # more workers than cores, each writing its own columns of the
-        # shared Gram and right-hand-side buffers
+        # the caller and the worker each write their own rows of the
+        # shared [Gram triangle | right-hand sides] buffer, switching
+        # every microsecond
         rng = np.random.default_rng(34)
         pm, st = _random_state(rng, n=300, m=200, k=6, frac=0.5)
         masks = ObservationMasks.from_partial(pm)
         interval = sys.getswitchinterval()
         for route in ROUTES:
             _force_route(monkeypatch, route)
-            want = update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0, threads=1)
+            want = update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0)
             sys.setswitchinterval(1e-6)
             try:
-                for _ in range(20):
-                    got = update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0,
-                                   threads=8)
-                    assert np.array_equal(got, want), route
+                with ThreadPoolExecutor(1) as pool:
+                    for _ in range(20):
+                        got = update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0,
+                                       pool=pool)
+                        assert np.array_equal(got, want), route
             finally:
                 sys.setswitchinterval(interval)
 
@@ -276,26 +263,26 @@ class TestRidgeSplit:
             return products(self, other)
 
         monkeypatch.setattr(admm.sp.csr_array, "__matmul__", fail_off_main)
-        update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0, threads=1)
-        with pytest.raises(RuntimeError, match="worker failed"):
-            update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0, threads=2)
+        update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0)
+        with (ThreadPoolExecutor(1) as pool,
+              pytest.raises(RuntimeError, match="worker failed")):
+            update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0, pool=pool)
 
     def test_split_above_the_size_bitwise_equal(self, monkeypatch):
-        # the split constants as they are: k = 10 and nnz above 2^24 / 65;
-        # a direct call without a pool opens one for the call
+        # the split size as it is: k = 10 and nnz above 2^24 / 65; a
+        # direct call runs on the pool it is passed and opens none
         rng = np.random.default_rng(33)
         pm, st = _random_state(rng, n=600, m=500, k=10, frac=0.9)
         masks = ObservationMasks.from_partial(pm)
         spy = _ExecutorSpy(monkeypatch)
+        assert ridge_groups(pm.nnz, 10, 2) == 2
         for route in ROUTES:
             _force_route(monkeypatch, route)
-            assert ridge_groups(pm.nnz, 10, 2, route) == 2
-            spy.pools.clear()
-            want = update_V(st.U, masks, 0.6, threads=1)
-            assert spy.pools == []
-            assert np.array_equal(update_V(st.U, masks, 0.6, threads=2),
-                                  want)
-            assert len(spy.pools) == 1
+            want = update_V(st.U, masks, 0.6)
+            with ThreadPoolExecutor(1) as pool:
+                got = update_V(st.U, masks, 0.6, pool=pool)
+            assert np.array_equal(got, want), route
+        assert spy.pools == []
 
     @pytest.mark.parametrize("k", [1, 3, 10])
     @pytest.mark.parametrize("track", [True, False])
@@ -314,9 +301,7 @@ class TestRidgeSplit:
                                       track_lagrangian=track)
                 assert report.iterations == 20
                 assert report.ridge_route == route
-                assert report.ridge_groups == ridge_groups(pm.nnz, k,
-                                                           threads, route)
-                assert (report.ridge_groups > 1) == (threads > 1)
+                assert report.ridge_groups == min(threads, 2)
                 runs.append((state, report))
             (want, r_want), *rest = runs
             for state, report in rest:
@@ -418,10 +403,6 @@ class TestRidgeRoute:
         # the cut at 30% observed
         assert ridge_route(100, 50, 1499) == "sparse"
         assert ridge_route(100, 50, 1500) == "mask"
-        assert ridge_groups(1_000_000, 10, 2, "mask") == 2
-        assert ridge_groups(1_000_000, 10, 8, "mask") == 2
-        assert ridge_groups(1_000_000, 10, 1, "mask") == 1
-        assert ridge_groups(10_000, 10, 8, "mask") == 1
 
     def test_solve_reports_the_route(self):
         pm, si, _ = generate_synthetic(60, 40, 3, 3, 0.5, 0.5, seed=14)
@@ -548,17 +529,17 @@ class TestRidgeRoute:
                     update_U(st.V, st.Z, st.Psi, masks, 0.5, 2.0)
 
     def test_cholesky_pivots(self):
-        # rows of [Gram triangle | right-hand side] at k = 2
+        # columns of [Gram triangle | right-hand side] at k = 2
         B = np.array([[2.0, 1.0, 2.0, 1.0, 1.0],
                       [1.0, 2.0, 1.0, 1.0, 1.0],  # indefinite
-                      [3.0, 1.0, 2.0, 0.0, 1.0]])
+                      [3.0, 1.0, 2.0, 0.0, 1.0]]).T
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(np.linalg.LinAlgError, match="pivot 1"):
                 admm._solve_cholesky(B.copy(), 2, 0.0, None)
-            B[1, :3] = np.nan
+            B[:3, 1] = np.nan
             got = admm._solve_cholesky(B.copy(), 2, 0.0, None)
-        # 2 G x = 2 r, G and r as written in rows 0 and 2 of B
+        # 2 G x = 2 r, G and r as written in columns 0 and 2 of B
         want = [np.linalg.solve([[2.0, 1.0], [1.0, 2.0]], [1.0, 1.0]),
                 np.linalg.solve([[3.0, 1.0], [1.0, 2.0]], [0.0, 1.0])]
         assert np.all(np.isnan(got[1]))
