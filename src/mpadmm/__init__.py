@@ -16,8 +16,8 @@ from .data import (GroundTruth, Hyperparams, PartialMatrix, SideInfo,
 from .exceptions import (ConvergenceError, NumericalError, ParameterError,
                          ParseError)
 from .linalg import (TruncatedSVD, apply_projection, build_pgram_operator,
-                     pgram_compress, pgram_eig_topk, side_basis,
-                     soft_threshold_svd, truncated_svd)
+                     pgram_compress, side_basis, soft_threshold_svd,
+                     truncated_svd)
 from .objective import (Metrics, ObjectiveBreakdown, err_l2, evaluate,
                         fitted_rank, objective_naive, objective_svd,
                         ols_alpha, r_squared, spectral_bound,
@@ -35,7 +35,7 @@ __all__ = [
     "save_partial", "save_side_info",
     "ConvergenceError", "NumericalError", "ParameterError", "ParseError",
     "TruncatedSVD", "apply_projection", "build_pgram_operator",
-    "pgram_compress", "pgram_eig_topk", "side_basis", "soft_threshold_svd", "truncated_svd",
+    "pgram_compress", "side_basis", "soft_threshold_svd", "truncated_svd",
     "Metrics", "ObjectiveBreakdown", "err_l2", "evaluate", "fitted_rank",
     "objective_naive", "objective_svd", "ols_alpha", "r_squared",
     "spectral_bound", "worst_case_delta",

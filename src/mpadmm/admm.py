@@ -22,8 +22,8 @@ import scipy.sparse as sp
 from . import objective
 from .data import Hyperparams, PartialMatrix, SideInfo
 from .exceptions import NumericalError, ParameterError
-from .linalg import (_blocks, apply_projection, build_pgram_operator,
-                     numerical_rank, pgram_compress, pgram_eig_topk,
+from .linalg import (_blocks, _fix_signs, apply_projection,
+                     build_pgram_operator, numerical_rank, pgram_compress,
                      pgram_ritz, side_basis, single_blas_thread,
                      symmetric_eig_topk_factored, truncated_svd)
 
@@ -352,36 +352,51 @@ def update_V(U, masks: ObservationMasks, gamma: float, *,
 def update_P(Y, Z, Phi, lam: float, rho1: float, k: int,
              seed: int = 0, *, basis=None, compressed=None,
              routes=None) -> np.ndarray:
-    """Orthonormal factor M of the projector maximizing the P subproblem.
+    """Orthonormal factor M (n x k) of the projector maximizing the P
+    subproblem: the top-k algebraic eigenvectors of lam*YY^T +
+    (rho1/2)ZZ^T + (Phi Z^T + Z Phi^T)/2.
 
-    M holds the k eigenvectors of largest algebraic eigenvalue of
-    lam*YY^T + (rho1/2)ZZ^T + (Phi Z^T + Z Phi^T)/2, computed by
-    `pgram_eig_topk` on the `side_basis` of Y (`basis`) and the
-    `pgram_compress` of Z and Phi (`compressed`); each is computed here
-    when None.  `routes` is handed to `pgram_ritz`.
+    Rayleigh-Ritz (`pgram_ritz`, handed `routes`) on the basis [Qy, Q2]
+    of the operator's range, Y's `side_basis` (`basis`) plus the
+    `pgram_compress` of Z and Phi (`compressed`), each computed here when
+    None, lifted to n rows.  The operator vanishes on the basis'
+    complement, so complement directions (a Gaussian block seeded with
+    `seed`) rank before any negative Ritz value.  Column signs are fixed
+    last (`_fix_signs`).
     """
-    if k > Y.shape[0]:
-        raise ParameterError("k exceeds the row dimension")
     if basis is None:
         basis = side_basis(Y)
-    M, _ = pgram_eig_topk(basis, Z, Phi, lam, rho1, k, seed=seed,
-                          compressed=compressed, routes=routes)
+    if compressed is None:
+        compressed = pgram_compress(basis, Z, Phi)
+    W, lambdas, pad = pgram_ritz(basis, compressed, lam, rho1, k,
+                                 routes=routes)
+    Qy, Q2 = basis[0], compressed[0]
+    n, r = Qy.shape
+    M = Qy @ W[:r] + Q2 @ W[r:]
+    if pad:
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, pad))
+        for Q in (Qy, Q2, M):
+            X -= Q @ (Q.T @ X)
+        at = int(np.sum(lambdas >= 0.0))  # zeros go before any negatives
+        M = np.hstack([M[:, :at], np.linalg.qr(X)[0], M[:, at:]])
+    _fix_signs(M)
     return M
 
 
 def update_Z(U, M, Phi, Psi, rho1: float, rho2: float) -> np.ndarray:
     """Closed-form stationary point of the Z subproblem.
 
-    Solves (rho1 (I - P) + rho2 I) Z = rho2 U - (I - P) Phi - Psi with the
-    inverse expanded through the projector, never forming an n x n matrix.
+    Solves (rho1 (I - P) + rho2 I) Z = rho2 U - (I - P) Phi - Psi.  With
+    P = M M^T a projector the inverse expands to (I + (rho1/rho2) P) /
+    (rho1 + rho2), so by linearity Z = (rho2 U - Phi - Psi + P (rho1 U +
+    Phi - (rho1/rho2) Psi)) / (rho1 + rho2): one `apply_projection`,
+    which also checks M's orthonormality, and no n x n matrix.
     """
     if rho1 <= 0 or rho2 <= 0:
         raise ParameterError("rho1, rho2 must be > 0")
-    PU = apply_projection(M, U)
-    PPhi = apply_projection(M, Phi)
-    PPsi = apply_projection(M, Psi)
-    return (rho2 * U - Phi + PPhi - Psi + rho1 * PU
-            - (rho1 / rho2) * PPsi) / (rho1 + rho2)
+    PR = apply_projection(M, rho1 * U + Phi - (rho1 / rho2) * Psi)
+    return (rho2 * U - Phi - Psi + PR) / (rho1 + rho2)
 
 
 def constraint_residuals(state: IterateState):

@@ -22,7 +22,10 @@ from .data import (Hyperparams, PartialMatrix, SideInfo, generate_synthetic,
 from .exceptions import ConvergenceError, NumericalError, ParameterError, ParseError
 from .objective import _check_weights, evaluate
 
-DEFAULT_THREADS = min(os.cpu_count() or 1, 2)
+# the CPUs this process may run on (its affinity set), not the host's
+DEFAULT_THREADS = min(len(os.sched_getaffinity(0))
+                      if hasattr(os, "sched_getaffinity")
+                      else os.cpu_count() or 1, 2)
 
 
 class _CliError(Exception):

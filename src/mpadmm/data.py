@@ -110,9 +110,10 @@ class Hyperparams:
     for every value.  The batched ridge solves and all BLAS work run on
     the calling thread.
     `seed` (>= 0) seeds the init's Lanczos start and restart vectors and
-    the P update's complement directions (`linalg.pgram_eig_topk`); the
-    init's Gram route (`linalg.svd_route`) draws no random numbers, so
-    on the data that take it only the P update's padding uses `seed`.
+    the complement directions that `admm.update_P` pads M with when
+    fewer than k Ritz values are nonnegative; the init's Gram route
+    (`linalg.svd_route`) draws no random numbers, so on the data that
+    take it only `admm.update_P`'s padding uses `seed`.
     `k`, `max_iters`, `threads` and `seed` must be integers (not bool)."""
 
     k: int

@@ -14,12 +14,13 @@ machine precision and depend little on the gap after the k-th singular
 value.  Inputs whose smaller dimension is at most ``DENSE_CUTOFF``, and
 requests for all min(n, m) triplets, take a full dense decomposition
 instead; the dense path doubles as the test oracle.  The symmetric
-eigenproblems of the P update are low-rank and solved exactly by
-Rayleigh-Ritz on a basis of their range, never as n x n matrices.  That
-Ritz problem is a diagonal plus a rank-2k matrix; above a size
-(`ritz_route`) it is solved by certified Rayleigh-quotient iteration on
-that form, with LAPACK's `eigh` as the fallback (`pgram_ritz`).  Their
-reference solve works on the operator's factor pair
+eigenproblems of the P update (`admm.update_P`) and the dual residual
+are low-rank and solved exactly by Rayleigh-Ritz on a basis of their
+range, never as n x n matrices.  That Ritz problem is a diagonal plus a
+rank-2k matrix; above a size (`ritz_route`) it is solved by
+Rayleigh-quotient iteration on that form, kept only when its
+certificate holds, with LAPACK's `eigh` as the fallback (`pgram_ritz`).
+Their reference solve works on the operator's factor pair
 (`build_pgram_operator`, `symmetric_eig_topk_factored`).
 """
 
@@ -413,10 +414,13 @@ def _ritz_rqi(d: np.ndarray, Z: np.ndarray, H: np.ndarray, take: int):
     Rayleigh-quotient iteration per pair runs on the batch, started at the
     coordinate vectors of T's take largest diagonal entries; each
     quotient is updated by its correction y^T x / y^T y, which keeps it
-    accurate to an ulp.  It stops once every residual ||T x - theta x||
-    is at most 2 eps ||T|| on two consecutive steps (||T|| bounded by
-    max|d| + ||Z||_F ||H||_F), and a thin QR plus a take x take
-    Rayleigh-Ritz finish it.
+    accurate to an ulp.  It stops after two consecutive steps with every
+    residual ||T x - theta x|| at most 2 eps ||T|| (||T|| bounded by
+    max|d| + ||Z||_F ||H||_F), on an exactly singular capacitance (a
+    quotient has hit an eigenvalue: convergence, not failure; Parlett,
+    The Symmetric Eigenvalue Problem, 1998) or at _RQI_STEPS steps; a
+    thin QR plus a take x take Rayleigh-Ritz finish it.  Only a
+    non-finite residual returns None before the certificate.
 
     Certificate: the Ritz residual R must satisfy ||R||_F <= 4 q eps
     ||T||, and exactly take eigenvalues of T must lie above a shift sigma
@@ -424,8 +428,7 @@ def _ritz_rqi(d: np.ndarray, Z: np.ndarray, H: np.ndarray, take: int):
     below the smallest Ritz value and off every d_j (`_shift_below`,
     `_inertia_count`).  By Kahan's residual bound take eigenvalues lie
     within ||R||_2 of the Ritz values, all above sigma, so they are the
-    top take.  A non-finite value, a singular capacitance, the step cap
-    _RQI_STEPS, a larger residual or a failed count returns None.
+    top take.  A larger residual or a failed count returns None.
     """
     q, k = Z.shape
     L = np.hstack([Z, H])
@@ -454,7 +457,7 @@ def _ritz_rqi(d: np.ndarray, Z: np.ndarray, H: np.ndarray, take: int):
             try:
                 w = np.linalg.solve(C, (Lt @ U).T[..., None])[..., 0]
             except np.linalg.LinAlgError:  # theta an exact eigenvalue
-                return None
+                break
             Y = U - Einv * (L @ w.T)  # (T - theta I)^-1 X, column-wise
             yy = np.einsum("ij,ij->j", Y, Y)
             theta = theta + np.einsum("ij,ij->j", Y, X) / yy
@@ -467,8 +470,6 @@ def _ritz_rqi(d: np.ndarray, Z: np.ndarray, H: np.ndarray, take: int):
             hits = hits + 1 if worst <= tol * tol else 0
             if hits == 2:
                 break
-        else:
-            return None
     Q = np.linalg.qr(X)[0]
     A = Q.T @ (d[:, None] * Q + Ls @ (Lt @ Q))
     lams, G = np.linalg.eigh(0.5 * (A + A.T))
@@ -544,42 +545,6 @@ def pgram_ritz(basis, compressed, lam: float, rho1: float, k: int, *,
     pad = min(n - q, k - int(np.sum(lams >= 0.0)))
     keep = k - pad
     return W[:, :keep], lams[:keep], pad
-
-
-def pgram_eig_topk(basis, Z: np.ndarray, Phi: np.ndarray, lam: float,
-                   rho1: float, k: int, seed: int = 0, *, compressed=None,
-                   routes: Optional[list] = None):
-    """Top-k algebraic eigenpairs of lam*YY^T + (rho1/2)ZZ^T +
-    (Phi Z^T + Z Phi^T)/2, with Y given by its `side_basis` (Qy, s2).
-
-    Rayleigh-Ritz (`pgram_ritz`) on the orthonormal basis [Qy, Q2] of
-    `compressed`, the `pgram_compress` of Z and Phi (computed here when
-    None), lifted back to n rows.  The order-q Ritz problem is solved by
-    certified Rayleigh-quotient iteration on its diagonal-plus-rank-2k
-    form where `ritz_route` says "structured", and by LAPACK's `eigh`
-    otherwise or when the certificate fails; `routes`, when given, gets
-    the route taken appended.  Returns (M, lambdas) with M n x k
-    orthonormal and lambdas non-increasing.  Complement directions of
-    eigenvalue 0 are drawn from a Gaussian block seeded with `seed`.
-    """
-    if compressed is None:
-        compressed = pgram_compress(basis, Z, Phi)
-    W, lambdas, pad = pgram_ritz(basis, compressed, lam, rho1, k,
-                                 routes=routes)
-    Qy, Q2 = basis[0], compressed[0]
-    n, r = Qy.shape
-    M = Qy @ W[:r] + Q2 @ W[r:]
-    if pad:
-        rng = np.random.default_rng(seed)
-        X = rng.standard_normal((n, pad))
-        for Q in (Qy, Q2, M):
-            X -= Q @ (Q.T @ X)
-        at = int(np.sum(lambdas >= 0.0))  # zeros go before any negatives
-        M = np.hstack([M[:, :at], np.linalg.qr(X)[0], M[:, at:]])
-        lambdas = np.concatenate([lambdas[:at], np.zeros(pad), lambdas[at:]])
-    M = np.ascontiguousarray(M)
-    _fix_signs(M)
-    return M, lambdas
 
 
 def build_pgram_operator(Y: np.ndarray, Z: np.ndarray, Phi: np.ndarray,

@@ -858,6 +858,25 @@ class TestUpdateZ:
             update_Z(np.ones((3, 1)), np.eye(3)[:, :1], np.ones((3, 1)),
                      np.ones((3, 1)), 0.0, 1.0)
 
+    def test_matches_three_projection_expansion(self):
+        # one projection of rho1 U + Phi - (rho1/rho2) Psi against the
+        # expansion that projects U, Phi and Psi one by one
+        rng = np.random.default_rng(14)
+        n, k, rho2 = 60, 4, 3.0
+        U, Phi, Psi = (rng.standard_normal((n, k)) for _ in range(3))
+        M = np.linalg.qr(rng.standard_normal((n, k)))[0]
+        PU, PPhi, PPsi = (M @ (M.T @ R) for R in (U, Phi, Psi))
+        for rho1 in (0.01, 1.0, 100.0):
+            want = (rho2 * U - Phi + PPhi - Psi + rho1 * PU
+                    - (rho1 / rho2) * PPsi) / (rho1 + rho2)
+            got = update_Z(U, M, Phi, Psi, rho1, rho2)
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+    def test_non_orthonormal_M_rejected(self):
+        with pytest.raises(ParameterError, match="orthonormal"):
+            update_Z(np.ones((4, 2)), 2.0 * np.eye(4)[:, :2],
+                     np.ones((4, 2)), np.ones((4, 2)), 1.0, 1.0)
+
 
 class TestDuals:
     def test_update_formula(self):
@@ -1255,16 +1274,19 @@ class TestRitzSolves:
     that certified Rayleigh-quotient iteration answered."""
 
     def test_protocol_is_certified(self):
-        # the paper's instance: order 160, k = 5, on the iteration's route
-        pm, si, _ = generate_synthetic(1000, 100, 5, 150, 0.9, 2.0, seed=0)
-        hp = Hyperparams(k=5, max_iters=20, seed=0)
-        _, report = solve(pm, si, hp)
-        assert report.ritz_structured >= 0.9 * 2 * report.iterations
-        # untracked, the P updates alone
-        _, report = solve(pm, si, hp, track_objective=False,
-                          track_dual_residual=False)
-        assert (0.9 * report.iterations <= report.ritz_structured
-                <= report.iterations)
+        # the paper's instance: order 160, k = 5, on the iteration's
+        # route.  On seeds 83 and 202 one Ritz solve each ends on an
+        # exactly singular capacitance, which the certificate accepts
+        for seed in (0, 83, 202):
+            pm, si, _ = generate_synthetic(1000, 100, 5, 150, 0.9, 2.0,
+                                           seed=seed)
+            hp = Hyperparams(k=5, max_iters=20, seed=seed)
+            _, report = solve(pm, si, hp)
+            assert report.ritz_structured == 2 * report.iterations
+            # untracked, the P updates alone
+            _, report = solve(pm, si, hp, track_objective=False,
+                              track_dual_residual=False)
+            assert report.ritz_structured == report.iterations
 
     def test_dense_shape_keeps_lapack(self, monkeypatch):
         # `dense` (d = 20, k = 10, order 40) never tries the iteration

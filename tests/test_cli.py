@@ -1,8 +1,13 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mpadmm
 from mpadmm import cli
 from mpadmm.bench import SweepConfig
 from mpadmm.cli import (DEFAULT_THREADS, _build_parser, main,
@@ -481,3 +486,22 @@ class TestSweepCommand:
         cfg.write_text("vary n\n")
         assert main(["sweep", "--config", str(cfg),
                      "--out", str(tmp_path / "r.csv")]) == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="no CPU affinity on this platform")
+def test_default_threads_counts_the_cpus_the_process_may_use():
+    # pinned to one CPU before the import, the default is 1 whatever the
+    # host's CPU count
+    src = str(Path(mpadmm.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import os\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "import mpadmm.cli\n"
+            "print(mpadmm.cli.DEFAULT_THREADS)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "1"

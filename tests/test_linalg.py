@@ -7,19 +7,32 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
+from mpadmm.admm import update_P
 from mpadmm.data import generate_synthetic
 from mpadmm.exceptions import ConvergenceError, ParameterError
 import mpadmm.linalg as linalg
 from mpadmm.linalg import (DENSE_CUTOFF, _fix_signs,
                            _openblas_threads_api,
                            apply_projection, build_pgram_operator,
-                           pgram_eig_topk, side_basis, single_blas_thread,
+                           side_basis, single_blas_thread,
                            soft_threshold_svd, svd_route,
                            symmetric_eig_topk_factored, truncated_svd)
 
 
 def _projector_distance(M1, M2):
     return np.linalg.norm(M1 @ M1.T - M2 @ M2.T)
+
+
+def _pgram(Y, Z, Phi, lam, rho1):
+    """The P update's operator lam YY^T + (rho1/2) ZZ^T + (Phi Z^T +
+    Z Phi^T)/2, formed densely."""
+    return (lam * Y @ Y.T + 0.5 * rho1 * Z @ Z.T
+            + 0.5 * (Phi @ Z.T + Z @ Phi.T))
+
+
+def _rayleigh(M, C):
+    """The Rayleigh quotients diag(M^T C M) of M's columns."""
+    return np.einsum("ij,ij->j", M, C @ M)
 
 
 class TestTruncatedSVD:
@@ -318,16 +331,17 @@ class TestSymmetricEigTopkFactored:
 
 
 class TestPgramEigTopk:
-    """The compressed eigensolve against a dense eigh of
-    C = lam YY^T + (rho1/2) ZZ^T + (Phi Z^T + Z Phi^T)/2."""
+    """The P update's compressed eigensolve (`update_P`) against a dense
+    eigh of C = lam YY^T + (rho1/2) ZZ^T + (Phi Z^T + Z Phi^T)/2, its
+    eigenvalues read as the Rayleigh quotients of M's columns."""
 
     @staticmethod
     def _check(Y, Z, Phi, lam, rho1, k):
         """M orthonormal, C M = M diag(vals), vals the top k of eigh(C),
         and the projector equal to eigh's when the k-th gap is open."""
-        M, vals = pgram_eig_topk(side_basis(Y), Z, Phi, lam, rho1, k)
-        C = (lam * Y @ Y.T + 0.5 * rho1 * Z @ Z.T
-             + 0.5 * (Phi @ Z.T + Z @ Phi.T))
+        M = update_P(Y, Z, Phi, lam, rho1, k)
+        C = _pgram(Y, Z, Phi, lam, rho1)
+        vals = _rayleigh(M, C)
         w, vecs = np.linalg.eigh(C)
         order = np.argsort(w)[::-1]
         scale = np.max(np.abs(w))
@@ -387,7 +401,8 @@ class TestPgramEigTopk:
         Q = np.linalg.qr(rng.standard_normal((n, 5)))[0]
         Y, Z = Q[:, :2] * [3.0, 2.0], Q[:, 2:] * [1.0, 1.5, 2.0]
         Phi = -(0.5 * rho1 + 1.0) * Z
-        M, vals = pgram_eig_topk(side_basis(Y), Z, Phi, 1.0, rho1, 3)
+        M = update_P(Y, Z, Phi, 1.0, rho1, 3)
+        vals = _rayleigh(M, _pgram(Y, Z, Phi, 1.0, rho1))
         assert np.allclose(vals, [9.0, 4.0, 0.0], atol=1e-12)
         assert np.linalg.norm(M.T @ M - np.eye(3)) < 1e-12
         assert _projector_distance(M[:, :2], Q[:, :2]) < 1e-12
@@ -401,10 +416,10 @@ class TestPgramEigTopk:
 
     def test_zero_operator_is_padded(self):
         n, k = 7, 2
-        M, vals = pgram_eig_topk(side_basis(np.zeros((n, 3))),
-                                 np.zeros((n, k)), np.zeros((n, k)), 1.0, 1.0,
-                                 k)
-        assert np.array_equal(vals, np.zeros(k))
+        Y, zeros = np.zeros((n, 3)), np.zeros((n, k))
+        M = update_P(Y, zeros, zeros, 1.0, 1.0, k)
+        assert np.array_equal(_rayleigh(M, _pgram(Y, zeros, zeros, 1.0, 1.0)),
+                              np.zeros(k))
         assert np.linalg.norm(M.T @ M - np.eye(k)) < 1e-12
 
     def test_agrees_with_factored_solver(self):
@@ -415,9 +430,13 @@ class TestPgramEigTopk:
         Phi = rng.standard_normal((n, k))
         M0, v0 = symmetric_eig_topk_factored(
             *build_pgram_operator(Y, Z, Phi, 1.0, 10.0), k)
-        M1, v1 = pgram_eig_topk(side_basis(Y), Z, Phi, 1.0, 10.0, k)
+        M1 = update_P(Y, Z, Phi, 1.0, 10.0, k)
+        C = _pgram(Y, Z, Phi, 1.0, 10.0)
+        v1 = _rayleigh(M1, C)
         assert _projector_distance(M0, M1) < 1e-12
         assert np.max(np.abs(v0 - v1)) < 1e-12 * np.max(np.abs(v0))
+        w = np.linalg.eigvalsh(C)[::-1][:k]
+        assert np.max(np.abs(v1 - w)) < 1e-12 * np.max(np.abs(w))
 
 
 def _ritz_problem(s2, B, n):
@@ -597,13 +616,41 @@ class TestRitzStructured:
         assert self._both(monkeypatch, basis, comp, 1.0, 10.0,
                           k) == "structured"
         routes = []
-        M1, v1 = pgram_eig_topk(basis, Z, Phi, 1.0, 10.0, k,
-                                compressed=comp, routes=routes)
+        M1 = update_P(Y, Z, Phi, 1.0, 10.0, k, basis=basis, compressed=comp,
+                      routes=routes)
         assert routes == ["structured"]
-        M0, v0 = symmetric_eig_topk_factored(
+        C = _pgram(Y, Z, Phi, 1.0, 10.0)
+        v1 = _rayleigh(M1, C)
+        w = np.linalg.eigvalsh(C)[::-1][:k]
+        assert np.max(np.abs(v1 - w)) < 1e-12 * np.max(np.abs(w))
+        M0, _ = symmetric_eig_topk_factored(
             *build_pgram_operator(Y, Z, Phi, 1.0, 10.0), k)
         assert _projector_distance(M0, M1) < 1e-12
-        assert np.max(np.abs(v0 - v1)) < 1e-12 * np.max(np.abs(v0))
+
+    def test_singular_capacitance_ends_the_iteration(self, monkeypatch):
+        # an exactly singular capacitance means a quotient has hit an
+        # eigenvalue: the iteration stops there and the certificate judges
+        # the iterate.  Unpatched, the iteration stops on its third step,
+        # the second small residual; here that step's solve raises, after
+        # the residual test has passed once
+        rng = np.random.default_rng(48)
+        s2, B = self._dominant(rng, 110, 100, 5)
+        basis, comp = _ritz_problem(s2, B, 300)
+        solve = np.linalg.solve
+        calls = []
+
+        def counted(*args):
+            calls.append(len(calls) + 1)
+            if raise_at == calls[-1]:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(*args)
+
+        for raise_at in (None, 3):
+            calls.clear()
+            monkeypatch.setattr(np.linalg, "solve", counted)
+            assert self._both(monkeypatch, basis, comp, 1.0, 10.0,
+                              5) == "structured"
+            assert calls == [1, 2, 3]
 
     def test_wrong_start_falls_back_to_lapack(self, monkeypatch):
         # T's largest diagonal entry (coordinate 0) lies near the
