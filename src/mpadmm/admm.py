@@ -162,19 +162,26 @@ class SolveReport:
 # nnz * (q + k) = 4e6 ran 4% slower split in two.
 _SPLIT_WORK = 1 << 24
 # Data with nnz >= _MASK_DENSITY n m take the "mask" route of
-# `ridge_route`.  U + V step time in ms (median of 15), sparse route vs
-# mask route, one BLAS thread on 2 vCPUs, at threads = 1 / threads = 2
-# (one worker):
-#   2000 x 1000, k = 10: density 0.2  12.1 vs 12.1 / 10.5 vs 10.5
-#                        density 0.25 16.3 vs 15.8 /  9.1 vs 11.3
-#                        density 0.3  19.9 vs 14.7 / 11.5 vs 10.2
-#                        density 0.5  25.4 vs 15.0 / 15.5 vs 10.4
-#   4000 x 500, k = 5:   density 0.2   5.3 vs  6.9 /  5.1 vs  6.7
-#                        density 0.3   7.0 vs  7.5 /  7.2 vs  7.5
-#                        density 0.5  11.5 vs  9.0 /  7.5 vs  6.0
-#   1000 x 100, k = 5:   density 0.3   0.6 vs  0.6 /  0.6 vs  0.6
-#                        density 0.5   0.8 vs  0.6 /  0.8 vs  0.6
-#   2000 x 1000, k = 1:  density 0.3   1.1 vs  1.1 /  1.1 vs  1.1
+# `ridge_route`.  U + V step time in ms per iteration (median of 6 solves
+# of 20 iterations per route, routes alternating, seed 0), sparse route
+# vs mask route, one BLAS thread, on a 2-vCPU Intel Xeon host (OpenBLAS
+# 0.3.31, NumPy 2.4.6), at threads = 1 / threads = 2 (one worker):
+#   2000 x 1000, k = 10: density 0.1  17.2 vs 20.3 / 19.2 vs 24.7
+#                        density 0.15 24.4 vs 23.9 / 26.6 vs 26.2
+#                        density 0.2  25.7 vs 21.5 / 23.3 vs 18.7
+#                        density 0.25 34.5 vs 23.0 / 30.5 vs 18.5
+#                        density 0.3  36.5 vs 24.1 / 26.6 vs 15.8
+#                        density 0.5  49.6 vs 24.0 / 45.7 vs 17.0
+#   4000 x 500, k = 5:   density 0.1   6.5 vs 11.1 /  5.7 vs 10.3
+#                        density 0.2  11.1 vs 12.3 / 11.6 vs 13.0
+#                        density 0.3  12.7 vs 11.7 / 12.5 vs 11.8
+#                        density 0.5  22.7 vs 15.4 / 19.6 vs 13.6
+#   1000 x 100, k = 5:   density 0.1   1.5 vs  1.7 /  1.3 vs  1.6
+#                        density 0.3   1.7 vs  1.6 /  1.8 vs  1.6
+#                        density 0.5   2.4 vs  1.8 /  2.4 vs  1.8
+#   2000 x 1000, k = 1:  density 0.3   3.6 vs  4.8 /  3.6 vs  5.0
+# The crossover falls with k: near 0.15 at k = 10, 0.25-0.3 at k = 5,
+# above 0.3 at k = 1.
 _MASK_DENSITY = 0.3
 
 

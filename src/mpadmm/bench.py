@@ -3,21 +3,16 @@ per-trial metrics and per-subproblem timings written as CSV."""
 
 from __future__ import annotations
 
-import csv
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
 
 from . import admm, baselines
-from .data import Hyperparams, generate_synthetic
+from .data import Hyperparams, generate_synthetic, write_csv
 from .exceptions import ParameterError
 from .objective import evaluate
-
-CSV_COLUMNS = ["method", "n", "m", "k", "d", "seed", "objective", "err_l2",
-               "r2", "fitted_rank", "time_ms", "t_U_ms", "t_V_ms", "t_P_ms",
-               "t_Z_ms", "iters", "phi_res", "psi_res", "dual_res"]
 
 METHOD_NAMES = ("admm", "iterative_svd", "soft_impute", "scaled_gd")
 
@@ -79,18 +74,24 @@ class TrialRow:
     error: bool = False
 
     def as_csv(self) -> list:
-        out = []
-        for name in CSV_COLUMNS:
-            v = getattr(self, name)
-            if name == "objective" and self.error:
-                out.append("error")
-            elif v is None:
-                out.append("")
-            elif isinstance(v, (int, np.integer)) or name in ("method",):
-                out.append(str(v))
-            else:
-                out.append("%.10g" % v)
-        return out
+        return ["error" if name == "objective" and self.error
+                else _cell(getattr(self, name)) for name in CSV_COLUMNS]
+
+
+# the per-trial CSV's header: every TrialRow field but `error`, which
+# shows as "error" in the objective column
+CSV_COLUMNS = [f.name for f in fields(TrialRow) if f.name != "error"]
+_MEANS = CSV_COLUMNS[6:]  # the columns the summary averages
+
+
+def _cell(v) -> str:
+    """A CSV cell: empty for None, text and integers as they are, other
+    numbers to 10 significant digits."""
+    if v is None:
+        return ""
+    if isinstance(v, (str, int, np.integer)):
+        return str(v)
+    return "%.10g" % v
 
 
 def trial_seed(base_seed: int, value_index: int, trial_index: int) -> int:
@@ -178,41 +179,24 @@ def run_sweep(config: SweepConfig, out_path) -> list:
                 rows.append(row)
                 cells.append((method, value))
 
-    with open(out_path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow(row.as_csv())
-
+    write_csv(out_path, CSV_COLUMNS, (row.as_csv() for row in rows))
     summary = _summarize(rows, cells)
-    summary_path = str(out_path) + ".summary.csv"
-    numeric = CSV_COLUMNS[6:]
-    with open(summary_path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "value", "trials"] + numeric)
-        for s in summary:
-            line = [s["method"], str(s["value"]), str(s["trials"])]
-            for col in numeric:
-                v = s[col]
-                line.append("" if v is None else "%.10g" % v)
-            writer.writerow(line)
+    write_csv(str(out_path) + ".summary.csv",
+              ["method", "value", "trials"] + _MEANS,
+              ([s["method"], str(s["value"]), str(s["trials"])]
+               + [_cell(s[col]) for col in _MEANS] for s in summary))
     return summary
 
 
 def _summarize(rows, cells) -> list:
-    order = []
-    groups = {}
+    groups = {}  # insertion-ordered: cells in the order they first ran
     for row, cell in zip(rows, cells):
-        if cell not in groups:
-            groups[cell] = []
-            order.append(cell)
-        groups[cell].append(row)
-    numeric = CSV_COLUMNS[6:]
+        groups.setdefault(cell, []).append(row)
     summary = []
-    for cell in order:
-        good = [r for r in groups[cell] if not r.error]
-        entry = {"method": cell[0], "value": cell[1], "trials": len(good)}
-        for col in numeric:
+    for (method, value), group in groups.items():
+        good = [r for r in group if not r.error]
+        entry = {"method": method, "value": value, "trials": len(good)}
+        for col in _MEANS:
             vals = [getattr(r, col) for r in good
                     if getattr(r, col) is not None]
             entry[col] = float(np.mean(vals)) if vals else None

@@ -8,7 +8,6 @@ convergence error.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
@@ -16,9 +15,9 @@ import numpy as np
 
 from . import admm
 from .bench import SweepConfig, run_baseline, run_sweep
-from .data import (Hyperparams, PartialMatrix, SideInfo, generate_synthetic,
-                   load_dense_csv, load_partial, load_side_info,
-                   save_dense_csv, save_partial, save_side_info)
+from .data import (Hyperparams, SideInfo, generate_synthetic, load_dense_csv,
+                   load_partial, save_dense_csv, save_partial, save_side_info,
+                   write_csv)
 from .exceptions import ConvergenceError, NumericalError, ParameterError, ParseError
 from .objective import _check_weights, evaluate
 
@@ -121,6 +120,8 @@ def _load_truth(path, n: int, m: int) -> np.ndarray:
 
 
 def _write_metrics(path, X_hat, data, Y, lam, gamma, A_true=None):
+    """Evaluate X_hat, write the metrics to the CSV at `path`, print them
+    as one key=value line and return them as a dict."""
     met = evaluate(X_hat, data, Y, A_true, lam, gamma)
     obj = met.objective
     fields = [
@@ -130,11 +131,11 @@ def _write_metrics(path, X_hat, data, Y, lam, gamma, A_true=None):
     ]
     if A_true is not None:
         fields.append(("err_l2", met.err_l2))
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([name for name, _ in fields])
-        writer.writerow(["%.17g" % v if isinstance(v, float) else str(v)
-                         for _, v in fields])
+    write_csv(path, [name for name, _ in fields],
+              [["%.17g" % v if isinstance(v, float) else str(v)
+                for _, v in fields]])
+    print(", ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
+                    for k, v in fields))
     return dict(fields)
 
 
@@ -185,16 +186,11 @@ def _cmd_solve(args) -> int:
 
     save_dense_csv(U_out, os.path.join(args.out, "U.csv"))
     save_dense_csv(V_out, os.path.join(args.out, "V.csv"))
-    with open(os.path.join(args.out, "report.csv"), "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iter", "phi_res", "psi_res", "dual_res",
-                         "objective", "termination"])
-        writer.writerows(report_rows)
-
-    metrics = _write_metrics(os.path.join(args.out, "metrics.csv"), X_hat,
-                             data, side.Y, args.lam, args.gamma, A_true)
-    print(", ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
-                    for k, v in metrics.items()))
+    write_csv(os.path.join(args.out, "report.csv"),
+              ["iter", "phi_res", "psi_res", "dual_res", "objective",
+               "termination"], report_rows)
+    _write_metrics(os.path.join(args.out, "metrics.csv"), X_hat, data,
+                   side.Y, args.lam, args.gamma, A_true)
     return 0
 
 
@@ -205,12 +201,11 @@ def _cmd_eval(args) -> int:
     V = load_dense_csv(os.path.join(args.out, "V.csv"))
     if U.shape[0] != data.n or V.shape[0] != data.m or U.shape[1] != V.shape[1]:
         raise ParameterError("factor shapes do not match the data")
-    X_hat = U @ V.T
+    if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
+        raise ParameterError("factors have non-finite entries")
     A_true = _load_truth(args.truth, data.n, data.m) if args.truth else None
-    metrics = _write_metrics(os.path.join(args.out, "metrics.csv"), X_hat,
-                             data, side.Y, args.lam, args.gamma, A_true)
-    print(", ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
-                    for k, v in metrics.items()))
+    _write_metrics(os.path.join(args.out, "metrics.csv"), U @ V.T, data,
+                   side.Y, args.lam, args.gamma, A_true)
     return 0
 
 

@@ -1,14 +1,16 @@
 """Problem data containers, synthetic instance generation and file IO.
 
-File formats (both LF-terminated ASCII):
+File formats (all LF-terminated ASCII):
   * partial matrix: header line "n m nnz", then nnz lines "i j value"
     with 1-based indices and 17-significant-digit decimal reals;
-  * side info: headerless CSV, n rows by d columns.
+  * side info and other dense matrices: headerless CSV, one line a row;
+  * result files (metrics, reports, sweeps): CSV with a header row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import csv
+from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
@@ -16,10 +18,6 @@ import numpy as np
 from .exceptions import ParameterError, ParseError
 from .linalg import single_blas_thread
 from .rng import Xoshiro256pp
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % x
 
 
 @dataclass
@@ -209,7 +207,7 @@ def save_partial(pm: PartialMatrix, path) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(f"{pm.n} {pm.m} {pm.nnz}\n")
         for i, j, v in zip(pm.rows, pm.cols, pm.values):
-            fh.write(f"{i + 1} {j + 1} {_fmt(v)}\n")
+            fh.write(f"{i + 1} {j + 1} {v:.17g}\n")
 
 
 def load_partial(path) -> PartialMatrix:
@@ -267,8 +265,16 @@ def load_side_info(path, n: int, d: int) -> SideInfo:
 def save_dense_csv(M: np.ndarray, path) -> None:
     M = np.atleast_2d(np.asarray(M, dtype=float))
     with open(path, "w", newline="\n") as fh:
-        for row in M:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        np.savetxt(fh, M, fmt="%.17g", delimiter=",")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write the `header` row and then `rows` (each a sequence of strings)
+    to `path` as LF-terminated CSV: the format of every result file."""
+    with open(path, "w", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def load_dense_csv(path) -> np.ndarray:

@@ -239,6 +239,31 @@ class TestEval:
                    "--out", str(out)])
         assert rc == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("factor", ["U.csv", "V.csv"])
+    def test_non_finite_factors_rejected(self, tmp_path, capsys,
+                                         monkeypatch, factor, value):
+        # rejected before `evaluate`, whose SVD raises on a NaN and can
+        # spin without end on an inf
+        def refuse(*args, **kwargs):
+            raise AssertionError("the factors were evaluated")
+
+        monkeypatch.setattr(cli, "evaluate", refuse)
+        inst = _gen(tmp_path)
+        out = tmp_path / "sol"
+        out.mkdir()
+        U, V = np.ones((14, 2)), np.ones((10, 2))
+        (U if factor == "U.csv" else V)[0, 0] = float(value)
+        save_dense_csv(U, out / "U.csv")
+        save_dense_csv(V, out / "V.csv")
+        rc = main(["eval", "--data", str(inst / "partial.txt"),
+                   "--side-info", str(inst / "side_info.csv"),
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (out / "metrics.csv").exists()
+
     def test_metrics_share_one_decomposition(self, tmp_path, monkeypatch):
         # one values-only SVD of the estimate and one thin SVD of its
         # sketch serve every field, which are bitwise `evaluate`'s
@@ -486,6 +511,59 @@ class TestSweepCommand:
         cfg.write_text("vary n\n")
         assert main(["sweep", "--config", str(cfg),
                      "--out", str(tmp_path / "r.csv")]) == 1
+
+
+REPORT_HEADER = ["iter", "phi_res", "psi_res", "dual_res", "objective",
+                 "termination"]
+METRICS_HEADER = ["objective", "fit_term", "side_term", "reg_term", "r2",
+                  "fitted_rank"]
+SWEEP_HEADER = ["method", "n", "m", "k", "d", "seed", "objective", "err_l2",
+                "r2", "fitted_rank", "time_ms", "t_U_ms", "t_V_ms", "t_P_ms",
+                "t_Z_ms", "iters", "phi_res", "psi_res", "dual_res"]
+
+
+def _assert_lf_csv(path, header=None):
+    """`path` ends its lines in LF alone, ends in one, and starts with
+    `header` when one is given."""
+    raw = path.read_bytes()
+    assert b"\r" not in raw and raw.endswith(b"\n")
+    if header is not None:
+        assert raw.split(b"\n", 1)[0].decode() == ",".join(header)
+
+
+class TestResultFiles:
+    @pytest.mark.parametrize("method,truth", [("admm", True),
+                                              ("soft-impute", False)])
+    def test_solve_and_eval(self, tmp_path, capsys, method, truth):
+        inst = _gen(tmp_path)
+        out = tmp_path / "sol"
+        common = ["--data", str(inst / "partial.txt"), "--side-info",
+                  str(inst / "side_info.csv"), "--out", str(out)]
+        if truth:
+            common += ["--truth", str(inst / "truth.csv")]
+        metrics = METRICS_HEADER + (["err_l2"] if truth else [])
+        capsys.readouterr()
+        assert main(["solve", "--method", method, "--rank", "2",
+                     "--max-iter", "5", *common]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 1
+        assert [kv.split("=")[0] for kv in printed[0].split(", ")] == metrics
+        _assert_lf_csv(out / "U.csv")
+        _assert_lf_csv(out / "V.csv")
+        _assert_lf_csv(out / "report.csv", REPORT_HEADER)
+        _assert_lf_csv(out / "metrics.csv", metrics)
+        assert main(["eval", *common]) == 0
+        assert capsys.readouterr().out.splitlines() == printed
+        _assert_lf_csv(out / "metrics.csv", metrics)
+
+    def test_sweep(self, tmp_path):
+        cfg = TestSweepCommand()._write_config(tmp_path)
+        out = tmp_path / "results.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(SWEEP_HEADER) == 19
+        _assert_lf_csv(out, SWEEP_HEADER)
+        _assert_lf_csv(tmp_path / "results.csv.summary.csv",
+                       ["method", "value", "trials"] + SWEEP_HEADER[6:])
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),

@@ -284,3 +284,17 @@ class TestSideInfoIO:
         p = tmp_path / "m.csv"
         save_dense_csv(M, p)
         assert np.array_equal(load_dense_csv(p), M)
+
+    @pytest.mark.parametrize("M", [
+        np.array([[-0.0, 5e-324, 1.7976931348623157e308, 0.1],
+                  [3.0, -7.0, 0.0, 1e22]]),
+        np.arange(6.0).reshape(2, 3),
+        np.zeros((3, 0)),
+        np.zeros((0, 3)),
+    ], ids=["edge-values", "integers", "3x0", "0x3"])
+    def test_dense_bytes(self, tmp_path, M):
+        # one line per row, "%.17g" joined by commas, each line ending in LF
+        want = "".join(",".join("%.17g" % v for v in row) + "\n" for row in M)
+        p = tmp_path / "m.csv"
+        save_dense_csv(M, p)
+        assert p.read_bytes() == want.encode("ascii")

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -46,3 +47,24 @@ def test_pythonpath_copy_wins_over_the_checkout(tmp_path):
         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert out.returncode != 0
     assert "the PYTHONPATH copy was imported" in out.stdout + out.stderr
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # no linter ships with the toolchain, so this is the unused-import
+    # gate; __init__.py is exempt, its imports being the package's exports
+    unused = {}
+    for path in sorted(Path(mpadmm.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported.add(alias.asname or alias.name.split(".")[0])
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        names = sorted(imported - read - {"annotations", "*"})
+        if names:
+            unused[path.name] = names
+    assert unused == {}
