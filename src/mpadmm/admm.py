@@ -128,14 +128,14 @@ class SolveReport:
     termination: str = "max_iters"
     warnings: list = field(default_factory=list)
     lagrangian_trace: list = field(default_factory=list)  # filled when tracked
-    # init_time: index build, truncated SVD and side basis;
-    # tracking_time: dual_residual, the objective (its fit term from the
-    # V step's products, then objective_svd) and augmented_lagrangian.
-    # Both are kept out of subproblem_times, which holds block times only.
-    # subproblem_times["P"] includes, when the dual residual is tracked,
-    # the one compression of [Z, Phi] per iteration that the dual residual
-    # and the next P update share; the dual residual itself then does no
-    # n-row work.
+    # init_time: index build, truncated SVD, side basis and the first
+    # compression of [Z, Phi]; tracking_time: dual_residual, the objective
+    # (its fit term from the V step's products, then objective_svd) and
+    # augmented_lagrangian.  Both are kept out of subproblem_times, which
+    # holds block times only.  subproblem_times["P"] includes the one
+    # compression of [Z, Phi] per iteration, made after the dual update,
+    # tracked or not, that the dual residual and the next P update share;
+    # the dual residual itself does no n-row work.
     init_time: float = 0.0
     tracking_time: float = 0.0
     # threads (1 or 2) the U and V steps' products ran on (`ridge_groups`):
@@ -356,25 +356,19 @@ def update_V(U, masks: ObservationMasks, gamma: float, *,
     return _ridge_step("V", masks, U, gamma, None, pool)
 
 
-def update_P(Y, Z, Phi, lam: float, rho1: float, k: int,
-             seed: int = 0, *, basis=None, compressed=None,
-             routes=None) -> np.ndarray:
+def update_P(basis, compressed, lam: float, rho1: float, k: int,
+             seed: int = 0, *, routes=None) -> np.ndarray:
     """Orthonormal factor M (n x k) of the projector maximizing the P
     subproblem: the top-k algebraic eigenvectors of lam*YY^T +
     (rho1/2)ZZ^T + (Phi Z^T + Z Phi^T)/2.
 
     Rayleigh-Ritz (`pgram_ritz`, handed `routes`) on the basis [Qy, Q2]
     of the operator's range, Y's `side_basis` (`basis`) plus the
-    `pgram_compress` of Z and Phi (`compressed`), each computed here when
-    None, lifted to n rows.  The operator vanishes on the basis'
-    complement, so complement directions (a Gaussian block seeded with
-    `seed`) rank before any negative Ritz value.  Column signs are fixed
-    last (`_fix_signs`).
+    `pgram_compress` of Z and Phi (`compressed`), lifted to n rows.  The
+    operator vanishes on the basis' complement, so complement directions
+    (a Gaussian block seeded with `seed`) rank before any negative Ritz
+    value.  Column signs are fixed last (`_fix_signs`).
     """
-    if basis is None:
-        basis = side_basis(Y)
-    if compressed is None:
-        compressed = pgram_compress(basis, Z, Phi)
     W, lambdas, pad = pgram_ritz(basis, compressed, lam, rho1, k,
                                  routes=routes)
     Qy, Q2 = basis[0], compressed[0]
@@ -411,27 +405,22 @@ def constraint_residuals(state: IterateState):
     return state.Z - apply_projection(state.M, state.Z), state.Z - state.U
 
 
-def update_duals(state: IterateState, rho1: float, rho2: float, *,
-                 residuals=None):
+def update_duals(state: IterateState, residuals, rho1: float, rho2: float):
     """Dual ascent Phi + rho1 (I - P)Z, Psi + rho2 (Z - U), on the
-    `constraint_residuals` of `state` (`residuals`, computed when None)."""
-    if residuals is None:
-        residuals = constraint_residuals(state)
+    `constraint_residuals` of `state` (`residuals`)."""
     resid_phi, resid_psi = residuals
     return state.Phi + rho1 * resid_phi, state.Psi + rho2 * resid_psi
 
 
-def primal_residuals(state: IterateState, *, residuals=None):
-    """Frobenius norms of (I - P)Z and Z - U, from the
-    `constraint_residuals` of `state` (`residuals`, computed when None)."""
-    if residuals is None:
-        residuals = constraint_residuals(state)
+def primal_residuals(residuals):
+    """Frobenius norms of (I - P)Z and Z - U, from their
+    `constraint_residuals` (`residuals`)."""
     resid_phi, resid_psi = residuals
     return float(np.linalg.norm(resid_phi)), float(np.linalg.norm(resid_psi))
 
 
-def dual_residual(state: IterateState, Y, lam: float, *, basis=None,
-                  compressed=None, routes=None) -> float:
+def dual_residual(state: IterateState, basis, compressed, lam: float, *,
+                  routes=None) -> float:
     """||P2 - P1 P2||_F where P1 projects onto col(Z) and P2 onto the top-k
     eigenspace of lam*YY^T + (Phi Z^T + Z Phi^T)/2.
 
@@ -444,15 +433,11 @@ def dual_residual(state: IterateState, Y, lam: float, *, basis=None,
     Rayleigh-quotient iteration on the problem's diagonal-plus-rank-2k
     form where `linalg.ritz_route` says "structured", and from LAPACK's
     `eigh` otherwise or when the certificate fails; `routes` is handed to
-    `pgram_ritz`.  `basis` is Y's `side_basis`; it and `compressed` are
-    computed here when None.  No random directions are drawn.
+    `pgram_ritz`.  `basis` is Y's `side_basis`.  No random directions are
+    drawn.
     """
     Z = state.Z
     k = state.k
-    if basis is None:
-        basis = side_basis(Y)
-    if compressed is None:
-        compressed = pgram_compress(basis, Z, state.Phi)
     W, _, pad = pgram_ritz(basis, compressed, lam, 0.0, k, routes=routes)
     Uz, sz, _ = np.linalg.svd(compressed[1][:, :k], full_matrices=False)
     rank = numerical_rank(sz, Z.shape)  # n x k, not the coordinates' shape
@@ -522,7 +507,7 @@ def first_order_check(state: IterateState, data: PartialMatrix, Y,
     res_p = np.sqrt(max(2.0 * k - 2.0 * cross, 0.0))
 
     res_dual = float(np.linalg.norm(Phi + Psi - apply_projection(M, Phi)))
-    res_zp, res_zu = primal_residuals(state)
+    res_zp, res_zu = primal_residuals(constraint_residuals(state))
 
     return {
         "U_stationarity": bool(np.sqrt(res_u) <= tol),
@@ -565,10 +550,11 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
 
     Y is factored once (`side_basis`), and the P update and the dual
     residual each solve their eigenproblem in that basis plus the span of
-    [Z, Phi] (`pgram_compress`, `pgram_ritz`).  When the dual residual is
-    tracked, [Z, Phi] is compressed once per iteration, after the dual
-    update: the dual residual of iteration t and the P update of t + 1
-    see the same Z and Phi, since the U step changes neither.
+    [Z, Phi] (`pgram_compress`, `pgram_ritz`).  [Z, Phi] is compressed
+    once at the init and once per iteration, after the dual update: the
+    dual residual of iteration t, when tracked, and the P update of t + 1
+    read the same compression, since the U step changes neither Z nor
+    Phi.
     `report.ritz_structured` counts the Ritz solves that certified
     Rayleigh-quotient iteration answered; the rest ran LAPACK.
 
@@ -611,7 +597,7 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
         Psi=np.ones((data.n, k)),
     )
     basis = side_basis(Y)  # Y is fixed: factored once per solve
-    compressed = None  # [Z, Phi] after the last dual update, when tracked
+    compressed = pgram_compress(basis, state.Z, state.Phi)
     ritz_routes = []  # the route of every Ritz solve (`pgram_ritz`)
     nnz = masks.by_row.nnz
     report = SolveReport(ridge_groups=ridge_groups(nnz, k, hp.threads),
@@ -665,8 +651,8 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
                 state.V, (hp.rho2 * state.Z + prox * U_prev) / rho2_prox,
                 state.Psi, masks, hp.gamma, rho2_prox, pool=pool))
             step("P", "M", lambda: update_P(
-                Y, state.Z, state.Phi, hp.lam, hp.rho1, k, seed=hp.seed,
-                basis=basis, compressed=compressed, routes=ritz_routes))
+                basis, compressed, hp.lam, hp.rho1, k, seed=hp.seed,
+                routes=ritz_routes))
             step("V", "V", lambda: update_V(state.U, masks, hp.gamma,
                                             pool=pool))
             step("Z", "Z", lambda: update_Z(state.U, state.M, state.Phi,
@@ -679,8 +665,8 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
             # the duals and the primal residuals share one (I - P)Z and
             # Z - U; the dual update changes neither
             residuals = constraint_residuals(state)
-            state.Phi, state.Psi = update_duals(state, hp.rho1, hp.rho2,
-                                                residuals=residuals)
+            state.Phi, state.Psi = update_duals(state, residuals, hp.rho1,
+                                                hp.rho2)
 
             # U and V are finite here: `_ridge_step` raises otherwise
             for name, arr in (("M", state.M), ("Z", state.Z),
@@ -689,17 +675,17 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
                     raise NumericalError(f"non-finite {name} iterate",
                                          iteration=t)
 
-            phi_res, psi_res = primal_residuals(state, residuals=residuals)
+            phi_res, psi_res = primal_residuals(residuals)
             del residuals  # not held through the next iteration's steps
             report.phi_residual_trace.append(phi_res)
             report.psi_residual_trace.append(psi_res)
+            t0 = time.perf_counter()
+            compressed = pgram_compress(basis, state.Z, state.Phi)
+            report.subproblem_times["P"] += time.perf_counter() - t0
             if track_dual_residual:
-                t0 = time.perf_counter()
-                compressed = pgram_compress(basis, state.Z, state.Phi)
-                report.subproblem_times["P"] += time.perf_counter() - t0
                 report.dual_residual_trace.append(tracked(
-                    dual_residual, state, Y, hp.lam, basis=basis,
-                    compressed=compressed, routes=ritz_routes))
+                    dual_residual, state, basis, compressed, hp.lam,
+                    routes=ritz_routes))
             if track_objective:
                 report.objective_trace.append(tracked(tracked_objective))
             report.iterations = t + 1

@@ -139,14 +139,12 @@ def scaled_gd_loss(U, V, data: PartialMatrix, Y, alpha, lam: float,
             + 0.5 * gamma * (float(np.sum(U * U)) + float(np.sum(V * V))))
 
 
-def scaled_gd_gradients(U, V, data: PartialMatrix, Y, alpha, lam: float,
-                        gamma: float, *, obs: Optional[sp.csr_array] = None):
+def scaled_gd_gradients(U, V, obs: sp.csr_array, Y, alpha, lam: float,
+                        gamma: float):
     """Analytic gradients of scaled_gd_loss in (U, V) at fixed alpha.
 
     `obs` is the CSR array of the observed values,
-    `ObservationMasks.by_row` of `data`; it is built here when None."""
-    if obs is None:
-        obs = ObservationMasks.from_partial(data).by_row
+    `ObservationMasks.by_row` of the data."""
     Rs = fit_residual(obs, U, V)  # fit residual on Omega
     E = Y - U @ (V.T @ alpha)
     # the n x m product E alpha^T enters only through (E alpha^T) V and
@@ -212,8 +210,8 @@ def scaled_gd(data: PartialMatrix, Y, lam: float, gamma: float, k: int,
     loss_prev = scaled_gd_loss(U, V, data, Y, alpha, lam, gamma)
     it = 0
     for it in range(1, max_iters + 1):
-        gU, gV = scaled_gd_gradients(U, V, data, Y, alpha, lam, gamma,
-                                     obs=masks.by_row)
+        gU, gV = scaled_gd_gradients(U, V, masks.by_row, Y, alpha, lam,
+                                     gamma)
         inv_v, j1 = _stable_inverse(V.T @ V)
         inv_u, j2 = _stable_inverse(U.T @ U)
         jitter_used = jitter_used or j1 or j2

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PartialMatrix
-from .exceptions import ParameterError
+from .exceptions import NumericalError, ParameterError
 from .linalg import _EPS, _blocks, numerical_rank, single_blas_thread
 
 # Range finder of Halko, Martinsson & Tropp (SIAM Rev. 2011): a Gaussian
@@ -308,8 +308,14 @@ def evaluate(X_hat: np.ndarray, data: PartialMatrix, Y: np.ndarray,
     `admm.solve`, so that the metrics (and the CLI's metrics.csv) do not
     depend on the BLAS thread count and no idle OpenBLAS worker spins
     into the next solve (see `generate_synthetic`).
+
+    Raises NumericalError when X_hat has a NaN or infinite entry, which
+    the SVD would reject or on which it may not return; the check reads
+    two reductions and allocates no n x m temporary.
     """
     X_hat = np.atleast_2d(np.asarray(X_hat, dtype=float))
+    if not (np.isfinite(X_hat.min()) and np.isfinite(X_hat.max())):
+        raise NumericalError("non-finite estimate")
     err = None if A_true is None else err_l2(X_hat, A_true)
     svd = spectral_basis(X_hat)
     return Metrics(err_l2=err, r2=r_squared(X_hat, Y, svd=svd),

@@ -126,18 +126,6 @@ def _to_unit(x: np.ndarray) -> np.ndarray:
     return (x >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
 
-def _rank_order(j: np.ndarray):
-    """(sorted targets, steps in (target, step) order) through dense-rank
-    keys: any sort by target, then one sort of the unique keys
-    rank * count + step < count**2, which puts ties in step order."""
-    count = len(j)
-    order = np.argsort(j)
-    sj = j[order]
-    rank = np.concatenate([[0], np.cumsum(sj[1:] != sj[:-1])])
-    order = np.sort(rank * count + order) % count
-    return sj, order
-
-
 def _fisher_yates_picks(j: np.ndarray) -> np.ndarray:
     """picks[i] of the partial Fisher-Yates shuffle of range(population)
     whose step i takes slot j[i] >= i and moves slot i's value into it.
@@ -145,8 +133,8 @@ def _fisher_yates_picks(j: np.ndarray) -> np.ndarray:
     The steps are put in (target, step) order by one in-place sort of the
     packed keys j[i] * count + i, from which one `divmod` recovers target
     and step.  Only when (max(j) + 1) * count does not fit in int64, i.e.
-    for populations near 2**63 / count, do they take the dense-rank keys of
-    `_rank_order` instead.
+    for populations near 2**63 / count, are they ordered by a stable
+    argsort of j instead, which keeps ties in step order.
 
     Step i picks the value last written into slot j[i], by the latest
     earlier step with the same target, or j[i] if no earlier step targeted
@@ -157,7 +145,8 @@ def _fisher_yates_picks(j: np.ndarray) -> np.ndarray:
     """
     count = len(j)
     if count and (int(j.max()) + 1) * count > 1 << 63:
-        sj, order = _rank_order(j)
+        order = np.argsort(j, kind="stable")
+        sj = j[order]
     else:
         keys = j * count
         keys += np.arange(count)

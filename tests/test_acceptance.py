@@ -19,7 +19,7 @@ from mpadmm.bench import SweepConfig, run_sweep
 from mpadmm.cli import DEFAULT_THREADS
 from mpadmm.data import (Hyperparams, PartialMatrix, SideInfo,
                          generate_synthetic)
-from mpadmm.linalg import build_pgram_operator
+from mpadmm.linalg import build_pgram_operator, pgram_compress, side_basis
 from mpadmm.objective import (err_l2, fitted_rank, objective_naive,
                               objective_svd, r_squared, worst_case_delta)
 
@@ -122,7 +122,8 @@ def test_criterion_1_subproblem_oracles():
             want = np.linalg.solve(G, 2.0 * U.T @ Wj @ A[:, j])
             worst = max(worst, float(np.max(np.abs(got_v[j] - want))))
 
-        got_m = update_P(Y, Z, Phi, lam, rho1, k)
+        basis = side_basis(Y)
+        got_m = update_P(basis, pgram_compress(basis, Z, Phi), lam, rho1, k)
         C = (lam * Y @ Y.T + 0.5 * rho1 * Z @ Z.T
              + 0.5 * (Phi @ Z.T + Z @ Phi.T))
         w, vecs = np.linalg.eigh(C)
@@ -319,7 +320,8 @@ def test_criterion_12_scaled_gd_gradient_check():
     V = rng.standard_normal((m, k))
     alpha = rng.standard_normal((m, d))
     lam, gamma = 0.8, 0.4
-    gU, gV = scaled_gd_gradients(U, V, pm, Y, alpha, lam, gamma)
+    obs = ObservationMasks.from_partial(pm).by_row
+    gU, gV = scaled_gd_gradients(U, V, obs, Y, alpha, lam, gamma)
     h = 1e-5
     worst = 0.0
     for arr, grad in ((U, gU), (V, gV)):
@@ -359,7 +361,8 @@ def test_criterion_13_implicit_operator_fidelity():
     budget = 64 * n * (d + 3 * k)  # far below any n x n buffer
     tracemalloc.start()
     tracemalloc.reset_peak()
-    update_P(Y, Z, Phi, 1.0, 10.0, k)
+    basis = side_basis(Y)
+    update_P(basis, pgram_compress(basis, Z, Phi), 1.0, 10.0, k)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     memory_ok = peak < budget

@@ -16,15 +16,29 @@ import mpadmm.admm as admm
 import mpadmm.linalg as linalg
 from mpadmm import objective
 from mpadmm.admm import (IterateState, ObservationMasks, RankDeficiencyWarning,
-                         augmented_lagrangian, dual_residual,
-                         first_order_check, primal_residuals, ridge_groups,
-                         ridge_route, solve, update_duals, update_P,
-                         update_U, update_V, update_Z)
+                         augmented_lagrangian, constraint_residuals,
+                         dual_residual, first_order_check, primal_residuals,
+                         ridge_groups, ridge_route, solve, update_duals,
+                         update_P, update_U, update_V, update_Z)
 from mpadmm.data import (Hyperparams, PartialMatrix, SideInfo,
                          generate_synthetic)
 from mpadmm.exceptions import NumericalError, ParameterError
-from mpadmm.linalg import _openblas_threads_api, side_basis, truncated_svd
+from mpadmm.linalg import (_openblas_threads_api, pgram_compress, side_basis,
+                           truncated_svd)
 from mpadmm.objective import err_l2
+
+
+def _p_update(Y, Z, Phi, lam, rho1, k):
+    """`update_P` on Y's side basis and the compression of [Z, Phi]."""
+    basis = side_basis(Y)
+    return update_P(basis, pgram_compress(basis, Z, Phi), lam, rho1, k)
+
+
+def _dual_residual(st, Y, lam):
+    """`dual_residual` on Y's side basis and the compression of st's
+    [Z, Phi]."""
+    basis = side_basis(Y)
+    return dual_residual(st, basis, pgram_compress(basis, st.Z, st.Phi), lam)
 
 
 def _random_state(rng, n=12, m=9, k=3, frac=0.6):
@@ -790,7 +804,7 @@ class TestUpdateP:
         rng = np.random.default_rng(9)
         Y = rng.standard_normal((10, 4))
         zeros = np.zeros((10, 2))
-        M = update_P(Y, zeros, zeros, 2.0, 1.0, 2)
+        M = _p_update(Y, zeros, zeros, 2.0, 1.0, 2)
         w, vecs = np.linalg.eigh(Y @ Y.T)
         top = vecs[:, np.argsort(w)[::-1][:2]]
         assert np.linalg.norm(M @ M.T - top @ top.T) < 1e-8
@@ -802,7 +816,7 @@ class TestUpdateP:
         Z = rng.standard_normal((n, k))
         Phi = rng.standard_normal((n, k))
         lam, rho1 = 1.4, 2.0
-        M = update_P(Y, Z, Phi, lam, rho1, k)
+        M = _p_update(Y, Z, Phi, lam, rho1, k)
         C = self._dense_c(Y, Z, Phi, lam, rho1)
         assert np.linalg.norm(M.T @ M - np.eye(k)) < 1e-10
         inner = float(np.sum(C * (M @ M.T)))
@@ -814,19 +828,8 @@ class TestUpdateP:
 
     def test_k_too_large(self):
         with pytest.raises(ParameterError):
-            update_P(np.ones((3, 1)), np.ones((3, 1)), np.ones((3, 1)),
+            _p_update(np.ones((3, 1)), np.ones((3, 1)), np.ones((3, 1)),
                      1.0, 1.0, 4)
-
-    def test_precomputed_basis_is_bitwise_identical(self):
-        rng = np.random.default_rng(11)
-        n, d, k = 60, 8, 3
-        Y = rng.standard_normal((n, d))
-        Z = rng.standard_normal((n, k))
-        for Phi in (np.ones((n, k)), rng.standard_normal((n, k))):
-            M = update_P(Y, Z, Phi, 1.0, 10.0, k, seed=4)
-            Mb = update_P(Y, Z, Phi, 1.0, 10.0, k, seed=4,
-                          basis=side_basis(Y))
-            assert np.array_equal(M, Mb)
 
 
 class TestUpdateZ:
@@ -883,7 +886,7 @@ class TestDuals:
         rng = np.random.default_rng(13)
         _, st = _random_state(rng)
         rho1, rho2 = 2.0, 3.0
-        Phi, Psi = update_duals(st, rho1, rho2)
+        Phi, Psi = update_duals(st, constraint_residuals(st), rho1, rho2)
         P = st.M @ st.M.T
         assert np.max(np.abs(Phi - (st.Phi + rho1 * (st.Z - P @ st.Z)))) < 1e-10
         assert np.max(np.abs(Psi - (st.Psi + rho2 * (st.Z - st.U)))) < 1e-10
@@ -892,13 +895,13 @@ class TestDuals:
         rng = np.random.default_rng(14)
         _, st = _random_state(rng)
         P = st.M @ st.M.T
-        phi_res, psi_res = primal_residuals(st)
+        phi_res, psi_res = primal_residuals(constraint_residuals(st))
         assert phi_res == pytest.approx(
             np.linalg.norm(st.Z - P @ st.Z), rel=1e-10)
         assert psi_res == pytest.approx(np.linalg.norm(st.Z - st.U), rel=1e-10)
         st.Z = st.U.copy()
         st.M = np.linalg.qr(st.Z)[0][:, :st.k]
-        phi_res, psi_res = primal_residuals(st)
+        phi_res, psi_res = primal_residuals(constraint_residuals(st))
         assert phi_res < 1e-10 and psi_res == 0.0
 
 
@@ -909,7 +912,7 @@ class TestDualResidual:
         st = IterateState(U=Y.copy(), V=np.zeros((4, 2)), M=np.eye(5)[:, :2],
                           Z=Y.copy(), Phi=np.zeros((5, 2)),
                           Psi=np.zeros((5, 2)))
-        assert dual_residual(st, Y, 1.0) < 1e-10
+        assert _dual_residual(st, Y, 1.0) < 1e-10
 
     def test_orthogonal_is_sqrt_k(self):
         Y = np.eye(4)[:, :1]
@@ -917,7 +920,7 @@ class TestDualResidual:
         st = IterateState(U=Z.copy(), V=np.zeros((3, 1)), M=Y.copy(),
                           Z=Z.copy(), Phi=np.zeros((4, 1)),
                           Psi=np.zeros((4, 1)))
-        assert dual_residual(st, Y, 1.0) == pytest.approx(1.0, abs=1e-10)
+        assert _dual_residual(st, Y, 1.0) == pytest.approx(1.0, abs=1e-10)
 
     def test_dense_oracle(self):
         rng = np.random.default_rng(15)
@@ -925,7 +928,7 @@ class TestDualResidual:
         Y = rng.standard_normal((n, d))
         _, st = _random_state(rng, n=n, k=k)
         lam = 1.3
-        got = dual_residual(st, Y, lam)
+        got = _dual_residual(st, Y, lam)
         # dense reference: projectors from full SVD / eigendecomposition
         Uz, sz, _ = np.linalg.svd(st.Z, full_matrices=False)
         rank = int(np.sum(sz > sz[0] * n * np.finfo(float).eps))
@@ -935,14 +938,6 @@ class TestDualResidual:
         M2 = vecs[:, np.argsort(w)[::-1][:k]]
         want = np.linalg.norm(M2 - P1 @ M2)
         assert got == pytest.approx(want, rel=1e-8)
-
-    def test_precomputed_basis_is_bitwise_identical(self):
-        rng = np.random.default_rng(16)
-        n, d = 30, 5
-        Y = rng.standard_normal((n, d))
-        _, st = _random_state(rng, n=n, k=3)
-        assert (dual_residual(st, Y, 0.9)
-                == dual_residual(st, Y, 0.9, basis=side_basis(Y)))
 
     @staticmethod
     def _dense_oracle(st, Y, lam):
@@ -979,7 +974,7 @@ class TestDualResidual:
                           Z=Z, Phi=Phi, Psi=np.zeros((n, k)))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RankDeficiencyWarning)
-            got = dual_residual(st, Y, 1.7)
+            got = _dual_residual(st, Y, 1.7)
         assert got == pytest.approx(self._dense_oracle(st, Y, 1.7), rel=1e-10)
 
     def test_rank_deficiency_warns(self):
@@ -989,7 +984,7 @@ class TestDualResidual:
         st = IterateState(U=Z.copy(), V=np.zeros((4, k)), M=np.eye(n)[:, :k],
                           Z=Z, Phi=np.zeros((n, k)), Psi=np.zeros((n, k)))
         with pytest.warns(RankDeficiencyWarning):
-            dual_residual(st, np.eye(n)[:, :1], 1.0)
+            _dual_residual(st, np.eye(n)[:, :1], 1.0)
 
 
 class TestFirstOrderCheck:
@@ -1160,8 +1155,8 @@ class TestSolve:
         assert get() == before
 
     def test_tracking_leaves_iterates_bitwise_unchanged(self):
-        # with tracking on, the P update takes [Z, Phi]'s compression from
-        # the previous iteration's dual residual
+        # the P update reads the compression of [Z, Phi] made after the
+        # previous dual update, whether the dual residual reads it or not
         pm, si, _ = generate_synthetic(1000, 100, 5, 150, 0.9, 2.0, seed=0)
         hp = Hyperparams(k=5, max_iters=20, eps=1e-16)
         on, r_on = solve(pm, si, hp)
@@ -1188,8 +1183,44 @@ class TestSolve:
         _, report = solve(pm, si, Hyperparams(k=2, max_iters=4, eps=1e-16),
                           track_dual_residual=track)
         assert report.iterations == 4
-        # tracked: the first P update builds its own, then one per iteration
-        assert len(calls) == (5 if track else 4)
+        # one at the init, then one after each dual update, tracked or not
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("track", [True, False])
+    def test_p_update_and_dual_residual_read_the_last_compression(
+            self, monkeypatch, track):
+        made, read = [], []
+        compress, p_update = admm.pgram_compress, admm.update_P
+        residual = admm.dual_residual
+
+        def spy_compress(*args):
+            made.append(compress(*args))
+            return made[-1]
+
+        def spy_p(basis, compressed, *args, **kwargs):
+            read.append(("P", compressed))
+            return p_update(basis, compressed, *args, **kwargs)
+
+        def spy_dual(state, basis, compressed, *args, **kwargs):
+            read.append(("dual", compressed))
+            return residual(state, basis, compressed, *args, **kwargs)
+
+        monkeypatch.setattr(admm, "pgram_compress", spy_compress)
+        monkeypatch.setattr(admm, "update_P", spy_p)
+        monkeypatch.setattr(admm, "dual_residual", spy_dual)
+        pm, si, _ = generate_synthetic(15, 10, 2, 3, 0.4, 0.5, seed=6)
+        _, report = solve(pm, si, Hyperparams(k=2, max_iters=4, eps=1e-16),
+                          track_dual_residual=track)
+        assert report.iterations == 4 and len(made) == 5
+        # made[0] at the init, made[t + 1] after iteration t's dual update:
+        # the P update of t reads made[t], the dual residual of t made[t + 1]
+        want = []
+        for t in range(4):
+            want.append(("P", made[t]))
+            if track:
+                want.append(("dual", made[t + 1]))
+        assert [name for name, _ in read] == [name for name, _ in want]
+        assert all(got is exp for (_, got), (_, exp) in zip(read, want))
 
     def test_tolerance_termination(self):
         pm, si, _ = generate_synthetic(15, 10, 2, 2, 0.3, 0.1, seed=7)

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 import mpadmm.baselines as baselines
+from mpadmm.admm import ObservationMasks
 from mpadmm.baselines import (iterative_svd, scaled_gd, scaled_gd_gradients,
                               scaled_gd_loss, soft_impute)
 from mpadmm.data import PartialMatrix, generate_synthetic
@@ -299,7 +300,8 @@ class TestScaledGD:
         V = rng.standard_normal((m, k))
         alpha = rng.standard_normal((m, d))
         lam, gamma = 0.7, 0.3
-        gU, gV = scaled_gd_gradients(U, V, pm, Y, alpha, lam, gamma)
+        obs = ObservationMasks.from_partial(pm).by_row
+        gU, gV = scaled_gd_gradients(U, V, obs, Y, alpha, lam, gamma)
         h = 1e-5
         for arr, grad in ((U, gU), (V, gV)):
             for idx in np.ndindex(arr.shape):
@@ -332,7 +334,8 @@ class TestScaledGD:
                   + gamma * U)
         want_v = (2.0 * (Rs.T @ U) - 2.0 * lam * (alpha @ (E.T @ U))
                   + gamma * V)
-        gU, gV = scaled_gd_gradients(U, V, pm, Y, alpha, lam, gamma)
+        obs = ObservationMasks.from_partial(pm).by_row
+        gU, gV = scaled_gd_gradients(U, V, obs, Y, alpha, lam, gamma)
         assert np.array_equal(gU, want_u) and np.array_equal(gV, want_v)
 
     def test_gradients_on_one_index_per_run(self, monkeypatch):
@@ -350,10 +353,10 @@ class TestScaledGD:
             built.append(from_partial(data))
             return built[-1]
 
-        def spy(U, V, data, Y, alpha, lam, gamma, *, obs=None):
+        def spy(U, V, obs, Y, alpha, lam, gamma):
             seen.append(obs)
-            got = grads(U, V, data, Y, alpha, lam, gamma, obs=obs)
-            want = grads(U, V, data, Y, alpha, lam, gamma, obs=coo)
+            got = grads(U, V, obs, Y, alpha, lam, gamma)
+            want = grads(U, V, coo, Y, alpha, lam, gamma)
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
             return got
 

@@ -1,8 +1,14 @@
 import csv
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mpadmm
 from mpadmm import baselines, bench
 from mpadmm.bench import (CSV_COLUMNS, SweepConfig, TrialRow, run_sweep,
                           run_trial, trial_seed)
@@ -165,6 +171,44 @@ class TestRunSweep:
         assert admm_rows and all(r[idx_obj] != "error" for r in admm_rows)
         si_summary = [s for s in summary if s["method"] == "soft_impute"]
         assert all(s["trials"] == 0 for s in si_summary)
+
+    def test_non_finite_baseline_estimate_recorded_as_error(self, tmp_path):
+        # in a child with a timeout, since evaluating an estimate with an
+        # infinite entry may never return: the sweep must finish and write
+        # an error row for the method whose estimate overflowed
+        out = tmp_path / "sweep.csv"
+        code = textwrap.dedent(f"""
+            import numpy as np
+            from mpadmm import bench
+            from mpadmm.baselines import BaselineResult
+            from mpadmm.data import Hyperparams
+
+            def overflow(method, data, *args):
+                X = np.ones((data.n, data.m))
+                X[0, 0] = np.inf
+                return BaselineResult(X_hat=X, iterations=1, wall_time=0.0,
+                                      termination="max_iters")
+
+            bench.run_baseline = overflow
+            cfg = bench.SweepConfig(
+                varying_parameter="n", values=[14], trials=1,
+                fixed={{"n": 14, "m": 10, "k": 2, "d": 2}},
+                methods=["admm", "soft_impute"],
+                hyper=Hyperparams(k=2, max_iters=5), miss_frac=0.3,
+                sigma=0.2, base_seed=1)
+            bench.run_sweep(cfg, {str(out)!r})
+        """)
+        src = str(Path(mpadmm.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        child = subprocess.run([sys.executable, "-c", code], env=env,
+                               capture_output=True, text=True, timeout=60)
+        assert child.returncode == 0, child.stderr
+        rows = {r[0]: r for r in _read_csv(out)[1:]}
+        idx_obj = CSV_COLUMNS.index("objective")
+        assert rows["soft_impute"][idx_obj] == "error"
+        assert rows["admm"][idx_obj] != "error"
 
     def test_timer_containment(self, tmp_path):
         cfg = _tiny_config(methods=["admm"], values=[16], trials=1)

@@ -336,10 +336,16 @@ class TestPgramEigTopk:
     eigenvalues read as the Rayleigh quotients of M's columns."""
 
     @staticmethod
-    def _check(Y, Z, Phi, lam, rho1, k):
+    def _update_P(Y, Z, Phi, lam, rho1, k):
+        """`update_P` on Y's side basis and the compression of [Z, Phi]."""
+        basis = side_basis(Y)
+        return update_P(basis, linalg.pgram_compress(basis, Z, Phi), lam,
+                        rho1, k)
+
+    def _check(self, Y, Z, Phi, lam, rho1, k):
         """M orthonormal, C M = M diag(vals), vals the top k of eigh(C),
         and the projector equal to eigh's when the k-th gap is open."""
-        M = update_P(Y, Z, Phi, lam, rho1, k)
+        M = self._update_P(Y, Z, Phi, lam, rho1, k)
         C = _pgram(Y, Z, Phi, lam, rho1)
         vals = _rayleigh(M, C)
         w, vecs = np.linalg.eigh(C)
@@ -401,7 +407,7 @@ class TestPgramEigTopk:
         Q = np.linalg.qr(rng.standard_normal((n, 5)))[0]
         Y, Z = Q[:, :2] * [3.0, 2.0], Q[:, 2:] * [1.0, 1.5, 2.0]
         Phi = -(0.5 * rho1 + 1.0) * Z
-        M = update_P(Y, Z, Phi, 1.0, rho1, 3)
+        M = self._update_P(Y, Z, Phi, 1.0, rho1, 3)
         vals = _rayleigh(M, _pgram(Y, Z, Phi, 1.0, rho1))
         assert np.allclose(vals, [9.0, 4.0, 0.0], atol=1e-12)
         assert np.linalg.norm(M.T @ M - np.eye(3)) < 1e-12
@@ -417,7 +423,7 @@ class TestPgramEigTopk:
     def test_zero_operator_is_padded(self):
         n, k = 7, 2
         Y, zeros = np.zeros((n, 3)), np.zeros((n, k))
-        M = update_P(Y, zeros, zeros, 1.0, 1.0, k)
+        M = self._update_P(Y, zeros, zeros, 1.0, 1.0, k)
         assert np.array_equal(_rayleigh(M, _pgram(Y, zeros, zeros, 1.0, 1.0)),
                               np.zeros(k))
         assert np.linalg.norm(M.T @ M - np.eye(k)) < 1e-12
@@ -430,7 +436,7 @@ class TestPgramEigTopk:
         Phi = rng.standard_normal((n, k))
         M0, v0 = symmetric_eig_topk_factored(
             *build_pgram_operator(Y, Z, Phi, 1.0, 10.0), k)
-        M1 = update_P(Y, Z, Phi, 1.0, 10.0, k)
+        M1 = self._update_P(Y, Z, Phi, 1.0, 10.0, k)
         C = _pgram(Y, Z, Phi, 1.0, 10.0)
         v1 = _rayleigh(M1, C)
         assert _projector_distance(M0, M1) < 1e-12
@@ -616,8 +622,7 @@ class TestRitzStructured:
         assert self._both(monkeypatch, basis, comp, 1.0, 10.0,
                           k) == "structured"
         routes = []
-        M1 = update_P(Y, Z, Phi, 1.0, 10.0, k, basis=basis, compressed=comp,
-                      routes=routes)
+        M1 = update_P(basis, comp, 1.0, 10.0, k, routes=routes)
         assert routes == ["structured"]
         C = _pgram(Y, Z, Phi, 1.0, 10.0)
         v1 = _rayleigh(M1, C)

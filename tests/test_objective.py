@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mpadmm
 from mpadmm import linalg, objective
 from mpadmm.admm import solve
 from mpadmm.baselines import iterative_svd, scaled_gd, soft_impute
@@ -571,3 +577,36 @@ class TestFactorizationBound:
         R = Vt.T * np.sqrt(s)
         assert 0.5 * (np.sum(L ** 2) + np.sum(R ** 2)) == pytest.approx(
             s.sum(), rel=1e-10)
+
+
+def _run_child(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a child Python on this package, failing the test if
+    it has not returned within 60 s."""
+    src = str(Path(mpadmm.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+def test_evaluate_rejects_a_non_finite_estimate(bad):
+    # in a child: the SVD of an estimate with an infinite entry may never
+    # return, and one with a NaN raises LinAlgError
+    out = _run_child(f"""
+        import numpy as np
+        from mpadmm.data import generate_synthetic
+        from mpadmm.exceptions import NumericalError
+        from mpadmm.objective import evaluate
+        pm, si, gt = generate_synthetic(14, 10, 2, 2, 0.3, 0.2, 1)
+        X = np.ones((14, 10))
+        X[0, 0] = float("{bad}")
+        try:
+            evaluate(X, pm, si.Y, gt.A_true, 1.0, 1.0)
+        except NumericalError as exc:
+            print(exc)
+    """)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "non-finite estimate"

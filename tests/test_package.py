@@ -68,3 +68,68 @@ def test_no_module_imports_a_name_it_never_uses():
         if names:
             unused[path.name] = names
     assert unused == {}
+
+
+def _src_trees():
+    return {path.name: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(Path(mpadmm.__file__).parent.glob("*.py"))}
+
+
+def test_every_definition_is_named_somewhere():
+    # a module-level function or class, or a method, that no code in the
+    # package or the benchmark names (as a name, an attribute, an import
+    # or a traced-name string such as "update_P") is dead code; dunders
+    # are called by Python, and Xoshiro256pp's scalar `normal` and `below`
+    # are the stream definitions its matrix helpers are tested against
+    root = Path(mpadmm.__file__).resolve().parents[2]
+    named = set()
+    for path in [*root.joinpath("src").rglob("*.py"),
+                 *root.joinpath("perfbench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.update(node.name.split("."))
+                named.add(node.asname)
+            elif (isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
+                  and node.value.replace(".", "_").isidentifier()):
+                named.update(node.value.split("."))
+    exempt = {"Xoshiro256pp.normal", "Xoshiro256pp.below"}
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    unnamed = []
+    for module, tree in _src_trees().items():
+        for node in tree.body:
+            if not isinstance(node, defs):
+                continue
+            found = [(node.name, node.name)]
+            if isinstance(node, ast.ClassDef):
+                found += [(f"{node.name}.{m.name}", m.name)
+                          for m in node.body if isinstance(m, defs)]
+            unnamed += [f"{module}:{label}" for label, name in found
+                        if name not in named and label not in exempt
+                        and not (name.startswith("__")
+                                 and name.endswith("__"))]
+    assert unnamed == []
+
+
+def test_no_function_has_a_parameter_it_never_reads():
+    unread = []
+    for module, tree in _src_trees().items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.Lambda)):
+                continue
+            a = fn.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                      a.vararg, a.kwarg) if p is not None]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {node.id for stmt in body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load)}
+            name = getattr(fn, "name", "<lambda>")
+            unread += [f"{module}:{name}({p})" for p in params
+                       if p not in read and p not in ("self", "cls")]
+    assert unread == []

@@ -202,15 +202,16 @@ def test_fisher_yates_key_path_at_int64_boundary(population, packed,
                                                  monkeypatch):
     # 8 steps, the first targeting population - 1: the largest packed key
     # (max(j) + 1) * 8 - 1 is 2^63 - 1 for 2^60, which still fits in
-    # int64, and 2^63 + 7 for 2^60 + 1, which takes the rank keys
+    # int64, and 2^63 + 7 for 2^60 + 1, which takes the stable argsort
     rank_calls = []
-    rank_order = rng._rank_order
+    argsort = np.argsort
 
-    def spy(j):
-        rank_calls.append(len(j))
-        return rank_order(j)
+    def spy(a, *args, **kwargs):
+        if kwargs.get("kind") == "stable":
+            rank_calls.append(len(a))
+        return argsort(a, *args, **kwargs)
 
-    monkeypatch.setattr(rng, "_rank_order", spy)
+    monkeypatch.setattr(rng.np, "argsort", spy)
     a = _first_draw_below(population, population - 1)
     b = _first_draw_below(population, population - 1)
     picks = a.sample_without_replacement(population, 8)
