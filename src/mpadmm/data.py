@@ -166,6 +166,10 @@ def generate_synthetic(n: int, m: int, k: int, d: int, miss_frac: float,
     A = U V^T and Y = A beta + N.  Exactly floor(miss_frac * n * m) entries
     are hidden, drawn uniformly without replacement.  Fully deterministic
     given the seed (draw order: U, V, beta, N, then the hidden index set).
+    U, V and beta are sliced from one uniform stream in that order, and
+    the observed set is read off the tail of the shuffle that draws the
+    hidden set; both give, bit for bit, what three separate draws and the
+    complement of the hidden picks give.
 
     Like `admm.solve`, it runs NumPy's BLAS on one thread, so Y does not
     depend on the BLAS thread count (at n=2000, m=1000, d=20, one and two
@@ -184,19 +188,17 @@ def generate_synthetic(n: int, m: int, k: int, d: int, miss_frac: float,
         raise ParameterError("sigma must be finite and nonnegative")
 
     gen = Xoshiro256pp(seed)
-    U = gen.uniform_matrix(n, k)
-    V = gen.uniform_matrix(m, k)
-    beta = gen.uniform_matrix(m, d)
+    draws = gen.uniform_matrix(1, (n + m) * k + m * d)[0]
+    U = draws[:n * k].reshape(n, k)
+    V = draws[n * k:(n + m) * k].reshape(m, k)
+    beta = draws[(n + m) * k:].reshape(m, d)
     N = gen.normal_matrix(n, d, sigma) if sigma > 0 else np.zeros((n, d))
 
     A = U @ V.T
     Y = A @ beta + N
 
-    hidden_count = int(miss_frac * n * m)
-    hidden = gen.sample_without_replacement(n * m, hidden_count)
-    observed = np.ones(n * m, dtype=bool)
-    observed[hidden] = False
-    flat = np.flatnonzero(observed)
+    flat = gen.sample_without_replacement(n * m, int(miss_frac * n * m),
+                                          complement=True)
     rows, cols = np.divmod(flat, m)
 
     pm = PartialMatrix(n=n, m=m, rows=rows, cols=cols, values=A.ravel()[flat])

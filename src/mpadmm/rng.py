@@ -14,20 +14,26 @@ NumPy and leave the generator in the same state:
 * Lanes.  The xoshiro256 state update is linear over GF(2)^256, so the
   state B steps ahead is T^B s for the 256x256 bit transition matrix T
   (jump-ahead; Haramoto et al., INFORMS J. Comput. 2008).  A run of draws
-  is split into lanes of B = ``_LANE`` consecutive outputs; their start
-  states are computed with powers of T, all lanes are stepped at once in
-  uint64, and the outputs are read lane after lane.  T and its powers are
-  built on first use, never on import.
+  is split into lanes of B = ``_LANE`` consecutive outputs.  Their start
+  states are the rows of one (lanes, 256) float32 bit array, filled by
+  doubling: the first w rows times the transpose of T^(B w) give the
+  next w, in one matrix product reduced mod 2.  All lanes are then
+  stepped at once in uint64, and the outputs are read lane after lane.
+  The transposed powers of T are built on first use, never on import.
 * Exact rejections.  `below` rejects a draw under (2^64 - b) mod b, and
   Box-Muller draws u1 again while it is 0.  Both are rare, but each one
   shifts the rest of the stream, so `_accepted` finds every rejection in
   a batch and reassigns the draws that follow it.
 * Fisher-Yates without a loop.  `sample_without_replacement` draws every
-  step's target j[i] = i + below(population - i) at once and resolves
-  the swaps by one in-place sort of the packed int64 keys
-  j[i] * count + i, which orders the steps by (target, step), and by
-  pointer jumping.  Dense-rank keys take over only when the packed keys
-  would overflow int64 (populations near 2^63 / count).
+  step's target j[i] = i + below(population - i) at once and puts the
+  steps in (target, step) order by one in-place sort of the packed int64
+  keys j[i] * count + i (a stable argsort of j only when those keys
+  would overflow int64, for populations near 2^63 / count).  Each step
+  then has a `parent`: the latest earlier step that wrote into its slot.
+  The picks follow from pointer jumping over every step's parent chain.
+  The complement, the values left in slots count..population - 1, needs
+  only the chains of the last step into each such slot, which are
+  chased one link at a time while any entry moves.
 * Transcendentals stay in `math`.  NumPy's SIMD `log` differs from
   `math.log` in the last bit for some inputs, which would change the
   normal stream, so `log`, `sin` and `cos` run per element through
@@ -69,37 +75,29 @@ def _step(S: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
 
 
 def _to_bits(S: np.ndarray) -> np.ndarray:
-    """(4, L) uint64 states -> (256, L) float32 bits; row 64 w + b holds
-    bit b of word w."""
+    """(4, L) uint64 states -> (L, 256) float32 bits; column 64 w + b
+    holds bit b of word w."""
     octets = np.ascontiguousarray(S.T, dtype="<u8").view(np.uint8)
-    return np.unpackbits(octets, axis=1, bitorder="little").T.astype(
+    return np.unpackbits(octets, axis=1, bitorder="little").astype(
         np.float32)
 
 
-def _from_bits(bits: np.ndarray) -> np.ndarray:
-    octets = np.packbits(bits.astype(np.uint8), axis=0, bitorder="little")
-    words = np.ascontiguousarray(octets.T).view("<u8")
-    return np.ascontiguousarray(words.T, dtype=np.uint64)
-
-
-def _gf2(P: np.ndarray) -> np.ndarray:
-    """A float32 product of 0/1 matrices reduced mod 2.  Its entries are
-    integers <= 256, which float32 holds exactly in any summation order."""
-    return (P.astype(np.uint16) & 1).astype(np.float32)
-
-
 def _gf2_square(M: np.ndarray) -> np.ndarray:
-    P = _gf2(M @ M)
+    """M @ M over GF(2), read-only.  A float32 product of 0/1 matrices has
+    integer entries <= 256, which float32 holds exactly in any summation
+    order, so reducing it mod 2 is exact."""
+    P = ((M @ M).astype(np.uint16) & 1).astype(np.float32)
     P.flags.writeable = False
     return P
 
 
 @functools.cache
 def _jump(i: int) -> np.ndarray:
-    """T^(_LANE * 2^i) over GF(2): moves a state 2^i lanes ahead."""
+    """The transpose of T^(_LANE * 2^i) over GF(2), which moves a state
+    2^i lanes ahead: row-major bits times it are the bits ahead."""
     if i:
-        return _gf2_square(_jump(i - 1))
-    # column c of T is the step applied to the c-th unit state
+        return _gf2_square(_jump(i - 1))  # (J J)^T = J^T J^T
+    # row r of T^T is the step applied to the r-th unit state
     unit = np.zeros((4, 256), dtype=np.uint64)
     cols = np.arange(256)
     unit[cols // 64, cols] = np.uint64(1) << (cols % 64).astype(np.uint64)
@@ -111,14 +109,27 @@ def _jump(i: int) -> np.ndarray:
 
 
 def _lane_starts(state: list, lanes: int) -> np.ndarray:
-    """(4, lanes) uint64 states _LANE steps apart, the first being `state`."""
-    bits = _to_bits(np.array(state, dtype=np.uint64)[:, None])
-    i = 0
-    while bits.shape[1] < lanes:
-        ahead = _gf2(_jump(i) @ bits[:, :lanes - bits.shape[1]])
-        bits = np.hstack([bits, ahead])
-        i += 1
-    return _from_bits(bits)
+    """(4, lanes) uint64 states _LANE steps apart, the first being `state`.
+
+    Row l of `bits` holds the bits of lane l's start.  Each doubling moves
+    the first w rows 2^i lanes ahead in one product with `_jump(i)`,
+    written straight into rows w..2w - 1 and reduced mod 2 (exactly, as
+    in `_gf2_square`) through a uint16 buffer."""
+    bits = np.empty((lanes, 256), dtype=np.float32)
+    bits[0] = _to_bits(np.array(state, dtype=np.uint64)[:, None])
+    wrap = np.empty((lanes // 2, 256), dtype=np.uint16)
+    for i in range((lanes - 1).bit_length()):
+        w = 1 << i
+        h = min(w, lanes - w)
+        ahead = bits[w:w + h]
+        np.matmul(bits[:h], _jump(i), out=ahead)
+        np.copyto(wrap[:h], ahead, casting="unsafe")
+        wrap[:h] &= 1
+        np.copyto(ahead, wrap[:h])
+    del wrap
+    octets = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
+    # contiguous words: `_step` on a strided (4, lanes) view is ~7x slower
+    return np.ascontiguousarray(octets.view("<u8").T, dtype=np.uint64)
 
 
 def _to_unit(x: np.ndarray) -> np.ndarray:
@@ -126,22 +137,22 @@ def _to_unit(x: np.ndarray) -> np.ndarray:
     return (x >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
 
-def _fisher_yates_picks(j: np.ndarray) -> np.ndarray:
-    """picks[i] of the partial Fisher-Yates shuffle of range(population)
-    whose step i takes slot j[i] >= i and moves slot i's value into it.
+def _fisher_yates_steps(j: np.ndarray):
+    """The steps of the partial Fisher-Yates shuffle of range(population)
+    whose step i takes slot j[i] >= i and moves slot i's value into it, in
+    (target, step) order: (sj, order, same, parent).
 
-    The steps are put in (target, step) order by one in-place sort of the
-    packed keys j[i] * count + i, from which one `divmod` recovers target
-    and step.  Only when (max(j) + 1) * count does not fit in int64, i.e.
-    for populations near 2**63 / count, are they ordered by a stable
-    argsort of j instead, which keeps ties in step order.
+    Position p holds step order[p] with target sj[p], and same[p] tells
+    whether position p + 1 has the same target.  The order comes from one
+    in-place sort of the packed keys j[i] * count + i, from which one
+    `divmod` recovers target and step.  Only when (max(j) + 1) * count
+    does not fit in int64, i.e. for populations near 2**63 / count, is it
+    a stable argsort of j instead, which keeps ties in step order.
 
-    Step i picks the value last written into slot j[i], by the latest
-    earlier step with the same target, or j[i] if no earlier step targeted
-    it.  Step s writes the value slot s held when s ran: the one written
-    into slot s by the latest earlier step targeting it, and so on back to
-    a step whose slot was never written, which holds its own index.  Those
-    chains are resolved by pointer jumping.
+    A step writes the value its own slot held when it ran: the one the
+    latest earlier step targeting that slot wrote, and so on back to a
+    step whose slot was never written, which holds its own index.
+    parent[s] is that latest earlier step t < s with target s, else s.
     """
     count = len(j)
     if count and (int(j.max()) + 1) * count > 1 << 63:
@@ -152,13 +163,21 @@ def _fisher_yates_picks(j: np.ndarray) -> np.ndarray:
         keys += np.arange(count)
         keys.sort()
         sj, order = np.divmod(keys, count, out=(keys, np.empty_like(keys)))
-    same = sj[1:] == sj[:-1]  # position p + 1 has the target of p
-    # parent[s]: the latest step t < s that targeted slot s, else s
+    same = sj[1:] == sj[:-1]
     early = (order < sj) & (sj < count)
     last = early.copy()
     last[:-1] &= ~(same & early[1:])
     parent = np.arange(count)
     parent[sj[last]] = order[last]
+    return sj, order, same, parent
+
+
+def _fisher_yates_picks(j: np.ndarray) -> np.ndarray:
+    """picks[i] of the shuffle of `_fisher_yates_steps`: the value last
+    written into slot j[i], by the latest earlier step with the same
+    target, or j[i] if no earlier step targeted it.  The `parent` chains
+    of all steps are resolved at once by pointer jumping."""
+    sj, order, same, parent = _fisher_yates_steps(j)
     while True:
         up = parent[parent]
         if np.array_equal(up, parent):
@@ -171,6 +190,27 @@ def _fisher_yates_picks(j: np.ndarray) -> np.ndarray:
     picks = np.empty_like(sj)
     picks[order] = sj
     return picks
+
+
+def _fisher_yates_tail(j: np.ndarray):
+    """(slots, values): the slots >= count that a step of the shuffle of
+    `_fisher_yates_steps` targeted, and the values they end with.  Each
+    holds what the last step targeting it wrote, found by chasing
+    `parent` from those steps only, while any entry moves; a tail slot
+    no step targeted keeps its own index."""
+    count = len(j)
+    sj, order, same, parent = _fisher_yates_steps(j)
+    tail = np.ones(count, dtype=bool)  # the last step per target ...
+    tail[:-1] = ~same
+    del same
+    tail &= sj >= count  # ... of a tail slot
+    values = order[tail]
+    moving = np.flatnonzero(parent[values] != values)
+    while len(moving):
+        up = parent[values[moving]]
+        values[moving] = up
+        moving = moving[parent[up] != up]
+    return sj[tail], values
 
 
 class Xoshiro256pp:
@@ -297,10 +337,14 @@ class Xoshiro256pp:
             self._spare_normal = float(z[-1])
         return sigma * out.reshape(rows, cols)
 
-    def sample_without_replacement(self, population: int,
-                                   count: int) -> np.ndarray:
+    def sample_without_replacement(self, population: int, count: int, *,
+                                   complement: bool = False) -> np.ndarray:
         """First `count` entries of a partial Fisher-Yates shuffle of
-        range(population), as an int64 array; population < 2**63."""
+        range(population), as an int64 array; population < 2**63.
+
+        With `complement=True`, the sorted values left in the other
+        population - count slots instead: the same draws, and the
+        generator ends in the same state."""
         if count > population:
             raise ValueError("cannot sample more than the population")
         if population >= 1 << 63:
@@ -317,4 +361,12 @@ class Xoshiro256pp:
         j = x.view(np.int64)  # j[i] = i + below(population - i)
         j += steps
         del steps
-        return _fisher_yates_picks(j)
+        if not complement:
+            return _fisher_yates_picks(j)
+        slots, values = _fisher_yates_tail(j)
+        del j, x
+        rest = np.zeros(population, dtype=bool)
+        rest[count:] = True
+        rest[slots] = False
+        rest[values] = True
+        return np.flatnonzero(rest)

@@ -10,7 +10,8 @@ from mpadmm.data import (GroundTruth, Hyperparams, PartialMatrix, SideInfo,
                          load_side_info, save_dense_csv, save_partial,
                          save_side_info)
 from mpadmm.exceptions import ParameterError, ParseError
-from mpadmm.linalg import _openblas_threads_api
+from mpadmm.linalg import _openblas_threads_api, single_blas_thread
+from mpadmm.rng import Xoshiro256pp
 
 
 class TestPartialMatrix:
@@ -142,6 +143,36 @@ class TestGenerateSynthetic:
         data = b"".join(a.astype(a.dtype.newbyteorder("<")).tobytes()
                         for a in (pm.rows, pm.cols, gt.beta))
         assert hashlib.sha256(data).hexdigest() == digest
+
+    @pytest.mark.parametrize("args", [
+        (7, 5, 2, 3, 0.0, 1.5, 11), (7, 5, 2, 3, 0.97, 1.5, 11),
+        (30, 20, 2, 3, 0.3, 1.0, 4), (300, 77, 4, 9, 0.9, 2.0, 123),
+        (500, 400, 6, 11, 0.5, 2.0, 9), (31, 17, 1, 1, 0.5, 0.0, 2)],
+        ids=["nothing-hidden", "one-observed", "few-hidden", "mostly-hidden",
+             "half-hidden", "rank-one"])
+    def test_byte_equal_to_separate_draws_and_hidden_picks(self, args):
+        # the reference draws U, V and beta in three calls and scatters the
+        # hidden picks into a bool mask, as generate_synthetic once did
+        n, m, k, d, miss_frac, sigma, seed = args
+        gen = Xoshiro256pp(seed)
+        U = gen.uniform_matrix(n, k)
+        V = gen.uniform_matrix(m, k)
+        beta = gen.uniform_matrix(m, d)
+        N = gen.normal_matrix(n, d, sigma) if sigma > 0 else np.zeros((n, d))
+        with single_blas_thread():
+            A = U @ V.T
+            Y = A @ beta + N
+        observed = np.ones(n * m, dtype=bool)
+        observed[gen.sample_without_replacement(
+            n * m, int(miss_frac * n * m))] = False
+        flat = np.flatnonzero(observed)
+        pm, si, gt = generate_synthetic(*args)
+        for got, want in ((pm.rows, flat // m), (pm.cols, flat % m),
+                          (pm.values, A.ravel()[flat]), (si.Y, Y),
+                          (gt.A_true, A), (gt.beta, beta)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert gt.beta.flags.c_contiguous
 
     def test_blas_single_threaded_inside_and_restored(self, monkeypatch):
         api = _openblas_threads_api()

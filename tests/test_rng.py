@@ -221,6 +221,72 @@ def test_fisher_yates_key_path_at_int64_boundary(population, packed,
     assert rank_calls == ([] if packed else [8])
 
 
+def _loop_tail(j):
+    """Slot -> final value of every slot >= len(j) that the shuffle with
+    targets j wrote, by the scalar loop."""
+    swapped = {}
+    for i, target in enumerate(j):
+        swapped[target] = swapped.get(i, i)
+    return {s: v for s, v in swapped.items() if s >= len(j)}
+
+
+def test_complement_is_the_rest_of_the_picks():
+    r = np.random.default_rng(30)
+    cases = [(int(p), int(r.integers(0, p + 1)))
+             for p in r.integers(1, 400, size=300)]
+    # nothing picked, everything, all but one, and fewer than half
+    cases += [(1, 0), (1, 1), (97, 0), (97, 97), (97, 96), (399, 60)]
+    for seed, (population, count) in enumerate(cases):
+        a, b = Xoshiro256pp(seed), Xoshiro256pp(seed)
+        picks = a.sample_without_replacement(population, count)
+        rest = b.sample_without_replacement(population, count,
+                                            complement=True)
+        assert rest.dtype == np.int64
+        assert np.array_equal(rest,
+                              np.setdiff1d(np.arange(population), picks))
+        _assert_same_state(a, b)
+
+
+@pytest.mark.parametrize("population,packed", [
+    (2 ** 60, True), (2 ** 60 + 1, False)], ids=["packed", "rank"])
+def test_fisher_yates_tail_at_int64_boundary(population, packed,
+                                             monkeypatch):
+    # the complement of 8 picks at these populations would hold about 2^60
+    # values, so the tail chase is checked against the scalar loop on the
+    # key paths of test_fisher_yates_key_path_at_int64_boundary; step 5
+    # carries slot 5, written by step 2 with slot 2, written by step 0
+    rank_calls = []
+    argsort = np.argsort
+
+    def spy(a, *args, **kwargs):
+        if kwargs.get("kind") == "stable":
+            rank_calls.append(len(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(rng.np, "argsort", spy)
+    P = population
+    j = [2, P - 1, 5, P - 2, 4, P - 1, 7, P - 2]
+    slots, values = rng._fisher_yates_tail(np.array(j, dtype=np.int64))
+    assert dict(zip(slots.tolist(), values.tolist())) == _loop_tail(j)
+    assert _loop_tail(j) == {P - 1: 0, P - 2: 6}
+    assert len(slots) == 2
+    assert rank_calls == ([] if packed else [8])
+
+
+def test_lane_starts_match_scalar_stepping():
+    # 1500 lanes take 11 doublings; lane l starts _LANE * l steps ahead
+    S = rng._lane_starts(Xoshiro256pp(26)._s, 1500)
+    assert S.shape == (4, 1500) and S.dtype == np.uint64
+    assert S.flags.c_contiguous
+    probe = Xoshiro256pp(26)
+    stepped = 0
+    for lane in (0, 1, 2, 3, 127, 128, 1023, 1024, 1499):
+        for _ in range(rng._LANE * lane - stepped):
+            probe.next_u64()
+        stepped = rng._LANE * lane
+        assert S[:, lane].tolist() == probe._s
+
+
 def test_sample_without_replacement_bytes_per_pick():
     # peak traced memory of one call, in bytes per pick
     gen = Xoshiro256pp(7)
@@ -231,6 +297,20 @@ def test_sample_without_replacement_bytes_per_pick():
     finally:
         tracemalloc.stop()
     assert peak / 1_000_000 <= 75
+
+
+@pytest.mark.parametrize("population,count", [
+    (2_000_000, 1_000_000), (4_000_000, 3_600_000)])
+def test_complement_bytes_per_pick(population, count):
+    # peak traced memory of one call, in bytes per pick
+    gen = Xoshiro256pp(7)
+    tracemalloc.start()
+    try:
+        gen.sample_without_replacement(population, count, complement=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / count <= 75
 
 
 def test_box_muller_zero_uniform_is_drawn_again():

@@ -1,0 +1,128 @@
+"""Alternating A/B runs of one perfbench workload on two checkouts.
+
+    python3 tools/perfbench_ab.py PARENT CHANGE --workload dense \\
+        --pairs 10 --seconds 10 --seed0 100
+
+Host speed drifts within a session, so one run of each side shows
+little.  Pair p runs `perfbench/run.py --workload W --seed K+p
+--seconds S --trace 0` once from each checkout, in a fresh process whose
+working directory is that checkout (run.py imports the package from its
+own checkout's src/); the side that runs first alternates from pair to
+pair.  It prints every run's end-to-end metrics, then per metric and
+side the min, quartiles, median and max, and in how many pairs the
+change read lower.  It exits 1 if any run is not `correct` or has failed
+operations.  It changes no benchmark file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+SIDES = ("parent", "change")
+
+
+def parse_result(stdout: str) -> dict:
+    """The JSON result object, the last line perfbench/run.py prints."""
+    lines = stdout.strip().splitlines()
+    if not lines:
+        raise ValueError("no result line")
+    return json.loads(lines[-1])
+
+
+def run_once(checkout: Path, workload: str, seed: int,
+             seconds: float) -> dict:
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, timeout=3600)
+    try:
+        return parse_result(out.stdout)
+    except ValueError as exc:
+        raise RuntimeError(f"no result from {checkout} (exit "
+                           f"{out.returncode}):\n{out.stderr}") from exc
+
+
+def problems(result: dict) -> list[str]:
+    """Why a run does not count: not `correct`, or failed operations."""
+    found = []
+    if not result.get("correct"):
+        found.append("correct: false")
+    if result.get("failed"):
+        found.append(f"{result['failed']} of {result.get('attempted')} "
+                     "operations failed")
+    return found
+
+
+def run_line(pair: int, side: str, result: dict) -> str:
+    metrics = " ".join(f"{name} {m['value']:.6g}"
+                       for name, m in result["metrics"].items())
+    flags = "; ".join(problems(result))
+    return f"pair {pair:3d} {side:6s} {metrics}" + (f"  [{flags}]"
+                                                     if flags else "")
+
+
+def summary(runs: dict[str, list[dict]]) -> list[str]:
+    """Per metric: each side's min, quartiles, median and max over its
+    runs, and in how many pairs the change read lower than the parent."""
+    lines = []
+    pairs = list(zip(runs["parent"], runs["change"]))
+    for name, first in runs["parent"][0]["metrics"].items():
+        values = {side: [r["metrics"][name]["value"] for r in runs[side]]
+                  for side in SIDES}
+        for side in SIDES:
+            lo, q1, med, q3, hi = np.percentile(values[side],
+                                                [0, 25, 50, 75, 100])
+            lines.append(f"{name} [{first['unit']}] {side}: min {lo:.6g}"
+                         f" q1 {q1:.6g} median {med:.6g} q3 {q3:.6g}"
+                         f" max {hi:.6g}")
+        lower = sum(c["metrics"][name]["value"] < p["metrics"][name]["value"]
+                    for p, c in pairs)
+        lines.append(f"{name}: change lower in {lower} of {len(pairs)} "
+                     "pairs")
+    return lines
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent", type=Path, help="checkout of the parent commit")
+    p.add_argument("change", type=Path, help="checkout of the change")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seconds", type=float, default=10.0)
+    p.add_argument("--seed0", type=int, default=0,
+                   help="seed of the first pair; pair p uses seed0 + p")
+    args = p.parse_args(argv)
+    if args.pairs < 1:
+        p.error("--pairs must be >= 1")
+    if args.seed0 < 0:
+        p.error("--seed0 must be >= 0")
+    roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for side, root in roots.items():
+        if not (root / "perfbench" / "run.py").is_file():
+            p.error(f"{side}: {root} has no perfbench/run.py")
+
+    runs = {side: [] for side in SIDES}
+    bad = 0
+    for pair in range(args.pairs):
+        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        for side in order:
+            result = run_once(roots[side], args.workload, args.seed0 + pair,
+                              args.seconds)
+            runs[side].append(result)
+            bad += bool(problems(result))
+            print(run_line(pair + 1, side, result), flush=True)
+    print("\n".join(summary(runs)))
+    if bad:
+        print(f"{bad} run(s) not correct or with failed operations")
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
