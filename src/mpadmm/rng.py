@@ -34,10 +34,17 @@ NumPy and leave the generator in the same state:
   The complement, the values left in slots count..population - 1, needs
   only the chains of the last step into each such slot, which are
   chased one link at a time while any entry moves.
-* Transcendentals stay in `math`.  NumPy's SIMD `log` differs from
-  `math.log` in the last bit for some inputs, which would change the
-  normal stream, so `log`, `sin` and `cos` run per element through
-  `math`; only IEEE-exact steps (products, `sqrt`) are vectorized.
+* Transcendentals from the C library.  `normal` takes `log`, `cos` and
+  `sin` from `math`, which calls the C library's functions.  The matrix
+  helper calls the same functions through ufunc loops: `log` as
+  `scipy.special.xlogy(1.0, u)`, whose double loop returns 1 * log(u)
+  from libm (exact, as the product is by 1), and float64 `np.cos` and
+  `np.sin`, which NumPy 2.x loops over libm.  NumPy's own float64
+  `np.log` is a SIMD kernel, not libm: on an AVX-512 host it disagreed
+  with `math.log` in the last bit on 6,989 of 2,010,000 inputs u on the
+  generator's lattice, which would change the normal stream.  The other
+  steps (products, `sqrt`) are IEEE-exact and vectorize as they are.
+  `tests/test_rng.py` checks all three loops against `math` bitwise.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ import functools
 import math
 
 import numpy as np
+from scipy.special import xlogy
 
 _MASK = (1 << 64) - 1
 _LANE = 128  # stream positions per lane (a power of two)
@@ -326,12 +334,11 @@ class Xoshiro256pp:
         thresholds = np.zeros(2 * pairs, dtype=np.uint64)
         thresholds[0::2] = 1 << 11  # u1 == 0 exactly when the draw is below
         u = _to_unit(self._accepted(thresholds))
-        r = np.sqrt(-2.0 * np.fromiter(map(math.log, u[0::2].tolist()),
-                                       float, pairs))
-        angle = (2.0 * math.pi * u[1::2]).tolist()
+        r = np.sqrt(-2.0 * xlogy(1.0, u[0::2]))
+        angle = 2.0 * math.pi * u[1::2]
         z = np.empty(2 * pairs)
-        z[0::2] = r * np.fromiter(map(math.cos, angle), float, pairs)
-        z[1::2] = r * np.fromiter(map(math.sin, angle), float, pairs)
+        np.multiply(r, np.cos(angle), out=z[0::2])
+        np.multiply(r, np.sin(angle), out=z[1::2])
         out[head:] = z[:count - head]
         if (count - head) % 2:
             self._spare_normal = float(z[-1])

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -129,6 +130,10 @@ def _assert_same_state(a, b):
     assert a._spare_normal == b._spare_normal
 
 
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
 @pytest.mark.parametrize("count", [
     0, 1, rng._LANE - 1, rng._LANE, rng._LANE + 1, 3 * rng._LANE + 1,
     40 * rng._LANE + 3])
@@ -141,17 +146,44 @@ def test_uniform_matrix_matches_scalar_loop(count):
     assert a.next_u64() == b.next_u64()
 
 
-@pytest.mark.parametrize("shape", [(3, 5), (4, 5), (1, 1), (0, 4), (61, 9)],
-                         ids=["odd", "even", "one", "empty", "many-lanes"])
+# The digests pinned in test_data.py leave Y out, so "protocol-noise" (the
+# n = 1000, d = 150 noise of the `protocol` instance) pins it to `normal`.
+@pytest.mark.parametrize("shape", [
+    (3, 5), (4, 5), (1, 1), (0, 4), (61, 9), (1000, 150), (1001, 149)],
+    ids=["odd", "even", "one", "empty", "many-lanes", "protocol-noise",
+         "odd-large"])
 @pytest.mark.parametrize("spare", [False, True])
 def test_normal_matrix_matches_scalar_loop(shape, spare):
     a, b = Xoshiro256pp(22), Xoshiro256pp(22)
     if spare:  # leave a cached Box-Muller spare behind
         assert a.normal() == b.normal()
-    assert np.array_equal(a.normal_matrix(*shape, sigma=2.0),
-                          _loop_normal(b, *shape, sigma=2.0))
+    assert np.array_equal(_bits(a.normal_matrix(*shape, sigma=2.0)),
+                          _bits(_loop_normal(b, *shape, sigma=2.0)))
     _assert_same_state(a, b)
     assert a.normal() == b.normal()
+
+
+def test_box_muller_loops_equal_math_bitwise():
+    """`normal_matrix` takes log, cos and sin through ufunc loops and
+    `normal` through `math`; the streams agree only if each loop returns
+    what `math` returns, bit for bit.  The inputs are uniforms as the
+    generator makes them, u = k 2^-53: 10^6 seeded ones plus the first
+    and last 5,000 lattice points.  log(u) is `xlogy(1, u)`, and cos and
+    sin take the angle 2 pi u.  NumPy's float64 cos and sin loop over
+    libm in this build; a NumPy that vectorizes them (as it vectorizes
+    float64 log) would drift from `math` in the last bit, and must fail
+    here rather than change the normal stream silently."""
+    top = 1 << 53
+    k = np.concatenate([
+        np.arange(1, 5001), np.arange(top - 5000, top),
+        np.random.default_rng(31).integers(1, top, size=10 ** 6)])
+    u = k.astype(np.float64) * 2.0 ** -53
+    assert np.array_equal(_bits(rng.xlogy(1.0, u)),
+                          _bits(list(map(math.log, u.tolist()))))
+    angle = 2.0 * math.pi * u
+    for loop, scalar in ((np.cos, math.cos), (np.sin, math.sin)):
+        assert np.array_equal(_bits(loop(angle)),
+                              _bits(list(map(scalar, angle.tolist()))))
 
 
 @pytest.mark.parametrize("population,count", [

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -74,7 +75,7 @@ def test_main_alternates_sides_and_exits_1_on_a_bad_run(
     def run_once(checkout, workload, seed, seconds):
         calls.append((checkout.name, workload, seed, seconds))
         broken = bad and len(calls) == 4
-        return ab.parse_result(_line(0.1, 0.5, correct=not broken))
+        return ab.parse_result(_line(0.1, 0.5, correct=not broken)), None
 
     monkeypatch.setattr(ab, "run_once", run_once)
     assert ab.main([str(roots["parent"]), str(roots["change"]),
@@ -87,3 +88,62 @@ def test_main_alternates_sides_and_exits_1_on_a_bad_run(
     out = capsys.readouterr().out
     assert "setup_s: change lower in 0 of 2 pairs" in out
     assert ("not correct" in out) == bad
+
+
+def test_out_writes_every_run_and_the_statistics(tmp_path, monkeypatch,
+                                                 capsys):
+    roots = {}
+    for side in ("parent", "change"):
+        roots[side] = tmp_path / side
+        (roots[side] / "perfbench").mkdir(parents=True)
+        (roots[side] / "perfbench" / "run.py").write_text("")
+    setups = iter([0.20, 0.12, 0.13, 0.18])  # parent, change, change, parent
+
+    def run(cmd, cwd, **kwargs):
+        """Canned stdout of perfbench/run.py --trace 0."""
+        env = {"cpu_count": 2, "blas": "scipy-openblas", "commit": cwd.name}
+        stdout = ("# mpadmm benchmark: workload=protocol\n"
+                  f"# env {json.dumps(env)}\n"
+                  "setup_s 0.1 s 4\n" + _line(next(setups), 0.5) + "\n")
+        return subprocess.CompletedProcess(cmd, 0, stdout, "")
+
+    monkeypatch.setattr(ab.subprocess, "run", run)
+    out = tmp_path / "bench.json"
+    assert ab.main([str(roots["parent"]), str(roots["change"]),
+                    "--workload", "protocol", "--pairs", "2",
+                    "--seconds", "3", "--seed0", "7", "--out", str(out)]) == 0
+    capsys.readouterr()
+    bench = json.loads(out.read_text())
+    assert list(bench) == ["workload", "pairs", "seconds", "seed0", "runs",
+                           "statistics"]
+    assert (bench["workload"], bench["pairs"], bench["seconds"],
+            bench["seed0"]) == ("protocol", 2, 3.0, 7)
+    assert [(r["pair"], r["side"], r["seed"], r["env"]["commit"])
+            for r in bench["runs"]] == [(1, "parent", 7, "parent"),
+                                        (1, "change", 7, "change"),
+                                        (2, "change", 8, "change"),
+                                        (2, "parent", 8, "parent")]
+    for record in bench["runs"]:
+        assert list(record) == ["pair", "side", "seed", "env", "result"]
+        assert list(record["env"]) == ["cpu_count", "blas", "commit"]
+        assert list(record["result"]) == ["correct", "attempted", "failed",
+                                          "metrics"]
+    assert [r["result"]["metrics"]["setup_s"]["value"]
+            for r in bench["runs"]] == [0.20, 0.12, 0.13, 0.18]
+    setup = bench["statistics"]["setup_s"]
+    assert list(bench["statistics"]) == ["setup_s", "admm_solve_s"]
+    assert list(setup) == ["unit", "parent", "change", "change_lower",
+                           "pairs"]
+    assert setup["unit"] == "s"
+    assert setup["parent"] == pytest.approx(
+        {"min": 0.18, "q1": 0.185, "median": 0.19, "q3": 0.195, "max": 0.2})
+    assert setup["change"] == pytest.approx(
+        {"min": 0.12, "q1": 0.1225, "median": 0.125, "q3": 0.1275,
+         "max": 0.13})
+    assert (setup["change_lower"], setup["pairs"]) == (2, 2)
+
+
+def test_parse_env_reads_the_env_line():
+    assert ab.parse_env("# mpadmm\n# env {\"cpu_count\": 2}\nx\n") == {
+        "cpu_count": 2}
+    assert ab.parse_env(_line(0.1, 0.5)) is None

@@ -1,7 +1,7 @@
 """Alternating A/B runs of one perfbench workload on two checkouts.
 
     python3 tools/perfbench_ab.py PARENT CHANGE --workload dense \\
-        --pairs 10 --seconds 10 --seed0 100
+        --pairs 10 --seconds 10 --seed0 100 [--out BENCH_dense.json]
 
 Host speed drifts within a session, so one run of each side shows
 little.  Pair p runs `perfbench/run.py --workload W --seed K+p
@@ -12,6 +12,10 @@ pair.  It prints every run's end-to-end metrics, then per metric and
 side the min, quartiles, median and max, and in how many pairs the
 change read lower.  It exits 1 if any run is not `correct` or has failed
 operations.  It changes no benchmark file.
+
+With `--out PATH` it also writes the whole comparison as JSON: every
+run's result object and `# env` record with its side, pair and seed,
+and the summary in numbers (see `bench_file`).
 """
 
 from __future__ import annotations
@@ -35,14 +39,23 @@ def parse_result(stdout: str) -> dict:
     return json.loads(lines[-1])
 
 
+def parse_env(stdout: str) -> dict | None:
+    """The record perfbench/run.py prints as its `# env` line, if any."""
+    for line in stdout.splitlines():
+        if line.startswith("# env "):
+            return json.loads(line[len("# env "):])
+    return None
+
+
 def run_once(checkout: Path, workload: str, seed: int,
-             seconds: float) -> dict:
+             seconds: float) -> tuple[dict, dict | None]:
+    """One run's result object and `# env` record."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, timeout=3600)
     try:
-        return parse_result(out.stdout)
+        return parse_result(out.stdout), parse_env(out.stdout)
     except ValueError as exc:
         raise RuntimeError(f"no result from {checkout} (exit "
                            f"{out.returncode}):\n{out.stderr}") from exc
@@ -67,25 +80,48 @@ def run_line(pair: int, side: str, result: dict) -> str:
                                                      if flags else "")
 
 
-def summary(runs: dict[str, list[dict]]) -> list[str]:
-    """Per metric: each side's min, quartiles, median and max over its
-    runs, and in how many pairs the change read lower than the parent."""
-    lines = []
+STATS = ("min", "q1", "median", "q3", "max")
+
+
+def statistics(runs: dict[str, list[dict]]) -> dict:
+    """Per metric: its unit, each side's min, quartiles, median and max
+    over its runs, and in how many pairs the change read lower than the
+    parent."""
+    stats = {}
     pairs = list(zip(runs["parent"], runs["change"]))
     for name, first in runs["parent"][0]["metrics"].items():
-        values = {side: [r["metrics"][name]["value"] for r in runs[side]]
-                  for side in SIDES}
+        entry = {"unit": first["unit"]}
         for side in SIDES:
-            lo, q1, med, q3, hi = np.percentile(values[side],
-                                                [0, 25, 50, 75, 100])
-            lines.append(f"{name} [{first['unit']}] {side}: min {lo:.6g}"
-                         f" q1 {q1:.6g} median {med:.6g} q3 {q3:.6g}"
-                         f" max {hi:.6g}")
-        lower = sum(c["metrics"][name]["value"] < p["metrics"][name]["value"]
-                    for p, c in pairs)
-        lines.append(f"{name}: change lower in {lower} of {len(pairs)} "
-                     "pairs")
+            values = [r["metrics"][name]["value"] for r in runs[side]]
+            entry[side] = dict(zip(STATS, np.percentile(
+                values, [0, 25, 50, 75, 100]).tolist()))
+        entry["change_lower"] = sum(
+            c["metrics"][name]["value"] < p["metrics"][name]["value"]
+            for p, c in pairs)
+        entry["pairs"] = len(pairs)
+        stats[name] = entry
+    return stats
+
+
+def summary(runs: dict[str, list[dict]]) -> list[str]:
+    """`statistics` as text, three lines per metric."""
+    lines = []
+    for name, entry in statistics(runs).items():
+        for side in SIDES:
+            lines.append(f"{name} [{entry['unit']}] {side}: " + " ".join(
+                f"{stat} {entry[side][stat]:.6g}" for stat in STATS))
+        lines.append(f"{name}: change lower in {entry['change_lower']} of "
+                     f"{entry['pairs']} pairs")
     return lines
+
+
+def bench_file(args, records: list[dict], runs: dict[str, list[dict]]
+               ) -> dict:
+    """What `--out` writes: the settings, every run in the order it ran
+    (`pair` from 1, `side`, `seed`, `env`, `result`) and `statistics`."""
+    return {"workload": args.workload, "pairs": args.pairs,
+            "seconds": args.seconds, "seed0": args.seed0,
+            "runs": records, "statistics": statistics(runs)}
 
 
 def main(argv=None) -> int:
@@ -97,6 +133,8 @@ def main(argv=None) -> int:
     p.add_argument("--seconds", type=float, default=10.0)
     p.add_argument("--seed0", type=int, default=0,
                    help="seed of the first pair; pair p uses seed0 + p")
+    p.add_argument("--out", type=Path,
+                   help="also write every run and the summary as JSON")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be >= 1")
@@ -108,16 +146,23 @@ def main(argv=None) -> int:
             p.error(f"{side}: {root} has no perfbench/run.py")
 
     runs = {side: [] for side in SIDES}
+    records = []
     bad = 0
     for pair in range(args.pairs):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for side in order:
-            result = run_once(roots[side], args.workload, args.seed0 + pair,
-                              args.seconds)
+            seed = args.seed0 + pair
+            result, env = run_once(roots[side], args.workload, seed,
+                                   args.seconds)
             runs[side].append(result)
+            records.append({"pair": pair + 1, "side": side, "seed": seed,
+                            "env": env, "result": result})
             bad += bool(problems(result))
             print(run_line(pair + 1, side, result), flush=True)
     print("\n".join(summary(runs)))
+    if args.out:
+        args.out.write_text(json.dumps(bench_file(args, records, runs),
+                                       indent=1) + "\n")
     if bad:
         print(f"{bad} run(s) not correct or with failed operations")
         return 1
