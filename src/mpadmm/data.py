@@ -187,7 +187,11 @@ def generate_synthetic(n: int, m: int, k: int, d: int, miss_frac: float,
     if not 0 <= sigma < np.inf:
         raise ParameterError("sigma must be finite and nonnegative")
 
+    hidden = int(miss_frac * n * m)
+    normals = 2 * -(-n * d // 2) if sigma > 0 else 0  # Box-Muller pairs
     gen = Xoshiro256pp(seed)
+    # the draws of all three helpers in one lane pass (rejections aside)
+    gen._reserve((n + m) * k + m * d + normals + hidden)
     draws = gen.uniform_matrix(1, (n + m) * k + m * d)[0]
     U = draws[:n * k].reshape(n, k)
     V = draws[n * k:(n + m) * k].reshape(m, k)
@@ -197,8 +201,7 @@ def generate_synthetic(n: int, m: int, k: int, d: int, miss_frac: float,
     A = U @ V.T
     Y = A @ beta + N
 
-    flat = gen.sample_without_replacement(n * m, int(miss_frac * n * m),
-                                          complement=True)
+    flat = gen.sample_without_replacement(n * m, hidden, complement=True)
     rows, cols = np.divmod(flat, m)
 
     pm = PartialMatrix(n=n, m=m, rows=rows, cols=cols, values=A.ravel()[flat])

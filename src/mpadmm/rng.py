@@ -15,11 +15,18 @@ NumPy and leave the generator in the same state:
   state B steps ahead is T^B s for the 256x256 bit transition matrix T
   (jump-ahead; Haramoto et al., INFORMS J. Comput. 2008).  A run of draws
   is split into lanes of B = ``_LANE`` consecutive outputs.  Their start
-  states are the rows of one (lanes, 256) float32 bit array, filled by
-  doubling: the first w rows times the transpose of T^(B w) give the
-  next w, in one matrix product reduced mod 2.  All lanes are then
-  stepped at once in uint64, and the outputs are read lane after lane.
-  The transposed powers of T are built on first use, never on import.
+  states are the rows of one (lanes, 4) uint64 array, filled by
+  doubling: the first w rows moved through T^(B w) give the next w.  A
+  power of T is kept as a byte table of 32 x 256 states, entry (p, v)
+  being the image of the state whose byte p is v and whose other bytes
+  are 0; a state moves by one gather of the 32 entries its bytes select,
+  XORed together (linearity), in blocks that bound the gather's memory.
+  The tables are built on first use, never on import, each power's from
+  the one before.  All lanes are then stepped at once in uint64, and the
+  outputs are read lane after lane.  Every run of draws pays a
+  lane-start pass and up to ``_LANE`` steps, so `generate_synthetic`
+  reserves the draws of its three helpers (`_reserve`), which then share
+  one lane pass; the stream and the end state are as without it.
 * Exact rejections.  `below` rejects a draw under (2^64 - b) mod b, and
   Box-Muller draws u1 again while it is 0.  Both are rare, but each one
   shifts the rest of the stream, so `_accepted` finds every rejection in
@@ -58,6 +65,9 @@ from scipy.special import xlogy
 _MASK = (1 << 64) - 1
 _LANE = 128  # stream positions per lane (a power of two)
 _MIN_WINDOW = 64  # draws re-examined after a rejection, doubled when clean
+_JUMP_BLOCK = 1 << 14  # lane starts per table gather (16 MB of rows)
+_BYTE_ROWS = np.arange(32, dtype=np.intp) * 256  # table row of byte p, v = 0
+_UNIT_ROWS = _BYTE_ROWS.repeat(8) + np.tile(1 << np.arange(8), 32)
 
 
 def _rotl(x: int, r: int) -> int:
@@ -82,62 +92,77 @@ def _step(S: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
     np.bitwise_or(s3, tmp, out=s3)
 
 
-def _to_bits(S: np.ndarray) -> np.ndarray:
-    """(4, L) uint64 states -> (L, 256) float32 bits; column 64 w + b
-    holds bit b of word w."""
-    octets = np.ascontiguousarray(S.T, dtype="<u8").view(np.uint8)
-    return np.unpackbits(octets, axis=1, bitorder="little").astype(
-        np.float32)
+def _table(images: np.ndarray) -> np.ndarray:
+    """The byte table of a GF(2)-linear map of states, read-only, from
+    `images`: the (256, 4) uint64 images of the unit states, image
+    8 p + b being that of the state whose byte p is 1 << b (bytes in
+    memory order).  Entry 256 p + v is the XOR of the images of the set
+    bits of byte value v at byte position p, built by doubling over the
+    bits of v."""
+    table = np.zeros((32, 256, 4), dtype=np.uint64)
+    images = images.reshape(32, 8, 4)
+    for b in range(8):
+        np.bitwise_xor(table[:, :1 << b], images[:, b, None],
+                       out=table[:, 1 << b:2 << b])
+    table = table.reshape(32 * 256, 4)
+    table.flags.writeable = False
+    return table
 
 
-def _gf2_square(M: np.ndarray) -> np.ndarray:
-    """M @ M over GF(2), read-only.  A float32 product of 0/1 matrices has
-    integer entries <= 256, which float32 holds exactly in any summation
-    order, so reducing it mod 2 is exact."""
-    P = ((M @ M).astype(np.uint16) & 1).astype(np.float32)
-    P.flags.writeable = False
-    return P
+def _apply(table: np.ndarray, states: np.ndarray, out: np.ndarray) -> None:
+    """out = the (h, 4) uint64 `states` mapped through the byte `table`:
+    one gather of the 32 entries that a state's bytes select, XORed down
+    to one in five halving steps."""
+    idx = states.view(np.uint8).astype(np.intp)  # (h, 32)
+    idx += _BYTE_ROWS
+    rows = np.take(table, idx, axis=0)  # (h, 32, 4)
+    del idx
+    half = 16
+    while half:
+        np.bitwise_xor(rows[:, :half], rows[:, half:2 * half],
+                       out=rows[:, :half])
+        half //= 2
+    out[...] = rows[:, 0]
 
 
 @functools.cache
 def _jump(i: int) -> np.ndarray:
-    """The transpose of T^(_LANE * 2^i) over GF(2), which moves a state
-    2^i lanes ahead: row-major bits times it are the bits ahead."""
+    """The byte table (`_table`) of T^(_LANE * 2^i), which moves a state
+    2^i lanes ahead."""
     if i:
-        return _gf2_square(_jump(i - 1))  # (J J)^T = J^T J^T
-    # row r of T^T is the step applied to the r-th unit state
-    unit = np.zeros((4, 256), dtype=np.uint64)
-    cols = np.arange(256)
-    unit[cols // 64, cols] = np.uint64(1) << (cols % 64).astype(np.uint64)
-    _step(unit, np.empty(256, np.uint64), np.empty(256, np.uint64))
-    M = _to_bits(unit)
-    for _ in range(_LANE.bit_length() - 1):
-        M = _gf2_square(M)
-    return M
+        # T^(2a) e = T^a (T^a e): the previous power's unit images,
+        # which its table holds at byte values 1 << b, moved through it
+        prev = _jump(i - 1)
+        images = np.empty((256, 4), dtype=np.uint64)
+        _apply(prev, prev[_UNIT_ROWS], images)
+        return _table(images)
+    # unit state r has bit r % 8 of byte r // 8 set
+    units = np.packbits(np.eye(256, dtype=np.uint8), axis=1,
+                        bitorder="little")
+    images = units.view(np.uint64).T.copy()  # (4, 256)
+    _step(images, np.empty(256, np.uint64), np.empty(256, np.uint64))
+    images = images.T.copy()  # their images under T
+    for _ in range(_LANE.bit_length() - 1):  # square up to T^_LANE
+        _apply(_table(images), images, images)
+    return _table(images)
 
 
 def _lane_starts(state: list, lanes: int) -> np.ndarray:
     """(4, lanes) uint64 states _LANE steps apart, the first being `state`.
 
-    Row l of `bits` holds the bits of lane l's start.  Each doubling moves
-    the first w rows 2^i lanes ahead in one product with `_jump(i)`,
-    written straight into rows w..2w - 1 and reduced mod 2 (exactly, as
-    in `_gf2_square`) through a uint16 buffer."""
-    bits = np.empty((lanes, 256), dtype=np.float32)
-    bits[0] = _to_bits(np.array(state, dtype=np.uint64)[:, None])
-    wrap = np.empty((lanes // 2, 256), dtype=np.uint16)
+    Row l of `starts` holds lane l's start.  Each doubling moves the
+    first w rows 2^i lanes ahead through `_jump(i)`, into rows w..2w - 1,
+    in blocks of at most `_JUMP_BLOCK` rows, which bounds the gather."""
+    starts = np.empty((lanes, 4), dtype=np.uint64)
+    starts[0] = state
     for i in range((lanes - 1).bit_length()):
         w = 1 << i
         h = min(w, lanes - w)
-        ahead = bits[w:w + h]
-        np.matmul(bits[:h], _jump(i), out=ahead)
-        np.copyto(wrap[:h], ahead, casting="unsafe")
-        wrap[:h] &= 1
-        np.copyto(ahead, wrap[:h])
-    del wrap
-    octets = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
+        for a in range(0, h, _JUMP_BLOCK):
+            b = min(h, a + _JUMP_BLOCK)
+            _apply(_jump(i), starts[a:b], starts[w + a:w + b])
     # contiguous words: `_step` on a strided (4, lanes) view is ~7x slower
-    return np.ascontiguousarray(octets.view("<u8").T, dtype=np.uint64)
+    return np.ascontiguousarray(starts.T)
 
 
 def _to_unit(x: np.ndarray) -> np.ndarray:
@@ -236,8 +261,13 @@ class Xoshiro256pp:
             state.append(z ^ (z >> 31))
         self._s = state
         self._spare_normal = None
+        self._pending = 0  # outputs `_reserve` set aside for the next draw
+        self._held = None  # the reserve's outputs, from `_used` on
+        self._used = 0
 
     def next_u64(self) -> int:
+        if self._held is not None or self._pending:
+            return int(self._u64_stream(1)[0])
         s0, s1, s2, s3 = self._s
         result = (_rotl((s0 + s3) & _MASK, 23) + s0) & _MASK
         t = (s1 << 17) & _MASK
@@ -278,8 +308,34 @@ class Xoshiro256pp:
             if x >= threshold:
                 return x % bound
 
+    def _reserve(self, count: int) -> None:
+        """Let the next draw take `count` outputs in one lane pass, and
+        serve the draws after it from what it leaves over.  The outputs
+        and the end state are those of the unreserved generator: `_s`
+        runs ahead to the end of the reserve, and a draw past that end
+        goes on from there."""
+        if self._pending or self._held is not None:
+            raise ValueError("the generator already holds a reserve")
+        self._pending = count
+
     def _u64_stream(self, count: int) -> np.ndarray:
         """The next `count` outputs of `next_u64`, as a uint64 array."""
+        if self._pending:
+            self._held = self._lane_pass(max(count, self._pending))
+            self._pending = 0
+        if self._held is None:
+            return self._lane_pass(count)
+        head = self._held[self._used:self._used + count]
+        self._used += len(head)
+        if self._used == len(self._held):  # used up: release it
+            self._held = None
+            self._used = 0
+        if len(head) == count:
+            return head
+        return np.concatenate([head, self._lane_pass(count - len(head))])
+
+    def _lane_pass(self, count: int) -> np.ndarray:
+        """The next `count` outputs from `_s`, all lanes stepped at once."""
         lanes = max(1, -(-count // _LANE))
         last = count - (lanes - 1) * _LANE  # steps taken by the last lane
         S = _lane_starts(self._s, lanes)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mpadmm import data
+from mpadmm import data, rng
 from mpadmm.data import (GroundTruth, Hyperparams, PartialMatrix, SideInfo,
                          generate_synthetic, load_dense_csv, load_partial,
                          load_side_info, save_dense_csv, save_partial,
@@ -147,12 +147,16 @@ class TestGenerateSynthetic:
     @pytest.mark.parametrize("args", [
         (7, 5, 2, 3, 0.0, 1.5, 11), (7, 5, 2, 3, 0.97, 1.5, 11),
         (30, 20, 2, 3, 0.3, 1.0, 4), (300, 77, 4, 9, 0.9, 2.0, 123),
-        (500, 400, 6, 11, 0.5, 2.0, 9), (31, 17, 1, 1, 0.5, 0.0, 2)],
+        (500, 400, 6, 11, 0.5, 2.0, 9), (31, 17, 1, 1, 0.5, 0.0, 2),
+        (1001, 100, 5, 151, 0.9, 2.0, 14), (300, 77, 4, 9, 0.0, 2.0, 15),
+        (400, 90, 3, 7, 0.6, 0.0, 16)],
         ids=["nothing-hidden", "one-observed", "few-hidden", "mostly-hidden",
-             "half-hidden", "rank-one"])
+             "half-hidden", "rank-one", "odd-nd", "nothing-hidden-lanes",
+             "noiseless-lanes"])
     def test_byte_equal_to_separate_draws_and_hidden_picks(self, args):
         # the reference draws U, V and beta in three calls and scatters the
-        # hidden picks into a bool mask, as generate_synthetic once did
+        # hidden picks into a bool mask, as generate_synthetic once did,
+        # from a generator with no reserve (one lane pass per call)
         n, m, k, d, miss_frac, sigma, seed = args
         gen = Xoshiro256pp(seed)
         U = gen.uniform_matrix(n, k)
@@ -173,6 +177,30 @@ class TestGenerateSynthetic:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
         assert gt.beta.flags.c_contiguous
+
+    @pytest.mark.parametrize("args", [
+        (1000, 100, 5, 150, 0.9, 2.0, 0), (1001, 100, 5, 151, 0.9, 2.0, 14),
+        (400, 90, 3, 7, 0.6, 0.0, 16)], ids=["protocol", "odd-nd",
+                                             "noiseless"])
+    def test_draws_in_one_lane_pass(self, args, monkeypatch):
+        # the reserve gives the three helpers one lane pass over all their
+        # draws (no rejection falls on these seeds), not one per helper;
+        # on `protocol` 260,500 draws in 2036 lanes
+        n, m, k, d, miss_frac, sigma, seed = args
+        draws = ((n + m) * k + m * d + int(miss_frac * n * m)
+                 + (n * d + n * d % 2 if sigma else 0))
+        lanes = []
+        starts = rng._lane_starts
+
+        def spy(state, count):
+            lanes.append(count)
+            return starts(state, count)
+
+        monkeypatch.setattr(rng, "_lane_starts", spy)
+        generate_synthetic(*args)
+        assert lanes == [-(-draws // rng._LANE)]
+        if seed == 0:  # `protocol`
+            assert lanes == [2036]
 
     def test_blas_single_threaded_inside_and_restored(self, monkeypatch):
         api = _openblas_threads_api()

@@ -305,6 +305,94 @@ def test_fisher_yates_tail_at_int64_boundary(population, packed,
     assert rank_calls == ([] if packed else [8])
 
 
+def _jump_bits_reference(i):
+    """The transpose of T^(_LANE * 2^i) as a (256, 256) float32 bit
+    matrix, by repeated GF(2) squaring through float32 products (the
+    jump-ahead the byte tables replaced): row r holds the bits of the
+    image of unit state r, column 64 w + b bit b of word w.  A product
+    of 0/1 float32 matrices has integer entries <= 256, exact in float32,
+    so reducing it mod 2 is exact."""
+    def to_bits(S):
+        octets = np.ascontiguousarray(S.T, dtype="<u8").view(np.uint8)
+        return np.unpackbits(octets, axis=1, bitorder="little").astype(
+            np.float32)
+
+    unit = np.zeros((4, 256), dtype=np.uint64)
+    cols = np.arange(256)
+    unit[cols // 64, cols] = np.uint64(1) << (cols % 64).astype(np.uint64)
+    rng._step(unit, np.empty(256, np.uint64), np.empty(256, np.uint64))
+    M = to_bits(unit)
+    for _ in range(rng._LANE.bit_length() - 1 + i):
+        M = ((M @ M).astype(np.uint16) & 1).astype(np.float32)
+    return M
+
+
+def test_jump_tables_hold_the_gf2_powers():
+    # entry 256 p + (1 << b) of `_jump(i)` is the image of unit state
+    # 8 p + b, and every other entry the XOR of those its byte selects
+    for i in range(13):
+        table = rng._jump(i)
+        assert table.shape == (32 * 256, 4) and table.dtype == np.uint64
+        assert not table.flags.writeable
+        images = table[rng._UNIT_ROWS]
+        bits = np.unpackbits(images.astype("<u8").view(np.uint8), axis=1,
+                             bitorder="little")
+        assert np.array_equal(bits, _jump_bits_reference(i))
+        bytes_ = table.reshape(32, 256, 4)
+        v = np.arange(256)
+        for b in range(8):
+            with_b = (v >> b) & 1 == 1
+            assert np.array_equal(bytes_[:, with_b],
+                                  bytes_[:, v[with_b] ^ (1 << b)]
+                                  ^ images.reshape(32, 8, 1, 4)[:, b])
+
+
+@pytest.mark.parametrize("lanes", [
+    2 ** 14 - 1, 2 ** 14, 2 ** 14 + 1, 2 ** 15 + 3, 2 ** 15 + 2 ** 14 + 3])
+def test_lane_starts_across_jump_blocks(lanes):
+    # the doublings move at most _JUMP_BLOCK lanes per gather, so the
+    # doubling from 2^15 lanes takes two gathers once lanes > 2^15 + 2^14;
+    # every lane start must be its predecessor stepped _LANE times, and
+    # at the doubling and block boundaries (and the last lane) also by
+    # scalar stepping
+    assert rng._JUMP_BLOCK == 2 ** 14
+    state = Xoshiro256pp(27)._s
+    S = rng._lane_starts(state, lanes)
+    assert S.shape == (4, lanes) and S.flags.c_contiguous
+    assert S[:, 0].tolist() == state
+    stepped = S.copy()
+    out, tmp = np.empty(lanes, np.uint64), np.empty(lanes, np.uint64)
+    for _ in range(rng._LANE):
+        rng._step(stepped, out, tmp)
+    assert np.array_equal(stepped[:, :-1], S[:, 1:])
+    probe = Xoshiro256pp(0)
+    for lane in {2 ** 14 - 1, 2 ** 14, 2 ** 14 + 1, 2 ** 15 + 2 ** 14 - 1,
+                 2 ** 15 + 2 ** 14, lanes - 1}:
+        if lane >= lanes:
+            continue
+        probe._s = S[:, lane - 1].tolist()
+        for _ in range(rng._LANE):
+            probe.next_u64()
+        assert probe._s == S[:, lane].tolist()
+
+
+def test_lane_starts_bounded_memory():
+    # 281,250 lanes are 3.6e7 draws (a 20000 x 2000 instance at 90%
+    # missing); the starts take 9 MB, their transpose 9 MB more, and a
+    # gather block 20 MB.  The float32 bit GEMMs the tables replaced
+    # peaked at 369 MB here.
+    state = Xoshiro256pp(28)._s
+    for i in range(19):  # the tables, built outside the traced call
+        rng._jump(i)
+    tracemalloc.start()
+    try:
+        rng._lane_starts(state, 281_250)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2 ** 20
+
+
 def test_lane_starts_match_scalar_stepping():
     # 1500 lanes take 11 doublings; lane l starts _LANE * l steps ahead
     S = rng._lane_starts(Xoshiro256pp(26)._s, 1500)
@@ -374,6 +462,104 @@ def test_helpers_in_sequence_match_scalar_loops():
     for helper, loop in steps:
         assert np.array_equal(helper(a), loop(b))
         _assert_same_state(a, b)
+    assert a.next_u64() == b.next_u64()
+
+
+# A reserved generator serves draws from one lane pass made ahead of
+# them; outputs and end state must be those of an unreserved one.
+
+def _helpers(gen, n, m, d):
+    """Draws in the order of `generate_synthetic`: (n + m) d uniforms,
+    n d normals and n m / 2 picks, then scalar draws of each kind."""
+    return [gen.uniform_matrix(n + m, d), gen.normal_matrix(n, d, 2.0),
+            gen.sample_without_replacement(n * m, n * m // 2,
+                                           complement=True),
+            np.array([gen.next_u64()], dtype=np.uint64),
+            np.array([gen.uniform(), gen.normal(), gen.normal(),
+                      gen.normal()]),
+            np.array([gen.below(7), gen.below(2 ** 40 + 3)])]
+
+
+def _assert_released(gen):
+    assert gen._pending == 0 and gen._held is None
+
+
+@pytest.mark.parametrize("extra", [-7, 0, 1, 3, 6, 7, -(61 * 37 // 2)],
+                         ids=["under", "exact", "over-u64", "over-normal",
+                              "over-below", "over-next", "half"])
+def test_reserve_is_invisible_in_the_streams(extra):
+    # 61 x 9 normals are odd in number, so one spare is left behind; the
+    # helpers draw 98 rows of 9 uniforms, 550 normals and 1128 picks,
+    # then 1 + 1 + 2 + 2 scalar draws (the first normal is the spare),
+    # which use up a reserve of up to 6 extra draws, and one more
+    n, m, d = 61, 37, 9
+    helpers = (n + m) * d + 2 * -(-n * d // 2) + n * m // 2
+    a, b = Xoshiro256pp(40), Xoshiro256pp(40)
+    a._reserve(helpers + extra)
+    for got, want in zip(_helpers(a, n, m, d), _helpers(b, n, m, d)):
+        assert np.array_equal(_bits(got), _bits(want))
+    assert a.next_u64() == b.next_u64()
+    _assert_released(a)
+    _assert_same_state(a, b)
+
+
+def test_reserve_served_to_scalar_draws_first():
+    a, b = Xoshiro256pp(41), Xoshiro256pp(41)
+    a._reserve(3)
+    assert [a.next_u64(), a.uniform(), a.below(1000)] == [
+        b.next_u64(), b.uniform(), b.below(1000)]
+    _assert_released(a)
+    _assert_same_state(a, b)
+    a._reserve(rng._LANE + 5)  # a new reserve once the last is used up
+    assert np.array_equal(a.uniform_matrix(1, 4), b.uniform_matrix(1, 4))
+    assert a._held is not None
+    with pytest.raises(ValueError):
+        a._reserve(1)
+    assert np.array_equal(a.uniform_matrix(1, rng._LANE + 1),
+                          b.uniform_matrix(1, rng._LANE + 1))
+    _assert_released(a)
+    _assert_same_state(a, b)
+
+
+def _loop_accepted(gen, thresholds):
+    """The scalar definition of `_accepted`, and how many draws each slot
+    took."""
+    out, tries = [], []
+    for t in thresholds:
+        x, k = gen.next_u64(), 1
+        while x < t:
+            x, k = gen.next_u64(), k + 1
+        out.append(x)
+        tries.append(k)
+    return out, tries
+
+
+NEAR_TOP = (1 << 64) - (1 << 58)  # rejects 63 draws in 64
+
+
+@pytest.mark.parametrize("runs,rejecting", [
+    ((150, 170), [(1, 169)]),
+    ((150, 170), [(0, 149), (1, 0)]),
+    ((rng._LANE, rng._LANE), [(0, rng._LANE - 1), (1, 0), (1, 1),
+                              (1, rng._LANE - 1)])],
+    ids=["reserve-last-slot", "run-boundary", "lane-boundaries"])
+def test_reserve_with_rejections(runs, rejecting):
+    # the reserve holds one draw per slot of the runs; a slot with a
+    # threshold near 2^64 is rejected, and each rejection moves the
+    # draws of the slots after it, into the next run and past the
+    # reserve's end
+    a, b = Xoshiro256pp(42), Xoshiro256pp(42)
+    a._reserve(sum(runs))
+    thresholds = [np.zeros(r, dtype=np.uint64) for r in runs]
+    for run, slot in rejecting:
+        thresholds[run][slot] = NEAR_TOP
+    for t in thresholds:
+        want, tries = _loop_accepted(b, t.tolist())
+        assert a._accepted(t).tolist() == want
+        assert all(tries[slot] > 1 for run, slot in rejecting
+                   if t is thresholds[run])
+    _assert_released(a)
+    _assert_same_state(a, b)
     assert a.next_u64() == b.next_u64()
 
 

@@ -114,10 +114,12 @@ def test_out_writes_every_run_and_the_statistics(tmp_path, monkeypatch,
                     "--seconds", "3", "--seed0", "7", "--out", str(out)]) == 0
     capsys.readouterr()
     bench = json.loads(out.read_text())
-    assert list(bench) == ["workload", "pairs", "seconds", "seed0", "runs",
-                           "statistics"]
+    assert list(bench) == ["workload", "pairs", "seconds", "seed0",
+                           "sources", "runs", "statistics"]
     assert (bench["workload"], bench["pairs"], bench["seconds"],
             bench["seed0"]) == ("protocol", 2, 3.0, 7)
+    assert bench["sources"] == {side: ab.source_digest(root)
+                                for side, root in roots.items()}
     assert [(r["pair"], r["side"], r["seed"], r["env"]["commit"])
             for r in bench["runs"]] == [(1, "parent", 7, "parent"),
                                         (1, "change", 7, "change"),
@@ -147,3 +149,24 @@ def test_parse_env_reads_the_env_line():
     assert ab.parse_env("# mpadmm\n# env {\"cpu_count\": 2}\nx\n") == {
         "cpu_count": 2}
     assert ab.parse_env(_line(0.1, 0.5)) is None
+
+
+def test_source_digest_tells_trees_apart(tmp_path):
+    # the digest covers src/**/*.py by relative path and bytes only
+    roots = [tmp_path / "a", tmp_path / "b"]
+    for root in roots:
+        (root / "src" / "pkg" / "sub").mkdir(parents=True)
+        (root / "src" / "pkg" / "__init__.py").write_text("x = 1\n")
+        (root / "src" / "pkg" / "sub" / "mod.py").write_text("y = 2\n")
+    (roots[1] / "src" / "notes.txt").write_text("not source")
+    (roots[1] / "perfbench").mkdir()
+    (roots[1] / "perfbench" / "run.py").write_text("z = 3\n")
+    a, b = (ab.source_digest(root) for root in roots)
+    assert a == b and len(a) == 64
+    (roots[1] / "src" / "pkg" / "sub" / "mod.py").write_text("y = 3\n")
+    assert ab.source_digest(roots[1]) != a
+    # the same bytes under another name are another tree
+    (roots[1] / "src" / "pkg" / "sub" / "mod.py").rename(
+        roots[1] / "src" / "pkg" / "sub" / "mod2.py")
+    (roots[1] / "src" / "pkg" / "sub" / "mod2.py").write_text("y = 2\n")
+    assert ab.source_digest(roots[1]) != a

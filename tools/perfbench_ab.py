@@ -13,14 +13,18 @@ side the min, quartiles, median and max, and in how many pairs the
 change read lower.  It exits 1 if any run is not `correct` or has failed
 operations.  It changes no benchmark file.
 
-With `--out PATH` it also writes the whole comparison as JSON: every
-run's result object and `# env` record with its side, pair and seed,
-and the summary in numbers (see `bench_file`).
+It also prints a SHA-256 of each side's `src/**/*.py` (see
+`source_digest`), which names the code a side ran even where the `# env`
+record's commit reads `unknown`, as in a `git archive` checkout.  With
+`--out PATH` it writes the whole comparison as JSON: those digests,
+every run's result object and `# env` record with its side, pair and
+seed, and the summary in numbers (see `bench_file`).
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -45,6 +49,20 @@ def parse_env(stdout: str) -> dict | None:
         if line.startswith("# env "):
             return json.loads(line[len("# env "):])
     return None
+
+
+def source_digest(root: Path) -> str:
+    """SHA-256 over the sorted (path relative to `root`, bytes) pairs of
+    the files `root`/src/**/*.py; each path and each file's bytes enter
+    with their length, so no two trees share a digest by concatenation."""
+    digest = hashlib.sha256()
+    files = sorted((path.relative_to(root).as_posix(), path)
+                   for path in (root / "src").rglob("*.py"))
+    for name, path in files:
+        for part in (name.encode(), path.read_bytes()):
+            digest.update(b"%d:" % len(part))
+            digest.update(part)
+    return digest.hexdigest()
 
 
 def run_once(checkout: Path, workload: str, seed: int,
@@ -115,13 +133,15 @@ def summary(runs: dict[str, list[dict]]) -> list[str]:
     return lines
 
 
-def bench_file(args, records: list[dict], runs: dict[str, list[dict]]
-               ) -> dict:
-    """What `--out` writes: the settings, every run in the order it ran
-    (`pair` from 1, `side`, `seed`, `env`, `result`) and `statistics`."""
+def bench_file(args, sources: dict[str, str], records: list[dict],
+               runs: dict[str, list[dict]]) -> dict:
+    """What `--out` writes: the settings, each side's `source_digest`,
+    every run in the order it ran (`pair` from 1, `side`, `seed`, `env`,
+    `result`) and `statistics`."""
     return {"workload": args.workload, "pairs": args.pairs,
             "seconds": args.seconds, "seed0": args.seed0,
-            "runs": records, "statistics": statistics(runs)}
+            "sources": sources, "runs": records,
+            "statistics": statistics(runs)}
 
 
 def main(argv=None) -> int:
@@ -144,6 +164,9 @@ def main(argv=None) -> int:
     for side, root in roots.items():
         if not (root / "perfbench" / "run.py").is_file():
             p.error(f"{side}: {root} has no perfbench/run.py")
+    sources = {side: source_digest(root) for side, root in roots.items()}
+    for side in SIDES:
+        print(f"sources {side} {sources[side]}", flush=True)
 
     runs = {side: [] for side in SIDES}
     records = []
@@ -161,8 +184,8 @@ def main(argv=None) -> int:
             print(run_line(pair + 1, side, result), flush=True)
     print("\n".join(summary(runs)))
     if args.out:
-        args.out.write_text(json.dumps(bench_file(args, records, runs),
-                                       indent=1) + "\n")
+        bench = bench_file(args, sources, records, runs)
+        args.out.write_text(json.dumps(bench, indent=1) + "\n")
     if bad:
         print(f"{bad} run(s) not correct or with failed operations")
         return 1
