@@ -30,17 +30,25 @@ NumPy and leave the generator in the same state:
 * Exact rejections.  `below` rejects a draw under (2^64 - b) mod b, and
   Box-Muller draws u1 again while it is 0.  Both are rare, but each one
   shifts the rest of the stream, so `_accepted` finds every rejection in
-  a batch and reassigns the draws that follow it.
+  a batch and reassigns the draws that follow it.  The threshold of
+  `below` is under b, so the batch screens its draws against b and
+  computes the threshold only for the draws under it (Lemire's
+  nearly divisionless rejection, ACM TOMACS 2019): below 2 * 10^6 that
+  is about one draw in 10^13.
 * Fisher-Yates without a loop.  `sample_without_replacement` draws every
   step's target j[i] = i + below(population - i) at once and puts the
   steps in (target, step) order by one in-place sort of the packed int64
-  keys j[i] * count + i (a stable argsort of j only when those keys
-  would overflow int64, for populations near 2^63 / count).  Each step
+  keys (j[i] << w) | i, w being the bit width of count - 1, which a
+  shift and a mask unpack (a stable argsort of j only when those keys
+  would overflow int64, for populations near 2^63 / 2^w).  Each step
   then has a `parent`: the latest earlier step that wrote into its slot.
   The picks follow from pointer jumping over every step's parent chain.
   The complement, the values left in slots count..population - 1, needs
   only the chains of the last step into each such slot, which are
-  chased one link at a time while any entry moves.
+  chased one link at a time while any entry moves.  The keys are built
+  in the targets' own array, and masked selections gather through index
+  arrays rather than boolean indexing, which is faster and, with arrays
+  freed as soon as they are used, keeps the peak near 37 bytes per pick.
 * Transcendentals from the C library.  `normal` takes `log`, `cos` and
   `sin` from `math`, which calls the C library's functions.  The matrix
   helper calls the same functions through ufunc loops: `log` as
@@ -58,6 +66,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 
 import numpy as np
 from scipy.special import xlogy
@@ -173,35 +182,43 @@ def _to_unit(x: np.ndarray) -> np.ndarray:
 def _fisher_yates_steps(j: np.ndarray):
     """The steps of the partial Fisher-Yates shuffle of range(population)
     whose step i takes slot j[i] >= i and moves slot i's value into it, in
-    (target, step) order: (sj, order, same, parent).
+    (target, step) order: (sj, order, same, parent).  It overwrites j.
 
     Position p holds step order[p] with target sj[p], and same[p] tells
     whether position p + 1 has the same target.  The order comes from one
-    in-place sort of the packed keys j[i] * count + i, from which one
-    `divmod` recovers target and step.  Only when (max(j) + 1) * count
-    does not fit in int64, i.e. for populations near 2**63 / count, is it
-    a stable argsort of j instead, which keeps ties in step order.
+    in-place sort of the packed keys (j[i] << w) | i, built in j, w being
+    the bit width of count - 1, which a shift and a mask split back into
+    target and step.  Only when (max(j) + 1) << w exceeds 2**63, i.e. for
+    populations near 2**63 / 2**w, is it a stable argsort of j instead,
+    which keeps ties in step order.
 
     A step writes the value its own slot held when it ran: the one the
     latest earlier step targeting that slot wrote, and so on back to a
     step whose slot was never written, which holds its own index.
     parent[s] is that latest earlier step t < s with target s, else s.
+    Masked selections gather through one index array (`np.take`,
+    `np.compress`), which runs faster than boolean indexing.
     """
     count = len(j)
-    if count and (int(j.max()) + 1) * count > 1 << 63:
+    w = (count - 1).bit_length()
+    if count and (int(j.max()) + 1) << w > 1 << 63:
         order = np.argsort(j, kind="stable")
         sj = j[order]
     else:
-        keys = j * count
-        keys += np.arange(count)
+        keys = np.left_shift(j, w, out=j)
+        keys |= np.arange(count)
         keys.sort()
-        sj, order = np.divmod(keys, count, out=(keys, np.empty_like(keys)))
+        order = keys & ((1 << w) - 1)
+        sj = np.right_shift(keys, w, out=keys)
     same = sj[1:] == sj[:-1]
     early = (order < sj) & (sj < count)
     last = early.copy()
     last[:-1] &= ~(same & early[1:])
+    del early
+    at = np.flatnonzero(last)
+    del last
     parent = np.arange(count)
-    parent[sj[last]] = order[last]
+    parent[sj.take(at)] = order.take(at)
     return sj, order, same, parent
 
 
@@ -209,7 +226,8 @@ def _fisher_yates_picks(j: np.ndarray) -> np.ndarray:
     """picks[i] of the shuffle of `_fisher_yates_steps`: the value last
     written into slot j[i], by the latest earlier step with the same
     target, or j[i] if no earlier step targeted it.  The `parent` chains
-    of all steps are resolved at once by pointer jumping."""
+    of all steps are resolved at once by pointer jumping.  It overwrites
+    j."""
     sj, order, same, parent = _fisher_yates_steps(j)
     while True:
         up = parent[parent]
@@ -219,7 +237,7 @@ def _fisher_yates_picks(j: np.ndarray) -> np.ndarray:
     del up
     # in (target, step) order: a step whose target an earlier step took
     # picks what that step wrote, any other its target itself
-    sj[1:][same] = parent[order[:-1][same]]
+    sj[1:][same] = parent[np.compress(same, order[:-1])]
     picks = np.empty_like(sj)
     picks[order] = sj
     return picks
@@ -230,20 +248,23 @@ def _fisher_yates_tail(j: np.ndarray):
     `_fisher_yates_steps` targeted, and the values they end with.  Each
     holds what the last step targeting it wrote, found by chasing
     `parent` from those steps only, while any entry moves; a tail slot
-    no step targeted keeps its own index."""
+    no step targeted keeps its own index.  It overwrites j."""
     count = len(j)
     sj, order, same, parent = _fisher_yates_steps(j)
     tail = np.ones(count, dtype=bool)  # the last step per target ...
     tail[:-1] = ~same
     del same
     tail &= sj >= count  # ... of a tail slot
-    values = order[tail]
+    at = np.flatnonzero(tail)
+    del tail
+    slots, values = sj.take(at), order.take(at)
+    del sj, order, at
     moving = np.flatnonzero(parent[values] != values)
     while len(moving):
         up = parent[values[moving]]
         values[moving] = up
         moving = moving[parent[up] != up]
-    return sj[tail], values
+    return slots, values
 
 
 class Xoshiro256pp:
@@ -349,10 +370,15 @@ class Xoshiro256pp:
         self._s = [int(w) for w in end]
         return out.T.reshape(-1)[:count]
 
-    def _accepted(self, thresholds: np.ndarray) -> np.ndarray:
+    def _accepted(self, screen: np.ndarray, exact=None) -> np.ndarray:
         """Draws for a run of rejection-sampled slots: slot i takes the
-        first `next_u64` output >= thresholds[i] after slot i - 1's draw."""
-        n = len(thresholds)
+        first `next_u64` output >= its threshold after slot i - 1's draw.
+
+        The threshold of slot i is screen[i], or, given `exact`, the
+        entry for slot i of exact(idx), a function of an index array
+        that is called only for the slots whose draw falls below the
+        screen; that screen must then be at or above every threshold."""
+        n = len(screen)
         out = np.empty(n, dtype=np.uint64)
         done = 0
         window = n
@@ -363,8 +389,10 @@ class Xoshiro256pp:
             while q < len(x):
                 width = min(len(x) - q, window)
                 bad = np.flatnonzero(x[q:q + width]
-                                     < thresholds[done:done + width])
-                ok = bad[0] if len(bad) else width
+                                     < screen[done:done + width])
+                if exact is not None and len(bad):
+                    bad = bad[x[q + bad] < exact(done + bad)]
+                ok = int(bad[0]) if len(bad) else width
                 out[done:done + ok] = x[q:q + ok]
                 done += ok
                 q += ok
@@ -403,27 +431,35 @@ class Xoshiro256pp:
     def sample_without_replacement(self, population: int, count: int, *,
                                    complement: bool = False) -> np.ndarray:
         """First `count` entries of a partial Fisher-Yates shuffle of
-        range(population), as an int64 array; population < 2**63.
+        range(population), as an int64 array.  Both are integers (not
+        bools) with 0 <= count <= population < 2**63; TypeError or
+        ValueError otherwise, naming the argument.
 
         With `complement=True`, the sorted values left in the other
         population - count slots instead: the same draws, and the
         generator ends in the same state."""
+        for name, value in (("population", population), ("count", count)):
+            if isinstance(value, bool) or not isinstance(value,
+                                                         numbers.Integral):
+                raise TypeError(f"{name} must be an integer, not "
+                                f"{type(value).__name__}")
+        population, count = int(population), int(count)
+        if not 0 <= population < 1 << 63:
+            raise ValueError("population must be in [0, 2**63)")
+        if count < 0:
+            raise ValueError("count must be non-negative")
         if count > population:
             raise ValueError("cannot sample more than the population")
-        if population >= 1 << 63:
-            raise ValueError("population must be below 2**63")
-        steps = np.arange(count, dtype=np.int64)
-        bounds = np.subtract(population, steps).view(np.uint64)
-        # below(b) for every step: threshold (2^64 - b) mod b in uint64
-        thresholds = np.negative(bounds)
-        thresholds %= bounds
-        x = self._accepted(thresholds)
-        del thresholds
+        bounds = np.arange(population, population - count, -1,
+                           dtype=np.int64).view(np.uint64)
+        # below(b) for every step: a draw under b is rejected only if it
+        # is also under (2^64 - b) mod b, computed for those draws alone
+        x = self._accepted(bounds, lambda i: np.negative(bounds[i])
+                           % bounds[i])
         x %= bounds
         del bounds
         j = x.view(np.int64)  # j[i] = i + below(population - i)
-        j += steps
-        del steps
+        j += np.arange(count)
         if not complement:
             return _fisher_yates_picks(j)
         slots, values = _fisher_yates_tail(j)

@@ -198,25 +198,58 @@ def test_sample_without_replacement_matches_scalar_loop(population, count):
 
 
 @pytest.mark.parametrize("population,seed,least_draws", [
-    (2 ** 62 + 1, 3, 201), (2 ** 62 + 201, 24, 230)])
+    (2 ** 62 + 1, 3, 201), (2 ** 62 + 201, 24, 230),
+    (2 ** 62 + 1001, 24, 1250), (3 * 2 ** 61 + 5, 25, 330)])
 def test_below_rejections_reindex_the_stream(population, seed, least_draws):
     # below(b) rejects draws under (2^64 - b) mod b, which is about 2^62,
     # a quarter of all draws, for 2^62 < b < 2^62 + 2^60.  With 2^62 + 1
     # only step 0 has such a bound (seed 3 rejects its first draw); with
     # 2^62 + 201 every step has, and each rejection shifts all later draws.
+    # With 2^62 + 1001 and 1000 steps, one pass rejects more draws than a
+    # lane holds, and the next pass draws over several lanes.  At
+    # b = 3 2^61 + 5 - i the threshold is 2^62 - 10 + 2 i, so a draw under
+    # the screen b is accepted about one time in three
+    count = {2 ** 62 + 1001: 1000, 3 * 2 ** 61 + 5: 300}.get(population,
+                                                              200)
     a, b = Xoshiro256pp(seed), Xoshiro256pp(seed)
     draws = []
     scalar = b.next_u64
 
     def counted():
-        draws.append(1)
-        return scalar()
+        draws.append(scalar())
+        return draws[-1]
 
     b.next_u64 = counted
-    picks = a.sample_without_replacement(population, 200)
-    assert picks.tolist() == _loop_sample(b, population, 200)
+    picks = a.sample_without_replacement(population, count)
+    assert picks.tolist() == _loop_sample(b, population, count)
     assert len(draws) >= least_draws
     _assert_same_state(a, b)
+    if population == 3 * 2 ** 61 + 5:
+        screened_in = sum(2 ** 62 + 600 <= x < 3 * 2 ** 61 - 300
+                          for x in draws)
+        rejected = sum(x < 2 ** 62 - 10 for x in draws)
+        assert screened_in >= count // 16 and rejected >= count // 8
+
+
+@pytest.mark.parametrize("population,count,computed", [
+    (2_000_000, 1_000_000, False), (3 * 2 ** 61 + 5, 300, True)])
+def test_exact_thresholds_only_below_the_screen(population, count, computed,
+                                                monkeypatch):
+    # below(b)'s threshold (2^64 - b) mod b is under b, so only a draw
+    # under b needs it; at b <= 2 10^6 one draw in about 10^13 is
+    calls = []
+    accepted = Xoshiro256pp._accepted
+
+    def spy(self, screen, exact=None):
+        def counted(idx):
+            calls.append(len(idx))
+            return exact(idx)
+        return accepted(self, screen, exact and counted)
+
+    monkeypatch.setattr(Xoshiro256pp, "_accepted", spy)
+    Xoshiro256pp(26).sample_without_replacement(
+        population, count, complement=population < 2 ** 32)
+    assert bool(calls) == computed
 
 
 def _first_draw_below(population, value, seed=31):
@@ -228,13 +261,17 @@ def _first_draw_below(population, value, seed=31):
     return gen
 
 
-@pytest.mark.parametrize("population,packed", [
-    (2 ** 60, True), (2 ** 60 + 1, False)], ids=["packed", "rank"])
-def test_fisher_yates_key_path_at_int64_boundary(population, packed,
+@pytest.mark.parametrize("population,count,packed", [
+    (2 ** 60, 8, True), (2 ** 60 + 1, 8, False),
+    (2 ** 60, 5, True), (2 ** 60 + 1, 5, False)],
+    ids=["packed", "rank", "packed-5", "rank-5"])
+def test_fisher_yates_key_path_at_int64_boundary(population, count, packed,
                                                  monkeypatch):
-    # 8 steps, the first targeting population - 1: the largest packed key
-    # (max(j) + 1) * 8 - 1 is 2^63 - 1 for 2^60, which still fits in
-    # int64, and 2^63 + 7 for 2^60 + 1, which takes the stable argsort
+    # the first step targets population - 1, and the keys are
+    # (j << w) | i with w = 3 bits for both 5 and 8 steps: the largest key
+    # is 2^63 - 1 for 2^60, which still fits in int64, and 2^63 + 7 for
+    # 2^60 + 1, which takes the stable argsort (with 5 steps a key
+    # j * 5 + i would still fit there)
     rank_calls = []
     argsort = np.argsort
 
@@ -246,11 +283,11 @@ def test_fisher_yates_key_path_at_int64_boundary(population, packed,
     monkeypatch.setattr(rng.np, "argsort", spy)
     a = _first_draw_below(population, population - 1)
     b = _first_draw_below(population, population - 1)
-    picks = a.sample_without_replacement(population, 8)
+    picks = a.sample_without_replacement(population, count)
     assert picks[0] == population - 1
-    assert picks.tolist() == _loop_sample(b, population, 8)
+    assert picks.tolist() == _loop_sample(b, population, count)
     _assert_same_state(a, b)
-    assert rank_calls == ([] if packed else [8])
+    assert rank_calls == ([] if packed else [count])
 
 
 def _loop_tail(j):
@@ -279,14 +316,17 @@ def test_complement_is_the_rest_of_the_picks():
         _assert_same_state(a, b)
 
 
-@pytest.mark.parametrize("population,packed", [
-    (2 ** 60, True), (2 ** 60 + 1, False)], ids=["packed", "rank"])
-def test_fisher_yates_tail_at_int64_boundary(population, packed,
+@pytest.mark.parametrize("population,count,packed", [
+    (2 ** 60, 8, True), (2 ** 60 + 1, 8, False),
+    (2 ** 60, 5, True), (2 ** 60 + 1, 5, False)],
+    ids=["packed", "rank", "packed-5", "rank-5"])
+def test_fisher_yates_tail_at_int64_boundary(population, count, packed,
                                              monkeypatch):
-    # the complement of 8 picks at these populations would hold about 2^60
-    # values, so the tail chase is checked against the scalar loop on the
-    # key paths of test_fisher_yates_key_path_at_int64_boundary; step 5
-    # carries slot 5, written by step 2 with slot 2, written by step 0
+    # the complement of these picks would hold about 2^60 values, so the
+    # tail chase is checked against the scalar loop on the key paths of
+    # test_fisher_yates_key_path_at_int64_boundary; step 5 of 8 (step 4
+    # of 5) carries slot 5 (4), written by step 2 with slot 2, written by
+    # step 0
     rank_calls = []
     argsort = np.argsort
 
@@ -297,12 +337,14 @@ def test_fisher_yates_tail_at_int64_boundary(population, packed,
 
     monkeypatch.setattr(rng.np, "argsort", spy)
     P = population
-    j = [2, P - 1, 5, P - 2, 4, P - 1, 7, P - 2]
+    j = {8: [2, P - 1, 5, P - 2, 4, P - 1, 7, P - 2],
+         5: [2, P - 1, 4, P - 2, P - 1]}[count]
     slots, values = rng._fisher_yates_tail(np.array(j, dtype=np.int64))
     assert dict(zip(slots.tolist(), values.tolist())) == _loop_tail(j)
-    assert _loop_tail(j) == {P - 1: 0, P - 2: 6}
+    assert _loop_tail(j) == {8: {P - 1: 0, P - 2: 6},
+                             5: {P - 1: 0, P - 2: 3}}[count]
     assert len(slots) == 2
-    assert rank_calls == ([] if packed else [8])
+    assert rank_calls == ([] if packed else [count])
 
 
 def _jump_bits_reference(i):
@@ -416,7 +458,7 @@ def test_sample_without_replacement_bytes_per_pick():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / 1_000_000 <= 75
+    assert peak / 1_000_000 <= 40
 
 
 @pytest.mark.parametrize("population,count", [
@@ -430,7 +472,7 @@ def test_complement_bytes_per_pick(population, count):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / count <= 75
+    assert peak / count <= 40
 
 
 def test_box_muller_zero_uniform_is_drawn_again():
@@ -564,8 +606,28 @@ def test_reserve_with_rejections(runs, rejecting):
 
 
 def test_population_must_fit_int64():
-    with pytest.raises(ValueError):
-        Xoshiro256pp(0).sample_without_replacement(2 ** 63, 1)
+    # integers, not bools, with 0 <= count <= population < 2^63; the
+    # error names the argument at fault
+    for population, count, error, name in [
+            (2 ** 63, 1, ValueError, "population"),
+            (-1, 0, ValueError, "population"),
+            (-3, -5, ValueError, "population"),
+            (5, -1, ValueError, "count"),
+            (5, 2.5, TypeError, "count"),
+            (5.0, 2, TypeError, "population"),
+            (5, True, TypeError, "count"),
+            (True, 1, TypeError, "population")]:
+        for complement in (False, True):
+            with pytest.raises(error, match=f"^{name} "):
+                Xoshiro256pp(0).sample_without_replacement(
+                    population, count, complement=complement)
+
+
+def test_numpy_integers_are_integers():
+    a, b = Xoshiro256pp(0), Xoshiro256pp(0)
+    assert np.array_equal(
+        a.sample_without_replacement(np.int64(50), np.uint32(20)),
+        b.sample_without_replacement(50, 20))
 
 
 def test_stream_digest_is_pinned():

@@ -170,3 +170,126 @@ def test_source_digest_tells_trees_apart(tmp_path):
         roots[1] / "src" / "pkg" / "sub" / "mod2.py")
     (roots[1] / "src" / "pkg" / "sub" / "mod2.py").write_text("y = 2\n")
     assert ab.source_digest(roots[1]) != a
+
+
+def _runs(columns):
+    """Canned runs per side from {metric: (parent values, change
+    values)}, one run per pair."""
+    return {side: [{"metrics": {name: {"value": values[i][pair],
+                                       "unit": "s"}
+                                for name, values in columns.items()}}
+                   for pair in range(len(next(iter(columns.values()))[0]))]
+            for i, side in enumerate(ab.SIDES)}
+
+
+def test_verdict_reads_each_metric_in_its_direction():
+    parent = [0.100 + 0.001 * p for p in range(10)]
+    # lower is better: the change wins every pair by far more than the
+    # parent's q3 - q1 (0.0045)
+    assert ab.verdict(parent, [v - 0.02 for v in parent], "lower",
+                      0.25) == {"better": "lower", "bound": 0.25,
+                                "change_better": 10, "gain_shown": True,
+                                "within_bound": "yes"}
+    # the same numbers read as higher-is-better: every pair worse, the
+    # median 19% below the parent's
+    v = ab.verdict(parent, [x - 0.02 for x in parent], "higher", 0.25)
+    assert (v["change_better"], v["gain_shown"], v["within_bound"]) == (
+        0, False, "yes")
+    v = ab.verdict(parent, [x - 0.02 for x in parent], "higher", 0.1)
+    assert v["within_bound"] == "no"
+    # admm_r2: equal to every digit, so every pair ties; then one pair
+    # higher and one tie short of 9 in 10
+    r2 = [0.99993 + 1e-6 * p for p in range(10)]
+    assert ab.verdict(r2, r2, "higher", 0.01) == {
+        "better": "higher", "bound": 0.01, "change_better": 0,
+        "gain_shown": False, "within_bound": "yes"}
+    up = [x + 1e-5 for x in r2]
+    assert ab.verdict(r2, up[:9] + r2[9:], "higher", 0.01)[
+        "gain_shown"] is True
+    v = ab.verdict(r2, up[:8] + r2[8:], "higher", 0.01)
+    assert (v["change_better"], v["gain_shown"]) == (8, False)
+    # a gain in 10 of 10 pairs inside the parent's spread is not shown
+    wide = [0.10, 0.11, 0.12, 0.13, 0.14, 0.15, 0.16, 0.17, 0.18, 0.19]
+    v = ab.verdict(wide, [x - 0.001 for x in wide], "lower", 0.25)
+    assert (v["change_better"], v["gain_shown"]) == (10, False)
+
+
+def test_verdict_unresolved_where_the_parent_spreads_past_the_bound():
+    # parent q3 - q1 = 0.55 s at a 0.8 s median, past a 0.24 bound
+    parent = [0.4, 0.5, 0.5, 0.6, 0.7, 0.9, 1.0, 1.1, 1.2, 3.4]
+    assert ab.verdict(parent, [0.5] * 10, "lower", 0.24)[
+        "within_bound"] == "unresolved"
+    # unless every change run beats every parent run
+    assert ab.verdict(parent, [0.3] * 10, "lower", 0.24)[
+        "within_bound"] == "yes"
+    # a parent median of 0 makes the bound absolute
+    assert ab.verdict([0.0] * 4, [0.1] * 4, "lower", 0.2)[
+        "within_bound"] == "yes"
+    assert ab.verdict([0.0] * 4, [0.3] * 4, "lower", 0.2)[
+        "within_bound"] == "no"
+
+
+def test_main_prints_and_writes_the_declared_verdicts(tmp_path, monkeypatch,
+                                                      capsys):
+    roots = {}
+    for side in ("parent", "change"):
+        roots[side] = tmp_path / side
+        (roots[side] / "perfbench").mkdir(parents=True)
+        (roots[side] / "perfbench" / "run.py").write_text("")
+    # only the parent's declarations count; metrics it does not declare
+    # get no verdict
+    (roots["parent"] / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [
+            {"name": "setup_s", "unit": "s", "better": "lower",
+             "bound": 0.25},
+            {"name": "admm_r2", "unit": "ratio", "better": "higher",
+             "bound": 0.01}]}))
+    (roots["change"] / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "admm_solve_s", "unit": "s",
+                         "better": "lower", "bound": 0.01}]}))
+    columns = {"setup_s": ([0.20, 0.18, 0.19], [0.12, 0.13, 0.11]),
+               "admm_solve_s": ([0.5, 0.4, 0.6], [0.5, 0.4, 0.6]),
+               "admm_r2": ([0.9] * 3, [0.9] * 3)}
+    runs = _runs(columns)
+    results = iter([runs["parent"][0], runs["change"][0],
+                    runs["change"][1], runs["parent"][1],
+                    runs["parent"][2], runs["change"][2]])
+
+    def run_once(checkout, workload, seed, seconds):
+        return dict(next(results), correct=True, failed=0), None
+
+    monkeypatch.setattr(ab, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    assert ab.main([str(roots["parent"]), str(roots["change"]),
+                    "--workload", "dense", "--pairs", "3",
+                    "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if "verdict" in line] == [
+        "setup_s verdict: change lower in 3 of 3 pairs, gain shown, "
+        "within bound 0.25: yes",
+        "admm_r2 verdict: change higher in 0 of 3 pairs, gain not shown, "
+        "within bound 0.01: yes"]
+    stats = json.loads(out.read_text())["statistics"]
+    assert list(stats["setup_s"]) == [
+        "unit", "parent", "change", "change_lower", "pairs", "better",
+        "bound", "change_better", "gain_shown", "within_bound"]
+    assert (stats["setup_s"]["change_better"], stats["setup_s"]["gain_shown"],
+            stats["setup_s"]["within_bound"]) == (3, True, "yes")
+    assert (stats["admm_r2"]["change_lower"],
+            stats["admm_r2"]["change_better"]) == (0, 0)
+    assert "change_better" not in stats["admm_solve_s"]
+
+
+def test_declared_reads_the_end_to_end_metrics(tmp_path):
+    assert ab.declared(tmp_path) == {}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "admm_r2", "unit": "ratio",
+                         "better": "higher", "bound": 0.01}],
+         "per_layer": [{"name": "rng.draws", "unit": "count",
+                        "better": "lower"}]}))
+    assert ab.declared(tmp_path) == {
+        "admm_r2": {"better": "higher", "bound": 0.01}}
+    root = Path(__file__).resolve().parents[1]
+    assert set(ab.declared(root)) == {"setup_s", "admm_solve_s",
+                                      "admm_peak_mb", "admm_err_l2",
+                                      "admm_r2"}

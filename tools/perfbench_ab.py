@@ -10,8 +10,11 @@ working directory is that checkout (run.py imports the package from its
 own checkout's src/); the side that runs first alternates from pair to
 pair.  It prints every run's end-to-end metrics, then per metric and
 side the min, quartiles, median and max, and in how many pairs the
-change read lower.  It exits 1 if any run is not `correct` or has failed
-operations.  It changes no benchmark file.
+change read lower.  For each end-to-end metric that the parent's
+BENCHMARK.json declares, it then prints a verdict line, read with the
+metric's `better` direction and `bound` (see `verdict`).  It exits 1 if
+any run is not `correct` or has failed operations.  It changes no
+benchmark file.
 
 It also prints a SHA-256 of each side's `src/**/*.py` (see
 `source_digest`), which names the code a side ran even where the `# env`
@@ -65,6 +68,16 @@ def source_digest(root: Path) -> str:
     return digest.hexdigest()
 
 
+def declared(root: Path) -> dict[str, dict]:
+    """name -> {"better", "bound"} of each end-to-end metric that
+    `root`/BENCHMARK.json declares; empty without that file."""
+    path = root / "BENCHMARK.json"
+    if not path.is_file():
+        return {}
+    return {m["name"]: {"better": m["better"], "bound": m["bound"]}
+            for m in json.loads(path.read_text()).get("end_to_end", [])}
+
+
 def run_once(checkout: Path, workload: str, seed: int,
              seconds: float) -> tuple[dict, dict | None]:
     """One run's result object and `# env` record."""
@@ -101,47 +114,96 @@ def run_line(pair: int, side: str, result: dict) -> str:
 STATS = ("min", "q1", "median", "q3", "max")
 
 
-def statistics(runs: dict[str, list[dict]]) -> dict:
+def verdict(parent: list[float], change: list[float], better: str,
+            bound: float) -> dict:
+    """How a metric moved, read in its `better` direction ("lower" or
+    "higher") over pairs (parent[p], change[p]):
+
+    * `change_better`: the pairs in which the change read better; a tie
+      counts for neither side.
+    * `gain_shown`: better in at least 9 of 10 pairs, and the median
+      better by more than the parent's q3 - q1.
+    * `within_bound`: "yes" if the change's median is worse than the
+      parent's by at most `bound`, a fraction of the parent's median
+      (absolute where that median is 0), else "no"; "unresolved" if the
+      parent's q3 - q1, as the same fraction, exceeds `bound` and not
+      every change run is better than every parent run.
+    """
+    sign = 1.0 if better == "lower" else -1.0  # sign * value: lower wins
+    p, c = sign * np.asarray(parent), sign * np.asarray(change)
+    q1, med, q3 = np.percentile(p, [25, 50, 75])
+    spread = q3 - q1
+    gap = med - np.median(c)  # > 0: the change is better
+    wins = int(np.sum(c < p))
+    scale = abs(med) or 1.0
+    if spread / scale > bound and not c.max() < p.min():
+        within = "unresolved"
+    else:
+        within = "yes" if -gap / scale <= bound else "no"
+    return {"better": better, "bound": bound, "change_better": wins,
+            "gain_shown": bool(10 * wins >= 9 * len(p) and gap > spread),
+            "within_bound": within}
+
+
+def statistics(runs: dict[str, list[dict]],
+               metrics: dict[str, dict] | None = None) -> dict:
     """Per metric: its unit, each side's min, quartiles, median and max
     over its runs, and in how many pairs the change read lower than the
-    parent."""
+    parent; for each metric in `metrics` (see `declared`) also its
+    `verdict`."""
     stats = {}
-    pairs = list(zip(runs["parent"], runs["change"]))
     for name, first in runs["parent"][0]["metrics"].items():
         entry = {"unit": first["unit"]}
+        values = {side: [r["metrics"][name]["value"] for r in runs[side]]
+                  for side in SIDES}
         for side in SIDES:
-            values = [r["metrics"][name]["value"] for r in runs[side]]
             entry[side] = dict(zip(STATS, np.percentile(
-                values, [0, 25, 50, 75, 100]).tolist()))
+                values[side], [0, 25, 50, 75, 100]).tolist()))
         entry["change_lower"] = sum(
-            c["metrics"][name]["value"] < p["metrics"][name]["value"]
-            for p, c in pairs)
-        entry["pairs"] = len(pairs)
+            c < p for p, c in zip(values["parent"], values["change"]))
+        entry["pairs"] = len(values["change"])
+        if name in (metrics or {}):
+            entry.update(verdict(values["parent"], values["change"],
+                                 **metrics[name]))
         stats[name] = entry
     return stats
 
 
-def summary(runs: dict[str, list[dict]]) -> list[str]:
-    """`statistics` as text, three lines per metric."""
+def verdict_line(name: str, entry: dict) -> str:
+    """One metric's `verdict` as text."""
+    return (f"{name} verdict: change {entry['better']} in "
+            f"{entry['change_better']} of {entry['pairs']} pairs, gain "
+            f"{'shown' if entry['gain_shown'] else 'not shown'}, within "
+            f"bound {entry['bound']:g}: {entry['within_bound']}")
+
+
+def summary(runs: dict[str, list[dict]],
+            metrics: dict[str, dict] | None = None) -> list[str]:
+    """`statistics` as text, three lines per metric, then one verdict
+    line per metric in `metrics`."""
     lines = []
-    for name, entry in statistics(runs).items():
+    stats = statistics(runs, metrics)
+    for name, entry in stats.items():
         for side in SIDES:
             lines.append(f"{name} [{entry['unit']}] {side}: " + " ".join(
                 f"{stat} {entry[side][stat]:.6g}" for stat in STATS))
         lines.append(f"{name}: change lower in {entry['change_lower']} of "
                      f"{entry['pairs']} pairs")
+    lines += [verdict_line(name, entry) for name, entry in stats.items()
+              if "gain_shown" in entry]
     return lines
 
 
 def bench_file(args, sources: dict[str, str], records: list[dict],
-               runs: dict[str, list[dict]]) -> dict:
+               runs: dict[str, list[dict]],
+               metrics: dict[str, dict] | None = None) -> dict:
     """What `--out` writes: the settings, each side's `source_digest`,
     every run in the order it ran (`pair` from 1, `side`, `seed`, `env`,
-    `result`) and `statistics`."""
+    `result`) and `statistics`, with the verdicts of `metrics`."""
     return {"workload": args.workload, "pairs": args.pairs,
             "seconds": args.seconds, "seed0": args.seed0,
             "sources": sources, "runs": records,
-            "statistics": statistics(runs)}
+            "statistics": statistics(runs, metrics)}
 
 
 def main(argv=None) -> int:
@@ -165,6 +227,7 @@ def main(argv=None) -> int:
         if not (root / "perfbench" / "run.py").is_file():
             p.error(f"{side}: {root} has no perfbench/run.py")
     sources = {side: source_digest(root) for side, root in roots.items()}
+    metrics = declared(roots["parent"])
     for side in SIDES:
         print(f"sources {side} {sources[side]}", flush=True)
 
@@ -182,9 +245,9 @@ def main(argv=None) -> int:
                             "env": env, "result": result})
             bad += bool(problems(result))
             print(run_line(pair + 1, side, result), flush=True)
-    print("\n".join(summary(runs)))
+    print("\n".join(summary(runs, metrics)))
     if args.out:
-        bench = bench_file(args, sources, records, runs)
+        bench = bench_file(args, sources, records, runs, metrics)
         args.out.write_text(json.dumps(bench, indent=1) + "\n")
     if bad:
         print(f"{bad} run(s) not correct or with failed operations")
