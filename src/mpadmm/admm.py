@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from . import objective
 from .data import Hyperparams, PartialMatrix, SideInfo
 from .exceptions import NumericalError, ParameterError
-from .linalg import (_blocks, _fix_signs, apply_projection,
+from .linalg import (_blocks, apply_projection,
                      build_pgram_operator, numerical_rank, pgram_compress,
                      pgram_ritz, side_basis, single_blas_thread,
                      symmetric_eig_topk_factored, truncated_svd)
@@ -104,7 +104,7 @@ def _with_data(mat: sp.sparray, data: np.ndarray) -> sp.sparray:
 class IterateState:
     U: np.ndarray
     V: np.ndarray
-    M: np.ndarray  # orthonormal factor of P = M M^T
+    M: np.ndarray  # orthonormal factor of P = M M^T, column signs unspecified
     Z: np.ndarray
     Phi: np.ndarray
     Psi: np.ndarray
@@ -367,7 +367,7 @@ def update_P(basis, compressed, lam: float, rho1: float, k: int,
     `pgram_compress` of Z and Phi (`compressed`), lifted to n rows.  The
     operator vanishes on the basis' complement, so complement directions
     (a Gaussian block seeded with `seed`) rank before any negative Ritz
-    value.  Column signs are fixed last (`_fix_signs`).
+    value.  Column signs are unspecified: callers read M M^T only.
     """
     W, lambdas, pad = pgram_ritz(basis, compressed, lam, rho1, k,
                                  routes=routes)
@@ -381,7 +381,6 @@ def update_P(basis, compressed, lam: float, rho1: float, k: int,
             X -= Q @ (Q.T @ X)
         at = int(np.sum(lambdas >= 0.0))  # zeros go before any negatives
         M = np.hstack([M[:, :at], np.linalg.qr(X)[0], M[:, at:]])
-    _fix_signs(M)
     return M
 
 
@@ -528,11 +527,10 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
     Initialization: U0 = Z0 = L sqrt(S), V0 = R sqrt(S), M0 = L from the
     rank-k truncated SVD of the observed entries (the zero-filled data),
     taken on the CSR index of the observations (`truncated_svd` of
-    `ObservationMasks.by_row`), so no n x m buffer is formed; and
-    all-ones duals.  Tall data whose m x m Gram is no larger than the
-    index take the Gram route, which forms that Gram and draws no random
-    numbers; other data take Lanczos, seeded with `hp.seed`.  The route
-    run is `report.init_route` (`TruncatedSVD.route`).
+    `ObservationMasks.by_row`, its Lanczos route seeded with `hp.seed`);
+    and all-ones duals.  The route run is `report.init_route`.  Only the
+    "dense" route, for k = min(n, m) or min(n, m) <= DENSE_CUTOFF = 32,
+    forms an n x m buffer: at most 32 max(n, m) entries in the latter.
 
     Each iteration updates U, P, V and Z in turn, then the duals.  Each
     block update runs as one timed step, its time added to

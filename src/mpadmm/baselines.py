@@ -174,8 +174,8 @@ def scaled_gd(data: PartialMatrix, Y, lam: float, gamma: float, k: int,
     """Preconditioned gradient descent on balanced factors U V^T.
 
     The factors start from the rank-k truncated SVD of the zero-filled
-    data, taken on the CSR index of the observations as in `admm.solve`
-    (its Gram or Lanczos route), so no n x m buffer is formed; the
+    data, taken on the CSR index of the observations as in `admm.solve`,
+    which forms an n x m buffer only on its "dense" route; the
     gradients reuse that index.  The regression weights are refit by
     least squares each iteration and held fixed during the gradient
     step; updates are right-multiplied by (V^T V)^-1 and

@@ -119,6 +119,14 @@ def _load_truth(path, n: int, m: int) -> np.ndarray:
     return A_true
 
 
+def _load_side_info(path, n: int) -> SideInfo:
+    """The side info CSV at `path`, checked to have n rows."""
+    side = SideInfo(Y=load_dense_csv(path))
+    if side.n != n:
+        raise ParameterError("side info row count does not match data")
+    return side
+
+
 def _write_metrics(path, X_hat, data, Y, lam, gamma, A_true=None):
     """Evaluate X_hat, write the metrics to the CSV at `path`, print them
     as one key=value line and return them as a dict."""
@@ -143,9 +151,7 @@ def _cmd_solve(args) -> int:
     _check_weights(args.lam, args.gamma)  # before any method runs or writes
     data = load_partial(args.data)
     if args.side_info:
-        side = SideInfo(Y=load_dense_csv(args.side_info))
-        if side.n != data.n:
-            raise ParameterError("side info row count does not match data")
+        side = _load_side_info(args.side_info, data.n)
     elif args.method == "admm":
         raise ParameterError("--side-info is required for method admm")
     else:
@@ -196,7 +202,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_eval(args) -> int:
     data = load_partial(args.data)
-    side = SideInfo(Y=load_dense_csv(args.side_info))
+    side = _load_side_info(args.side_info, data.n)
     U = load_dense_csv(os.path.join(args.out, "U.csv"))
     V = load_dense_csv(os.path.join(args.out, "V.csv"))
     if U.shape[0] != data.n or V.shape[0] != data.m or U.shape[1] != V.shape[1]:

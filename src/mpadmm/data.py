@@ -202,7 +202,8 @@ def generate_synthetic(n: int, m: int, k: int, d: int, miss_frac: float,
     Y = A @ beta + N
 
     flat = gen.sample_without_replacement(n * m, hidden, complement=True)
-    rows, cols = np.divmod(flat, m)
+    rows = flat // m
+    cols = flat - rows * m
 
     pm = PartialMatrix(n=n, m=m, rows=rows, cols=cols, values=A.ravel()[flat])
     return pm, SideInfo(Y=Y), GroundTruth(A_true=A, beta=beta, noise_sigma=sigma)

@@ -42,13 +42,13 @@ NumPy and leave the generator in the same state:
   shift and a mask unpack (a stable argsort of j only when those keys
   would overflow int64, for populations near 2^63 / 2^w).  Each step
   then has a `parent`: the latest earlier step that wrote into its slot.
-  The picks follow from pointer jumping over every step's parent chain.
-  The complement, the values left in slots count..population - 1, needs
-  only the chains of the last step into each such slot, which are
-  chased one link at a time while any entry moves.  The keys are built
+  A pick needs the chain of the latest earlier step with its target,
+  and the complement, the values left in slots count..population - 1,
+  the chain of the last step into each such slot; `_chase` follows just
+  those, one link at a time while any entry moves.  The keys are built
   in the targets' own array, and masked selections gather through index
   arrays rather than boolean indexing, which is faster and, with arrays
-  freed as soon as they are used, keeps the peak near 37 bytes per pick.
+  freed as soon as they are used, keeps the peak under 40 bytes per pick.
 * Transcendentals from the C library.  `normal` takes `log`, `cos` and
   `sin` from `math`, which calls the C library's functions.  The matrix
   helper calls the same functions through ufunc loops: `log` as
@@ -196,8 +196,6 @@ def _fisher_yates_steps(j: np.ndarray):
     latest earlier step targeting that slot wrote, and so on back to a
     step whose slot was never written, which holds its own index.
     parent[s] is that latest earlier step t < s with target s, else s.
-    Masked selections gather through one index array (`np.take`,
-    `np.compress`), which runs faster than boolean indexing.
     """
     count = len(j)
     w = (count - 1).bit_length()
@@ -222,22 +220,25 @@ def _fisher_yates_steps(j: np.ndarray):
     return sj, order, same, parent
 
 
+def _chase(parent: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """`values`, each step in it replaced in place by the root of its
+    `parent` chain: one link a round, as many rounds as the longest."""
+    moving = np.flatnonzero(parent[values] != values)
+    while len(moving):
+        up = parent[values[moving]]
+        values[moving] = up
+        moving = moving[parent[up] != up]
+    return values
+
+
 def _fisher_yates_picks(j: np.ndarray) -> np.ndarray:
     """picks[i] of the shuffle of `_fisher_yates_steps`: the value last
     written into slot j[i], by the latest earlier step with the same
-    target, or j[i] if no earlier step targeted it.  The `parent` chains
-    of all steps are resolved at once by pointer jumping.  It overwrites
-    j."""
+    target, or j[i] if no earlier step targeted it.  `_chase` resolves
+    the `parent` chains of those earlier steps only.  It overwrites j."""
     sj, order, same, parent = _fisher_yates_steps(j)
-    while True:
-        up = parent[parent]
-        if np.array_equal(up, parent):
-            break
-        parent = up
-    del up
-    # in (target, step) order: a step whose target an earlier step took
-    # picks what that step wrote, any other its target itself
-    sj[1:][same] = parent[np.compress(same, order[:-1])]
+    sj[1:][same] = _chase(parent, np.compress(same, order[:-1]))
+    del parent, same
     picks = np.empty_like(sj)
     picks[order] = sj
     return picks
@@ -245,10 +246,9 @@ def _fisher_yates_picks(j: np.ndarray) -> np.ndarray:
 
 def _fisher_yates_tail(j: np.ndarray):
     """(slots, values): the slots >= count that a step of the shuffle of
-    `_fisher_yates_steps` targeted, and the values they end with.  Each
-    holds what the last step targeting it wrote, found by chasing
-    `parent` from those steps only, while any entry moves; a tail slot
-    no step targeted keeps its own index.  It overwrites j."""
+    `_fisher_yates_steps` targeted, and the values they end with, which
+    the last steps into them wrote (`_chase` of those steps only); a tail
+    slot no step targeted keeps its own index.  It overwrites j."""
     count = len(j)
     sj, order, same, parent = _fisher_yates_steps(j)
     tail = np.ones(count, dtype=bool)  # the last step per target ...
@@ -259,12 +259,7 @@ def _fisher_yates_tail(j: np.ndarray):
     del tail
     slots, values = sj.take(at), order.take(at)
     del sj, order, at
-    moving = np.flatnonzero(parent[values] != values)
-    while len(moving):
-        up = parent[values[moving]]
-        values[moving] = up
-        moving = moving[parent[up] != up]
-    return slots, values
+    return slots, _chase(parent, values)
 
 
 class Xoshiro256pp:

@@ -1168,6 +1168,47 @@ class TestSolve:
         assert r_on.phi_residual_trace == r_off.phi_residual_trace
         assert r_on.psi_residual_trace == r_off.psi_residual_trace
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("track", [True, False])
+    @pytest.mark.parametrize("shape,route", [
+        ((300, 60, 3, 120), "structured"), ((40, 25, 3, 4), "lapack")])
+    def test_signs_of_m_are_never_read(self, monkeypatch, shape, route,
+                                       track, threads):
+        # every reader takes M through M M^T, so a P update that negates
+        # two of M's columns leaves every other iterate and every trace
+        # bitwise as they are.  Ritz problems of order d + 2k at most:
+        # 126 >= 100 and >= 15 k take the structured route, 10 LAPACK
+        n, m, k, d = shape
+        pm, si, _ = generate_synthetic(n, m, k, d, 0.6, 0.5, seed=12)
+        hp = Hyperparams(k=k, max_iters=8, eps=1e-16, threads=threads)
+        flags = dict(track_objective=track, track_dual_residual=track,
+                     track_lagrangian=track)
+        want, r_want = solve(pm, si, hp, **flags)
+        update_P = admm.update_P
+
+        def flipped(*args, **kwargs):
+            M = update_P(*args, **kwargs)
+            M[:, [0, 2]] = -M[:, [0, 2]]
+            return M
+
+        monkeypatch.setattr(admm, "update_P", flipped)
+        got, r_got = solve(pm, si, hp, **flags)
+        assert (r_got.ritz_structured > 0) == (route == "structured")
+        assert np.array_equal(got.x_hat(), want.x_hat())
+        for name in ("U", "V", "Z", "Phi", "Psi"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert np.array_equal(got.M[:, [0, 2]], -want.M[:, [0, 2]])
+        assert np.array_equal(got.M[:, 1], want.M[:, 1])
+        for trace in ("phi_residual_trace", "psi_residual_trace",
+                      "dual_residual_trace", "objective_trace",
+                      "lagrangian_trace"):
+            assert getattr(r_got, trace) == getattr(r_want, trace), trace
+        assert r_want.iterations == 8
+        assert len(r_want.lagrangian_trace) == (8 if track else 0)
+        assert (r_got.iterations, r_got.termination, r_got.ritz_structured
+                ) == (r_want.iterations, r_want.termination,
+                      r_want.ritz_structured)
+
     @pytest.mark.parametrize("track", [True, False])
     def test_one_compression_per_iteration(self, monkeypatch, track):
         calls = []

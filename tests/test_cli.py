@@ -227,6 +227,31 @@ class TestEval:
         assert err.startswith("error:") and "Traceback" not in err
         assert not (out / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("command", ["solve", "eval"])
+    def test_side_info_rows_checked_first(self, tmp_path, capsys,
+                                          monkeypatch, command):
+        # both commands reject side info with a row count other than the
+        # data's before anything else is read or evaluated
+        def refuse(*args, **kwargs):
+            raise AssertionError("the estimate was evaluated")
+
+        monkeypatch.setattr(cli, "evaluate", refuse)
+        monkeypatch.setattr(cli.admm, "solve", refuse)
+        inst = _gen(tmp_path)
+        save_dense_csv(np.ones((15, 2)), tmp_path / "side.csv")
+        out = tmp_path / "sol"
+        out.mkdir()
+        save_dense_csv(np.ones((14, 2)), out / "U.csv")
+        save_dense_csv(np.ones((10, 2)), out / "V.csv")
+        rc = main([command, "--data", str(inst / "partial.txt"),
+                   "--side-info", str(tmp_path / "side.csv"), "--truth",
+                   str(inst / "truth.csv"), "--out", str(out)]
+                  + (["--rank", "2"] if command == "solve" else []))
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: side info row count does not match data\n")
+        assert not (out / "metrics.csv").exists()
+
     def test_shape_mismatch(self, tmp_path):
         inst = _gen(tmp_path)
         out = tmp_path / "sol"

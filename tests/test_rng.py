@@ -115,14 +115,19 @@ def _loop_normal(gen, rows, cols, sigma=1.0):
     return sigma * vals.reshape(rows, cols)
 
 
-def _loop_sample(gen, population, count):
+def _loop_picks(j):
+    """The picks of the shuffle whose step i swaps slots i and j[i], by
+    the scalar loop."""
     swapped = {}
     picks = []
-    for i in range(count):
-        j = i + gen.below(population - i)
-        picks.append(swapped.get(j, j))
-        swapped[j] = swapped.get(i, i)
+    for i, target in enumerate(j):
+        picks.append(swapped.get(target, target))
+        swapped[target] = swapped.get(i, i)
     return picks
+
+
+def _loop_sample(gen, population, count):
+    return _loop_picks([i + gen.below(population - i) for i in range(count)])
 
 
 def _assert_same_state(a, b):
@@ -347,6 +352,25 @@ def test_fisher_yates_tail_at_int64_boundary(population, count, packed,
     assert rank_calls == ([] if packed else [count])
 
 
+def test_fisher_yates_long_chains():
+    # steps i < 5000 move slot i's value on into slot i + 1, so step 5000
+    # writes 0 into the tail slot P - 1 at the end of a 5000-link parent
+    # chain; steps 5001..10000 do the same from slot 5001, and step 10001
+    # re-targets P - 1: it picks that 0 and writes 5001, both through
+    # 5000-link chains.  The last steps take a slot twice more.
+    count = 10005
+    P = count + 3
+    j = ([*range(1, 5001), P - 1, *range(5002, 10002), P - 1]
+         + [P - 2, P - 2, 10004])
+    assert len(j) == count and all(i <= t < P for i, t in enumerate(j))
+    picks = rng._fisher_yates_picks(np.array(j, dtype=np.int64))
+    assert picks.tolist() == _loop_picks(j)
+    assert picks[10001] == 0
+    slots, values = rng._fisher_yates_tail(np.array(j, dtype=np.int64))
+    assert dict(zip(slots.tolist(), values.tolist())) == _loop_tail(j)
+    assert _loop_tail(j) == {P - 1: 5001, P - 2: 10003}
+
+
 def _jump_bits_reference(i):
     """The transpose of T^(_LANE * 2^i) as a (256, 256) float32 bit
     matrix, by repeated GF(2) squaring through float32 products (the
@@ -458,7 +482,7 @@ def test_sample_without_replacement_bytes_per_pick():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / 1_000_000 <= 40
+    assert peak / 1_000_000 <= 36
 
 
 @pytest.mark.parametrize("population,count", [

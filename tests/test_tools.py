@@ -72,8 +72,8 @@ def test_main_alternates_sides_and_exits_1_on_a_bad_run(
         (roots[side] / "perfbench" / "run.py").write_text("")
     calls = []
 
-    def run_once(checkout, workload, seed, seconds):
-        calls.append((checkout.name, workload, seed, seconds))
+    def run_once(checkout, workload, seed, seconds, trace):
+        calls.append((checkout.name, workload, seed, seconds, trace))
         broken = bad and len(calls) == 4
         return ab.parse_result(_line(0.1, 0.5, correct=not broken)), None
 
@@ -81,10 +81,10 @@ def test_main_alternates_sides_and_exits_1_on_a_bad_run(
     assert ab.main([str(roots["parent"]), str(roots["change"]),
                     "--workload", "dense", "--pairs", "2", "--seconds", "3",
                     "--seed0", "40"]) == code
-    assert calls == [("parent", "dense", 40, 3.0),
-                     ("change", "dense", 40, 3.0),
-                     ("change", "dense", 41, 3.0),
-                     ("parent", "dense", 41, 3.0)]
+    assert calls == [("parent", "dense", 40, 3.0, 0),
+                     ("change", "dense", 40, 3.0, 0),
+                     ("change", "dense", 41, 3.0, 0),
+                     ("parent", "dense", 41, 3.0, 0)]
     out = capsys.readouterr().out
     assert "setup_s: change lower in 0 of 2 pairs" in out
     assert ("not correct" in out) == bad
@@ -115,9 +115,9 @@ def test_out_writes_every_run_and_the_statistics(tmp_path, monkeypatch,
     capsys.readouterr()
     bench = json.loads(out.read_text())
     assert list(bench) == ["workload", "pairs", "seconds", "seed0",
-                           "sources", "runs", "statistics"]
+                           "trace", "sources", "runs", "statistics"]
     assert (bench["workload"], bench["pairs"], bench["seconds"],
-            bench["seed0"]) == ("protocol", 2, 3.0, 7)
+            bench["seed0"], bench["trace"]) == ("protocol", 2, 3.0, 7, 0)
     assert bench["sources"] == {side: ab.source_digest(root)
                                 for side, root in roots.items()}
     assert [(r["pair"], r["side"], r["seed"], r["env"]["commit"])
@@ -255,7 +255,7 @@ def test_main_prints_and_writes_the_declared_verdicts(tmp_path, monkeypatch,
                     runs["change"][1], runs["parent"][1],
                     runs["parent"][2], runs["change"][2]])
 
-    def run_once(checkout, workload, seed, seconds):
+    def run_once(checkout, workload, seed, seconds, trace):
         return dict(next(results), correct=True, failed=0), None
 
     monkeypatch.setattr(ab, "run_once", run_once)
@@ -289,7 +289,64 @@ def test_declared_reads_the_end_to_end_metrics(tmp_path):
                         "better": "lower"}]}))
     assert ab.declared(tmp_path) == {
         "admm_r2": {"better": "higher", "bound": 0.01}}
+    assert ab.declared(tmp_path, trace=1) == {
+        "rng.draws": {"better": "lower"}}
     root = Path(__file__).resolve().parents[1]
     assert set(ab.declared(root)) == {"setup_s", "admm_solve_s",
                                       "admm_peak_mb", "admm_err_l2",
                                       "admm_r2"}
+
+
+def test_trace_reads_the_per_layer_directions(tmp_path, monkeypatch,
+                                              capsys):
+    # traced runs are judged per layer in the parent's `better`
+    # direction, with no bound: one lower-is-better metric the change
+    # wins, one higher-is-better metric it loses, and a tie
+    roots = {}
+    for side in ("parent", "change"):
+        roots[side] = tmp_path / side
+        (roots[side] / "perfbench").mkdir(parents=True)
+        (roots[side] / "perfbench" / "run.py").write_text("")
+    (roots["parent"] / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "setup_s", "unit": "s", "better": "lower",
+                         "bound": 0.25}],
+         "per_layer": [
+             {"name": "admm.update_P_s", "unit": "s", "better": "lower"},
+             {"name": "rng.draws_per_s", "unit": "1/s", "better": "higher"},
+             {"name": "rng.draws", "unit": "count", "better": "lower"}]}))
+    columns = {"admm.update_P_s": ([0.020, 0.021, 0.019],
+                                   [0.018, 0.019, 0.017]),
+               "rng.draws_per_s": ([2.0e7, 2.1e7, 1.9e7],
+                                   [1.8e7, 2.2e7, 1.7e7]),
+               "rng.draws": ([1.09e6] * 3, [1.09e6] * 3)}
+    runs = _runs(columns)
+    results = iter([runs["parent"][0], runs["change"][0],
+                    runs["change"][1], runs["parent"][1],
+                    runs["parent"][2], runs["change"][2]])
+    traces = []
+
+    def run_once(checkout, workload, seed, seconds, trace):
+        traces.append(trace)
+        return dict(next(results), correct=True, failed=0), None
+
+    monkeypatch.setattr(ab, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    assert ab.main([str(roots["parent"]), str(roots["change"]),
+                    "--workload", "dense", "--pairs", "3", "--trace", "1",
+                    "--out", str(out)]) == 0
+    assert traces == [1] * 6
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if "verdict" in line] == [
+        "admm.update_P_s verdict: change lower in 3 of 3 pairs, gain shown",
+        "rng.draws_per_s verdict: change higher in 1 of 3 pairs, gain not "
+        "shown",
+        "rng.draws verdict: change lower in 0 of 3 pairs, gain not shown"]
+    bench = json.loads(out.read_text())
+    assert bench["trace"] == 1
+    stats = bench["statistics"]
+    assert list(stats["admm.update_P_s"]) == [
+        "unit", "parent", "change", "change_lower", "pairs", "better",
+        "change_better", "gain_shown"]
+    assert stats["admm.update_P_s"]["parent"]["q1"] == pytest.approx(0.0195)
+    assert [(stats[name]["change_lower"], stats[name]["change_better"])
+            for name in columns] == [(3, 3), (2, 1), (0, 0)]

@@ -1,20 +1,23 @@
 """Alternating A/B runs of one perfbench workload on two checkouts.
 
     python3 tools/perfbench_ab.py PARENT CHANGE --workload dense \\
-        --pairs 10 --seconds 10 --seed0 100 [--out BENCH_dense.json]
+        --pairs 10 --seconds 10 --seed0 100 [--trace 1] \\
+        [--out BENCH_dense.json]
 
 Host speed drifts within a session, so one run of each side shows
 little.  Pair p runs `perfbench/run.py --workload W --seed K+p
---seconds S --trace 0` once from each checkout, in a fresh process whose
+--seconds S --trace T` once from each checkout, in a fresh process whose
 working directory is that checkout (run.py imports the package from its
 own checkout's src/); the side that runs first alternates from pair to
-pair.  It prints every run's end-to-end metrics, then per metric and
-side the min, quartiles, median and max, and in how many pairs the
-change read lower.  For each end-to-end metric that the parent's
-BENCHMARK.json declares, it then prints a verdict line, read with the
-metric's `better` direction and `bound` (see `verdict`).  It exits 1 if
-any run is not `correct` or has failed operations.  It changes no
-benchmark file.
+pair.  It prints every run's metrics, then per metric and side the min,
+quartiles, median and max, and in how many pairs the change read lower.
+For each metric that the parent's BENCHMARK.json declares, it then
+prints a verdict line, read with the metric's `better` direction and,
+for an end-to-end metric, its `bound` (see `verdict`).  At `--trace 0`
+(the default) the runs report the end-to-end metrics; at `--trace 1`
+each run is one traced trial, whose per-layer metrics have no bound.
+It exits 1 if any run is not `correct` or has failed operations.  It
+changes no benchmark file.
 
 It also prints a SHA-256 of each side's `src/**/*.py` (see
 `source_digest`), which names the code a side ran even where the `# env`
@@ -68,22 +71,26 @@ def source_digest(root: Path) -> str:
     return digest.hexdigest()
 
 
-def declared(root: Path) -> dict[str, dict]:
+def declared(root: Path, trace: int = 0) -> dict[str, dict]:
     """name -> {"better", "bound"} of each end-to-end metric that
-    `root`/BENCHMARK.json declares; empty without that file."""
+    `root`/BENCHMARK.json declares, or with `trace` name -> {"better"}
+    of each per-layer metric; empty without that file."""
     path = root / "BENCHMARK.json"
     if not path.is_file():
         return {}
-    return {m["name"]: {"better": m["better"], "bound": m["bound"]}
-            for m in json.loads(path.read_text()).get("end_to_end", [])}
+    section = "per_layer" if trace else "end_to_end"
+    return {m["name"]: {key: m[key] for key in ("better", "bound")
+                        if key in m}
+            for m in json.loads(path.read_text()).get(section, [])}
 
 
-def run_once(checkout: Path, workload: str, seed: int,
-             seconds: float) -> tuple[dict, dict | None]:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+             trace: int) -> tuple[dict, dict | None]:
     """One run's result object and `# env` record."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace",
+         str(trace)],
         cwd=checkout, capture_output=True, text=True, timeout=3600)
     try:
         return parse_result(out.stdout), parse_env(out.stdout)
@@ -115,7 +122,7 @@ STATS = ("min", "q1", "median", "q3", "max")
 
 
 def verdict(parent: list[float], change: list[float], better: str,
-            bound: float) -> dict:
+            bound: float | None = None) -> dict:
     """How a metric moved, read in its `better` direction ("lower" or
     "higher") over pairs (parent[p], change[p]):
 
@@ -123,11 +130,12 @@ def verdict(parent: list[float], change: list[float], better: str,
       counts for neither side.
     * `gain_shown`: better in at least 9 of 10 pairs, and the median
       better by more than the parent's q3 - q1.
-    * `within_bound`: "yes" if the change's median is worse than the
-      parent's by at most `bound`, a fraction of the parent's median
-      (absolute where that median is 0), else "no"; "unresolved" if the
-      parent's q3 - q1, as the same fraction, exceeds `bound` and not
-      every change run is better than every parent run.
+    * `within_bound`, given a `bound`: "yes" if the change's median is
+      worse than the parent's by at most `bound`, a fraction of the
+      parent's median (absolute where that median is 0), else "no";
+      "unresolved" if the parent's q3 - q1, as the same fraction,
+      exceeds `bound` and not every change run is better than every
+      parent run.
     """
     sign = 1.0 if better == "lower" else -1.0  # sign * value: lower wins
     p, c = sign * np.asarray(parent), sign * np.asarray(change)
@@ -135,14 +143,17 @@ def verdict(parent: list[float], change: list[float], better: str,
     spread = q3 - q1
     gap = med - np.median(c)  # > 0: the change is better
     wins = int(np.sum(c < p))
+    entry = {"better": better, "bound": bound, "change_better": wins,
+             "gain_shown": bool(10 * wins >= 9 * len(p) and gap > spread)}
+    if bound is None:
+        del entry["bound"]
+        return entry
     scale = abs(med) or 1.0
     if spread / scale > bound and not c.max() < p.min():
-        within = "unresolved"
+        entry["within_bound"] = "unresolved"
     else:
-        within = "yes" if -gap / scale <= bound else "no"
-    return {"better": better, "bound": bound, "change_better": wins,
-            "gain_shown": bool(10 * wins >= 9 * len(p) and gap > spread),
-            "within_bound": within}
+        entry["within_bound"] = "yes" if -gap / scale <= bound else "no"
+    return entry
 
 
 def statistics(runs: dict[str, list[dict]],
@@ -171,10 +182,12 @@ def statistics(runs: dict[str, list[dict]],
 
 def verdict_line(name: str, entry: dict) -> str:
     """One metric's `verdict` as text."""
-    return (f"{name} verdict: change {entry['better']} in "
+    line = (f"{name} verdict: change {entry['better']} in "
             f"{entry['change_better']} of {entry['pairs']} pairs, gain "
-            f"{'shown' if entry['gain_shown'] else 'not shown'}, within "
-            f"bound {entry['bound']:g}: {entry['within_bound']}")
+            f"{'shown' if entry['gain_shown'] else 'not shown'}")
+    if "within_bound" in entry:
+        line += f", within bound {entry['bound']:g}: {entry['within_bound']}"
+    return line
 
 
 def summary(runs: dict[str, list[dict]],
@@ -202,6 +215,7 @@ def bench_file(args, sources: dict[str, str], records: list[dict],
     `result`) and `statistics`, with the verdicts of `metrics`."""
     return {"workload": args.workload, "pairs": args.pairs,
             "seconds": args.seconds, "seed0": args.seed0,
+            "trace": args.trace,
             "sources": sources, "runs": records,
             "statistics": statistics(runs, metrics)}
 
@@ -215,6 +229,8 @@ def main(argv=None) -> int:
     p.add_argument("--seconds", type=float, default=10.0)
     p.add_argument("--seed0", type=int, default=0,
                    help="seed of the first pair; pair p uses seed0 + p")
+    p.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                   help="1: compare the per-layer metrics of traced runs")
     p.add_argument("--out", type=Path,
                    help="also write every run and the summary as JSON")
     args = p.parse_args(argv)
@@ -227,7 +243,7 @@ def main(argv=None) -> int:
         if not (root / "perfbench" / "run.py").is_file():
             p.error(f"{side}: {root} has no perfbench/run.py")
     sources = {side: source_digest(root) for side, root in roots.items()}
-    metrics = declared(roots["parent"])
+    metrics = declared(roots["parent"], args.trace)
     for side in SIDES:
         print(f"sources {side} {sources[side]}", flush=True)
 
@@ -239,7 +255,7 @@ def main(argv=None) -> int:
         for side in order:
             seed = args.seed0 + pair
             result, env = run_once(roots[side], args.workload, seed,
-                                   args.seconds)
+                                   args.seconds, args.trace)
             runs[side].append(result)
             records.append({"pair": pair + 1, "side": side, "seed": seed,
                             "env": env, "result": result})
