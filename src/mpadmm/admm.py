@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from . import objective
 from .data import Hyperparams, PartialMatrix, SideInfo
 from .exceptions import NumericalError, ParameterError
-from .linalg import (_blocks, apply_projection,
+from .linalg import (_blocks, _project, apply_projection,
                      build_pgram_operator, numerical_rank, pgram_compress,
                      pgram_ritz, side_basis, single_blas_thread,
                      symmetric_eig_topk_factored, truncated_svd)
@@ -134,8 +134,9 @@ class SolveReport:
     # augmented_lagrangian.  Both are kept out of subproblem_times, which
     # holds block times only.  subproblem_times["P"] includes the one
     # compression of [Z, Phi] per iteration, made after the dual update,
-    # tracked or not, that the dual residual and the next P update share;
-    # the dual residual itself does no n-row work.
+    # that the dual residual and the next P update share (untracked, the
+    # last iteration makes none); the dual residual itself does no n-row
+    # work.
     init_time: float = 0.0
     tracking_time: float = 0.0
     # threads (1 or 2) the U and V steps' products ran on (`ridge_groups`):
@@ -230,6 +231,16 @@ def _mask_gram(mask: np.ndarray, W: np.ndarray, transpose: bool, out):
             np.matmul(W.T, block.T, out=out[:, b])
 
 
+@functools.cache
+def _triu(k: int):
+    """`np.triu_indices(k)`, the Gram triangle's (row, column) indices in
+    the row-by-row order of `_solve_cholesky`; built once per k,
+    read-only."""
+    iu, ju = np.triu_indices(k)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
 def _solve_cholesky(B, k, diag, extra) -> np.ndarray:
     """The systems (2 G_i + diag I) x_i = 2 r_i + extra_i of the (q + k) x
     n buffer B, whose column i holds G_i's upper triangle (q = k(k + 1)/2
@@ -304,7 +315,7 @@ def _ridge_step(block: str, masks: ObservationMasks, F, diag, extra,
     transpose = block == "V"
     values = masks.by_col if transpose else masks.by_row
     k = F.shape[1]
-    iu, ju = np.triu_indices(k)
+    iu, ju = _triu(k)
     q = iu.size
     B = np.empty((q + k, values.shape[0]))
 
@@ -390,18 +401,20 @@ def update_Z(U, M, Phi, Psi, rho1: float, rho2: float) -> np.ndarray:
     Solves (rho1 (I - P) + rho2 I) Z = rho2 U - (I - P) Phi - Psi.  With
     P = M M^T a projector the inverse expands to (I + (rho1/rho2) P) /
     (rho1 + rho2), so by linearity Z = (rho2 U - Phi - Psi + P (rho1 U +
-    Phi - (rho1/rho2) Psi)) / (rho1 + rho2): one `apply_projection`,
-    which also checks M's orthonormality, and no n x n matrix.
+    Phi - (rho1/rho2) Psi)) / (rho1 + rho2): one projection M (M^T R) and
+    no n x n matrix.  M is `update_P`'s orthonormal factor, not checked
+    again here.
     """
     if rho1 <= 0 or rho2 <= 0:
         raise ParameterError("rho1, rho2 must be > 0")
-    PR = apply_projection(M, rho1 * U + Phi - (rho1 / rho2) * Psi)
+    PR = _project(M, rho1 * U + Phi - (rho1 / rho2) * Psi)
     return (rho2 * U - Phi - Psi + PR) / (rho1 + rho2)
 
 
 def constraint_residuals(state: IterateState):
-    """The residuals of the two constraints, ((I - P)Z, Z - U)."""
-    return state.Z - apply_projection(state.M, state.Z), state.Z - state.U
+    """The residuals of the two constraints, ((I - P)Z, Z - U); M is
+    taken as orthonormal, unchecked."""
+    return state.Z - _project(state.M, state.Z), state.Z - state.U
 
 
 def update_duals(state: IterateState, residuals, rho1: float, rho2: float):
@@ -552,13 +565,15 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
     once at the init and once per iteration, after the dual update: the
     dual residual of iteration t, when tracked, and the P update of t + 1
     read the same compression, since the U step changes neither Z nor
-    Phi.
+    Phi.  Untracked, the last iteration (the cap reached or the tolerance
+    met) makes none, as nothing would read it.
     `report.ritz_structured` counts the Ritz solves that certified
     Rayleigh-quotient iteration answered; the rest ran LAPACK.
 
     The tracked objective is `objective.objective_svd` of the factors
-    (U, V), handed its fit term, which costs one sparse product plus
-    O((m + n) k) and gathers no observed entries.  V is the exact V-block
+    (U, V), handed ||Y||_F^2 (summed once per solve) and its fit term,
+    which costs one sparse product plus O((m + n) k) and gathers no
+    observed entries.  V is the exact V-block
     minimizer for the current U, (2 G_j + gamma I) v_j = 2 r_j with G_j
     the Gram of U's rows observed in column j and R = A^T U over the
     observations, so the fit is ||a||^2 - <V, R> - (gamma / 2) ||V||_F^2.
@@ -613,6 +628,7 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
 
     if track_objective:
         values_sq = float(data.values @ data.values)
+        y_sq = float(np.einsum("ij,ij->", Y, Y))
 
     def tracked_objective() -> float:
         """The objective at (U, V), its fit term from the V-step identity."""
@@ -621,7 +637,7 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
         fit = (values_sq - float(np.einsum("ij,ij->", V, R))
                - 0.5 * hp.gamma * float(np.einsum("ij,ij->", V, V)))
         return objective.objective_svd((U, V), data, Y, hp.lam, hp.gamma,
-                                       fit=fit).total
+                                       fit=fit, y_sq=y_sq).total
 
     def lagrangian() -> float:
         return tracked(augmented_lagrangian, state, data, Y, hp.lam,
@@ -677,9 +693,11 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
             del residuals  # not held through the next iteration's steps
             report.phi_residual_trace.append(phi_res)
             report.psi_residual_trace.append(psi_res)
-            t0 = time.perf_counter()
-            compressed = pgram_compress(basis, state.Z, state.Phi)
-            report.subproblem_times["P"] += time.perf_counter() - t0
+            met = max(phi_res ** 2, psi_res ** 2) <= hp.eps
+            if track_dual_residual or not (met or t + 1 == hp.max_iters):
+                t0 = time.perf_counter()
+                compressed = pgram_compress(basis, state.Z, state.Phi)
+                report.subproblem_times["P"] += time.perf_counter() - t0
             if track_dual_residual:
                 report.dual_residual_trace.append(tracked(
                     dual_residual, state, basis, compressed, hp.lam,
@@ -687,7 +705,7 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
             if track_objective:
                 report.objective_trace.append(tracked(tracked_objective))
             report.iterations = t + 1
-            if max(phi_res ** 2, psi_res ** 2) <= hp.eps:
+            if met:
                 report.termination = "tolerance_met"
                 break
 

@@ -16,9 +16,12 @@ requests for all min(n, m) triplets, take a full dense decomposition
 instead; the dense path doubles as the test oracle.  The symmetric
 eigenproblems of the P update (`admm.update_P`) and the dual residual
 are low-rank and solved exactly by Rayleigh-Ritz on a basis of their
-range, never as n x n matrices.  That Ritz problem is a diagonal plus a
-rank-2k matrix; above a size (`ritz_route`) it is solved by
-Rayleigh-quotient iteration on that form, kept only when its
+range, never as n x n matrices: Y's basis, taken once per solve by
+CholeskyQR2 with the thin SVD as its fallback (`side_basis`), plus the
+part of [Z, Phi] outside it, found by Gram-Schmidt sweeps over row
+blocks of Y's basis (`pgram_compress`).  That Ritz problem is a
+diagonal plus a rank-2k matrix; above a size (`ritz_route`) it is
+solved by Rayleigh-quotient iteration on that form, kept only when its
 certificate holds, with LAPACK's `eigh` as the fallback (`pgram_ritz`).
 Their reference solve works on the operator's factor pair
 (`build_pgram_operator`, `symmetric_eig_topk_factored`).
@@ -75,6 +78,28 @@ _RQI_STEPS = 10  # cap on the iteration; it takes 3 steps on `protocol`
 # the certificate's shift lies at least this fraction of the smallest
 # kept Ritz value (and 8 q eps ||T||) below it
 _RITZ_MARGIN = 2.0 ** -10
+# `pgram_compress` sweeps Qy (n x d) in row blocks of _SWEEP elements
+# (256 KB: 218 rows at d = 150, 1638 at d = 20), and in one block when n d
+# <= 2 _SWEEP, where two blocks lost (the sweeps alone at 2k = 10: 300 x
+# 150 149 vs 171 us, 2000 x 20 146 vs 167 us).  Median us per call (31
+# alternating calls, the SVD of the remainder included), one block vs
+# this rule, one BLAS thread on a 2-vCPU Intel Xeon host (OpenBLAS
+# 0.3.31, NumPy 2.4.6), at 2k = 10 / 20 / 30 columns of [Z, Phi]:
+#   d = 20:  n = 300 to 2000 one block, as are 2000: 385 / 913 / 2589
+#            n = 4000    1147 vs 1167 /  2922 vs  2585 /  5160 vs  4680
+#            n = 8000    2870 vs 2280 /  5832 vs  5087 / 10240 vs  9259
+#            n = 20000   5760 vs 4642 / 13838 vs 12491 / 29438 vs 26611
+#   d = 150: n = 300     one block: 183 / 304 / 665
+#            n = 1000     835 vs  549 /  1221 vs   929 /  1924 vs  1561
+#            n = 2000    1869 vs 1124 /  2546 vs  1868 /  4050 vs  3229
+#            n = 4000    3866 vs 2334 /  5215 vs  3825 /  8125 vs  6463
+#            n = 8000    7842 vs 4712 / 11155 vs  8035 / 18618 vs 15005
+#            n = 20000  20599 vs 13031 / 40644 vs 32404 / 75510 vs 63780
+_SWEEP = 1 << 15
+# `side_basis` leaves CholeskyQR2 for the thin SVD when the diagonal of
+# R_1 = chol(Y^T Y) spans more than this ratio: kappa(Y) is then at least
+# as large, and Y^T Y has lost about 12 of its 16 digits
+_CHOL_RATIO = 1e6
 
 
 def _blocks(count: int, width: int):
@@ -299,14 +324,76 @@ def symmetric_eig_topk_factored(F1: np.ndarray, F2: np.ndarray, k: int,
     return M, lambdas
 
 
+def _multiply_in_place(Q: np.ndarray, T: np.ndarray) -> None:
+    """Q <- Q T for an n x d Q and a d x d T, in row blocks of d rows
+    through one d x d buffer."""
+    n, d = Q.shape
+    buf = np.empty((min(n, d), d))
+    for i in range(0, n, d):
+        block = buf[:min(d, n - i)]
+        np.matmul(Q[i:i + d], T, out=block)
+        Q[i:i + d] = block
+
+
+def _cholesky_qr2(Y: np.ndarray):
+    """(Qy, s2) of `side_basis` by CholeskyQR2, or None where it does not
+    apply: d > n, a Cholesky that fails, R_1's diagonal ratio above
+    _CHOL_RATIO, or R_2 R_1 of numerical rank below d.
+
+    R_1 = chol(Y^T Y) and Q = Y R_1^-1, then R_2 = chol(Q^T Q) and Q <- Q
+    R_2^-1: the second pass leaves Q orthonormal to rounding for kappa(Y)
+    well below eps^-1/2 (Fukaya, Nakatsukasa, Yanagisawa & Yamamoto 2014;
+    Yamamoto et al., ETNA 2015), and Y = Q R_2 R_1.  The SVD of the d x d
+    R_2 R_1 = Ur diag(s) Vr^T then gives Qy = Q Ur and s2 = s^2.  Q is the
+    one n x d array made; R_2^-1 and Ur are applied to it in place
+    (`_multiply_in_place`), and each d x d temporary is freed before the
+    next is made, so that at most three are held beside Q.  Every product
+    runs on NumPy's BLAS.
+    """
+    n, d = Y.shape
+    if not 0 < d <= n:
+        return None
+    try:
+        R1 = np.linalg.cholesky(Y.T @ Y).T
+    except np.linalg.LinAlgError:
+        return None
+    diag = np.abs(np.diagonal(R1))
+    if not diag.max() <= _CHOL_RATIO * diag.min():  # NaN fails too
+        return None
+    Q = Y @ np.linalg.inv(R1)
+    try:
+        R2 = np.linalg.cholesky(Q.T @ Q).T
+    except np.linalg.LinAlgError:
+        return None
+    R = R2 @ R1
+    del R1
+    T = np.linalg.inv(R2)
+    del R2
+    _multiply_in_place(Q, T)
+    del T
+    Ur, s, Vrt = np.linalg.svd(R)
+    del R, Vrt
+    if numerical_rank(s, Y.shape) < d:
+        return None
+    _multiply_in_place(Q, Ur)
+    return Q, s * s
+
+
 def side_basis(Y: np.ndarray):
     """(Qy, s2): orthonormal basis of col(Y) at numerical rank and the
     squared singular values, so that Y Y^T = Qy diag(s2) Qy^T.
 
-    Directions past `numerical_rank` (singular value at most s_1 *
-    max(n, d) * eps) are dropped; their share of Y Y^T is below rounding.
+    Taken by CholeskyQR2 (`_cholesky_qr2`) where it applies, which holds
+    one n x d array plus at most three d x d ones.  Otherwise (d > n, a
+    Cholesky that fails, an ill-conditioned or rank-deficient Y) it comes
+    from the thin SVD of Y, and directions past `numerical_rank`
+    (singular value at most s_1 * max(n, d) * eps) are dropped; their
+    share of Y Y^T is below rounding.
     """
     Y = np.asarray(Y, dtype=float)
+    fast = _cholesky_qr2(Y)
+    if fast is not None:
+        return fast
     U, s, _ = np.linalg.svd(Y, full_matrices=False)
     r = numerical_rank(s, Y.shape)
     return np.ascontiguousarray(U[:, :r]), s[:r] ** 2
@@ -318,25 +405,37 @@ def pgram_compress(basis, Z: np.ndarray, Phi: np.ndarray):
     that G = [Qy, Q2] B up to rounding; Y is given by its `side_basis`.
 
     G is projected off Qy twice (classical Gram-Schmidt with
-    reorthogonalization) and Q2 is taken from the remainder's SVD at
-    numerical rank relative to ||G||: G is often rank-deficient (the
-    all-ones initial dual), and a QR would then return filler columns
-    that are not orthogonal to Qy.  B has d' + rank rows, d' = Qy's
-    column count, and Z's coordinates are its first Z.shape[1] columns.
+    reorthogonalization) in three sweeps over row blocks of Qy: Cy =
+    sum_b Qy_b^T G_b; then R_b = G_b - Qy_b Cy and C2 += Qy_b^T R_b while
+    Qy_b is in cache; then R_b -= Qy_b C2.  Blocks hold _SWEEP elements
+    of Qy, and an n x d' Qy of at most 2 _SWEEP elements is one block.
+    Q2 is taken from the remainder's SVD at numerical rank relative to
+    ||G||: G is often rank-deficient (the all-ones initial dual), and a
+    QR would then return filler columns that are not orthogonal to Qy.
+    B has d' + rank rows, d' = Qy's column count, and Z's coordinates are
+    its first Z.shape[1] columns.
     """
     Qy, _ = basis
     Z = np.asarray(Z, dtype=float)
     Phi = np.asarray(Phi, dtype=float)
     if Z.shape[0] != Qy.shape[0] or Phi.shape != Z.shape:
         raise ParameterError("Y, Z, Phi row counts / shapes are inconsistent")
-    G = np.hstack([Z, Phi])
-    Cy = Qy.T @ G
-    R = G - Qy @ Cy
-    C2 = Qy.T @ R
-    R -= Qy @ C2
+    R = np.hstack([Z, Phi])  # G, projected in place
+    cut = max(R.shape) * _EPS * np.linalg.norm(R)
+    n, d = Qy.shape
+    step = _SWEEP // d if n * d > 2 * _SWEEP else max(n, 1)
+    spans = [slice(i, i + step) for i in range(0, n, step)]
+    Cy = np.zeros((d, R.shape[1]))
+    for b in spans:
+        Cy += Qy[b].T @ R[b]
+    C2 = np.zeros_like(Cy)
+    for b in spans:
+        R[b] -= Qy[b] @ Cy
+        C2 += Qy[b].T @ R[b]
+    for b in spans:
+        R[b] -= Qy[b] @ C2
     Cy += C2
     U2, s_r, Vt_r = np.linalg.svd(R, full_matrices=False)
-    cut = max(G.shape) * np.finfo(float).eps * np.linalg.norm(G)
     r2 = int(np.sum(s_r > cut))
     # the dropped part of R is below rounding
     return U2[:, :r2], np.vstack([Cy, s_r[:r2, None] * Vt_r[:r2]])
@@ -356,11 +455,14 @@ def ritz_route(q: int, k: int) -> str:
             else "lapack")
 
 
+@functools.cache
 def _s_inverse(k: int) -> np.ndarray:
     """S^-1 = [[0, 2I], [2I, 0]] of order 2k, for S = [[0, I/2], [I/2,
-    0]], the middle factor of sym(Z H^T) = [Z, H] S [Z, H]^T."""
+    0]], the middle factor of sym(Z H^T) = [Z, H] S [Z, H]^T; built once
+    per k, read-only."""
     S = np.zeros((2 * k, 2 * k))
     S[:k, k:] = S[k:, :k] = 2.0 * np.eye(k)
+    S.flags.writeable = False
     return S
 
 
@@ -586,15 +688,21 @@ def soft_threshold_svd(X: np.ndarray, tau: float,
     return (U * s) @ Vt
 
 
+def _project(M: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """M (M^T R), with M's orthonormality taken on trust."""
+    return M @ (M.T @ R)
+
+
 def apply_projection(M: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """M (M^T R) for orthonormal-column M; O(k n c), idempotent."""
+    """M (M^T R) for orthonormal-column M; O(k n c), idempotent.  Raises
+    ParameterError when M's columns are not orthonormal to 1e-6."""
     M = np.asarray(M, dtype=float)
     R = np.asarray(R, dtype=float)
     k = M.shape[1]
     gram = M.T @ M
     if np.max(np.abs(gram - np.eye(k))) > 1e-6:
         raise ParameterError("M does not have orthonormal columns")
-    return M @ (M.T @ R)
+    return _project(M, R)
 
 
 @functools.cache

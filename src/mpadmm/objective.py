@@ -193,7 +193,7 @@ def _check_weights(lam: float, gamma: float) -> None:
 
 def objective_svd(X_or_factors, data: PartialMatrix, Y: np.ndarray,
                   lam: float, gamma: float, *, svd=None,
-                  fit=None) -> ObjectiveBreakdown:
+                  fit=None, y_sq=None) -> ObjectiveBreakdown:
     """SVD route; accepts a dense matrix or a factor pair (U_f, V_f).
 
     With (left, s) X's `spectral_basis` and r = left.shape[1] its
@@ -202,8 +202,10 @@ def objective_svd(X_or_factors, data: PartialMatrix, Y: np.ndarray,
     and is never densified.  `svd`, when given, is that (left, s) pair,
     taken instead of computing it.  `fit`, when given, is X's fit term on
     Omega, taken instead of computing it by `fit_term` (`solve` passes
-    the one its V step determines).  lam and gamma must be finite and
-    nonnegative (`_check_weights`).
+    the one its V step determines).  `y_sq`, when given, is ||Y||_F^2,
+    taken instead of summing Y's squares (`solve` sums them once per
+    solve).  lam and gamma must be finite and nonnegative
+    (`_check_weights`).
     """
     _check_weights(lam, gamma)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -212,9 +214,10 @@ def objective_svd(X_or_factors, data: PartialMatrix, Y: np.ndarray,
         fit = fit_term(X_or_factors, data)
     r = left.shape[1]
 
-    YtY = float(np.einsum("ij,ij->", Y, Y))
+    if y_sq is None:
+        y_sq = float(np.einsum("ij,ij->", Y, Y))
     proj = left.T @ Y
-    side = lam * (YtY - float(np.sum(proj * proj)))
+    side = lam * (y_sq - float(np.sum(proj * proj)))
     return ObjectiveBreakdown(fit_term=fit, side_term=side,
                               reg_term=gamma * float(s[:r].sum()))
 

@@ -23,8 +23,8 @@ from mpadmm.admm import (IterateState, ObservationMasks, RankDeficiencyWarning,
 from mpadmm.data import (Hyperparams, PartialMatrix, SideInfo,
                          generate_synthetic)
 from mpadmm.exceptions import NumericalError, ParameterError
-from mpadmm.linalg import (_openblas_threads_api, pgram_compress, side_basis,
-                           truncated_svd)
+from mpadmm.linalg import (_openblas_threads_api, apply_projection,
+                           pgram_compress, side_basis, truncated_svd)
 from mpadmm.objective import err_l2
 
 
@@ -875,10 +875,17 @@ class TestUpdateZ:
             got = update_Z(U, M, Phi, Psi, rho1, rho2)
             assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
-    def test_non_orthonormal_M_rejected(self):
+    def test_projects_through_M_unchecked(self):
+        # M is the P step's orthonormal factor: the Z step takes M (M^T R)
+        # as it is and leaves the orthonormality check to the public
+        # `apply_projection`
+        M = 2.0 * np.eye(4)[:, :2]
+        ones = np.ones((4, 2))
+        R = ones  # rho1 U + Phi - (rho1 / rho2) Psi at rho1 = rho2 = 1
+        want = (ones - ones - ones + M @ (M.T @ R)) / 2.0
+        assert np.array_equal(update_Z(ones, M, ones, ones, 1.0, 1.0), want)
         with pytest.raises(ParameterError, match="orthonormal"):
-            update_Z(np.ones((4, 2)), 2.0 * np.eye(4)[:, :2],
-                     np.ones((4, 2)), np.ones((4, 2)), 1.0, 1.0)
+            apply_projection(M, R)
 
 
 class TestDuals:
@@ -1224,8 +1231,29 @@ class TestSolve:
         _, report = solve(pm, si, Hyperparams(k=2, max_iters=4, eps=1e-16),
                           track_dual_residual=track)
         assert report.iterations == 4
-        # one at the init, then one after each dual update, tracked or not
-        assert len(calls) == 5
+        # one at the init, then one after each dual update; untracked, the
+        # last iteration's would be read by nothing and is not made
+        assert len(calls) == (5 if track else 4)
+
+    @pytest.mark.parametrize("track", [True, False])
+    def test_no_unread_compression_once_the_tolerance_is_met(
+            self, monkeypatch, track):
+        calls = []
+        compress = admm.pgram_compress
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return compress(*args, **kwargs)
+
+        pm, si, _ = generate_synthetic(15, 10, 2, 2, 0.3, 0.1, seed=7)
+        hp = Hyperparams(k=2, eps=1e-4, max_iters=500)
+        want, r_want = solve(pm, si, hp, track_dual_residual=track)
+        monkeypatch.setattr(admm, "pgram_compress", spy)
+        got, report = solve(pm, si, hp, track_dual_residual=track)
+        assert report.termination == "tolerance_met"
+        assert report.iterations < hp.max_iters
+        assert len(calls) == report.iterations + track
+        assert np.array_equal(got.x_hat(), want.x_hat())
 
     @pytest.mark.parametrize("track", [True, False])
     def test_p_update_and_dual_residual_read_the_last_compression(
@@ -1252,7 +1280,7 @@ class TestSolve:
         pm, si, _ = generate_synthetic(15, 10, 2, 3, 0.4, 0.5, seed=6)
         _, report = solve(pm, si, Hyperparams(k=2, max_iters=4, eps=1e-16),
                           track_dual_residual=track)
-        assert report.iterations == 4 and len(made) == 5
+        assert report.iterations == 4 and len(made) == (5 if track else 4)
         # made[0] at the init, made[t + 1] after iteration t's dual update:
         # the P update of t reads made[t], the dual residual of t made[t + 1]
         want = []
@@ -1454,12 +1482,15 @@ class _ObjectiveSpy:
 
     def check(self, report):
         """One call per tracked iteration, each handed its fit term, within
-        1e-12 ||a||^2 of the gathered fit and 1e-10 relative in total."""
+        1e-12 ||a||^2 of the gathered fit and 1e-10 relative in total, and
+        ||Y||_F^2, summed once per solve to the very side term that the
+        call would compute itself."""
         assert len(self.calls) == report.iterations
         assert report.objective_trace == [got.total
                                           for _, got, _, _ in self.calls]
         for kwargs, got, want, values_sq in self.calls:
-            assert set(kwargs) == {"fit"}
+            assert set(kwargs) == {"fit", "y_sq"}
+            assert got.side_term == want.side_term
             assert abs(got.fit_term - want.fit_term) <= 1e-12 * values_sq
             assert abs(got.total - want.total) <= 1e-10 * abs(want.total)
 

@@ -724,6 +724,144 @@ class TestRitzStructured:
         assert _projector_distance(W, ref_vecs) <= 1e-12
 
 
+def _svd_basis(Y):
+    """`side_basis` by the thin SVD of Y alone, its fallback route."""
+    U, s, _ = np.linalg.svd(Y, full_matrices=False)
+    r = linalg.numerical_rank(s, Y.shape)
+    return np.ascontiguousarray(U[:, :r]), s[:r] ** 2
+
+
+class TestPgramCompress:
+    @staticmethod
+    def _check(basis, Z, Phi, comp):
+        """G = [Qy, Q2] B to 1e-13 ||G||, and Q2 orthonormal and orthogonal
+        to Qy to 1e-13."""
+        Qy, Q2, B = basis[0], *comp
+        G = np.hstack([Z, Phi])
+        scale = max(np.linalg.norm(G), 1.0)
+        assert np.linalg.norm(np.hstack([Qy, Q2]) @ B - G) <= 1e-13 * scale
+        assert np.abs(Q2.T @ Q2 - np.eye(Q2.shape[1])).max(initial=0.0) <= 1e-13
+        assert np.abs(Qy.T @ Q2).max(initial=0.0) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 513, 4097])
+    def test_row_blocks_match_one_block(self, monkeypatch, n):
+        # rank-deficient G as at the init: the all-ones dual, and a Z
+        # inside col(Y), leave at most one direction outside col(Y).
+        # Blocks of 128 rows from n = 257 (n d > 2 _SWEEP), the last one
+        # a single row
+        rng = np.random.default_rng(60 + n)
+        d, k = 6, 3
+        Y = rng.standard_normal((n, d))
+        Z = Y @ rng.standard_normal((d, k))
+        Phi = np.ones((n, k))
+        basis = side_basis(Y)
+        monkeypatch.setattr(linalg, "_SWEEP", 1 << 40)
+        one = linalg.pgram_compress(basis, Z, Phi)
+        monkeypatch.setattr(linalg, "_SWEEP", 128 * basis[0].shape[1])
+        got = linalg.pgram_compress(basis, Z, Phi)
+        for comp in (one, got):
+            self._check(basis, Z, Phi, comp)
+        assert got[0].shape == one[0].shape
+        assert got[0].shape[1] == (0 if n <= d else 1)
+        r = basis[0].shape[1]
+        scale = np.linalg.norm(np.hstack([Z, Phi]))
+        assert np.linalg.norm(got[1][:r] - one[1][:r]) <= 1e-13 * scale
+        assert _projector_distance(got[0], one[0]) <= 1e-13
+
+    def test_block_rule(self, monkeypatch):
+        # 4097 x 40: n d > 2 _SWEEP, so 819-row blocks; and 1000 x 20, one
+        # block, takes exactly the unblocked sweeps
+        rng = np.random.default_rng(66)
+        for n, d in ((4097, 40), (1000, 20)):
+            Y = rng.standard_normal((n, d))
+            Z, Phi = rng.standard_normal((2, n, 4))
+            basis = side_basis(Y)
+            got = linalg.pgram_compress(basis, Z, Phi)
+            self._check(basis, Z, Phi, got)
+            monkeypatch.setattr(linalg, "_SWEEP", 1 << 40)
+            one = linalg.pgram_compress(basis, Z, Phi)
+            monkeypatch.undo()
+            assert (n * d > 2 * linalg._SWEEP) == (n == 4097)
+            if n == 1000:
+                assert np.array_equal(got[1], one[1])
+            assert np.linalg.norm(got[1] - one[1]) <= 1e-13 * np.linalg.norm(
+                one[1])
+
+
+class TestSideBasis:
+    @pytest.mark.parametrize("shape,cond", [
+        ((1000, 150), 1.0), ((1000, 150), 1e4), ((2000, 20), 1.0),
+        ((150, 150), 10.0)])
+    def test_cholesky_qr2_matches_the_svd(self, shape, cond):
+        rng = np.random.default_rng(70)
+        Y = rng.standard_normal(shape) * np.geomspace(1.0, 1.0 / cond,
+                                                      shape[1])
+        assert linalg._cholesky_qr2(Y) is not None
+        Qy, s2 = side_basis(Y)
+        Qs, s2s = _svd_basis(Y)
+        assert Qy.shape == Qs.shape and Qy.flags.c_contiguous
+        assert np.abs(Qy.T @ Qy - np.eye(shape[1])).max() <= 1e-13
+        assert _projector_distance(Qy, Qs) <= 1e-13
+        assert np.all(np.diff(s2) <= 0.0)
+        assert np.abs(s2 - s2s).max() <= 1e-14 * s2s[0]
+        # Qy diagonalizes Y Y^T, as the Ritz problem's diagonal assumes
+        D = (Qy.T @ Y) @ (Y.T @ Qy)
+        assert np.abs(D - np.diag(s2)).max() <= 1e-14 * s2[0]
+
+    @pytest.mark.parametrize("case", ["wide", "zero_column", "ratio",
+                                      "rank"])
+    def test_fallbacks_take_the_svd(self, monkeypatch, case):
+        rng = np.random.default_rng(71)
+        Y = rng.standard_normal((5, 8) if case == "wide" else (200, 12))
+        if case == "zero_column":  # Y^T Y singular: the Cholesky fails
+            Y[:, 3] = 0.0
+        if case == "ratio":  # kappa 1e7, past _CHOL_RATIO
+            Y *= np.geomspace(1.0, 1e-7, 12)
+            R1 = np.linalg.cholesky(Y.T @ Y)
+            diag = np.abs(np.diagonal(R1))
+            assert diag.max() > linalg._CHOL_RATIO * diag.min()
+        if case == "rank":  # R_2 R_1 read as rank d - 1
+            monkeypatch.setattr(linalg, "numerical_rank",
+                                lambda s, shape: len(s) - 1)
+        assert linalg._cholesky_qr2(Y) is None
+        Qy, s2 = side_basis(Y)
+        Qs, s2s = _svd_basis(Y)
+        assert np.array_equal(Qy, Qs) and np.array_equal(s2, s2s)
+        assert Qy.shape[1] == {"wide": 5, "zero_column": 11, "ratio": 12,
+                               "rank": 11}[case]
+
+    @pytest.mark.parametrize("shape", [(1000, 150), (2000, 20)])
+    def test_peak_within_three_squares_of_the_svd(self, shape):
+        Y = np.random.default_rng(72).standard_normal(shape)
+        peaks = []
+        for basis in (_svd_basis, side_basis):
+            basis(Y)  # warm: no first-call allocation is counted
+            tracemalloc.start()
+            try:
+                basis(Y)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        d = shape[1]
+        assert peaks[1] <= peaks[0] + 3 * d * d * 8
+
+
+def test_cached_constants_are_read_only():
+    from mpadmm.admm import _triu
+    S = linalg._s_inverse(3)
+    assert S is linalg._s_inverse(3)
+    assert np.array_equal(S, [[0, 0, 0, 2, 0, 0], [0, 0, 0, 0, 2, 0],
+                              [0, 0, 0, 0, 0, 2], [2, 0, 0, 0, 0, 0],
+                              [0, 2, 0, 0, 0, 0], [0, 0, 2, 0, 0, 0]])
+    iu, ju = _triu(4)
+    assert _triu(4)[0] is iu
+    assert all(np.array_equal(a, b) for a, b in zip((iu, ju),
+                                                    np.triu_indices(4)))
+    for arr in (S, iu, ju):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+
+
 class TestRitzRoute:
     def test_route_rule(self):
         # q = d' + 2k: protocol and criterion 10 (d = 150, k = 5, and 156

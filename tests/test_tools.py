@@ -16,6 +16,15 @@ def _load(name):
 
 
 ab = _load("perfbench_ab")
+HOST = {"gemm_s": 0.04, "eigh_s": 0.003, "spmv_s": 0.005}
+
+
+@pytest.fixture(autouse=True)
+def canned_calibration(monkeypatch):
+    """`calibrate` returns HOST instead of starting a process; the real
+    one stays at `ab.real_calibrate`."""
+    monkeypatch.setattr(ab, "real_calibrate", ab.calibrate, raising=False)
+    monkeypatch.setattr(ab, "calibrate", lambda: dict(HOST))
 
 
 def _line(setup, solve, correct=True, failed=0):
@@ -115,7 +124,9 @@ def test_out_writes_every_run_and_the_statistics(tmp_path, monkeypatch,
     capsys.readouterr()
     bench = json.loads(out.read_text())
     assert list(bench) == ["workload", "pairs", "seconds", "seed0",
-                           "trace", "sources", "runs", "statistics"]
+                           "trace", "sources", "calibration", "runs",
+                           "statistics"]
+    assert bench["calibration"] == [{"pair": 1, **HOST}, {"pair": 2, **HOST}]
     assert (bench["workload"], bench["pairs"], bench["seconds"],
             bench["seed0"], bench["trace"]) == ("protocol", 2, 3.0, 7, 0)
     assert bench["sources"] == {side: ab.source_digest(root)
@@ -143,6 +154,61 @@ def test_out_writes_every_run_and_the_statistics(tmp_path, monkeypatch,
         {"min": 0.12, "q1": 0.1225, "median": 0.125, "q3": 0.1275,
          "max": 0.13})
     assert (setup["change_lower"], setup["pairs"]) == (2, 2)
+
+
+def test_calibration_precedes_each_pair(tmp_path, monkeypatch, capsys):
+    roots = {}
+    for side in ("parent", "change"):
+        roots[side] = tmp_path / side
+        (roots[side] / "perfbench").mkdir(parents=True)
+        (roots[side] / "perfbench" / "run.py").write_text("")
+    events = []
+
+    def calibrate():
+        events.append("host")
+        return {"gemm_s": 0.05 + 0.01 * len(events), "eigh_s": 0.003,
+                "spmv_s": 0.005}
+
+    def run_once(checkout, workload, seed, seconds, trace):
+        events.append(checkout.name)
+        return ab.parse_result(_line(0.1, 0.5)), None
+
+    monkeypatch.setattr(ab, "calibrate", calibrate)
+    monkeypatch.setattr(ab, "run_once", run_once)
+    assert ab.main([str(roots["parent"]), str(roots["change"]),
+                    "--workload", "protocol", "--pairs", "2"]) == 0
+    assert events == ["host", "parent", "change", "host", "change",
+                      "parent"]
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if " host " in line] == [
+        "pair   1 host   gemm_s 0.06 eigh_s 0.003 spmv_s 0.005",
+        "pair   2 host   gemm_s 0.09 eigh_s 0.003 spmv_s 0.005"]
+
+
+def test_calibrate_runs_one_thread_in_a_fresh_process(monkeypatch):
+    seen = {}
+
+    def run(cmd, env, **kwargs):
+        seen.update(cmd=cmd, env=env)
+        return subprocess.CompletedProcess(
+            cmd, 0, "# note\n" + json.dumps(HOST) + "\n", "")
+
+    monkeypatch.setattr(ab.subprocess, "run", run)
+    assert ab.real_calibrate() == HOST
+    assert seen["cmd"][:2] == [ab.sys.executable, "-c"]
+    assert Path(seen["cmd"][3]) == TOOLS
+    assert (seen["env"]["OPENBLAS_NUM_THREADS"],
+            seen["env"]["OMP_NUM_THREADS"]) == ("1", "1")
+    monkeypatch.setattr(ab.subprocess, "run", lambda cmd, **kwargs: (
+        subprocess.CompletedProcess(cmd, 1, "", "boom")))
+    with pytest.raises(RuntimeError, match="boom"):
+        ab.real_calibrate()
+
+
+def test_kernel_times_are_medians_of_the_fixed_kernels():
+    times = ab.kernel_times(repeats=1)
+    assert list(times) == list(ab.KERNELS)
+    assert all(0.0 < value < 10.0 for value in times.values())
 
 
 def test_parse_env_reads_the_env_line():

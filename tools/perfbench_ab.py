@@ -19,12 +19,17 @@ each run is one traced trial, whose per-layer metrics have no bound.
 It exits 1 if any run is not `correct` or has failed operations.  It
 changes no benchmark file.
 
+Before each pair it times a few fixed one-thread kernels in a fresh
+process (`calibrate`, `kernel_times`) and prints their medians: how fast
+the host was then, which drifts between sessions.  They gate nothing.
+
 It also prints a SHA-256 of each side's `src/**/*.py` (see
 `source_digest`), which names the code a side ran even where the `# env`
 record's commit reads `unknown`, as in a `git archive` checkout.  With
-`--out PATH` it writes the whole comparison as JSON: those digests,
-every run's result object and `# env` record with its side, pair and
-seed, and the summary in numbers (see `bench_file`).
+`--out PATH` it writes the whole comparison as JSON: those digests, the
+calibration of each pair, every run's result object and `# env` record
+with its side, pair and seed, and the summary in numbers (see
+`bench_file`).
 """
 
 from __future__ import annotations
@@ -32,13 +37,65 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 
 SIDES = ("parent", "change")
+KERNELS = ("gemm_s", "eigh_s", "spmv_s")
+
+
+def kernel_times(repeats: int = 3) -> dict[str, float]:
+    """Median seconds over `repeats` of each fixed kernel, on inputs drawn
+    from one seeded generator: `gemm_s` a 1000 x 1000 by 1000 x 1000
+    product, `eigh_s` a symmetric eigensolve of order 160, `spmv_s` the
+    product of a 10^5 x 10^5 CSR matrix of 10^6 entries (10 a row, as
+    index arrays, summed by `np.add.reduceat`) with a vector.  NumPy
+    only, so that a fresh process starts in well under 0.5 s; run it on
+    one BLAS thread (see `calibrate`)."""
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((1000, 1000))
+    S = rng.standard_normal((160, 160))
+    S += S.T
+    rows, per_row = 100_000, 10
+    data = rng.standard_normal(rows * per_row)
+    indices = rng.integers(0, rows, rows * per_row)
+    starts = np.arange(0, rows * per_row, per_row)
+    x = rng.standard_normal(rows)
+    kernels = {"gemm_s": lambda: A @ A,
+               "eigh_s": lambda: np.linalg.eigh(S),
+               "spmv_s": lambda: np.add.reduceat(data * x[indices], starts)}
+    times = {}
+    for name in KERNELS:
+        samples = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            kernels[name]()
+            samples.append(time.perf_counter() - start)
+        times[name] = float(np.median(samples))
+    return times
+
+
+def calibrate() -> dict[str, float]:
+    """`kernel_times` in a fresh Python process whose OpenBLAS copies run
+    one thread each (OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=1), read
+    from the JSON line it prints."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+            "import perfbench_ab; "
+            "print(json.dumps(perfbench_ab.kernel_times()))")
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(Path(__file__).resolve().parent)],
+        env=env, capture_output=True, text=True, timeout=600)
+    try:
+        return parse_result(out.stdout)
+    except ValueError as exc:
+        raise RuntimeError(f"no calibration (exit {out.returncode}):\n"
+                           f"{out.stderr}") from exc
 
 
 def parse_result(stdout: str) -> dict:
@@ -207,16 +264,17 @@ def summary(runs: dict[str, list[dict]],
     return lines
 
 
-def bench_file(args, sources: dict[str, str], records: list[dict],
-               runs: dict[str, list[dict]],
+def bench_file(args, sources: dict[str, str], calibration: list[dict],
+               records: list[dict], runs: dict[str, list[dict]],
                metrics: dict[str, dict] | None = None) -> dict:
     """What `--out` writes: the settings, each side's `source_digest`,
-    every run in the order it ran (`pair` from 1, `side`, `seed`, `env`,
+    each pair's `calibrate` medians (`pair` from 1, then `KERNELS`), every
+    run in the order it ran (`pair` from 1, `side`, `seed`, `env`,
     `result`) and `statistics`, with the verdicts of `metrics`."""
     return {"workload": args.workload, "pairs": args.pairs,
             "seconds": args.seconds, "seed0": args.seed0,
-            "trace": args.trace,
-            "sources": sources, "runs": records,
+            "trace": args.trace, "sources": sources,
+            "calibration": calibration, "runs": records,
             "statistics": statistics(runs, metrics)}
 
 
@@ -248,9 +306,13 @@ def main(argv=None) -> int:
         print(f"sources {side} {sources[side]}", flush=True)
 
     runs = {side: [] for side in SIDES}
-    records = []
+    records, calibration = [], []
     bad = 0
     for pair in range(args.pairs):
+        calibration.append({"pair": pair + 1, **calibrate()})
+        print(f"pair {pair + 1:3d} host   " + " ".join(
+            f"{name} {calibration[-1][name]:.6g}" for name in KERNELS),
+            flush=True)
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for side in order:
             seed = args.seed0 + pair
@@ -263,7 +325,8 @@ def main(argv=None) -> int:
             print(run_line(pair + 1, side, result), flush=True)
     print("\n".join(summary(runs, metrics)))
     if args.out:
-        bench = bench_file(args, sources, records, runs, metrics)
+        bench = bench_file(args, sources, calibration, records, runs,
+                           metrics)
         args.out.write_text(json.dumps(bench, indent=1) + "\n")
     if bad:
         print(f"{bad} run(s) not correct or with failed operations")
