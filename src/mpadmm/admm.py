@@ -585,8 +585,10 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
     `hp.threads`, bit for bit.
 
     Terminates when both squared primal residual norms fall to eps, or at
-    the iteration cap.  The whole solve runs NumPy's BLAS on one thread
-    (`single_blas_thread`), whatever `hp.threads` says.
+    the iteration cap.  The whole solve runs every OpenBLAS in the
+    process, NumPy's and SciPy's, on one thread (`single_blas_thread`),
+    whatever `hp.threads` says, so the iterates are the same bits on any
+    host.
     """
     Y = side.Y
     if Y.shape[0] != data.n:

@@ -2,8 +2,9 @@
 row-regression iterative SVD imputation, singular-value soft-impute,
 and preconditioned (scaled) gradient descent on balanced factors.
 
-Like `admm.solve`, each method runs NumPy's BLAS on one thread
-(`single_blas_thread`).
+Like `admm.solve`, each method runs every OpenBLAS in the process,
+NumPy's and SciPy's, on one thread (`single_blas_thread`), so its output
+does not depend on the host's core count.
 """
 
 from __future__ import annotations

@@ -105,8 +105,9 @@ class Hyperparams:
     steps run their sparse right-hand-side products on one worker of an
     executor opened per `solve`, beside the Gram products on the calling
     thread; values above 2 act as 2.  The iterates are bitwise the same
-    for every value.  The batched ridge solves and all BLAS work run on
-    the calling thread.
+    for every value, on any host.  The batched ridge solves and all BLAS
+    and LAPACK work run on the calling thread, with every OpenBLAS in the
+    process on one thread (`linalg.single_blas_thread`).
     `seed` (>= 0) seeds the init's Lanczos start and restart vectors and
     the complement directions that `admm.update_P` pads M with when
     fewer than k Ritz values are nonnegative; the init's Gram route
@@ -171,9 +172,10 @@ def generate_synthetic(n: int, m: int, k: int, d: int, miss_frac: float,
     hidden set; both give, bit for bit, what three separate draws and the
     complement of the hidden picks give.
 
-    Like `admm.solve`, it runs NumPy's BLAS on one thread, so Y does not
-    depend on the BLAS thread count (at n=2000, m=1000, d=20, one and two
-    OpenBLAS threads gave Y entries up to 5 ulps apart), and no idle
+    Like `admm.solve`, it runs every OpenBLAS on one thread
+    (`linalg.single_blas_thread`), so Y does not depend on the host's core
+    count (at n=2000, m=1000, d=20, one and two OpenBLAS threads gave Y
+    entries up to 5 ulps apart), and no idle
     OpenBLAS worker keeps spinning into the caller's next computation
     (for about 0.1 s, which slowed a protocol-size solve started right
     after generation by about 20% on 2 vCPUs).

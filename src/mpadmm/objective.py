@@ -307,10 +307,11 @@ def evaluate(X_hat: np.ndarray, data: PartialMatrix, Y: np.ndarray,
 
     X_hat's `spectral_basis` is taken once and shared by `fitted_rank`,
     `r_squared` and `objective_svd`, so the bundle is bitwise the
-    standalone metrics.  Runs NumPy's BLAS on one thread, like
-    `admm.solve`, so that the metrics (and the CLI's metrics.csv) do not
-    depend on the BLAS thread count and no idle OpenBLAS worker spins
-    into the next solve (see `generate_synthetic`).
+    standalone metrics.  Runs every OpenBLAS on one thread, like
+    `admm.solve` (`linalg.single_blas_thread`), so that the metrics (and
+    the CLI's metrics.csv) do not depend on the host's core count and no
+    idle OpenBLAS worker spins into the next solve (see
+    `generate_synthetic`).
 
     Raises NumericalError when X_hat has a NaN or infinite entry, which
     the SVD would reject or on which it may not return; the check reads

@@ -319,23 +319,23 @@ class TestEval:
                        "r2": want.r2, "fitted_rank": want.fitted_rank,
                        "err_l2": want.err_l2}
 
-    def test_metrics_are_evaluate_at_any_blas_thread_count(self, tmp_path):
-        api = _openblas_threads_api()
-        if api is None:
-            pytest.skip("NumPy links no OpenBLAS with a thread-count API")
-        get, set_ = api
+    def test_metrics_are_evaluate_at_any_blas_thread_count(self, tmp_path,
+                                                           blas_threads):
         data, side, truth = generate_synthetic(300, 200, 4, 5, 0.5, 0.5,
                                                seed=8)
         rng = np.random.default_rng(8)
         X = (truth.A_true + 0.1 * rng.standard_normal((300, 4))
              @ rng.standard_normal((4, 200)))
-        before = get()
-        set_(2)
+        before = blas_threads()
+        api = _openblas_threads_api()
+        for _, set_ in api.values():
+            set_(2)
         try:
             got = cli._write_metrics(tmp_path / "metrics.csv", X, data,
                                      side.Y, 0.9, 1.1, truth.A_true)
         finally:
-            set_(before)
+            for name, (_, set_) in api.items():
+                set_(before[name])
         want = objective.evaluate(X, data, side.Y, truth.A_true, 0.9, 1.1)
         ob = want.objective
         assert got == {"objective": ob.total, "fit_term": ob.fit_term,

@@ -1,9 +1,11 @@
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
@@ -1057,32 +1059,40 @@ class TestApplyProjection:
 
 
 class TestSingleBlasThread:
-    def test_nested_and_raising_blocks_restore(self):
-        api = _openblas_threads_api()
-        if api is None:
-            pytest.skip("NumPy links no OpenBLAS with a thread-count API")
-        get, _ = api
-        before = get()
-        with pytest.raises(RuntimeError):
-            with single_blas_thread():
-                with single_blas_thread():
-                    assert get() == 1
-                assert get() == 1
-                raise RuntimeError
-        assert get() == before
+    def test_finds_the_openblas_of_numpy_and_of_scipy(self):
+        # each wheel that bundles an OpenBLAS gets an entry, so no BLAS
+        # in the process keeps the host's thread count inside the block
+        bundled = [pkg.__name__ for pkg in (np, scipy)
+                   if any(Path(pkg.__file__).parents[1].glob(
+                       f"{pkg.__name__}.libs/*openblas*"))]
+        assert sorted(_openblas_threads_api()) == sorted(bundled)
 
-    def test_concurrent_blocks_restore_once(self):
-        api = _openblas_threads_api()
-        if api is None:
-            pytest.skip("NumPy links no OpenBLAS with a thread-count API")
-        get, _ = api
-        before = get()
+    def test_nested_and_raising_blocks_restore(self, blas_threads):
+        before = blas_threads()
+        ones = dict.fromkeys(before, 1)
+        for _, set_ in _openblas_threads_api().values():
+            set_(2)
+        try:
+            with pytest.raises(RuntimeError):
+                with single_blas_thread():
+                    with single_blas_thread():
+                        assert blas_threads() == ones
+                    assert blas_threads() == ones
+                    raise RuntimeError
+            assert blas_threads() == dict.fromkeys(before, 2)
+        finally:
+            for name, (_, set_) in _openblas_threads_api().items():
+                set_(before[name])
+        assert blas_threads() == before
+
+    def test_concurrent_blocks_restore_once(self, blas_threads):
+        before = blas_threads()
         inside = []
 
         def worker():
             for _ in range(200):
                 with single_blas_thread():
-                    inside.append(get())
+                    inside.append(blas_threads())
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1095,5 +1105,5 @@ class TestSingleBlasThread:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert len(inside) == 800 and set(inside) == {1}
-        assert get() == before
+        assert inside == [dict.fromkeys(before, 1)] * 800
+        assert blas_threads() == before

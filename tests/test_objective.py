@@ -14,7 +14,6 @@ from mpadmm.admm import solve
 from mpadmm.baselines import iterative_svd, scaled_gd, soft_impute
 from mpadmm.data import Hyperparams, PartialMatrix, generate_synthetic
 from mpadmm.exceptions import ParameterError
-from mpadmm.linalg import _openblas_threads_api
 from mpadmm.objective import (Metrics, err_l2, evaluate, fitted_rank,
                               objective_naive, objective_svd, ols_alpha,
                               r_squared, spectral_basis, spectral_bound,
@@ -540,17 +539,13 @@ class TestMetrics:
         assert peak < 1.5 * n * d * 8
 
     def test_evaluate_blas_single_threaded_inside_and_restored(
-            self, monkeypatch):
-        api = _openblas_threads_api()
-        if api is None:
-            pytest.skip("NumPy links no OpenBLAS with a thread-count API")
-        get, _ = api
-        before = get()
+            self, monkeypatch, blas_threads):
+        before = blas_threads()
         seen = []
         fit = objective.objective_svd
 
         def spy(*args, **kwargs):
-            seen.append(get())
+            seen.append(blas_threads())
             return fit(*args, **kwargs)
 
         monkeypatch.setattr(objective, "objective_svd", spy)
@@ -558,8 +553,8 @@ class TestMetrics:
         pm, Y = _random_instance(rng)
         X = rng.standard_normal((pm.n, pm.m))
         evaluate(X, pm, Y, X, 1.0, 1.0)
-        assert seen == [1]
-        assert get() == before
+        assert seen == [dict.fromkeys(before, 1)]
+        assert blas_threads() == before
 
 
 class TestFactorizationBound:

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import os
 import subprocess
 from pathlib import Path
 
@@ -124,8 +125,9 @@ def test_out_writes_every_run_and_the_statistics(tmp_path, monkeypatch,
     capsys.readouterr()
     bench = json.loads(out.read_text())
     assert list(bench) == ["workload", "pairs", "seconds", "seed0",
-                           "trace", "sources", "calibration", "runs",
-                           "statistics"]
+                           "trace", "host", "sources", "calibration",
+                           "runs", "statistics"]
+    assert bench["host"] == ab.host()
     assert bench["calibration"] == [{"pair": 1, **HOST}, {"pair": 2, **HOST}]
     assert (bench["workload"], bench["pairs"], bench["seconds"],
             bench["seed0"], bench["trace"]) == ("protocol", 2, 3.0, 7, 0)
@@ -154,6 +156,22 @@ def test_out_writes_every_run_and_the_statistics(tmp_path, monkeypatch,
         {"min": 0.12, "q1": 0.1225, "median": 0.125, "q3": 0.1275,
          "max": 0.13})
     assert (setup["change_lower"], setup["pairs"]) == (2, 2)
+
+
+def test_host_names_the_cores_and_the_blas_of_numpy_and_scipy():
+    import numpy as np
+    import scipy
+    record = ab.host()
+    assert list(record) == ["cpu_count", "affinity", "numpy_blas",
+                            "scipy_blas"]
+    assert record["cpu_count"] == os.cpu_count()
+    if hasattr(os, "sched_getaffinity"):
+        assert 1 <= record["affinity"] == len(os.sched_getaffinity(0))
+    for pkg in (np, scipy):
+        blas = pkg.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert record[f"{pkg.__name__}_blas"] == {
+            "name": blas.get("name"), "version": blas.get("version")}
+    json.dumps(record)
 
 
 def test_calibration_precedes_each_pair(tmp_path, monkeypatch, capsys):

@@ -26,10 +26,11 @@ the host was then, which drifts between sessions.  They gate nothing.
 It also prints a SHA-256 of each side's `src/**/*.py` (see
 `source_digest`), which names the code a side ran even where the `# env`
 record's commit reads `unknown`, as in a `git archive` checkout.  With
-`--out PATH` it writes the whole comparison as JSON: those digests, the
-calibration of each pair, every run's result object and `# env` record
-with its side, pair and seed, and the summary in numbers (see
-`bench_file`).
+`--out PATH` it writes the whole comparison as JSON: one `host` record
+(core counts and the BLAS of NumPy and of SciPy, see `host`), those
+digests, the calibration of each pair, every run's result object and
+`# env` record with its side, pair and seed, and the summary in numbers
+(see `bench_file`).
 """
 
 from __future__ import annotations
@@ -96,6 +97,23 @@ def calibrate() -> dict[str, float]:
     except ValueError as exc:
         raise RuntimeError(f"no calibration (exit {out.returncode}):\n"
                            f"{out.stderr}") from exc
+
+
+def host() -> dict:
+    """The machine the pairs ran on: `os.cpu_count()`, the number of CPUs
+    this process may run on (None where the OS does not say), and the
+    name and version of the BLAS that NumPy and that SciPy were built
+    with, each of which bundles its own OpenBLAS.  The runs use the same
+    interpreter, so the same libraries."""
+    import scipy
+    affinity = getattr(os, "sched_getaffinity", None)
+    record = {"cpu_count": os.cpu_count(),
+              "affinity": len(affinity(0)) if affinity else None}
+    for pkg in (np, scipy):
+        blas = pkg.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        record[f"{pkg.__name__}_blas"] = {"name": blas.get("name"),
+                                          "version": blas.get("version")}
+    return record
 
 
 def parse_result(stdout: str) -> dict:
@@ -267,13 +285,14 @@ def summary(runs: dict[str, list[dict]],
 def bench_file(args, sources: dict[str, str], calibration: list[dict],
                records: list[dict], runs: dict[str, list[dict]],
                metrics: dict[str, dict] | None = None) -> dict:
-    """What `--out` writes: the settings, each side's `source_digest`,
-    each pair's `calibrate` medians (`pair` from 1, then `KERNELS`), every
-    run in the order it ran (`pair` from 1, `side`, `seed`, `env`,
-    `result`) and `statistics`, with the verdicts of `metrics`."""
+    """What `--out` writes: the settings, the `host` record, each side's
+    `source_digest`, each pair's `calibrate` medians (`pair` from 1, then
+    `KERNELS`), every run in the order it ran (`pair` from 1, `side`,
+    `seed`, `env`, `result`) and `statistics`, with the verdicts of
+    `metrics`."""
     return {"workload": args.workload, "pairs": args.pairs,
             "seconds": args.seconds, "seed0": args.seed0,
-            "trace": args.trace, "sources": sources,
+            "trace": args.trace, "host": host(), "sources": sources,
             "calibration": calibration, "runs": records,
             "statistics": statistics(runs, metrics)}
 
