@@ -126,7 +126,6 @@ class SolveReport:
     objective_trace: list = field(default_factory=list)
     subproblem_times: dict = field(default_factory=lambda: {"U": 0.0, "V": 0.0, "P": 0.0, "Z": 0.0})
     termination: str = "max_iters"
-    warnings: list = field(default_factory=list)
     lagrangian_trace: list = field(default_factory=list)  # filled when tracked
     # init_time: index build, truncated SVD, side basis and the first
     # compression of [Z, Phi]; tracking_time: dual_residual, the objective
@@ -588,7 +587,9 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
     the iteration cap.  The whole solve runs every OpenBLAS in the
     process, NumPy's and SciPy's, on one thread (`single_blas_thread`),
     whatever `hp.threads` says, so the iterates are the same bits on any
-    host.
+    host.  That cap, restored on return, is the only process-wide state
+    the solve changes: warnings (`RankDeficiencyWarning` from a tracked
+    dual residual) reach the caller under the caller's filters.
     """
     Y = side.Y
     if Y.shape[0] != data.n:
@@ -658,8 +659,7 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
     # it, so none outlives the solve
     workers = (ThreadPoolExecutor(1) if report.ridge_groups == 2
                else contextlib.nullcontext())
-    with warnings.catch_warnings(record=True) as caught, workers as pool:
-        warnings.simplefilter("always", RankDeficiencyWarning)
+    with workers as pool:
         for t in range(hp.max_iters):
             lag_row = [lagrangian()] if track_lagrangian else []
             U_prev = state.U
@@ -711,6 +711,5 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
                 report.termination = "tolerance_met"
                 break
 
-    report.warnings = [str(w.message) for w in caught]
     report.ritz_structured = ritz_routes.count("structured")
     return state, report

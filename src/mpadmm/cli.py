@@ -21,10 +21,9 @@ from .data import (Hyperparams, SideInfo, generate_synthetic, load_dense_csv,
 from .exceptions import ConvergenceError, NumericalError, ParameterError, ParseError
 from .objective import _check_weights, evaluate
 
-# the CPUs this process may run on (its affinity set), not the host's
-DEFAULT_THREADS = min(len(os.sched_getaffinity(0))
-                      if hasattr(os, "sched_getaffinity")
-                      else os.cpu_count() or 1, 2)
+# the library's `threads` default, which `--threads` and the sweep's
+# `threads=` key take as well; kept under this name for its readers
+DEFAULT_THREADS = Hyperparams.threads
 
 
 class _CliError(Exception):
@@ -68,12 +67,12 @@ def _build_parser() -> _Parser:
     s.add_argument("--tol", type=float, default=hp.eps, help="(admm only)")
     s.add_argument("--tau", type=float, default=SweepConfig.soft_impute_tau,
                    help="soft-impute shrinkage threshold")
-    s.add_argument("--threads", type=int, default=DEFAULT_THREADS,
+    s.add_argument("--threads", type=int, default=hp.threads,
                    help="(admm only) at 2 or more, the U/V steps run "
                         "their right-hand sides on one worker beside the "
-                        "Gram once nnz*(k(k+3)/2) >= 2^24; values above 2 "
-                        "act as 2, and results are bitwise the same for "
-                        "every value")
+                        "Gram on inputs large enough to gain "
+                        "(admm.ridge_groups); values above 2 act as 2, "
+                        "and results are bitwise the same for every value")
     s.add_argument("--seed", type=int, default=0, help="(admm only)")
     s.add_argument("--out", required=True, help="output directory")
 
@@ -129,13 +128,17 @@ def _load_side_info(path, n: int) -> SideInfo:
 
 def _write_metrics(path, X_hat, data, Y, lam, gamma, A_true=None):
     """Evaluate X_hat, write the metrics to the CSV at `path`, print them
-    as one key=value line and return them as a dict."""
-    met = evaluate(X_hat, data, Y, A_true, lam, gamma)
+    as one key=value line and return them as a dict.  Without side info
+    (`Y` None) the side term is 0 and r2, which needs a side matrix, is
+    left out."""
+    met = evaluate(X_hat, data, np.zeros((data.n, 1)) if Y is None else Y,
+                   A_true, lam, gamma)
     obj = met.objective
     fields = [
         ("objective", obj.total), ("fit_term", obj.fit_term),
         ("side_term", obj.side_term), ("reg_term", obj.reg_term),
-        ("r2", met.r2), ("fitted_rank", met.fitted_rank),
+        *([] if Y is None else [("r2", met.r2)]),
+        ("fitted_rank", met.fitted_rank),
     ]
     if A_true is not None:
         fields.append(("err_l2", met.err_l2))
@@ -196,7 +199,8 @@ def _cmd_solve(args) -> int:
               ["iter", "phi_res", "psi_res", "dual_res", "objective",
                "termination"], report_rows)
     _write_metrics(os.path.join(args.out, "metrics.csv"), X_hat, data,
-                   side.Y, args.lam, args.gamma, A_true)
+                   side.Y if args.side_info else None, args.lam, args.gamma,
+                   A_true)
     return 0
 
 
@@ -248,7 +252,7 @@ def parse_sweep_config(path) -> tuple:
             rho2=float(raw.get("rho2", Hyperparams.rho2)),
             eps=float(raw.get("tol", Hyperparams.eps)),
             max_iters=int(raw.get("max_iter", Hyperparams.max_iters)),
-            threads=int(raw.get("threads", DEFAULT_THREADS)),
+            threads=int(raw.get("threads", Hyperparams.threads)),
             seed=int(raw.get("base_seed", 0)),
         )
         config = SweepConfig(

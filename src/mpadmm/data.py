@@ -10,6 +10,7 @@ File formats (all LF-terminated ASCII):
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -100,9 +101,10 @@ class SideInfo:
 
 @dataclass
 class Hyperparams:
-    """ADMM settings.  `threads` (>= 1): at 2 or more, once the data are
-    large enough to gain from it (`admm.ridge_groups`), the U and V
-    steps run their sparse right-hand-side products on one worker of an
+    """ADMM settings.  `threads` (>= 1; default, as in the CLI and the
+    sweep, the CPUs in the process's affinity set, at most 2): at 2 or
+    more, on large enough data (`admm.ridge_groups`), the U and V steps
+    run their sparse right-hand-side products on one worker of an
     executor opened per `solve`, beside the Gram products on the calling
     thread; values above 2 act as 2.  The iterates are bitwise the same
     for every value, on any host.  The batched ridge solves and all BLAS
@@ -122,7 +124,8 @@ class Hyperparams:
     rho2: float = 10.0
     eps: float = 1e-6
     max_iters: int = 20
-    threads: int = 1
+    threads: int = min(len(os.sched_getaffinity(0)) if hasattr(
+        os, "sched_getaffinity") else os.cpu_count() or 1, 2)
     seed: int = 0
 
     def __post_init__(self):
@@ -155,7 +158,6 @@ class Hyperparams:
 class GroundTruth:
     A_true: np.ndarray
     beta: np.ndarray
-    noise_sigma: float = 0.0
 
 
 @single_blas_thread()
@@ -208,7 +210,7 @@ def generate_synthetic(n: int, m: int, k: int, d: int, miss_frac: float,
     cols = flat - rows * m
 
     pm = PartialMatrix(n=n, m=m, rows=rows, cols=cols, values=A.ravel()[flat])
-    return pm, SideInfo(Y=Y), GroundTruth(A_true=A, beta=beta, noise_sigma=sigma)
+    return pm, SideInfo(Y=Y), GroundTruth(A_true=A, beta=beta)
 
 
 def save_partial(pm: PartialMatrix, path) -> None:

@@ -1331,7 +1331,8 @@ class TestSolve:
         pm = PartialMatrix(n=8, m=6, rows=[], cols=[], values=[])
         si = SideInfo(Y=np.zeros((8, 2)))
         hp = Hyperparams(k=2, max_iters=10)
-        state, report = solve(pm, si, hp)
+        with pytest.warns(RankDeficiencyWarning):
+            state, report = solve(pm, si, hp)
         assert np.allclose(state.V, 0.0)
         assert report.objective_trace[-1] == pytest.approx(0.0, abs=1e-10)
 
@@ -1339,7 +1340,8 @@ class TestSolve:
         # above the dense cutoff: the Lanczos init sees a zero operator
         pm = PartialMatrix(n=60, m=40, rows=[], cols=[], values=[])
         si = SideInfo(Y=np.random.default_rng(3).standard_normal((60, 2)))
-        state, report = solve(pm, si, Hyperparams(k=3, max_iters=5))
+        with pytest.warns(RankDeficiencyWarning):
+            state, report = solve(pm, si, Hyperparams(k=3, max_iters=5))
         assert report.iterations == 5
         assert np.array_equal(state.x_hat(), np.zeros((60, 40)))
         assert np.linalg.norm(state.M.T @ state.M - np.eye(3)) < 1e-12
@@ -1373,6 +1375,62 @@ class TestSolve:
                              capture_output=True, text=True, timeout=120,
                              check=True)
         assert out.stdout.strip() == "[]"
+
+    def test_overlapping_solves_leave_warnings_shown(self):
+        # two threads inside `solve` at once, the one that entered second
+        # returning last: a solve that swapped the process's warning hook
+        # (as `warnings.catch_warnings` does) would leave it pointing at
+        # the first solve's list, and every later warning would vanish.
+        # A fresh interpreter, so that pytest's own capture is not in play;
+        # `update_U` is wrapped by the attribute swap perfbench's tracer uses
+        code = textwrap.dedent("""
+            import threading
+            import warnings
+            import mpadmm.admm as admm
+            from mpadmm.data import Hyperparams, generate_synthetic
+            pm, si, _ = generate_synthetic(30, 20, 2, 3, 0.3, 0.1, seed=5)
+            inside, first_done = threading.Event(), threading.Event()
+            barrier = threading.Barrier(2)
+            update_U, held = admm.update_U, set()
+
+            def hold(*args, **kwargs):
+                me = threading.current_thread().name
+                if me not in held:
+                    held.add(me)
+                    inside.set()
+                    barrier.wait(timeout=60)
+                    if me == "second":
+                        first_done.wait(timeout=60)
+                return update_U(*args, **kwargs)
+
+            admm.update_U = hold
+            solved = []
+
+            def run():
+                admm.solve(pm, si, Hyperparams(k=2, max_iters=2))
+                solved.append(threading.current_thread().name)
+                if solved == ["first"]:
+                    first_done.set()
+
+            first = threading.Thread(target=run, name="first")
+            second = threading.Thread(target=run, name="second")
+            first.start()
+            inside.wait(timeout=60)
+            second.start()
+            first.join()
+            second.join()
+            print(solved)
+            warnings.warn("shown after the solves")
+        """)
+        src = str(Path(admm.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = subprocess.run([sys.executable, "-W", "default", "-c", code],
+                             env=env, capture_output=True, text=True,
+                             timeout=120, check=True)
+        assert out.stdout.strip() == "['first', 'second']"
+        assert "shown after the solves" in out.stderr
 
     def test_determinism(self):
         pm, si, _ = generate_synthetic(18, 12, 2, 2, 0.5, 0.5, seed=8)
@@ -1555,7 +1613,8 @@ class TestTrackedObjective:
         pm = PartialMatrix(n=60, m=40, rows=[], cols=[], values=[])
         si = SideInfo(Y=np.random.default_rng(3).standard_normal((60, 2)))
         spy = _ObjectiveSpy(monkeypatch)
-        _, report = solve(pm, si, Hyperparams(k=3, max_iters=5))
+        with pytest.warns(RankDeficiencyWarning):
+            _, report = solve(pm, si, Hyperparams(k=3, max_iters=5))
         spy.check(report)
         assert all(got.fit_term == 0.0 for _, got, _, _ in spy.calls)
 

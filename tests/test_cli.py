@@ -170,6 +170,25 @@ class TestSolve:
                    "2", "--out", str(tmp_path / "sol")])
         assert rc == 1
 
+    @pytest.mark.parametrize("method", ["iterative-svd", "soft-impute",
+                                        "scaled-gd"])
+    def test_baseline_without_side_info_leaves_r2_out(self, tmp_path, capsys,
+                                                      method):
+        # R^2 of no side matrix is undefined (it read 1 of an all-zero
+        # stand-in), so it is left out as err_l2 is without a truth
+        inst = _gen(tmp_path)
+        out = tmp_path / "sol"
+        capsys.readouterr()
+        assert main(["solve", "--method", method, "--data",
+                     str(inst / "partial.txt"), "--rank", "2",
+                     "--out", str(out)]) == 0
+        header, row = _read_csv(out / "metrics.csv")
+        assert header == ["objective", "fit_term", "side_term", "reg_term",
+                          "fitted_rank"]
+        assert dict(zip(header, row))["side_term"] == "0"
+        printed = capsys.readouterr().out.strip()
+        assert [kv.split("=")[0] for kv in printed.split(", ")] == header
+
     @pytest.mark.parametrize("truth", ["missing", "2x2", "zero", "nan"])
     def test_truth_checked_before_the_method_runs(self, tmp_path, capsys,
                                                   monkeypatch, truth):
@@ -500,7 +519,7 @@ class TestSweepCommand:
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("vary=n\nvalues=12\nn=12\nm=8\nk=2\nd=2\n")
         config, out = parse_sweep_config(cfg)
-        assert config.hyper == Hyperparams(k=2, threads=DEFAULT_THREADS)
+        assert config.hyper == Hyperparams(k=2)
         tau = SweepConfig.__dataclass_fields__["soft_impute_tau"].default
         assert config.soft_impute_tau == tau
         assert out is None
@@ -513,7 +532,7 @@ class TestSweepCommand:
         assert (solve.lam, solve.gamma, solve.rho1, solve.rho2, solve.tol,
                 solve.max_iter, solve.tau, solve.threads) == (
             want.lam, want.gamma, want.rho1, want.rho2, want.eps,
-            want.max_iters, tau, DEFAULT_THREADS)
+            want.max_iters, tau, want.threads)
         ev = _build_parser().parse_args(
             ["eval", "--data", "d", "--side-info", "s", "--out", "o"])
         assert (ev.lam, ev.gamma) == (want.lam, want.gamma)
@@ -591,11 +610,16 @@ class TestResultFiles:
                        ["method", "value", "trials"] + SWEEP_HEADER[6:])
 
 
+def test_one_threads_default_for_the_library_and_the_cli():
+    assert Hyperparams(k=1).threads == DEFAULT_THREADS
+    assert 1 <= DEFAULT_THREADS <= 2
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                     reason="no CPU affinity on this platform")
 def test_default_threads_counts_the_cpus_the_process_may_use():
-    # pinned to one CPU before the import, the default is 1 whatever the
-    # host's CPU count
+    # pinned to one CPU before the import, the library's default and the
+    # CLI's are 1 whatever the host's CPU count
     src = str(Path(mpadmm.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(
@@ -603,8 +627,9 @@ def test_default_threads_counts_the_cpus_the_process_may_use():
     code = ("import os\n"
             "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
             "import mpadmm.cli\n"
-            "print(mpadmm.cli.DEFAULT_THREADS)\n")
+            "print(mpadmm.data.Hyperparams(k=1).threads,"
+            " mpadmm.cli.DEFAULT_THREADS)\n")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "1"
+    assert out.stdout.strip() == "1 1"

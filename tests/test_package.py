@@ -133,3 +133,39 @@ def test_no_function_has_a_parameter_it_never_reads():
             unread += [f"{module}:{name}({p})" for p in params
                        if p not in read and p not in ("self", "cls")]
     assert unread == []
+
+
+def test_every_dataclass_field_is_read_somewhere():
+    # a field that code in the package, the benchmark, the tools or the
+    # tests never loads as an attribute is write-only state; a class
+    # passed to `dataclasses.fields` is read whole (bench.TrialRow's
+    # fields are the sweep CSV's columns)
+    root = Path(mpadmm.__file__).resolve().parents[2]
+    loaded, read_whole = set(), set()
+    for path in [*root.joinpath("src").rglob("*.py"),
+                 *root.joinpath("perfbench").rglob("*.py"),
+                 *root.joinpath("tools").rglob("*.py"),
+                 *root.joinpath("tests").rglob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)):
+                loaded.add(node.attr)
+            elif (isinstance(node, ast.Call) and node.args
+                  and isinstance(node.args[0], ast.Name)
+                  and getattr(node.func, "id",
+                              getattr(node.func, "attr", None)) == "fields"):
+                read_whole.add(node.args[0].id)
+    unread = []
+    for module, tree in _src_trees().items():
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef)
+                    and any("dataclass" in ast.unparse(d)
+                            for d in cls.decorator_list)
+                    and cls.name not in read_whole):
+                continue
+            unread += [f"{module}:{cls.name}.{stmt.target.id}"
+                       for stmt in cls.body
+                       if isinstance(stmt, ast.AnnAssign)
+                       and isinstance(stmt.target, ast.Name)
+                       and stmt.target.id not in loaded]
+    assert unread == []
