@@ -4,7 +4,7 @@ per-trial metrics and per-subproblem timings written as CSV."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -17,17 +17,22 @@ from .objective import evaluate
 METHOD_NAMES = ("admm", "iterative_svd", "soft_impute", "scaled_gd")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class SweepConfig:
+    """A sweep over `values` of one of n, m, d, k, the others `fixed`;
+    each trial runs `hyper` at its own k and seed.  Every field is
+    keyword-only, and the defaults are what a sweep config file that
+    leaves out their keys takes (`cli.parse_sweep_config`)."""
+
     varying_parameter: str  # one of n, m, d, k
     values: list
     fixed: dict  # keys n, m, k, d
-    trials: int
-    methods: list
+    trials: int = 1
+    methods: list = field(default_factory=lambda: ["admm"])
     hyper: Hyperparams
-    miss_frac: float
-    sigma: float
-    base_seed: int
+    miss_frac: float = 0.9
+    sigma: float = 0.0
+    base_seed: int = 0
     soft_impute_tau: float = 1.0
     record_timings: bool = True
 

@@ -1,8 +1,8 @@
 """Command-line interface: generate synthetic data, solve single
 instances, run benchmark sweeps, and evaluate saved solutions.
 
-Exit codes: 0 success, 1 parameter/parse error, 2 numerical or
-convergence error.
+Exit codes: 0 success, 1 parameter, parse or unreadable-path error,
+2 numerical or convergence error.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import numpy as np
 from . import admm
 from .bench import SweepConfig, run_baseline, run_sweep
 from .data import (Hyperparams, SideInfo, generate_synthetic, load_dense_csv,
-                   load_partial, save_dense_csv, save_partial, save_side_info,
-                   write_csv)
+                   load_partial, load_side_info, save_dense_csv, save_partial,
+                   save_side_info, write_csv)
 from .exceptions import ConvergenceError, NumericalError, ParameterError, ParseError
 from .objective import _check_weights, evaluate
 
@@ -68,11 +68,8 @@ def _build_parser() -> _Parser:
     s.add_argument("--tau", type=float, default=SweepConfig.soft_impute_tau,
                    help="soft-impute shrinkage threshold")
     s.add_argument("--threads", type=int, default=hp.threads,
-                   help="(admm only) at 2 or more, the U/V steps run "
-                        "their right-hand sides on one worker beside the "
-                        "Gram on inputs large enough to gain "
-                        "(admm.ridge_groups); values above 2 act as 2, "
-                        "and results are bitwise the same for every value")
+                   help="(admm only) see Hyperparams.threads; results are "
+                        "bitwise the same for every value")
     s.add_argument("--seed", type=int, default=0, help="(admm only)")
     s.add_argument("--out", required=True, help="output directory")
 
@@ -118,14 +115,6 @@ def _load_truth(path, n: int, m: int) -> np.ndarray:
     return A_true
 
 
-def _load_side_info(path, n: int) -> SideInfo:
-    """The side info CSV at `path`, checked to have n rows."""
-    side = SideInfo(Y=load_dense_csv(path))
-    if side.n != n:
-        raise ParameterError("side info row count does not match data")
-    return side
-
-
 def _write_metrics(path, X_hat, data, Y, lam, gamma, A_true=None):
     """Evaluate X_hat, write the metrics to the CSV at `path`, print them
     as one key=value line and return them as a dict.  Without side info
@@ -154,7 +143,7 @@ def _cmd_solve(args) -> int:
     _check_weights(args.lam, args.gamma)  # before any method runs or writes
     data = load_partial(args.data)
     if args.side_info:
-        side = _load_side_info(args.side_info, data.n)
+        side = load_side_info(args.side_info, data.n)
     elif args.method == "admm":
         raise ParameterError("--side-info is required for method admm")
     else:
@@ -162,7 +151,6 @@ def _cmd_solve(args) -> int:
     A_true = _load_truth(args.truth, data.n, data.m) if args.truth else None
     os.makedirs(args.out, exist_ok=True)
 
-    report_rows = []
     if args.method == "admm":
         hp = Hyperparams(k=args.rank, lam=args.lam, gamma=args.gamma,
                          rho1=args.rho1, rho2=args.rho2, eps=args.tol,
@@ -171,15 +159,10 @@ def _cmd_solve(args) -> int:
         state, report = admm.solve(data, side, hp)
         U_out, V_out = state.U, state.V
         X_hat = state.x_hat()
-        for i in range(report.iterations):
-            report_rows.append([
-                str(i + 1),
-                "%.17g" % report.phi_residual_trace[i],
-                "%.17g" % report.psi_residual_trace[i],
-                "%.17g" % report.dual_residual_trace[i],
-                "%.17g" % report.objective_trace[i],
-                report.termination,
-            ])
+        traces = (report.phi_residual_trace, report.psi_residual_trace,
+                  report.dual_residual_trace, report.objective_trace)
+        report_rows = [[str(i + 1), *("%.17g" % t[i] for t in traces),
+                        report.termination] for i in range(report.iterations)]
     else:
         res = run_baseline(args.method.replace("-", "_"), data, side.Y,
                            args.rank, args.lam, args.gamma, args.tau)
@@ -190,8 +173,8 @@ def _cmd_solve(args) -> int:
             U_out, V_out = X_hat, np.eye(data.m)
         else:
             U_out, V_out = np.eye(data.n), X_hat.T
-        report_rows.append([str(res.iterations), "", "", "", "",
-                            res.termination])
+        report_rows = [[str(res.iterations), "", "", "", "",
+                        res.termination]]
 
     save_dense_csv(U_out, os.path.join(args.out, "U.csv"))
     save_dense_csv(V_out, os.path.join(args.out, "V.csv"))
@@ -206,7 +189,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_eval(args) -> int:
     data = load_partial(args.data)
-    side = _load_side_info(args.side_info, data.n)
+    side = load_side_info(args.side_info, data.n)
     U = load_dense_csv(os.path.join(args.out, "U.csv"))
     V = load_dense_csv(os.path.join(args.out, "V.csv"))
     if U.shape[0] != data.n or V.shape[0] != data.m or U.shape[1] != V.shape[1]:
@@ -227,53 +210,65 @@ def _parse_bool(text: str) -> bool:
     raise ParameterError(f"not a boolean: {text!r}")
 
 
+def _split(text: str, convert=str) -> list:
+    return [convert(x.strip()) for x in text.split(",") if x.strip()]
+
+
+# each sweep config key: the object it sets ("fixed" is SweepConfig.fixed,
+# "out" the output path), the field there and the value's converter
+SWEEP_KEYS = {
+    "vary": ("sweep", "varying_parameter", str),
+    "values": ("sweep", "values", lambda text: _split(text, int)),
+    "n": ("fixed", "n", int), "m": ("fixed", "m", int),
+    "k": ("fixed", "k", int), "d": ("fixed", "d", int),
+    "trials": ("sweep", "trials", int),
+    "methods": ("sweep", "methods", _split),
+    "miss_frac": ("sweep", "miss_frac", float),
+    "sigma": ("sweep", "sigma", float),
+    "base_seed": ("sweep", "base_seed", int),
+    "tau": ("sweep", "soft_impute_tau", float),
+    "record_timings": ("sweep", "record_timings", _parse_bool),
+    "lambda": ("hyper", "lam", float), "gamma": ("hyper", "gamma", float),
+    "rho1": ("hyper", "rho1", float), "rho2": ("hyper", "rho2", float),
+    "tol": ("hyper", "eps", float), "max_iter": ("hyper", "max_iters", int),
+    "threads": ("hyper", "threads", int), "out": ("out", "out", str),
+}
+
+
 def parse_sweep_config(path) -> tuple:
-    """Parse a flat key=value sweep config; returns (SweepConfig, out path)."""
+    """Parse a flat key=value sweep config into (SweepConfig, `out` or
+    None).  `#` starts a comment anywhere on a line.  Each key sets the
+    field `SWEEP_KEYS` names, and a key left out takes its field's
+    `SweepConfig` or `Hyperparams` default.  vary, values, n, m, k and d
+    are required; any key not in `SWEEP_KEYS` is a ParseError."""
     raw = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
+            line = line.partition("#")[0].strip()
+            if not line:
                 continue
-            if "=" not in line:
-                raise ParseError("expected key=value", line=lineno)
-            key, _, value = line.partition("=")
-            raw[key.strip()] = value.strip()
-
+            key, eq, value = (part.strip() for part in line.partition("="))
+            if not eq:
+                raise ParseError(f"line {lineno}: expected key=value",
+                                 line=lineno)
+            if key not in SWEEP_KEYS:
+                raise ParseError(f"line {lineno}: unknown sweep config key "
+                                 f"{key!r}", line=lineno)
+            raw[key] = value
+    for key in ("vary", "values", "n", "m", "k", "d"):
+        if key not in raw:
+            raise ParameterError(f"sweep config missing key {key!r}")
+    parts = {"sweep": {}, "fixed": {}, "hyper": {}, "out": {}}
     try:
-        vary = raw["vary"]
-        values = [int(x) for x in raw["values"].split(",") if x.strip()]
-        fixed = {key: int(raw[key]) for key in ("n", "m", "k", "d")}
-        hyper = Hyperparams(
-            k=fixed["k"],
-            lam=float(raw.get("lambda", Hyperparams.lam)),
-            gamma=float(raw.get("gamma", Hyperparams.gamma)),
-            rho1=float(raw.get("rho1", Hyperparams.rho1)),
-            rho2=float(raw.get("rho2", Hyperparams.rho2)),
-            eps=float(raw.get("tol", Hyperparams.eps)),
-            max_iters=int(raw.get("max_iter", Hyperparams.max_iters)),
-            threads=int(raw.get("threads", Hyperparams.threads)),
-            seed=int(raw.get("base_seed", 0)),
-        )
+        for key, value in raw.items():
+            target, name, convert = SWEEP_KEYS[key]
+            parts[target][name] = convert(value)
         config = SweepConfig(
-            varying_parameter=vary,
-            values=values,
-            fixed=fixed,
-            trials=int(raw.get("trials", 1)),
-            methods=[s.strip() for s in
-                     raw.get("methods", "admm").split(",") if s.strip()],
-            hyper=hyper,
-            miss_frac=float(raw.get("miss_frac", 0.9)),
-            sigma=float(raw.get("sigma", 0.0)),
-            base_seed=int(raw.get("base_seed", 0)),
-            soft_impute_tau=float(raw.get("tau", SweepConfig.soft_impute_tau)),
-            record_timings=_parse_bool(raw.get("record_timings", "true")),
-        )
-    except KeyError as exc:
-        raise ParameterError(f"sweep config missing key {exc}") from exc
+            fixed=parts["fixed"], **parts["sweep"],
+            hyper=Hyperparams(k=parts["fixed"]["k"], **parts["hyper"]))
     except ValueError as exc:
         raise ParameterError(f"bad sweep config value: {exc}") from exc
-    return config, raw.get("out")
+    return config, parts["out"].get("out")
 
 
 def _cmd_sweep(args) -> int:
@@ -291,14 +286,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        return _cmd_eval(args)
-    except (_CliError, ParameterError, ParseError, FileNotFoundError) as exc:
+        return {"gen": _cmd_gen, "solve": _cmd_solve, "sweep": _cmd_sweep,
+                "eval": _cmd_eval}[args.command](args)
+    except (_CliError, ParameterError, ParseError, OSError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NumericalError, ConvergenceError) as exc:

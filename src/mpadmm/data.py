@@ -265,10 +265,12 @@ def save_side_info(si: SideInfo, path) -> None:
     save_dense_csv(si.Y, path)
 
 
-def load_side_info(path, n: int, d: int) -> SideInfo:
+def load_side_info(path, n: int) -> SideInfo:
+    """The side info CSV at `path`, of any width d; a row count other than
+    the data's `n` is a ParseError, raised before the finiteness check."""
     Y = load_dense_csv(path)
-    if Y.shape != (n, d):
-        raise ParseError(f"expected {n}x{d} side info, got {Y.shape[0]}x{Y.shape[1]}")
+    if Y.shape[0] != n:
+        raise ParseError("side info row count does not match data")
     return SideInfo(Y=Y)
 
 

@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -372,6 +373,40 @@ class TestExitCodes:
                      "--side-info", str(tmp_path / "none.csv"),
                      "--rank", "2", "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("kind", ["directory", "binary"])
+    @pytest.mark.parametrize("command,path", [
+        ("solve", "--data"), ("solve", "--side-info"), ("solve", "--truth"),
+        ("eval", "--data"), ("eval", "--side-info"), ("eval", "--truth"),
+        ("eval", "U.csv"), ("eval", "V.csv"), ("sweep", "--config")])
+    def test_unreadable_path(self, tmp_path, capsys, command, path, kind):
+        # each path the CLI reads, made a directory or a file that is not
+        # text, gives one error line and exit 1, not a traceback
+        inst = _gen(tmp_path)
+        sol = tmp_path / "sol"
+        files = {"--data": inst / "partial.txt",
+                 "--side-info": inst / "side_info.csv",
+                 "--truth": inst / "truth.csv", "U.csv": sol / "U.csv",
+                 "V.csv": sol / "V.csv", "--config": tmp_path / "sweep.cfg"}
+        inputs = [str(a) for flag in ("--data", "--side-info", "--truth")
+                  for a in (flag, files[flag])]
+        assert main(["solve", "--rank", "2", "--max-iter", "2", "--out",
+                     str(sol), *inputs]) == 0
+        bad = files[path]
+        bad.unlink(missing_ok=True)
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b"\xff\xfe\x00\x80 not text \x00\xc3")
+        args = {"solve": ["--rank", "2", "--out", str(tmp_path / "again"),
+                          *inputs],
+                "eval": ["--out", str(sol), *inputs],
+                "sweep": ["--config", str(bad), "--out",
+                          str(tmp_path / "r.csv")]}[command]
+        capsys.readouterr()
+        assert main([command, *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bad_parameter(self, tmp_path):
         inst = _gen(tmp_path)
         rc = main(["solve", "--data", str(inst / "partial.txt"),
@@ -523,6 +558,46 @@ class TestSweepCommand:
         tau = SweepConfig.__dataclass_fields__["soft_impute_tau"].default
         assert config.soft_impute_tau == tau
         assert out is None
+        # every other field is SweepConfig's default, which holds the
+        # values a config without those keys has always run at
+        assert config == SweepConfig(
+            varying_parameter="n", values=[12],
+            fixed={"n": 12, "m": 8, "k": 2, "d": 2}, hyper=Hyperparams(k=2))
+        assert (config.trials, config.methods, config.miss_frac,
+                config.sigma, config.base_seed, config.record_timings) == (
+            1, ["admm"], 0.9, 0.0, 0, True)
+
+    def test_unknown_key_names_the_key_and_its_line(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path, "lamda=50\n")
+        out = tmp_path / "r.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: line 14: unknown sweep config key 'lamda'\n")
+        assert not out.exists()
+
+    def test_comment_after_a_value(self, tmp_path):
+        cfg = self._write_config(
+            tmp_path, "lambda=2.5   # the fit weight\nout=r.csv#path\n")
+        config, out = parse_sweep_config(cfg)
+        assert config.hyper.lam == 2.5
+        assert config.record_timings is False
+        assert out == "r.csv"
+
+    def test_readme_example_parses_and_every_key_is_documented(self,
+                                                               tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        start = readme.index("A sweep config is a flat `key=value` file")
+        section = readme[start:readme.index("\n## ", start)]
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(section.split("```")[1])
+        config, out = parse_sweep_config(cfg)
+        assert config.record_timings is False
+        assert out == "results.csv"
+        # the key table: the first cell of each row names its keys
+        documented = [key for row in section.splitlines()
+                      if row.startswith("| `")
+                      for key in re.findall(r"`(\w+)`", row.split("|")[1])]
+        assert sorted(documented) == sorted(cli.SWEEP_KEYS)
 
     def test_flags_take_the_library_defaults(self):
         want = Hyperparams(k=2)

@@ -305,13 +305,13 @@ class TestSideInfoIO:
     def test_one_by_one(self, tmp_path):
         p = tmp_path / "y.csv"
         p.write_text("2.0\n")
-        si = load_side_info(p, 1, 1)
+        si = load_side_info(p, 1)
         assert si.Y[0, 0] == 2.0
 
     def test_identity(self, tmp_path):
         p = tmp_path / "y.csv"
         p.write_text("1,0\n0,1\n")
-        si = load_side_info(p, 2, 2)
+        si = load_side_info(p, 2)
         assert np.array_equal(si.Y, np.eye(2))
 
     def test_round_trip(self, tmp_path):
@@ -319,14 +319,14 @@ class TestSideInfoIO:
         si = SideInfo(Y=rng.standard_normal((30, 5)))
         p = tmp_path / "y.csv"
         save_side_info(si, p)
-        back = load_side_info(p, 30, 5)
+        back = load_side_info(p, 30)
         assert np.array_equal(back.Y, si.Y)
 
     def test_shape_mismatch(self, tmp_path):
         p = tmp_path / "y.csv"
         p.write_text("1,2\n3,4\n")
         with pytest.raises(ParseError):
-            load_side_info(p, 3, 2)
+            load_side_info(p, 3)
 
     def test_ragged_csv(self, tmp_path):
         p = tmp_path / "y.csv"
