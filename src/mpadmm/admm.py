@@ -117,16 +117,24 @@ class IterateState:
         return self.U @ self.V.T
 
 
+@dataclass(frozen=True, slots=True)
+class IterationRecord:
+    """What `solve` reports for one iteration: the primal residuals
+    ||(I - P)Z||_F and ||Z - U||_F, then the dual residual, the objective
+    and the Lagrangian row (see `solve`), each None when not tracked."""
+
+    phi_res: float
+    psi_res: float
+    dual_res: float | None
+    objective: float | None
+    lagrangian: tuple | None
+
+
 @dataclass
 class SolveReport:
-    iterations: int = 0
-    phi_residual_trace: list = field(default_factory=list)
-    psi_residual_trace: list = field(default_factory=list)
-    dual_residual_trace: list = field(default_factory=list)
-    objective_trace: list = field(default_factory=list)
+    trace: list = field(default_factory=list)  # an IterationRecord each
     subproblem_times: dict = field(default_factory=lambda: {"U": 0.0, "V": 0.0, "P": 0.0, "Z": 0.0})
     termination: str = "max_iters"
-    lagrangian_trace: list = field(default_factory=list)  # filled when tracked
     # init_time: index build, truncated SVD, side basis and the first
     # compression of [Z, Phi]; tracking_time: dual_residual, the objective
     # (its fit term from the V step's products, then objective_svd) and
@@ -154,6 +162,10 @@ class SolveReport:
     # Rayleigh-quotient iteration answered (`linalg.pgram_ritz`); the
     # others ran LAPACK's `eigh`
     ritz_structured: int = 0
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace)
 
 
 # The ridge step's right-hand sides run on a worker beside the Gram only
@@ -548,7 +560,7 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
     block update runs as one timed step, its time added to
     `report.subproblem_times[block]`; with `track_lagrangian` the
     augmented Lagrangian is taken before the first step and after each,
-    and `report.lagrangian_trace` gets one row per iteration: (L before,
+    and the iteration's record in `report.trace` gets the row (L before,
     after U, after P, after V, after Z, ||U^{t+1} - U^t||_F^2).  The U
     step is proximal: it minimizes the augmented Lagrangian plus
     (c/2) ||U - U^t||_F^2 with c = (gamma + rho2)/2, which guarantees the
@@ -673,11 +685,6 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
                                             pool=pool))
             step("Z", "Z", lambda: update_Z(state.U, state.M, state.Phi,
                                             state.Psi, hp.rho1, hp.rho2))
-            if track_lagrangian:
-                # (L before, after U, after P, after V, after Z, ||dU||^2)
-                du_sq = float(np.sum((state.U - U_prev) ** 2))
-                report.lagrangian_trace.append(tuple(lag_row) + (du_sq,))
-
             # the duals and the primal residuals share one (I - P)Z and
             # Z - U; the dual update changes neither
             residuals = constraint_residuals(state)
@@ -693,20 +700,18 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
 
             phi_res, psi_res = primal_residuals(residuals)
             del residuals  # not held through the next iteration's steps
-            report.phi_residual_trace.append(phi_res)
-            report.psi_residual_trace.append(psi_res)
             met = max(phi_res ** 2, psi_res ** 2) <= hp.eps
             if track_dual_residual or not (met or t + 1 == hp.max_iters):
                 t0 = time.perf_counter()
                 compressed = pgram_compress(basis, state.Z, state.Phi)
                 report.subproblem_times["P"] += time.perf_counter() - t0
-            if track_dual_residual:
-                report.dual_residual_trace.append(tracked(
-                    dual_residual, state, basis, compressed, hp.lam,
-                    routes=ritz_routes))
-            if track_objective:
-                report.objective_trace.append(tracked(tracked_objective))
-            report.iterations = t + 1
+            report.trace.append(IterationRecord(
+                phi_res, psi_res,
+                tracked(dual_residual, state, basis, compressed, hp.lam,
+                        routes=ritz_routes) if track_dual_residual else None,
+                tracked(tracked_objective) if track_objective else None,
+                (*lag_row, float(np.sum((state.U - U_prev) ** 2)))
+                if track_lagrangian else None))
             if met:
                 report.termination = "tolerance_met"
                 break

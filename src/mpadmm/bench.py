@@ -126,12 +126,9 @@ def run_trial(method: str, data, side, truth, hp: Hyperparams,
         state, report = admm.solve(data, side, hp)
         elapsed = time.perf_counter() - t0
         X_hat = state.x_hat()
-        row.iters = report.iterations
-        if report.phi_residual_trace:
-            row.phi_res = report.phi_residual_trace[-1]
-            row.psi_res = report.psi_residual_trace[-1]
-        if report.dual_residual_trace:
-            row.dual_res = report.dual_residual_trace[-1]
+        last = report.trace[-1]  # Hyperparams holds max_iters >= 1
+        row.iters, row.phi_res, row.psi_res, row.dual_res = (
+            report.iterations, last.phi_res, last.psi_res, last.dual_res)
         if record_timings:
             st = report.subproblem_times
             row.t_U_ms = 1e3 * st["U"]

@@ -16,8 +16,8 @@ import numpy as np
 from . import admm
 from .bench import SweepConfig, run_baseline, run_sweep
 from .data import (Hyperparams, SideInfo, generate_synthetic, load_dense_csv,
-                   load_partial, load_side_info, save_dense_csv, save_partial,
-                   save_side_info, write_csv)
+                   load_partial, load_side_info, reader, save_dense_csv,
+                   save_partial, save_side_info, write_csv)
 from .exceptions import ConvergenceError, NumericalError, ParameterError, ParseError
 from .objective import _check_weights, evaluate
 
@@ -101,9 +101,10 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+@reader
 def _load_truth(path, n: int, m: int) -> np.ndarray:
     """The ground truth CSV at `path`, checked to be n x m, finite and not
-    all zero, so that err_l2 is defined; raises ParameterError otherwise."""
+    all zero, so that err_l2 is defined; raises ParseError otherwise."""
     A_true = load_dense_csv(path)
     if A_true.shape != (n, m):
         raise ParameterError(f"expected {n}x{m} truth, got "
@@ -159,10 +160,9 @@ def _cmd_solve(args) -> int:
         state, report = admm.solve(data, side, hp)
         U_out, V_out = state.U, state.V
         X_hat = state.x_hat()
-        traces = (report.phi_residual_trace, report.psi_residual_trace,
-                  report.dual_residual_trace, report.objective_trace)
-        report_rows = [[str(i + 1), *("%.17g" % t[i] for t in traces),
-                        report.termination] for i in range(report.iterations)]
+        report_rows = [[str(i), *("%.17g" % v for v in (
+            r.phi_res, r.psi_res, r.dual_res, r.objective)),
+            report.termination] for i, r in enumerate(report.trace, 1)]
     else:
         res = run_baseline(args.method.replace("-", "_"), data, side.Y,
                            args.rank, args.lam, args.gamma, args.tau)
@@ -235,12 +235,14 @@ SWEEP_KEYS = {
 }
 
 
+@reader
 def parse_sweep_config(path) -> tuple:
     """Parse a flat key=value sweep config into (SweepConfig, `out` or
     None).  `#` starts a comment anywhere on a line.  Each key sets the
     field `SWEEP_KEYS` names, and a key left out takes its field's
     `SweepConfig` or `Hyperparams` default.  vary, values, n, m, k and d
-    are required; any key not in `SWEEP_KEYS` is a ParseError."""
+    are required.  A key not in `SWEEP_KEYS`, a missing key or a bad value
+    is a ParseError naming the file (`reader`) and any line."""
     raw = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -249,11 +251,10 @@ def parse_sweep_config(path) -> tuple:
                 continue
             key, eq, value = (part.strip() for part in line.partition("="))
             if not eq:
-                raise ParseError(f"line {lineno}: expected key=value",
-                                 line=lineno)
+                raise ParseError("expected key=value", line=lineno)
             if key not in SWEEP_KEYS:
-                raise ParseError(f"line {lineno}: unknown sweep config key "
-                                 f"{key!r}", line=lineno)
+                raise ParseError(f"unknown sweep config key {key!r}",
+                                 line=lineno)
             raw[key] = value
     for key in ("vary", "values", "n", "m", "k", "d"):
         if key not in raw:
@@ -288,8 +289,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return {"gen": _cmd_gen, "solve": _cmd_solve, "sweep": _cmd_sweep,
                 "eval": _cmd_eval}[args.command](args)
-    except (_CliError, ParameterError, ParseError, OSError,
-            UnicodeDecodeError) as exc:
+    except (_CliError, ParameterError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NumericalError, ConvergenceError) as exc:

@@ -10,6 +10,7 @@ File formats (all LF-terminated ASCII):
 from __future__ import annotations
 
 import csv
+import functools
 import os
 from dataclasses import dataclass
 from numbers import Integral
@@ -39,6 +40,8 @@ class PartialMatrix:
     values: np.ndarray  # float, len nnz
 
     def __post_init__(self):
+        if self.n < 0 or self.m < 0:
+            raise ParameterError("n and m must be >= 0")
         # contiguous: a strided view (np.nonzero's) would be copied by
         # every index build
         self.rows = np.ascontiguousarray(self.rows, dtype=np.int64)
@@ -213,6 +216,27 @@ def generate_synthetic(n: int, m: int, k: int, d: int, miss_frac: float,
     return pm, SideInfo(Y=Y), GroundTruth(A_true=A, beta=beta)
 
 
+def reader(read):
+    """`read(path, ...)`, a reader of the text file at `path`, whose errors
+    name the file: a ParseError it raises gets `path`, and a
+    ParameterError (what was read breaks a precondition) or a file that
+    is not text in the locale's encoding becomes a ParseError."""
+    @functools.wraps(read)
+    def wrapper(path, *args, **kwargs):
+        try:
+            return read(path, *args, **kwargs)
+        except ParseError as exc:
+            if exc.path is None:
+                exc.path = path
+            raise
+        except ParameterError as exc:
+            raise ParseError(str(exc), path=path) from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not {exc.encoding} text ({exc.reason})",
+                             path=path) from exc
+    return wrapper
+
+
 def save_partial(pm: PartialMatrix, path) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(f"{pm.n} {pm.m} {pm.nnz}\n")
@@ -220,6 +244,7 @@ def save_partial(pm: PartialMatrix, path) -> None:
             fh.write(f"{i + 1} {j + 1} {v:.17g}\n")
 
 
+@reader
 def load_partial(path) -> PartialMatrix:
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -232,6 +257,8 @@ def load_partial(path) -> PartialMatrix:
         n, m, nnz = (int(x) for x in head)
     except ValueError as exc:
         raise ParseError(f"bad header: {exc}", line=1) from exc
+    if min(n, m, nnz) < 0:
+        raise ParseError("n, m and nnz must be >= 0", line=1)
     rows, cols, values = [], [], []
     for lineno, line in enumerate(lines[1:nnz + 1], start=2):
         parts = line.split()
@@ -253,21 +280,20 @@ def load_partial(path) -> PartialMatrix:
         if line.strip():
             raise ParseError(f"entry past the header's count of {nnz}",
                              line=lineno)
-    try:
-        return PartialMatrix(n=n, m=m, rows=np.array(rows, dtype=np.int64),
-                             cols=np.array(cols, dtype=np.int64),
-                             values=np.array(values))
-    except ParameterError as exc:
-        raise ParseError(str(exc)) from exc
+    return PartialMatrix(n=n, m=m, rows=np.array(rows, dtype=np.int64),
+                         cols=np.array(cols, dtype=np.int64),
+                         values=np.array(values))
 
 
 def save_side_info(si: SideInfo, path) -> None:
     save_dense_csv(si.Y, path)
 
 
+@reader
 def load_side_info(path, n: int) -> SideInfo:
     """The side info CSV at `path`, of any width d; a row count other than
-    the data's `n` is a ParseError, raised before the finiteness check."""
+    the data's `n` is a ParseError, raised before the finiteness check,
+    and, like every error of a `reader`, names the file."""
     Y = load_dense_csv(path)
     if Y.shape[0] != n:
         raise ParseError("side info row count does not match data")
@@ -289,6 +315,7 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+@reader
 def load_dense_csv(path) -> np.ndarray:
     rows = []
     width = None

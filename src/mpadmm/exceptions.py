@@ -25,8 +25,18 @@ class NumericalError(RuntimeError):
 
 
 class ParseError(ValueError):
-    """Raised on malformed input files; carries the offending line number."""
+    """Raised on malformed input files; carries the offending line number
+    and the file's path (`data.reader` sets it), and its message names
+    both: "path, line 3: message"."""
 
-    def __init__(self, message, line=None):
+    def __init__(self, message, line=None, path=None):
         super().__init__(message)
         self.line = line
+        self.path = path
+
+    def __str__(self):
+        where = [str(self.path)] if self.path is not None else []
+        if self.line is not None:
+            where.append(f"line {self.line}")
+        message = super().__str__()
+        return f"{', '.join(where)}: {message}" if where else message

@@ -197,9 +197,8 @@ def test_criterion_4_robust_certificate():
 
 def test_criterion_5_residual_convergence(residual_run):
     hp, state, report, elapsed = residual_run
-    phi = report.phi_residual_trace[-1]
-    psi = report.psi_residual_trace[-1]
-    dual = report.dual_residual_trace[-1]
+    last = report.trace[-1]
+    phi, psi, dual = last.phi_res, last.psi_res, last.dual_res
     ok = (report.iterations == 200 and phi < 1e-3 and psi < 1e-3
           and dual < 1e-2 and elapsed < 60.0)
     _report(5, ok, f"phi {phi:.2e}, psi {psi:.2e}, dual {dual:.2e}, "
@@ -243,8 +242,8 @@ def test_criterion_9_block_descent_inequality(residual_run):
     const = hp.gamma + hp.rho2
     worst_u = np.inf
     worst_other = np.inf
-    for before, after_u, after_p, after_v, after_z, du_sq in \
-            report.lagrangian_trace:
+    for before, after_u, after_p, after_v, after_z, du_sq in (
+            r.lagrangian for r in report.trace):
         worst_u = min(worst_u, (before - after_u) - const * du_sq)
         worst_other = min(worst_other, after_u - after_p,
                           after_p - after_v, after_v - after_z)

@@ -89,6 +89,12 @@ def _dense_col_oracle(pm, U, gamma):
     return out
 
 
+def _tracked(report) -> set:
+    """Which of (dual_res, objective, lagrangian) each record holds."""
+    return {(r.dual_res is not None, r.objective is not None,
+             r.lagrangian is not None) for r in report.trace}
+
+
 class TestUpdateU:
     def test_dense_oracle(self):
         rng = np.random.default_rng(0)
@@ -324,12 +330,8 @@ class TestRidgeSplit:
                 for name in ("U", "V", "M", "Z", "Phi", "Psi"):
                     assert np.array_equal(getattr(state, name),
                                           getattr(want, name)), (route, name)
-                for trace in ("phi_residual_trace", "psi_residual_trace",
-                              "dual_residual_trace", "objective_trace",
-                              "lagrangian_trace"):
-                    assert (getattr(report, trace)
-                            == getattr(r_want, trace)), (route, trace)
-            assert len(r_want.dual_residual_trace) == (20 if track else 0)
+                assert report.trace == r_want.trace, route
+            assert _tracked(r_want) == {(track, track, track)}
 
     def test_gram_route_solve_bitwise_equal_for_threads(self, split_always):
         pm, si, _ = generate_synthetic(300, 60, 4, 3, 0.5, 0.5, seed=13)
@@ -343,9 +345,7 @@ class TestRidgeSplit:
         (want, r_want), (got, r_got) = runs
         for name in ("U", "V", "M", "Z", "Phi", "Psi"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
-        for trace in ("phi_residual_trace", "psi_residual_trace",
-                      "dual_residual_trace", "objective_trace"):
-            assert getattr(r_got, trace) == getattr(r_want, trace), trace
+        assert r_got.trace == r_want.trace
 
     def test_no_executor_below_the_split_size(self, monkeypatch):
         # the benchmark's protocol instance: nnz * (q + k) = 2e5
@@ -617,9 +617,7 @@ class TestObservationIndex:
             solve(data, si, hp) for data in (pm, self._shuffled(pm, rng)))
         for name in ("U", "V", "M", "Z", "Phi", "Psi"):
             assert np.array_equal(getattr(st_a, name), getattr(st_b, name))
-        assert rep_a.objective_trace == rep_b.objective_trace
-        assert rep_a.dual_residual_trace == rep_b.dual_residual_trace
-        assert rep_a.phi_residual_trace == rep_b.phi_residual_trace
+        assert rep_a.trace == rep_b.trace
         X_hat = st_a.x_hat()
         assert (objective.evaluate(X_hat, pm, si.Y, gt.A_true, 1.0, 1.0)
                 == objective.evaluate(X_hat, self._shuffled(pm, rng), si.Y,
@@ -1093,10 +1091,7 @@ class TestSolve:
         state, report = solve(pm, si, hp)
         t = report.iterations
         assert t == 7 and report.termination == "max_iters"
-        assert len(report.phi_residual_trace) == t
-        assert len(report.psi_residual_trace) == t
-        assert len(report.dual_residual_trace) == t
-        assert len(report.objective_trace) == t
+        assert _tracked(report) == {(True, True, False)}
         assert set(report.subproblem_times) == {"U", "V", "P", "Z"}
         assert all(v >= 0.0 for v in report.subproblem_times.values())
 
@@ -1138,7 +1133,8 @@ class TestSolve:
         monkeypatch.setattr(admm, "side_basis", spy)
         pm, si, _ = generate_synthetic(15, 10, 2, 3, 0.4, 0.5, seed=6)
         _, report = solve(pm, si, Hyperparams(k=2, max_iters=4, eps=1e-16))
-        assert report.iterations == 4 and len(report.dual_residual_trace) == 4
+        assert report.iterations == 4
+        assert _tracked(report) == {(True, True, False)}
         assert calls == [(15, 3)]
 
     def test_blas_single_threaded_inside_and_restored(self, monkeypatch,
@@ -1184,9 +1180,7 @@ class TestSolve:
         for name in ("U", "V", "M", "Z", "Phi", "Psi"):
             assert (getattr(got, name).tobytes()
                     == getattr(want, name).tobytes()), name
-        for trace in ("phi_residual_trace", "psi_residual_trace",
-                      "dual_residual_trace", "objective_trace"):
-            assert getattr(r_got, trace) == getattr(r_want, trace), trace
+        assert r_got.trace == r_want.trace
 
     def test_tracking_leaves_iterates_bitwise_unchanged(self):
         # the P update reads the compression of [Z, Phi] made after the
@@ -1199,8 +1193,10 @@ class TestSolve:
         assert r_on.iterations == r_off.iterations == 20
         for name in ("U", "V", "M", "Z", "Phi", "Psi"):
             assert np.array_equal(getattr(on, name), getattr(off, name)), name
-        assert r_on.phi_residual_trace == r_off.phi_residual_trace
-        assert r_on.psi_residual_trace == r_off.psi_residual_trace
+        assert ([(r.phi_res, r.psi_res) for r in r_on.trace]
+                == [(r.phi_res, r.psi_res) for r in r_off.trace])
+        assert _tracked(r_on) == {(True, True, False)}
+        assert _tracked(r_off) == {(False, False, False)}
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("track", [True, False])
@@ -1233,12 +1229,9 @@ class TestSolve:
             assert np.array_equal(getattr(got, name), getattr(want, name))
         assert np.array_equal(got.M[:, [0, 2]], -want.M[:, [0, 2]])
         assert np.array_equal(got.M[:, 1], want.M[:, 1])
-        for trace in ("phi_residual_trace", "psi_residual_trace",
-                      "dual_residual_trace", "objective_trace",
-                      "lagrangian_trace"):
-            assert getattr(r_got, trace) == getattr(r_want, trace), trace
+        assert r_got.trace == r_want.trace
         assert r_want.iterations == 8
-        assert len(r_want.lagrangian_trace) == (8 if track else 0)
+        assert _tracked(r_want) == {(track, track, track)}
         assert (r_got.iterations, r_got.termination, r_got.ritz_structured
                 ) == (r_want.iterations, r_want.termination,
                       r_want.ritz_structured)
@@ -1324,8 +1317,8 @@ class TestSolve:
         state, report = solve(pm, si, hp)
         assert report.termination == "tolerance_met"
         assert report.iterations >= 1
-        assert max(report.phi_residual_trace[-1] ** 2,
-                   report.psi_residual_trace[-1] ** 2) <= hp.eps
+        assert max(report.trace[-1].phi_res ** 2,
+                   report.trace[-1].psi_res ** 2) <= hp.eps
 
     def test_empty_omega_zero_side_info(self):
         pm = PartialMatrix(n=8, m=6, rows=[], cols=[], values=[])
@@ -1334,7 +1327,7 @@ class TestSolve:
         with pytest.warns(RankDeficiencyWarning):
             state, report = solve(pm, si, hp)
         assert np.allclose(state.V, 0.0)
-        assert report.objective_trace[-1] == pytest.approx(0.0, abs=1e-10)
+        assert report.trace[-1].objective == pytest.approx(0.0, abs=1e-10)
 
     def test_no_observations(self):
         # above the dense cutoff: the Lanczos init sees a zero operator
@@ -1439,7 +1432,7 @@ class TestSolve:
         s2, r2 = solve(pm, si, hp)
         assert np.array_equal(s1.U, s2.U)
         assert np.array_equal(s1.V, s2.V)
-        assert r1.objective_trace == r2.objective_trace
+        assert r1.trace == r2.trace
 
     def test_shape_mismatch_rejected(self):
         pm, si, _ = generate_synthetic(10, 8, 2, 2, 0.3, 0.1, seed=9)
@@ -1489,9 +1482,9 @@ class TestBlockDescent:
         pm, si, _ = generate_synthetic(20, 14, 3, 2, 0.4, 0.5, seed=11)
         hp = Hyperparams(k=3, max_iters=30, eps=1e-14)
         state, report = solve(pm, si, hp, track_lagrangian=True)
-        assert len(report.lagrangian_trace) == report.iterations
-        for before, after_u, after_p, after_v, after_z, du_sq in \
-                report.lagrangian_trace:
+        assert _tracked(report) == {(True, True, True)}
+        for before, after_u, after_p, after_v, after_z, du_sq in (
+                r.lagrangian for r in report.trace):
             scale = max(1.0, abs(before))
             # U minimizer descends by at least (gamma + rho2)/2 * ||dU||^2
             assert before - after_u >= \
@@ -1508,7 +1501,8 @@ class TestBlockDescent:
                            cols=full.cols[keep], values=full.values[keep])
         hp = Hyperparams(k=3, max_iters=30, eps=1e-14)
         _, report = solve(pm, si, hp, track_lagrangian=True)
-        for before, after_u, _, _, _, du_sq in report.lagrangian_trace:
+        for before, after_u, _, _, _, du_sq in (r.lagrangian
+                                                for r in report.trace):
             # the proximal term doubles the exact minimizer's guarantee,
             # also on rows without observations
             assert before - after_u >= \
@@ -1571,8 +1565,8 @@ class _ObjectiveSpy:
         ||Y||_F^2, summed once per solve to the very side term that the
         call would compute itself."""
         assert len(self.calls) == report.iterations
-        assert report.objective_trace == [got.total
-                                          for _, got, _, _ in self.calls]
+        assert ([r.objective for r in report.trace]
+                == [got.total for _, got, _, _ in self.calls])
         for kwargs, got, want, values_sq in self.calls:
             assert set(kwargs) == {"fit", "y_sq"}
             assert got.side_term == want.side_term
@@ -1629,7 +1623,8 @@ class TestTrackedObjective:
         if track:
             spy.check(report)
         else:
-            assert spy.calls == [] and report.objective_trace == []
+            assert spy.calls == []
+            assert _tracked(report) == {(True, False, False)}
 
     def test_tracking_memory_without_entry_gathers(self):
         # one nnz x k gather of this instance is 80 MB; the tracked fit term

@@ -154,6 +154,35 @@ class TestRunSweep:
             assert entry["err_l2"] == pytest.approx(np.mean(picked),
                                                     rel=1e-9)
 
+    def test_admm_rows_read_the_last_record(self, tmp_path, monkeypatch):
+        # iters, phi_res, psi_res and dual_res of each ADMM row are the
+        # solve's record count and last record, also when the tolerance
+        # ends a solve before the cap
+        reports = []
+        solve = bench.admm.solve
+
+        def spy(*args, **kwargs):
+            state, report = solve(*args, **kwargs)
+            reports.append(report)
+            return state, report
+
+        monkeypatch.setattr(bench.admm, "solve", spy)
+        cfg = _tiny_config(methods=["admm"], record_timings=False,
+                           hyper=Hyperparams(k=2, eps=1e-4, max_iters=500))
+        out = tmp_path / "sweep.csv"
+        run_sweep(cfg, out)
+        rows = [dict(zip(CSV_COLUMNS, r)) for r in _read_csv(out)[1:]]
+        assert len(rows) == len(reports) == 4
+        assert any(r.iterations < 500 for r in reports)
+        for row, report in zip(rows, reports):
+            last = report.trace[-1]
+            assert ([row[col] for col in ("iters", "phi_res", "psi_res",
+                                          "dual_res")]
+                    == [bench._cell(v) for v in (
+                        report.iterations, last.phi_res, last.psi_res,
+                        last.dual_res)])
+            assert row["dual_res"] != ""
+
     def test_method_failure_recorded_and_sweep_continues(self, tmp_path,
                                                          monkeypatch):
         def boom(*args, **kwargs):

@@ -15,8 +15,8 @@ from mpadmm.cli import (DEFAULT_THREADS, _build_parser, main,
                         parse_sweep_config)
 from mpadmm import objective
 from mpadmm.data import (Hyperparams, PartialMatrix, generate_synthetic,
-                         load_dense_csv, load_partial, save_dense_csv,
-                         save_partial)
+                         load_dense_csv, load_partial, load_side_info,
+                         save_dense_csv, save_partial)
 from mpadmm.exceptions import NumericalError, ParameterError
 from mpadmm.linalg import _openblas_threads_api
 
@@ -111,6 +111,25 @@ class TestSolve:
         metrics = dict(zip(*_read_csv(out / "metrics.csv")))
         assert set(metrics) == {"objective", "fit_term", "side_term",
                                 "reg_term", "r2", "fitted_rank", "err_l2"}
+
+    def test_report_rows_are_the_library_records(self, tmp_path):
+        # one row per record of the library solve at the same settings,
+        # each field as "%.17g"; the tolerance ends this one early
+        inst = _gen(tmp_path, miss=0.3, sigma=0.1, seed=7)
+        out = tmp_path / "sol"
+        assert main(["solve", "--data", str(inst / "partial.txt"),
+                     "--side-info", str(inst / "side_info.csv"), "--rank",
+                     "2", "--max-iter", "500", "--tol", "1e-4", "--seed",
+                     "3", "--out", str(out)]) == 0
+        data = load_partial(inst / "partial.txt")
+        _, report = mpadmm.solve(
+            data, load_side_info(inst / "side_info.csv", data.n),
+            Hyperparams(k=2, eps=1e-4, max_iters=500, seed=3))
+        assert report.termination == "tolerance_met"
+        assert _read_csv(out / "report.csv")[1:] == [
+            [str(i), "%.17g" % r.phi_res, "%.17g" % r.psi_res,
+             "%.17g" % r.dual_res, "%.17g" % r.objective, "tolerance_met"]
+            for i, r in enumerate(report.trace, 1)]
 
     @pytest.mark.parametrize("method", ["iterative-svd", "soft-impute",
                                         "scaled-gd"])
@@ -269,7 +288,8 @@ class TestEval:
                   + (["--rank", "2"] if command == "solve" else []))
         assert rc == 1
         assert capsys.readouterr().err == (
-            "error: side info row count does not match data\n")
+            f"error: {tmp_path / 'side.csv'}: side info row count does not "
+            "match data\n")
         assert not (out / "metrics.csv").exists()
 
     def test_shape_mismatch(self, tmp_path):
@@ -406,6 +426,33 @@ class TestExitCodes:
         assert main([command, *args]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(bad) in err
+
+    def test_negative_size_in_the_header(self, tmp_path, capsys):
+        data = tmp_path / "partial.txt"
+        data.write_text("-1 5 0\n")
+        assert main(["solve", "--method", "soft-impute", "--data", str(data),
+                     "--rank", "1", "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {data}, line 1: n, m and nnz must be >= 0\n")
+
+    @pytest.mark.parametrize("flag", ["--side-info", "--truth"])
+    def test_bad_value_names_the_file_and_its_line(self, tmp_path, capsys,
+                                                  flag):
+        # the same bad entry in either file names that file and its line
+        inst = _gen(tmp_path)
+        files = {"--side-info": inst / "side_info.csv",
+                 "--truth": inst / "truth.csv"}
+        lines = files[flag].read_text().splitlines()
+        lines[2] = "x" + lines[2][lines[2].index(","):]
+        files[flag].write_text("\n".join(lines) + "\n")
+        assert main(["solve", "--data", str(inst / "partial.txt"),
+                     "--side-info", str(files["--side-info"]), "--truth",
+                     str(files["--truth"]), "--rank", "2", "--out",
+                     str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {files[flag]}, line 3: bad CSV value: could not convert "
+            "string to float: 'x'\n")
 
     def test_bad_parameter(self, tmp_path):
         inst = _gen(tmp_path)
@@ -572,7 +619,7 @@ class TestSweepCommand:
         out = tmp_path / "r.csv"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
-            "error: line 14: unknown sweep config key 'lamda'\n")
+            f"error: {cfg}, line 14: unknown sweep config key 'lamda'\n")
         assert not out.exists()
 
     def test_comment_after_a_value(self, tmp_path):

@@ -31,6 +31,9 @@ class TestPartialMatrix:
                           values=[1.0, 2.0])
         with pytest.raises(ParameterError):
             PartialMatrix(n=2, m=2, rows=[0], cols=[0], values=[np.nan])
+        for n, m in ((-1, 5), (5, -1)):
+            with pytest.raises(ParameterError, match="n and m must be"):
+                PartialMatrix(n=n, m=m, rows=[], cols=[], values=[])
 
     def test_unsorted_unique_indices_accepted(self):
         pm = PartialMatrix(n=3, m=4, rows=[2, 0, 1, 0], cols=[1, 3, 0, 0],
@@ -286,6 +289,9 @@ class TestPartialIO:
         ("2 2 2\n1 1 1.0\n", 3),
         ("2 2 1\n1 1 3.0\n2 2 4.0\n", 3),  # entry past the count
         ("2 2 1\n1 1 3.0\n\n\n2 2 4.0\n", 5),
+        ("-1 5 0\n", 1),
+        ("5 -1 0\n", 1),
+        ("2 2 -1\n", 1),
     ])
     def test_parse_errors_carry_line(self, tmp_path, text, line):
         p = tmp_path / "bad.txt"
@@ -293,12 +299,31 @@ class TestPartialIO:
         with pytest.raises(ParseError) as exc:
             load_partial(p)
         assert exc.value.line == line
+        assert exc.value.path == p
+        assert str(exc.value).startswith(f"{p}, line {line}: ")
 
     def test_duplicate_index_rejected(self, tmp_path):
         p = tmp_path / "dup.txt"
         p.write_text("2 2 2\n1 1 1.0\n1 1 2.0\n")
         with pytest.raises(ParseError):
             load_partial(p)
+
+    def test_parse_error_message_names_what_it_carries(self):
+        assert str(ParseError("bad")) == "bad"
+        assert str(ParseError("bad", line=3)) == "line 3: bad"
+        assert str(ParseError("bad", path="f.txt")) == "f.txt: bad"
+        assert (str(ParseError("bad", line=3, path="f.txt"))
+                == "f.txt, line 3: bad")
+
+    @pytest.mark.parametrize("load", [load_partial, load_dense_csv,
+                                      lambda p: load_side_info(p, 1)])
+    def test_undecodable_file_names_its_path(self, tmp_path, load):
+        p = tmp_path / "bad.bin"
+        p.write_bytes(b"\xff\xfe\x00\x80")
+        with pytest.raises(ParseError) as exc:
+            load(p)
+        assert exc.value.path == p and exc.value.line is None
+        assert str(exc.value).startswith(f"{p}: not ")
 
 
 class TestSideInfoIO:
@@ -327,6 +352,13 @@ class TestSideInfoIO:
         p.write_text("1,2\n3,4\n")
         with pytest.raises(ParseError):
             load_side_info(p, 3)
+
+    def test_non_finite_entry_names_the_file(self, tmp_path):
+        p = tmp_path / "y.csv"
+        p.write_text("1,2\nnan,4\n")
+        with pytest.raises(ParseError) as exc:
+            load_side_info(p, 2)
+        assert str(exc.value) == f"{p}: non-finite side info entry"
 
     def test_ragged_csv(self, tmp_path):
         p = tmp_path / "y.csv"

@@ -434,3 +434,97 @@ def test_trace_reads_the_per_layer_directions(tmp_path, monkeypatch,
     assert stats["admm.update_P_s"]["parent"]["q1"] == pytest.approx(0.0195)
     assert [(stats[name]["change_lower"], stats[name]["change_better"])
             for name in columns] == [(3, 3), (2, 1), (0, 0)]
+
+
+c10 = _load("criterion10_ab")
+
+
+def _scoreboard(ok, ratio):
+    """The line tests/test_acceptance.py's `_report` prints for criterion
+    10, from `_report` itself so that the two cannot drift apart."""
+    spec = importlib.util.spec_from_file_location(
+        "acceptance_scoreboard", TOOLS.parent / "tests" / "test_acceptance.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    try:
+        module._report(10, ok, f"per-iteration time ratio {ratio:.2f}; "
+                               "n=2000 1.00 ms (U 0.30 V 0.20 P 0.40 Z 0.10)")
+    except AssertionError:
+        assert not ok
+
+
+@pytest.mark.parametrize("ok,ratio", [(True, 1.61), (False, 2.93)])
+def test_criterion10_run_once_reads_the_scoreboard(tmp_path, monkeypatch,
+                                                   capsys, ok, ratio):
+    _scoreboard(ok, ratio)
+    line = capsys.readouterr().out
+    seen = []
+
+    def run(cmd, cwd, env, **kwargs):
+        seen.append((cmd[-1], cwd, env["PYTHONPATH"]))
+        return subprocess.CompletedProcess(cmd, 0, f"..\n{line}\n1 passed",
+                                           "")
+
+    monkeypatch.setattr(c10.subprocess, "run", run)
+    assert c10.run_once(tmp_path) == (ok, ratio)
+    assert seen == [(c10.TEST, tmp_path, str(tmp_path / "src"))]
+    monkeypatch.setattr(c10.subprocess, "run", lambda cmd, **kwargs: (
+        subprocess.CompletedProcess(cmd, 4, "", "ERROR: not found")))
+    with pytest.raises(RuntimeError, match="no criterion 10 line"):
+        c10.run_once(tmp_path)
+
+
+def _c10_roots(tmp_path, sides=("parent", "change")):
+    roots = {}
+    for side in sides:
+        roots[side] = tmp_path / side
+        (roots[side] / "tests").mkdir(parents=True)
+        (roots[side] / "tests" / "test_acceptance.py").write_text("")
+    return roots
+
+
+def test_criterion10_alternates_sides_and_summarizes_each(
+        tmp_path, monkeypatch, capsys):
+    roots = _c10_roots(tmp_path)
+    runs = iter([(True, 1.60), (True, 1.70), (False, 2.90), (True, 1.65),
+                 (True, 1.50), (True, 1.62)])
+    calls = []
+
+    def run_once(checkout):
+        calls.append(checkout.name)
+        return next(runs)
+
+    monkeypatch.setattr(c10, "run_once", run_once)
+    assert c10.main([str(roots["parent"]), str(roots["change"]),
+                     "--pairs", "3"]) == 0
+    assert calls == ["parent", "change", "change", "parent", "parent",
+                     "change"]
+    assert capsys.readouterr().out.splitlines() == [
+        "pair   1 parent PASS 1.60",
+        "pair   1 change PASS 1.70",
+        "pair   2 change FAIL 2.90",
+        "pair   2 parent PASS 1.65",
+        "pair   3 parent PASS 1.50",
+        "pair   3 change PASS 1.62",
+        "parent: 3 runs, 0 failed, ratio min 1.50 median 1.60 max 1.65",
+        "change: 3 runs, 1 failed, ratio min 1.62 median 1.70 max 2.90"]
+
+
+@pytest.mark.parametrize("case", ["no pairs", "no test file"])
+def test_criterion10_argument_errors(tmp_path, monkeypatch, capsys, case):
+    roots = _c10_roots(tmp_path, ("parent",) if case == "no test file"
+                       else ("parent", "change"))
+    (tmp_path / "change").mkdir(exist_ok=True)
+    monkeypatch.setattr(c10, "run_once", lambda checkout: pytest.fail(
+        "a run was started"))
+    with pytest.raises(SystemExit) as exc:
+        c10.main([str(roots["parent"]), str(tmp_path / "change"),
+                  "--pairs", "0" if case == "no pairs" else "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 2  # argparse's usage line and the error
+    if case == "no pairs":
+        assert err.endswith("error: --pairs must be >= 1\n")
+    else:
+        assert err.endswith(f"error: change: {tmp_path / 'change'} has no "
+                            "tests/test_acceptance.py\n")
