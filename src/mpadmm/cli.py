@@ -241,9 +241,11 @@ def parse_sweep_config(path) -> tuple:
     None).  `#` starts a comment anywhere on a line.  Each key sets the
     field `SWEEP_KEYS` names, and a key left out takes its field's
     `SweepConfig` or `Hyperparams` default.  vary, values, n, m, k and d
-    are required.  A key not in `SWEEP_KEYS`, a missing key or a bad value
-    is a ParseError naming the file (`reader`) and any line."""
-    raw = {}
+    are required.  A key not in `SWEEP_KEYS` or a bad value is a
+    ParseError naming the file (`reader`), the line and, for a value, its
+    key; a missing key one naming the file."""
+    parts = {"sweep": {}, "fixed": {}, "hyper": {}, "out": {}}
+    seen = set()
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.partition("#")[0].strip()
@@ -255,20 +257,19 @@ def parse_sweep_config(path) -> tuple:
             if key not in SWEEP_KEYS:
                 raise ParseError(f"unknown sweep config key {key!r}",
                                  line=lineno)
-            raw[key] = value
-    for key in ("vary", "values", "n", "m", "k", "d"):
-        if key not in raw:
-            raise ParameterError(f"sweep config missing key {key!r}")
-    parts = {"sweep": {}, "fixed": {}, "hyper": {}, "out": {}}
-    try:
-        for key, value in raw.items():
             target, name, convert = SWEEP_KEYS[key]
-            parts[target][name] = convert(value)
-        config = SweepConfig(
-            fixed=parts["fixed"], **parts["sweep"],
-            hyper=Hyperparams(k=parts["fixed"]["k"], **parts["hyper"]))
-    except ValueError as exc:
-        raise ParameterError(f"bad sweep config value: {exc}") from exc
+            try:
+                parts[target][name] = convert(value)
+            except ValueError as exc:
+                raise ParseError(f"bad value for sweep config key {key!r}: "
+                                 f"{exc}", line=lineno) from exc
+            seen.add(key)
+    for key in ("vary", "values", "n", "m", "k", "d"):
+        if key not in seen:
+            raise ParameterError(f"sweep config missing key {key!r}")
+    config = SweepConfig(
+        fixed=parts["fixed"], **parts["sweep"],
+        hyper=Hyperparams(k=parts["fixed"]["k"], **parts["hyper"]))
     return config, parts["out"].get("out")
 
 

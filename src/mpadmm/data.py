@@ -216,11 +216,25 @@ def generate_synthetic(n: int, m: int, k: int, d: int, miss_frac: float,
     return pm, SideInfo(Y=Y), GroundTruth(A_true=A, beta=beta)
 
 
+def _undecodable_line(path, encoding: str):
+    """Number of the first line of the file at `path`, split as text mode
+    splits it, that does not decode in `encoding`; None if every line
+    does."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh.read().splitlines(), start=1):
+            try:
+                line.decode(encoding)
+            except UnicodeDecodeError:
+                return lineno
+    return None
+
+
 def reader(read):
     """`read(path, ...)`, a reader of the text file at `path`, whose errors
     name the file: a ParseError it raises gets `path`, and a
     ParameterError (what was read breaks a precondition) or a file that
-    is not text in the locale's encoding becomes a ParseError."""
+    is not text in the locale's encoding becomes a ParseError, the
+    latter naming the first line that does not decode."""
     @functools.wraps(read)
     def wrapper(path, *args, **kwargs):
         try:
@@ -233,6 +247,7 @@ def reader(read):
             raise ParseError(str(exc), path=path) from exc
         except UnicodeDecodeError as exc:
             raise ParseError(f"not {exc.encoding} text ({exc.reason})",
+                             line=_undecodable_line(path, exc.encoding),
                              path=path) from exc
     return wrapper
 

@@ -102,10 +102,10 @@ _SWEEP = 1 << 15
 _CHOL_RATIO = 1e6
 
 
-def _blocks(count: int, width: int):
-    """Slices over count items, max(1, _BLOCK // width) at a time, so that
-    a block of width values per item holds at most _BLOCK (2 MB)."""
-    step = max(1, _BLOCK // max(1, width))
+def _blocks(count: int, width: int, size: int | None = None):
+    """Slices over count items, max(1, size // width) at a time, so that
+    a block of width values per item holds at most size (_BLOCK) values."""
+    step = max(1, (_BLOCK if size is None else size) // max(1, width))
     return (slice(i, min(i + step, count)) for i in range(0, count, step))
 
 

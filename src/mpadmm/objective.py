@@ -13,11 +13,11 @@ route that never forms X^T X and accepts factored input U_f V_f^T.
 Every metric reads one decomposition of the estimate, `spectral_basis`,
 and one rank r, `linalg.numerical_rank` on its n x m shape.  A factor
 pair is decomposed through thin QR of each factor, never densified; a
-dense estimate by a values-only SVD and a certified basis of its top-r
-left singular subspace from an n x (r + p) sketch, so that the metrics
-of a rank-r estimate need O((n + m) r) memory beside it rather than a
-thin SVD's n x m factors.  Sums over the estimate's rows or observed
-entries run in `linalg._blocks`, 2 MB at a time.
+dense estimate by a Rayleigh-Ritz sketch whose rank Weyl's inequality
+certifies (`_rayleigh_ritz`), with no SVD of X and O((n + m) width)
+memory beside it, or else by its thin SVD.  Sums over the estimate's
+rows or observed entries run in blocks of _SWEEP elements (256 KB),
+`err_l2`'s in `linalg._blocks` of 2 MB.
 """
 
 from __future__ import annotations
@@ -28,18 +28,19 @@ import numpy as np
 
 from .data import PartialMatrix
 from .exceptions import NumericalError, ParameterError
-from .linalg import _EPS, _blocks, numerical_rank, single_blas_thread
+from .linalg import (_EPS, _SWEEP, _blocks, numerical_rank,
+                     single_blas_thread)
 
-# Range finder of Halko, Martinsson & Tropp (SIAM Rev. 2011): a Gaussian
-# test matrix with _OVERSAMPLE columns beyond the rank.  Without them the
-# residuals of the rank-5 estimates on protocol seed 2 read 114-150
-# eps ||X||_F (3.1-4.7 with them), and 2 of 31 rank-k protocol and dense
-# estimates failed the certificate.
+# Range finder of Halko, Martinsson & Tropp (SIAM Rev. 2011): the first
+# sketch has 4 _OVERSAMPLE = 20 Gaussian columns, rank 15 with
+# _OVERSAMPLE to spare; its residual read 2.2-3.8 eps ||X||_F on the
+# ADMM, soft_impute and scaled_gd estimates of protocol seeds 0-2 and
+# dense seed 0.
 _OVERSAMPLE = 5
-# The basis is accepted when its residual and the singular value tail
-# agree within _CERT_ULPS * sqrt(max(n, m)) * eps * ||X||_F.  Measured
-# |residual - tail| <= 6.2 eps ||X||_F on protocol and dense estimates
-# and random rank-r products from 30 x 20 to 2000 x 1000.
+# Rounding slack added to the residual, times sqrt(max(n, m)) eps
+# ||X||_F.  It must lie below the cut max(n, m) eps s_1, so the sketch
+# is refused (the thin SVD decides) when ||X||_F / s_1 > sqrt(max(n, m))
+# / _CERT_ULPS: 3.5 at 200 x 100, 11 at 2000 x 1000.
 _CERT_ULPS = 4.0
 
 
@@ -101,7 +102,7 @@ def fit_residuals(Uf, Vf, rows, cols, values):
 
 def fit_term(X_or_factors, data: PartialMatrix) -> float:
     """Squared fit residual on Omega of U_f V_f^T for a factor pair
-    (`fit_residuals`), or of a dense estimate in `_blocks` of entries."""
+    (`fit_residuals`), or of a dense estimate in blocks of _SWEEP entries."""
     fit = 0.0
     if isinstance(X_or_factors, tuple):
         Uf, Vf = (np.asarray(f, dtype=float) for f in X_or_factors)
@@ -110,7 +111,7 @@ def fit_term(X_or_factors, data: PartialMatrix) -> float:
             fit += float(resid @ resid)
         return fit
     X = np.atleast_2d(np.asarray(X_or_factors, dtype=float))
-    for b in _blocks(data.nnz, 1):
+    for b in _blocks(data.nnz, 1, _SWEEP):
         resid = X[data.rows[b], data.cols[b]]
         resid -= data.values[b]  # in place: no second block
         fit += float(resid @ resid)
@@ -118,53 +119,51 @@ def fit_term(X_or_factors, data: PartialMatrix) -> float:
     return fit
 
 
-def _range_basis(X: np.ndarray, r: int) -> np.ndarray:
-    """Orthonormal n x r basis of the top-r left singular subspace of X,
-    from the thin SVD of the sketch X Omega (Omega m x min(m, r + p)
-    Gaussian, fixed seed)."""
-    omega = np.random.default_rng(0).standard_normal(
-        (X.shape[1], min(X.shape[1], r + _OVERSAMPLE)))
-    return np.linalg.svd(X @ omega, full_matrices=False)[0][:, :r]
-
-
-def _certified(X: np.ndarray, basis: np.ndarray, s: np.ndarray) -> bool:
-    """Whether ||X - Q Q^T X||_F, summed over row blocks, equals the tail
-    ||s_{r+1:}|| up to rounding: then Q = basis spans X's top-r left
-    singular subspace to within rounding of X."""
-    r = basis.shape[1]
-    coef = basis.T @ X
-    resid = 0.0
-    for rows in _blocks(*X.shape):
-        R = basis[rows] @ coef
-        resid += _square_sum(np.subtract(X[rows], R, out=R))
+def _rayleigh_ritz(X: np.ndarray, width: int):
+    """(left, s) of X from a `width`-column sketch, or None when it
+    leaves X's numerical rank open: Q = qr(X Omega), Omega Gaussian (fixed
+    seed), (U_b, s) the SVD of B = Q^T X, r = `numerical_rank(s, X.shape)`.
+    By Weyl, X's singular values lie within rho' of s (0 past `width`),
+    rho' = ||X - Q B||_F over _SWEEP-element row blocks plus _CERT_ULPS's
+    slack.  r is X's rank, and left = Q U_b[:, :r], when r < width,
+    s_r - rho' > cut (s_1 + rho') and s_{r+1} + rho' < cut (s_1 - rho')."""
+    omega = np.random.default_rng(0).standard_normal((X.shape[1], width))
+    Q = np.linalg.qr(X @ omega)[0]
+    B = Q.T @ X
+    U_b, s, _ = np.linalg.svd(B, full_matrices=False)
+    rho2 = 0.0
+    for rows in _blocks(*X.shape, _SWEEP):
+        R = Q[rows] @ B
+        rho2 += _square_sum(np.subtract(X[rows], R, out=R))
         del R  # one block alive at a time
-    tail = float(np.sqrt(s[r:] @ s[r:]))
-    bound = _CERT_ULPS * np.sqrt(max(X.shape)) * _EPS * float(np.sqrt(s @ s))
-    return abs(np.sqrt(resid) - tail) <= bound
+    rho = np.sqrt(rho2) + _CERT_ULPS * np.sqrt(max(X.shape)) * _EPS * float(
+        np.sqrt(s @ s + rho2))  # ||X||_F^2 = ||B||_F^2 + rho^2
+    r, cut = numerical_rank(s, X.shape), max(X.shape) * _EPS
+    if (0 < r < width and s[r - 1] - rho > cut * (s[0] + rho)
+            and s[r] + rho < cut * (s[0] - rho)):
+        return Q @ U_b[:, :r], s
 
 
 def spectral_basis(X_or_factors):
     """(left, s) of an estimate X, a dense matrix or a factor pair
-    (U_f, V_f) with X = U_f V_f^T: s its singular values (k of them for a
-    pair), left an orthonormal basis of its top-r left singular subspace,
-    where r = left.shape[1] = `numerical_rank(s, (n, m))` on X's full
-    shape.
+    (U_f, V_f) with X = U_f V_f^T: s its leading singular values, left an
+    orthonormal basis of its top-r left singular subspace, where r =
+    left.shape[1] = `numerical_rank(s, (n, m))` on X's full shape.
 
-    A factor pair goes through `_compact_svd`.  A dense X's s comes from a
-    values-only SVD, and its basis from `_range_basis` when that passes
-    `_certified`; otherwise (also when r = 0 or r = min(n, m)) the thin
-    SVD gives (U[:, :r], s).
-    """
+    A factor pair goes through `_compact_svd` (k values).  A dense X
+    keeps the first `_rayleigh_ritz` sketch, 4 _OVERSAMPLE columns wide
+    and doubled while that fits in min(n, m), that fixes its rank;
+    otherwise the thin SVD gives (U[:, :r], s)."""
     if isinstance(X_or_factors, tuple):
         U, s, Vt = _compact_svd(X_or_factors)
         return U[:, :numerical_rank(s, (U.shape[0], Vt.shape[1]))], s
     X = np.atleast_2d(np.asarray(X_or_factors, dtype=float))
-    s = np.linalg.svd(X, compute_uv=False)
-    r = numerical_rank(s, X.shape)
-    if 0 < r < s.size:
-        basis = _range_basis(X, r)
-        if _certified(X, basis, s):
-            return basis, s
+    width = 4 * _OVERSAMPLE
+    while width <= min(X.shape):
+        found = _rayleigh_ritz(X, width)
+        if found is not None:
+            return found
+        width *= 2
     U, s, _ = np.linalg.svd(X, full_matrices=False)
     return U[:, :numerical_rank(s, X.shape)], s
 
@@ -273,18 +272,19 @@ def r_squared(X_hat, Y: np.ndarray, *, svd=None) -> float:
     The fitted values X_hat (X_hat^T X_hat)^+ X_hat^T Y are the projection
     of Y onto the r left singular vectors of X_hat's `spectral_basis`.
     `svd`, when given, is that (left, s) pair, taken instead of computing
-    it.
-    """
+    it.  Both sums of squares run over row blocks of _SWEEP elements."""
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     left, _ = spectral_basis(X_hat) if svd is None else svd
     if left.shape[0] != Y.shape[0]:
         raise ParameterError("X and Y row counts disagree")
-    fitted = left @ (left.T @ Y)
-    ss_res = _square_sum(np.subtract(Y, fitted, out=fitted))
-    del fitted  # one n x d temporary at a time
-    ss_tot = _square_sum(Y - Y.mean(axis=0, keepdims=True))
+    coef, mean = left.T @ Y, Y.mean(axis=0)
+    ss_res = ss_tot = 0.0
+    for rows in _blocks(*Y.shape, _SWEEP):
+        fitted = left[rows] @ coef
+        ss_res += _square_sum(np.subtract(Y[rows], fitted, out=fitted))
+        ss_tot += _square_sum(Y[rows] - mean)
     if ss_tot == 0.0:
-        if ss_res <= 1e-12 * max(1.0, float(np.sum(Y * Y))):
+        if ss_res <= 1e-12 * max(1.0, float(np.einsum("ij,ij->", Y, Y))):
             return 1.0
         raise ParameterError("R^2 undefined: constant Y with nonzero residual")
     return 1.0 - ss_res / ss_tot

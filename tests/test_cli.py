@@ -330,10 +330,11 @@ class TestEval:
         assert not (out / "metrics.csv").exists()
 
     def test_metrics_share_one_decomposition(self, tmp_path, monkeypatch):
-        # one values-only SVD of the estimate and one thin SVD of its
-        # sketch serve every field, which are bitwise `evaluate`'s
+        # one SVD, of the rank-2 estimate's 20 x m sketch Q^T X and none
+        # of the estimate, serves every field, which are bitwise
+        # `evaluate`'s
         rng = np.random.default_rng(3)
-        n, m = 30, 20
+        n, m = 200, 30
         X = rng.standard_normal((n, 2)) @ rng.standard_normal((2, m))
         A = rng.standard_normal((n, m))
         Y = rng.standard_normal((n, 3))
@@ -351,8 +352,7 @@ class TestEval:
         monkeypatch.setattr(np.linalg, "svd", spy)
         got = cli._write_metrics(tmp_path / "metrics.csv", X, data, Y, 0.9,
                                  1.1, A)
-        assert calls == [(X.shape, False),
-                         ((n, 2 + objective._OVERSAMPLE), True)]
+        assert calls == [((4 * objective._OVERSAMPLE, m), True)]
         ob = want.objective
         assert got == {"objective": ob.total, "fit_term": ob.fit_term,
                        "side_term": ob.side_term, "reg_term": ob.reg_term,
@@ -620,6 +620,22 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
             f"error: {cfg}, line 14: unknown sweep config key 'lamda'\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line,message", [
+        ("trials=x", "invalid literal for int() with base 10: 'x'"),
+        ("record_timings=maybe", "not a boolean: 'maybe'")],
+        ids=["trials", "record_timings"])
+    def test_bad_value_names_the_key_and_its_line(self, tmp_path, capsys,
+                                                  line, message):
+        # each value is converted on its own line, so the error names both
+        cfg = self._write_config(tmp_path, line + "\n")
+        out = tmp_path / "r.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        key = line.partition("=")[0]
+        assert capsys.readouterr().err == (
+            f"error: {cfg}, line 14: bad value for sweep config key "
+            f"{key!r}: {message}\n")
         assert not out.exists()
 
     def test_comment_after_a_value(self, tmp_path):

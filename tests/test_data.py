@@ -322,8 +322,21 @@ class TestPartialIO:
         p.write_bytes(b"\xff\xfe\x00\x80")
         with pytest.raises(ParseError) as exc:
             load(p)
-        assert exc.value.path == p and exc.value.line is None
-        assert str(exc.value).startswith(f"{p}: not ")
+        assert exc.value.path == p and exc.value.line == 1
+        assert str(exc.value).startswith(f"{p}, line 1: not ")
+
+    @pytest.mark.parametrize("load", [load_partial, load_dense_csv,
+                                      lambda p: load_side_info(p, 3)])
+    def test_undecodable_byte_names_its_line(self, tmp_path, load):
+        # the text decoder reads 8 KB chunks, so the line comes from
+        # decoding the file's lines one at a time; CR, LF and CRLF all end
+        # a line, as in text mode
+        p = tmp_path / "bad.txt"
+        p.write_bytes(b"3 1 2\r\n1 1 0.5\r2 1 \xe9\n3 1 1.5\n")
+        with pytest.raises(ParseError) as exc:
+            load(p)
+        assert exc.value.path == p and exc.value.line == 3
+        assert str(exc.value).startswith(f"{p}, line 3: not ")
 
 
 class TestSideInfoIO:

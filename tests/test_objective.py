@@ -302,9 +302,10 @@ class TestMetrics:
 
     @pytest.mark.parametrize("rank", [3, None], ids=["rank_k", "full_rank"])
     def test_evaluate_one_thin_svd_same_metrics(self, rank, monkeypatch):
-        # rank k < min(n, m): one values-only SVD of X and one thin SVD of
-        # the n x (k + p) sketch, never a thin SVD of X; full rank: the thin
-        # SVD of X, as before.  Either way bitwise the standalone metrics.
+        # rank k < min(n, m): one SVD, of the 20 x m sketch B = Q^T X,
+        # never one of X; full rank: the sketches of 20 and 40 columns
+        # both fail, and the thin SVD of X is taken once.  Either way
+        # bitwise the standalone metrics.
         rng = np.random.default_rng(16)
         pm, Y = _random_instance(rng, n=60, m=40, d=5)
         A_true = rng.standard_normal((pm.n, pm.m))
@@ -314,27 +315,27 @@ class TestMetrics:
                        fitted_rank=fitted_rank(X),
                        objective=objective_svd(X, pm, Y, 0.7, 1.3))
         svd = np.linalg.svd
-        thin_calls = []
+        calls = []
 
         def spy(a, *args, **kwargs):
-            if kwargs.get("compute_uv", True):
-                thin_calls.append(a.shape)
+            calls.append((a.shape, kwargs.get("compute_uv", True)))
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", spy)
         got = evaluate(X, pm, Y, A_true, 0.7, 1.3)
         assert got == want  # bitwise: dataclass equality of the floats
         assert got.fitted_rank == (rank or 40)
+        width = 4 * objective._OVERSAMPLE
         if rank:
-            assert thin_calls == [(pm.n, rank + objective._OVERSAMPLE)]
+            assert calls == [((width, pm.m), True)]
         else:
-            assert thin_calls == [X.shape]
+            assert calls == [((width, pm.m), True),
+                             ((2 * width, pm.m), True), (X.shape, True)]
 
     def test_evaluate_makes_one_svd_call(self, monkeypatch):
-        # one SVD of X itself, values-only; the basis comes from the thin
-        # SVD of the n x (r + p) sketch
+        # one SVD, of the sketch's 20 x m matrix Q^T X, and none of X
         rng = np.random.default_rng(18)
-        pm, Y = _random_instance(rng, n=30, m=20, d=3)
+        pm, Y = _random_instance(rng, n=200, m=40, d=3)
         X = rng.standard_normal((pm.n, 4)) @ rng.standard_normal((4, pm.m))
         svd = np.linalg.svd
         calls = []
@@ -345,38 +346,95 @@ class TestMetrics:
 
         monkeypatch.setattr(np.linalg, "svd", spy)
         got = evaluate(X, pm, Y, X, 1.0, 1.0)
-        assert calls == [(X.shape, False),
-                         ((pm.n, 4 + objective._OVERSAMPLE), True)]
+        assert calls == [((4 * objective._OVERSAMPLE, pm.m), True)]
         assert got.fitted_rank == 4
 
-    def test_evaluate_falls_back_when_certificate_fails(self, monkeypatch):
-        # a basis that misses X's top direction fails the certificate; the
-        # full thin SVD then gives bitwise the full-SVD route's metrics
-        rng = np.random.default_rng(20)
-        pm, Y = _random_instance(rng, n=50, m=30, d=4)
-        A_true = rng.standard_normal((pm.n, pm.m))
-        X = rng.standard_normal((pm.n, 3)) @ rng.standard_normal((3, pm.m))
+    def test_sketch_widens_until_it_holds_the_rank(self, monkeypatch):
+        # rank 30 > 20 columns: the first sketch cannot fix the rank, the
+        # second (40 columns) does; still no SVD of X
+        rng = np.random.default_rng(26)
+        n, m = 1000, 300
+        X = rng.standard_normal((n, 30)) @ rng.standard_normal((30, m))
         thin = np.linalg.svd(X, full_matrices=False)
-        assert linalg.numerical_rank(thin.S, X.shape) == 3
-        full = (thin.U[:, :3], thin.S)  # the thin SVD's basis at rank 3
+        svd = np.linalg.svd
+        calls = []
+
+        def spy(a, *args, **kwargs):
+            calls.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        left, s = spectral_basis(X)
+        assert calls == [(20, m), (40, m)]
+        assert left.shape == (n, 30) and s.shape == (40,)
+        assert np.allclose(left.T @ left, np.eye(30), rtol=0, atol=1e-13)
+        # the same subspace and values as the thin SVD's
+        P = thin.U[:, :30]
+        assert np.linalg.norm(left - P @ (P.T @ left)) < 1e-12
+        assert np.allclose(s[:30], thin.S[:30], rtol=1e-13, atol=0)
+
+    @staticmethod
+    def _near_cut(n, m, factor, seed):
+        """An n x m matrix with singular values 1, 0.5 and factor times
+        the numerical-rank cut max(n, m) * 2^-52 (s_1 = 1)."""
+        rng = np.random.default_rng(seed)
+        L = np.linalg.qr(rng.standard_normal((n, 3)))[0]
+        R = np.linalg.qr(rng.standard_normal((m, 3)))[0]
+        return (L * [1.0, 0.5, factor * max(n, m) * linalg._EPS]) @ R.T
+
+    def test_evaluate_falls_back_when_certificate_fails(self, monkeypatch):
+        # s_3 on the numerical-rank cut: no sketch can say on which side
+        # it lies, so the thin SVD of X decides, and the metrics are
+        # bitwise the full-SVD route's
+        rng = np.random.default_rng(20)
+        pm, Y = _random_instance(rng, n=60, m=40, d=4)
+        A_true = rng.standard_normal((pm.n, pm.m))
+        X = self._near_cut(pm.n, pm.m, 1.0, 20)
+        thin = np.linalg.svd(X, full_matrices=False)
+        r = linalg.numerical_rank(thin.S, X.shape)
+        full = (thin.U[:, :r], thin.S)
         want = Metrics(err_l2=err_l2(X, A_true),
                        r2=r_squared(X, Y, svd=full),
                        fitted_rank=fitted_rank(X, svd=full),
                        objective=objective_svd(X, pm, Y, 0.8, 1.2, svd=full))
-        basis = objective._range_basis
+        assert objective._rayleigh_ritz(X, 4 * objective._OVERSAMPLE) is None
+        svd = np.linalg.svd
+        calls = []
 
-        def wrong_basis(X_, r):
-            Q = basis(X_, r).copy()
-            Q[:, 0] = np.linalg.svd(X_)[0][:, r]  # off the top-r subspace
-            return Q
+        def spy(a, *args, **kwargs):
+            calls.append(a.shape)
+            return svd(a, *args, **kwargs)
 
-        assert objective._certified(X, basis(X, 3), thin.S)
-        assert not objective._certified(X, wrong_basis(X, 3), thin.S)
-        monkeypatch.setattr(objective, "_range_basis", wrong_basis)
+        monkeypatch.setattr(np.linalg, "svd", spy)
         left, s = spectral_basis(X)
-        assert left.shape == (pm.n, 3)  # the thin SVD's U at rank 3
+        assert calls == [(20, pm.m), (40, pm.m), X.shape]
         assert np.array_equal(left, full[0]) and np.array_equal(s, thin.S)
         assert evaluate(X, pm, Y, A_true, 0.8, 1.2) == want
+
+    @pytest.mark.parametrize("factor", [0.25, 0.5, 0.9, 0.99, 1.01, 1.1,
+                                        2.0, 4.0])
+    def test_rank_exact_for_a_value_next_to_the_cut(self, factor,
+                                                    monkeypatch):
+        # s_3 = factor * cut: the sketch's rank is the thin SVD's.  Within
+        # the rounding slack of the cut the certificate fails and the thin
+        # SVD decides; a factor of 4 or 1/4 lies outside it (slack about
+        # 4 sqrt(200) eps ||X||_F = 0.32 cut here) and is certified
+        n, m = 200, 100
+        X = self._near_cut(n, m, factor, 27)
+        thin = np.linalg.svd(X, full_matrices=False)
+        svd = np.linalg.svd
+        calls = []
+
+        def spy(a, *args, **kwargs):
+            calls.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        left, s = spectral_basis(X)
+        assert left.shape[1] == linalg.numerical_rank(thin.S, X.shape)
+        if factor in (0.25, 4.0):
+            assert calls == [(20, m)]
+            assert left.shape[1] == (3 if factor > 1 else 2)
 
     def test_one_rank_for_a_value_near_the_noise_floor(self):
         # s_3 = 1e-13 s_1 lies above the numerical-rank cut
@@ -467,8 +525,10 @@ class TestMetrics:
         assert got.fitted_rank == want.fitted_rank
         assert got.err_l2 == pytest.approx(want.err_l2, rel=1e-14, abs=0)
         assert got.r2 == pytest.approx(want.r2, rel=0, abs=1e-12)
-        assert got.objective.total == pytest.approx(want.objective.total,
-                                                    rel=1e-9, abs=0)
+        for term, rel in (("fit_term", 1e-12), ("reg_term", 1e-12),
+                          ("side_term", 1e-9), ("total", 1e-9)):
+            assert getattr(got.objective, term) == pytest.approx(
+                getattr(want.objective, term), rel=rel, abs=0)
         return spectral_basis(X)[0].shape[1] < min(X.shape)
 
     def test_evaluate_agrees_with_full_svd_on_protocol_estimates(self):
@@ -499,6 +559,43 @@ class TestMetrics:
                          track_dual_residual=False)
         assert self._assert_agrees_with_full_svd(state.x_hat(), pm, si.Y,
                                                  gt.A_true)
+
+    def test_evaluate_agrees_with_full_svd_on_dense_methods(self):
+        # ADMM and soft_impute estimates of one more dense seed, both of
+        # rank k, both certified by their 20-column sketch; soft_impute
+        # stops after 2 of its full-SVD iterations (about 1 s each here)
+        pm, si, gt = generate_synthetic(seed=1, **DENSE)
+        k = DENSE["k"]
+        hp = Hyperparams(k=k, lam=1.0, gamma=1.0, max_iters=20, seed=1)
+        state, _ = solve(pm, si, hp, track_objective=False,
+                         track_dual_residual=False)
+        for X in (state.x_hat(),
+                  soft_impute(pm, 1.0, k_cap=k, max_iters=2).X_hat):
+            assert self._assert_agrees_with_full_svd(X, pm, si.Y, gt.A_true)
+
+    def test_evaluate_memory_beside_inputs_is_the_sketch(self):
+        # stated before measuring: without a ground truth, evaluate of a
+        # rank-10 2000 x 1000 estimate with d = 20 holds beside its inputs
+        # at most four n x 20 arrays (X Omega, its QR's copy, Q and the
+        # basis) and two blocks of _SWEEP elements: 8 (4 n 20 + 2 _SWEEP)
+        # bytes, 1.8 MB.  A values-only SVD's copy of X lies outside
+        # tracemalloc's view; its certificate's 2 MB blocks do not.
+        rng = np.random.default_rng(28)
+        n, m = 2000, 1000
+        X = rng.standard_normal((n, 10)) @ rng.standard_normal((10, m))
+        rows, cols = np.nonzero(rng.random((n, m)) < 0.5)
+        pm = PartialMatrix(n=n, m=m, rows=rows, cols=cols,
+                           values=X[rows, cols] + 1.0)
+        del rows, cols
+        Y = rng.standard_normal((n, 20))
+        tracemalloc.start()
+        try:
+            got = evaluate(X, pm, Y, None, 1.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.fitted_rank == 10
+        assert peak <= 8 * (4 * n * 20 + 2 * linalg._SWEEP)
 
     def test_evaluate_memory_at_estimate_rank(self):
         # beyond its inputs, evaluate of a rank-10 2000 x 1000 estimate
