@@ -23,6 +23,20 @@ PROTOCOL = dict(n=1000, m=100, k=5, d=150, miss_frac=0.9, sigma=2.0)
 DENSE = dict(n=2000, m=1000, k=10, d=20, miss_frac=0.5, sigma=2.0)
 
 
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    """The shape of each matrix that np.linalg.svd is called on, in
+    order, from the start of the test."""
+    svd, shapes = np.linalg.svd, []
+
+    def spy(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return shapes
+
+
 def _random_instance(rng, n=15, m=10, d=4, frac=0.5):
     A = rng.standard_normal((n, m))
     mask = rng.random((n, m)) < frac
@@ -301,7 +315,7 @@ class TestMetrics:
 
 
     @pytest.mark.parametrize("rank", [3, None], ids=["rank_k", "full_rank"])
-    def test_evaluate_one_thin_svd_same_metrics(self, rank, monkeypatch):
+    def test_evaluate_one_thin_svd_same_metrics(self, rank, svd_shapes):
         # rank k < min(n, m): one SVD, of the 20 x m sketch B = Q^T X,
         # never one of X; full rank: the sketches of 20 and 40 columns
         # both fail, and the thin SVD of X is taken once.  Either way
@@ -314,58 +328,36 @@ class TestMetrics:
         want = Metrics(err_l2=err_l2(X, A_true), r2=r_squared(X, Y),
                        fitted_rank=fitted_rank(X),
                        objective=objective_svd(X, pm, Y, 0.7, 1.3))
-        svd = np.linalg.svd
-        calls = []
-
-        def spy(a, *args, **kwargs):
-            calls.append((a.shape, kwargs.get("compute_uv", True)))
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", spy)
+        svd_shapes.clear()
         got = evaluate(X, pm, Y, A_true, 0.7, 1.3)
         assert got == want  # bitwise: dataclass equality of the floats
         assert got.fitted_rank == (rank or 40)
         width = 4 * objective._OVERSAMPLE
         if rank:
-            assert calls == [((width, pm.m), True)]
+            assert svd_shapes == [(width, pm.m)]
         else:
-            assert calls == [((width, pm.m), True),
-                             ((2 * width, pm.m), True), (X.shape, True)]
+            assert svd_shapes == [(width, pm.m), (2 * width, pm.m), X.shape]
 
-    def test_evaluate_makes_one_svd_call(self, monkeypatch):
+    def test_evaluate_makes_one_svd_call(self, svd_shapes):
         # one SVD, of the sketch's 20 x m matrix Q^T X, and none of X
         rng = np.random.default_rng(18)
         pm, Y = _random_instance(rng, n=200, m=40, d=3)
         X = rng.standard_normal((pm.n, 4)) @ rng.standard_normal((4, pm.m))
-        svd = np.linalg.svd
-        calls = []
-
-        def spy(a, *args, **kwargs):
-            calls.append((a.shape, kwargs.get("compute_uv", True)))
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", spy)
+        svd_shapes.clear()
         got = evaluate(X, pm, Y, X, 1.0, 1.0)
-        assert calls == [((4 * objective._OVERSAMPLE, pm.m), True)]
+        assert svd_shapes == [(4 * objective._OVERSAMPLE, pm.m)]
         assert got.fitted_rank == 4
 
-    def test_sketch_widens_until_it_holds_the_rank(self, monkeypatch):
+    def test_sketch_widens_until_it_holds_the_rank(self, svd_shapes):
         # rank 30 > 20 columns: the first sketch cannot fix the rank, the
         # second (40 columns) does; still no SVD of X
         rng = np.random.default_rng(26)
         n, m = 1000, 300
         X = rng.standard_normal((n, 30)) @ rng.standard_normal((30, m))
         thin = np.linalg.svd(X, full_matrices=False)
-        svd = np.linalg.svd
-        calls = []
-
-        def spy(a, *args, **kwargs):
-            calls.append(a.shape)
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", spy)
+        svd_shapes.clear()
         left, s = spectral_basis(X)
-        assert calls == [(20, m), (40, m)]
+        assert svd_shapes == [(20, m), (40, m)]
         assert left.shape == (n, 30) and s.shape == (40,)
         assert np.allclose(left.T @ left, np.eye(30), rtol=0, atol=1e-13)
         # the same subspace and values as the thin SVD's
@@ -382,7 +374,7 @@ class TestMetrics:
         R = np.linalg.qr(rng.standard_normal((m, 3)))[0]
         return (L * [1.0, 0.5, factor * max(n, m) * linalg._EPS]) @ R.T
 
-    def test_evaluate_falls_back_when_certificate_fails(self, monkeypatch):
+    def test_evaluate_falls_back_when_certificate_fails(self, svd_shapes):
         # s_3 on the numerical-rank cut: no sketch can say on which side
         # it lies, so the thin SVD of X decides, and the metrics are
         # bitwise the full-SVD route's
@@ -398,23 +390,16 @@ class TestMetrics:
                        fitted_rank=fitted_rank(X, svd=full),
                        objective=objective_svd(X, pm, Y, 0.8, 1.2, svd=full))
         assert objective._rayleigh_ritz(X, 4 * objective._OVERSAMPLE) is None
-        svd = np.linalg.svd
-        calls = []
-
-        def spy(a, *args, **kwargs):
-            calls.append(a.shape)
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", spy)
+        svd_shapes.clear()
         left, s = spectral_basis(X)
-        assert calls == [(20, pm.m), (40, pm.m), X.shape]
+        assert svd_shapes == [(20, pm.m), (40, pm.m), X.shape]
         assert np.array_equal(left, full[0]) and np.array_equal(s, thin.S)
         assert evaluate(X, pm, Y, A_true, 0.8, 1.2) == want
 
     @pytest.mark.parametrize("factor", [0.25, 0.5, 0.9, 0.99, 1.01, 1.1,
                                         2.0, 4.0])
     def test_rank_exact_for_a_value_next_to_the_cut(self, factor,
-                                                    monkeypatch):
+                                                    svd_shapes):
         # s_3 = factor * cut: the sketch's rank is the thin SVD's.  Within
         # the rounding slack of the cut the certificate fails and the thin
         # SVD decides; a factor of 4 or 1/4 lies outside it (slack about
@@ -422,18 +407,11 @@ class TestMetrics:
         n, m = 200, 100
         X = self._near_cut(n, m, factor, 27)
         thin = np.linalg.svd(X, full_matrices=False)
-        svd = np.linalg.svd
-        calls = []
-
-        def spy(a, *args, **kwargs):
-            calls.append(a.shape)
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", spy)
+        svd_shapes.clear()
         left, s = spectral_basis(X)
         assert left.shape[1] == linalg.numerical_rank(thin.S, X.shape)
         if factor in (0.25, 4.0):
-            assert calls == [(20, m)]
+            assert svd_shapes == [(20, m)]
             assert left.shape[1] == (3 if factor > 1 else 2)
 
     def test_one_rank_for_a_value_near_the_noise_floor(self):
