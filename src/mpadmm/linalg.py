@@ -16,13 +16,13 @@ requests for all min(n, m) triplets, take a full dense decomposition
 instead; the dense path doubles as the test oracle.  The symmetric
 eigenproblems of the P update (`admm.update_P`) and the dual residual
 are low-rank and solved exactly by Rayleigh-Ritz on a basis of their
-range, never as n x n matrices: Y's basis, taken once per solve by
-CholeskyQR2 with the thin SVD as its fallback (`side_basis`), plus the
-part of [Z, Phi] outside it, found by Gram-Schmidt sweeps over row
-blocks of Y's basis (`pgram_compress`).  That Ritz problem is a
-diagonal plus a rank-2k matrix; above a size (`ritz_route`) it is
-solved by Rayleigh-quotient iteration on that form, kept only when its
-certificate holds, with LAPACK's `eigh` as the fallback (`pgram_ritz`).
+range, never as n x n matrices: Y's basis, taken once per solve from
+its thin SVD (`side_basis`), plus the part of [Z, Phi] outside it,
+found by Gram-Schmidt sweeps over row blocks of Y's basis
+(`pgram_compress`).  That Ritz problem is a diagonal plus a rank-2k
+matrix; above a size (`ritz_route`) it is solved by Rayleigh-quotient
+iteration on that form, kept only when its certificate holds, with
+LAPACK's `eigh` as the fallback (`pgram_ritz`).
 Their reference solve works on the operator's factor pair
 (`build_pgram_operator`, `symmetric_eig_topk_factored`).
 """
@@ -96,10 +96,6 @@ _RITZ_MARGIN = 2.0 ** -10
 #            n = 8000    7842 vs 4712 / 11155 vs  8035 / 18618 vs 15005
 #            n = 20000  20599 vs 13031 / 40644 vs 32404 / 75510 vs 63780
 _SWEEP = 1 << 15
-# `side_basis` leaves CholeskyQR2 for the thin SVD when the diagonal of
-# R_1 = chol(Y^T Y) spans more than this ratio: kappa(Y) is then at least
-# as large, and Y^T Y has lost about 12 of its 16 digits
-_CHOL_RATIO = 1e6
 
 
 def _blocks(count: int, width: int, size: int | None = None):
@@ -324,76 +320,15 @@ def symmetric_eig_topk_factored(F1: np.ndarray, F2: np.ndarray, k: int,
     return M, lambdas
 
 
-def _multiply_in_place(Q: np.ndarray, T: np.ndarray) -> None:
-    """Q <- Q T for an n x d Q and a d x d T, in row blocks of d rows
-    through one d x d buffer."""
-    n, d = Q.shape
-    buf = np.empty((min(n, d), d))
-    for i in range(0, n, d):
-        block = buf[:min(d, n - i)]
-        np.matmul(Q[i:i + d], T, out=block)
-        Q[i:i + d] = block
-
-
-def _cholesky_qr2(Y: np.ndarray):
-    """(Qy, s2) of `side_basis` by CholeskyQR2, or None where it does not
-    apply: d > n, a Cholesky that fails, R_1's diagonal ratio above
-    _CHOL_RATIO, or R_2 R_1 of numerical rank below d.
-
-    R_1 = chol(Y^T Y) and Q = Y R_1^-1, then R_2 = chol(Q^T Q) and Q <- Q
-    R_2^-1: the second pass leaves Q orthonormal to rounding for kappa(Y)
-    well below eps^-1/2 (Fukaya, Nakatsukasa, Yanagisawa & Yamamoto 2014;
-    Yamamoto et al., ETNA 2015), and Y = Q R_2 R_1.  The SVD of the d x d
-    R_2 R_1 = Ur diag(s) Vr^T then gives Qy = Q Ur and s2 = s^2.  Q is the
-    one n x d array made; R_2^-1 and Ur are applied to it in place
-    (`_multiply_in_place`), and each d x d temporary is freed before the
-    next is made, so that at most three are held beside Q.  Every product
-    runs on NumPy's BLAS.
-    """
-    n, d = Y.shape
-    if not 0 < d <= n:
-        return None
-    try:
-        R1 = np.linalg.cholesky(Y.T @ Y).T
-    except np.linalg.LinAlgError:
-        return None
-    diag = np.abs(np.diagonal(R1))
-    if not diag.max() <= _CHOL_RATIO * diag.min():  # NaN fails too
-        return None
-    Q = Y @ np.linalg.inv(R1)
-    try:
-        R2 = np.linalg.cholesky(Q.T @ Q).T
-    except np.linalg.LinAlgError:
-        return None
-    R = R2 @ R1
-    del R1
-    T = np.linalg.inv(R2)
-    del R2
-    _multiply_in_place(Q, T)
-    del T
-    Ur, s, Vrt = np.linalg.svd(R)
-    del R, Vrt
-    if numerical_rank(s, Y.shape) < d:
-        return None
-    _multiply_in_place(Q, Ur)
-    return Q, s * s
-
-
 def side_basis(Y: np.ndarray):
     """(Qy, s2): orthonormal basis of col(Y) at numerical rank and the
     squared singular values, so that Y Y^T = Qy diag(s2) Qy^T.
 
-    Taken by CholeskyQR2 (`_cholesky_qr2`) where it applies, which holds
-    one n x d array plus at most three d x d ones.  Otherwise (d > n, a
-    Cholesky that fails, an ill-conditioned or rank-deficient Y) it comes
-    from the thin SVD of Y, and directions past `numerical_rank`
-    (singular value at most s_1 * max(n, d) * eps) are dropped; their
-    share of Y Y^T is below rounding.
+    Taken from the thin SVD of Y; directions past `numerical_rank`
+    (singular value at most s_1 * max(n, d) * eps) are dropped, their
+    share of Y Y^T being below rounding.  Qy is C-contiguous.
     """
     Y = np.asarray(Y, dtype=float)
-    fast = _cholesky_qr2(Y)
-    if fast is not None:
-        return fast
     U, s, _ = np.linalg.svd(Y, full_matrices=False)
     r = numerical_rank(s, Y.shape)
     return np.ascontiguousarray(U[:, :r]), s[:r] ** 2
@@ -407,8 +342,9 @@ def pgram_compress(basis, Z: np.ndarray, Phi: np.ndarray):
     G is projected off Qy twice (classical Gram-Schmidt with
     reorthogonalization) in three sweeps over row blocks of Qy: Cy =
     sum_b Qy_b^T G_b; then R_b = G_b - Qy_b Cy and C2 += Qy_b^T R_b while
-    Qy_b is in cache; then R_b -= Qy_b C2.  Blocks hold _SWEEP elements
-    of Qy, and an n x d' Qy of at most 2 _SWEEP elements is one block.
+    Qy_b is in cache; then R_b -= Qy_b C2.  Row blocks (`_blocks`)
+    hold _SWEEP elements of Qy, or one row where a row holds more, and an
+    n x d' Qy of at most 2 _SWEEP elements is one block.
     Q2 is taken from the remainder's SVD at numerical rank relative to
     ||G||: G is often rank-deficient (the all-ones initial dual), and a
     QR would then return filler columns that are not orthogonal to Qy.
@@ -423,8 +359,9 @@ def pgram_compress(basis, Z: np.ndarray, Phi: np.ndarray):
     R = np.hstack([Z, Phi])  # G, projected in place
     cut = max(R.shape) * _EPS * np.linalg.norm(R)
     n, d = Qy.shape
-    step = _SWEEP // d if n * d > 2 * _SWEEP else max(n, 1)
-    spans = [slice(i, i + step) for i in range(0, n, step)]
+    # one block up to 2 _SWEEP elements, also for the d = 0 basis of a zero Y
+    size = _SWEEP if n * d > 2 * _SWEEP else n * max(d, 1)
+    spans = list(_blocks(n, d, size))
     Cy = np.zeros((d, R.shape[1]))
     for b in spans:
         Cy += Qy[b].T @ R[b]
@@ -685,10 +622,8 @@ def soft_threshold_svd(X: np.ndarray, tau: float,
         raise ParameterError("max_rank must be >= 0")
     X = np.asarray(X, dtype=float)
     U, s, Vt = np.linalg.svd(X, full_matrices=False)
-    s = np.maximum(s - tau, 0.0)
-    if max_rank is not None:
-        s[max_rank:] = 0.0
-    return (U * s) @ Vt
+    r = len(s) if max_rank is None else min(max_rank, len(s))
+    return (U[:, :r] * np.maximum(s[:r] - tau, 0.0)) @ Vt[:r]
 
 
 def _project(M: np.ndarray, R: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+import scipy.linalg.lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
@@ -726,11 +727,17 @@ class TestRitzStructured:
         assert _projector_distance(W, ref_vecs) <= 1e-12
 
 
-def _svd_basis(Y):
-    """`side_basis` by the thin SVD of Y alone, its fallback route."""
-    U, s, _ = np.linalg.svd(Y, full_matrices=False)
+def _reference_basis(Y):
+    """Y's basis and squared singular values at `side_basis`'s rank cut,
+    by LAPACK's dgesvd at its optimal workspace, not the divide-and-conquer
+    dgesdd behind NumPy's svd."""
+    lapack = scipy.linalg.lapack
+    work, info = lapack.dgesvd_lwork(*Y.shape, full_matrices=0)
+    assert info == 0
+    U, s, _, info = lapack.dgesvd(Y, full_matrices=0, lwork=int(work))
+    assert info == 0
     r = linalg.numerical_rank(s, Y.shape)
-    return np.ascontiguousarray(U[:, :r]), s[:r] ** 2
+    return U[:, :r], s[:r] ** 2
 
 
 class TestPgramCompress:
@@ -789,63 +796,64 @@ class TestPgramCompress:
             assert np.linalg.norm(got[1] - one[1]) <= 1e-13 * np.linalg.norm(
                 one[1])
 
+    def test_blocks_narrower_than_a_row(self, monkeypatch):
+        # _SWEEP below Qy's width: blocks of one row each
+        rng = np.random.default_rng(67)
+        Y = rng.standard_normal((40, 12))
+        Z, Phi = rng.standard_normal((2, 40, 3))
+        basis = side_basis(Y)
+        one = linalg.pgram_compress(basis, Z, Phi)
+        monkeypatch.setattr(linalg, "_SWEEP", 8)
+        got = linalg.pgram_compress(basis, Z, Phi)
+        self._check(basis, Z, Phi, got)
+        assert got[0].shape == one[0].shape == (40, 6)
+        scale = np.linalg.norm(np.hstack([Z, Phi]))
+        assert np.linalg.norm(got[1][:12] - one[1][:12]) <= 1e-13 * scale
+        assert _projector_distance(got[0], one[0]) <= 1e-13
+
 
 class TestSideBasis:
+    @staticmethod
+    def _check(Y, rank):
+        """`side_basis` keeps `rank` columns, C-contiguous and orthonormal
+        to 1e-13, spanning the reference's subspace to 1e-13; s2 is
+        non-increasing and the reference's to 1e-14 s2_1; and Qy
+        diagonalizes Y Y^T, as the Ritz problem's diagonal assumes."""
+        Qy, s2 = side_basis(Y)
+        Qs, s2s = _reference_basis(Y)
+        assert Qy.shape == Qs.shape == (Y.shape[0], rank)
+        assert Qy.flags.c_contiguous
+        assert np.abs(Qy.T @ Qy - np.eye(rank)).max() <= 1e-13
+        assert _projector_distance(Qy, Qs) <= 1e-13
+        assert np.all(np.diff(s2) <= 0.0)
+        assert np.abs(s2 - s2s).max() <= 1e-14 * s2s[0]
+        D = (Qy.T @ Y) @ (Y.T @ Qy)
+        assert np.abs(D - np.diag(s2)).max() <= 1e-14 * s2[0]
+
     @pytest.mark.parametrize("shape,cond", [
         ((1000, 150), 1.0), ((1000, 150), 1e4), ((2000, 20), 1.0),
         ((150, 150), 10.0)])
     def test_cholesky_qr2_matches_the_svd(self, shape, cond):
+        # full column rank, kappa up to 1e4: every column kept
         rng = np.random.default_rng(70)
         Y = rng.standard_normal(shape) * np.geomspace(1.0, 1.0 / cond,
                                                       shape[1])
-        assert linalg._cholesky_qr2(Y) is not None
-        Qy, s2 = side_basis(Y)
-        Qs, s2s = _svd_basis(Y)
-        assert Qy.shape == Qs.shape and Qy.flags.c_contiguous
-        assert np.abs(Qy.T @ Qy - np.eye(shape[1])).max() <= 1e-13
-        assert _projector_distance(Qy, Qs) <= 1e-13
-        assert np.all(np.diff(s2) <= 0.0)
-        assert np.abs(s2 - s2s).max() <= 1e-14 * s2s[0]
-        # Qy diagonalizes Y Y^T, as the Ritz problem's diagonal assumes
-        D = (Qy.T @ Y) @ (Y.T @ Qy)
-        assert np.abs(D - np.diag(s2)).max() <= 1e-14 * s2[0]
+        self._check(Y, shape[1])
 
     @pytest.mark.parametrize("case", ["wide", "zero_column", "ratio",
                                       "rank"])
     def test_fallbacks_take_the_svd(self, monkeypatch, case):
         rng = np.random.default_rng(71)
         Y = rng.standard_normal((5, 8) if case == "wide" else (200, 12))
-        if case == "zero_column":  # Y^T Y singular: the Cholesky fails
+        if case == "zero_column":  # rank d - 1
             Y[:, 3] = 0.0
-        if case == "ratio":  # kappa 1e7, past _CHOL_RATIO
+        if case == "ratio":  # kappa 1e7
             Y *= np.geomspace(1.0, 1e-7, 12)
-            R1 = np.linalg.cholesky(Y.T @ Y)
-            diag = np.abs(np.diagonal(R1))
-            assert diag.max() > linalg._CHOL_RATIO * diag.min()
-        if case == "rank":  # R_2 R_1 read as rank d - 1
+        if case == "rank":  # the cut read as d - 1 is the count kept
             monkeypatch.setattr(linalg, "numerical_rank",
                                 lambda s, shape: len(s) - 1)
-        assert linalg._cholesky_qr2(Y) is None
-        Qy, s2 = side_basis(Y)
-        Qs, s2s = _svd_basis(Y)
-        assert np.array_equal(Qy, Qs) and np.array_equal(s2, s2s)
-        assert Qy.shape[1] == {"wide": 5, "zero_column": 11, "ratio": 12,
-                               "rank": 11}[case]
-
-    @pytest.mark.parametrize("shape", [(1000, 150), (2000, 20)])
-    def test_peak_within_three_squares_of_the_svd(self, shape):
-        Y = np.random.default_rng(72).standard_normal(shape)
-        peaks = []
-        for basis in (_svd_basis, side_basis):
-            basis(Y)  # warm: no first-call allocation is counted
-            tracemalloc.start()
-            try:
-                basis(Y)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        d = shape[1]
-        assert peaks[1] <= peaks[0] + 3 * d * d * 8
+        self._check(Y, {"wide": 5, "zero_column": 11, "ratio": 12,
+                        "rank": 11}[case])
 
 
 def test_cached_constants_are_read_only():
