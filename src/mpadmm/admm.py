@@ -121,7 +121,7 @@ class IterateState:
 class IterationRecord:
     """What `solve` reports for one iteration: the primal residuals
     ||(I - P)Z||_F and ||Z - U||_F, then the dual residual, the objective
-    and the Lagrangian row (see `solve`), each None when not tracked."""
+    and the Lagrangian row (see `iterate`), each None when not tracked."""
 
     phi_res: float
     psi_res: float
@@ -135,15 +135,10 @@ class SolveReport:
     trace: list = field(default_factory=list)  # an IterationRecord each
     subproblem_times: dict = field(default_factory=lambda: {"U": 0.0, "V": 0.0, "P": 0.0, "Z": 0.0})
     termination: str = "max_iters"
-    # init_time: index build, truncated SVD, side basis and the first
-    # compression of [Z, Phi]; tracking_time: dual_residual, the objective
-    # (its fit term from the V step's products, then objective_svd) and
-    # augmented_lagrangian.  Both are kept out of subproblem_times, which
-    # holds block times only.  subproblem_times["P"] includes the one
-    # compression of [Z, Phi] per iteration, made after the dual update,
-    # that the dual residual and the next P update share (untracked, the
-    # last iteration makes none); the dual residual itself does no n-row
-    # work.
+    # init_time: index build, `initial_state`, side basis and the first
+    # compression of [Z, Phi]; tracking_time: the dual residual, the
+    # objective and the Lagrangian.  Both are kept out of
+    # subproblem_times, whose "P" includes the compressions (see `solve`).
     init_time: float = 0.0
     tracking_time: float = 0.0
     # threads (1 or 2) the U and V steps' products ran on (`ridge_groups`):
@@ -542,33 +537,114 @@ def first_order_check(state: IterateState, data: PartialMatrix, Y,
     }
 
 
+def initial_state(masks: ObservationMasks, k: int, seed: int = 0):
+    """The ADMM init and the route its truncated SVD took (`init_route`).
+
+    U0 = Z0 = L sqrt(S), V0 = R sqrt(S), M0 = L from the rank-k truncated
+    SVD of the observed entries (the zero-filled data), taken on the CSR
+    index of the observations (`truncated_svd` of `masks.by_row`, its
+    Lanczos route seeded with `seed`); and all-ones duals.  Only the
+    "dense" route, for k = min(n, m) or min(n, m) <= DENSE_CUTOFF = 32,
+    forms an n x m buffer: at most 32 max(n, m) entries in the latter.
+    """
+    tsvd = truncated_svd(masks.by_row, k, seed=seed)
+    sqrt_s = np.sqrt(tsvd.S)
+    return IterateState(U=tsvd.U * sqrt_s, V=tsvd.V * sqrt_s, M=tsvd.U.copy(),
+                        Z=tsvd.U * sqrt_s, Phi=np.ones(tsvd.U.shape),
+                        Psi=np.ones(tsvd.U.shape)), tsvd.route
+
+
+def _tracked(report: SolveReport, fn, *args, **kwargs):
+    """fn(*args, **kwargs), its time added to `report.tracking_time`."""
+    t0 = time.perf_counter()
+    value = fn(*args, **kwargs)
+    report.tracking_time += time.perf_counter() - t0
+    return value
+
+
+def iterate(state: IterateState, masks: ObservationMasks, basis, compressed,
+            hp: Hyperparams, report: SolveReport, *, pool=None, routes=None,
+            lagrangian=None, iteration: int = 0):
+    """One ADMM iteration on `state`, in place: the U, P, V and Z steps, each
+    timed into `report.subproblem_times`, then the duals.  Returns the
+    primal residuals (||(I - P)Z||_F, ||Z - U||_F) and the Lagrangian row.
+
+    The U step is proximal: it minimizes the augmented Lagrangian plus
+    (c/2) ||U - U^t||_F^2, c = (gamma + rho2)/2, which guarantees the
+    sufficient decrease L(U^t) - L(U^{t+1}) >= (gamma + rho2) ||U^{t+1} -
+    U^t||_F^2 (an exact minimizer guarantees only half, which rows without
+    observations attain): `update_U` with penalty rho2 + c and copy target
+    (rho2 Z + c U^t) / (rho2 + c).  `pool` goes to the U and V steps
+    (`_ridge_step`); the P step reads Y's `side_basis` (`basis`) and the
+    `pgram_compress` of [Z, Phi] made after the last dual update or at the
+    init (`compressed`), and hands `routes` to `pgram_ritz`.
+
+    `lagrangian`, when given, maps a state to its augmented Lagrangian;
+    the row is then (L before, after U, after P, after V, after Z,
+    ||U^{t+1} - U^t||_F^2), its L values timed into
+    `report.tracking_time`, else None.  A non-finite M, Z, Phi or Psi
+    raises NumericalError at `iteration`.  Outside `solve`, run it inside
+    `linalg.single_blas_thread()` to get `solve`'s bits.
+    """
+    row = None if lagrangian is None else [_tracked(report, lagrangian,
+                                                    state)]
+    U_prev = state.U
+    c = 0.5 * (hp.gamma + hp.rho2)  # the proximal U step's c
+    for block in "UPVZ":
+        t0 = time.perf_counter()
+        if block == "U":
+            state.U = update_U(
+                state.V, (hp.rho2 * state.Z + c * U_prev) / (hp.rho2 + c),
+                state.Psi, masks, hp.gamma, hp.rho2 + c, pool=pool)
+        elif block == "P":
+            state.M = update_P(basis, compressed, hp.lam, hp.rho1, hp.k,
+                               seed=hp.seed, routes=routes)
+        elif block == "V":
+            state.V = update_V(state.U, masks, hp.gamma, pool=pool)
+        else:
+            state.Z = update_Z(state.U, state.M, state.Phi, state.Psi,
+                               hp.rho1, hp.rho2)
+        report.subproblem_times[block] += time.perf_counter() - t0
+        if row is not None:
+            row.append(_tracked(report, lagrangian, state))
+    # the duals and the primal residuals share one (I - P)Z and Z - U; the
+    # dual update changes neither
+    residuals = constraint_residuals(state)
+    state.Phi, state.Psi = update_duals(state, residuals, hp.rho1, hp.rho2)
+    # U and V are finite here: `_ridge_step` raises otherwise
+    for name in ("M", "Z", "Phi", "Psi"):
+        if not np.all(np.isfinite(getattr(state, name))):
+            raise NumericalError(f"non-finite {name} iterate",
+                                 iteration=iteration)
+    if row is not None:
+        row = (*row, float(np.sum((state.U - U_prev) ** 2)))
+    return primal_residuals(residuals), row
+
+
+def _objective_at(state: IterateState, masks: ObservationMasks,
+                  data: PartialMatrix, Y, hp: Hyperparams, values_sq: float,
+                  y_sq: float) -> float:
+    """`objective.objective_svd` of (U, V), handed ||Y||_F^2 (`y_sq`) and
+    its fit term from the V step: V is the exact V-block minimizer for U,
+    (2 G_j + gamma I) v_j = 2 r_j with R = A^T U over the observations, so
+    the fit is ||a||^2 (`values_sq`) - <V, R> - (gamma / 2) ||V||_F^2, one
+    sparse product plus O((m + n) k) with no observed entry gathered."""
+    R = masks.by_col @ state.U
+    fit = (values_sq - float(np.einsum("ij,ij->", state.V, R))
+           - 0.5 * hp.gamma * float(np.einsum("ij,ij->", state.V, state.V)))
+    return objective.objective_svd((state.U, state.V), data, Y, hp.lam,
+                                   hp.gamma, fit=fit, y_sq=y_sq).total
+
+
 @single_blas_thread()
 def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
           track_objective: bool = True, track_dual_residual: bool = True,
           track_lagrangian: bool = False):
     """Run the full ADMM loop; returns (IterateState, SolveReport).
 
-    Initialization: U0 = Z0 = L sqrt(S), V0 = R sqrt(S), M0 = L from the
-    rank-k truncated SVD of the observed entries (the zero-filled data),
-    taken on the CSR index of the observations (`truncated_svd` of
-    `ObservationMasks.by_row`, its Lanczos route seeded with `hp.seed`);
-    and all-ones duals.  The route run is `report.init_route`.  Only the
-    "dense" route, for k = min(n, m) or min(n, m) <= DENSE_CUTOFF = 32,
-    forms an n x m buffer: at most 32 max(n, m) entries in the latter.
-
-    Each iteration updates U, P, V and Z in turn, then the duals.  Each
-    block update runs as one timed step, its time added to
-    `report.subproblem_times[block]`; with `track_lagrangian` the
-    augmented Lagrangian is taken before the first step and after each,
-    and the iteration's record in `report.trace` gets the row (L before,
-    after U, after P, after V, after Z, ||U^{t+1} - U^t||_F^2).  The U
-    step is proximal: it minimizes the augmented Lagrangian plus
-    (c/2) ||U - U^t||_F^2 with c = (gamma + rho2)/2, which guarantees the
-    sufficient decrease L(U^t) - L(U^{t+1}) >= (gamma + rho2) ||U^{t+1} -
-    U^t||_F^2 (an exact minimizer guarantees only half of that, and rows
-    without observations attain the half).  It is the exact minimizer
-    `update_U` called with penalty rho2 + c and copy target
-    (rho2 Z + c U^t) / (rho2 + c).
+    From `initial_state`, runs `iterate` until both squared primal
+    residual norms fall to eps ("tolerance_met") or for `hp.max_iters`
+    iterations, with one `IterationRecord` each in `report.trace`.
 
     Y is factored once (`side_basis`), and the P update and the dual
     residual each solve their eigenproblem in that basis plus the span of
@@ -576,32 +652,18 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
     once at the init and once per iteration, after the dual update: the
     dual residual of iteration t, when tracked, and the P update of t + 1
     read the same compression, since the U step changes neither Z nor
-    Phi.  Untracked, the last iteration (the cap reached or the tolerance
-    met) makes none, as nothing would read it.
-    `report.ritz_structured` counts the Ritz solves that certified
+    Phi.  Untracked, the last iteration makes none, as nothing would read
+    it.  `report.ritz_structured` counts the Ritz solves that certified
     Rayleigh-quotient iteration answered; the rest ran LAPACK.
 
-    The tracked objective is `objective.objective_svd` of the factors
-    (U, V), handed ||Y||_F^2 (summed once per solve) and its fit term,
-    which costs one sparse product plus O((m + n) k) and gathers no
-    observed entries.  V is the exact V-block
-    minimizer for the current U, (2 G_j + gamma I) v_j = 2 r_j with G_j
-    the Gram of U's rows observed in column j and R = A^T U over the
-    observations, so the fit is ||a||^2 - <V, R> - (gamma / 2) ||V||_F^2.
-
-    The U and V steps run as `_ridge_step` says, on `report.ridge_route`
-    and on `report.ridge_groups` lanes: when that is 2, their
-    right-hand sides run on the one worker of an executor opened for the
-    solve and closed when it returns.  The iterates do not depend on
-    `hp.threads`, bit for bit.
-
-    Terminates when both squared primal residual norms fall to eps, or at
-    the iteration cap.  The whole solve runs every OpenBLAS in the
-    process, NumPy's and SciPy's, on one thread (`single_blas_thread`),
-    whatever `hp.threads` says, so the iterates are the same bits on any
-    host.  That cap, restored on return, is the only process-wide state
-    the solve changes: warnings (`RankDeficiencyWarning` from a tracked
-    dual residual) reach the caller under the caller's filters.
+    When `report.ridge_groups` is 2, the U and V steps' right-hand sides
+    run on one worker of an executor opened for the solve and closed when
+    it returns.  The whole solve runs every OpenBLAS in the process,
+    NumPy's and SciPy's, on one thread (`single_blas_thread`), so the
+    iterates are the same bits on any host and for any `hp.threads`.
+    That cap, restored on return, is the only process-wide state the
+    solve changes: warnings (`RankDeficiencyWarning` from a tracked dual
+    residual) reach the caller under the caller's filters.
     """
     Y = side.Y
     if Y.shape[0] != data.n:
@@ -614,58 +676,21 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
 
     t0 = time.perf_counter()
     masks = ObservationMasks.from_partial(data)
-    tsvd = truncated_svd(masks.by_row, k, seed=hp.seed)
-    sqrt_s = np.sqrt(tsvd.S)
-    state = IterateState(
-        U=tsvd.U * sqrt_s,
-        V=tsvd.V * sqrt_s,
-        M=tsvd.U.copy(),
-        Z=tsvd.U * sqrt_s,
-        Phi=np.ones((data.n, k)),
-        Psi=np.ones((data.n, k)),
-    )
+    state, init_route = initial_state(masks, k, hp.seed)
     basis = side_basis(Y)  # Y is fixed: factored once per solve
     compressed = pgram_compress(basis, state.Z, state.Phi)
-    ritz_routes = []  # the route of every Ritz solve (`pgram_ritz`)
     nnz = masks.by_row.nnz
     report = SolveReport(ridge_groups=ridge_groups(nnz, k, hp.threads),
-                         init_route=tsvd.route,
+                         init_route=init_route,
                          ridge_route=ridge_route(data.n, data.m, nnz))
     report.init_time = time.perf_counter() - t0
-    prox = 0.5 * (hp.gamma + hp.rho2)  # c of the proximal U step
-    rho2_prox = hp.rho2 + prox
-
-    def tracked(fn, *args, **kwargs):
-        t0 = time.perf_counter()
-        value = fn(*args, **kwargs)
-        report.tracking_time += time.perf_counter() - t0
-        return value
-
+    routes = []  # the route of every Ritz solve (`pgram_ritz`)
+    lagrangian = functools.partial(
+        augmented_lagrangian, data=data, Y=Y, lam=hp.lam, gamma=hp.gamma,
+        rho1=hp.rho1, rho2=hp.rho2) if track_lagrangian else None
     if track_objective:
         values_sq = float(data.values @ data.values)
         y_sq = float(np.einsum("ij,ij->", Y, Y))
-
-    def tracked_objective() -> float:
-        """The objective at (U, V), its fit term from the V-step identity."""
-        U, V = state.U, state.V
-        R = masks.by_col @ U
-        fit = (values_sq - float(np.einsum("ij,ij->", V, R))
-               - 0.5 * hp.gamma * float(np.einsum("ij,ij->", V, V)))
-        return objective.objective_svd((U, V), data, Y, hp.lam, hp.gamma,
-                                       fit=fit, y_sq=y_sq).total
-
-    def lagrangian() -> float:
-        return tracked(augmented_lagrangian, state, data, Y, hp.lam,
-                       hp.gamma, hp.rho1, hp.rho2)
-
-    def step(block: str, name: str, update) -> None:
-        """Set iterate `name` to `update()`, timed into
-        subproblem_times[block]; then record the Lagrangian when tracked."""
-        t0 = time.perf_counter()
-        setattr(state, name, update())
-        report.subproblem_times[block] += time.perf_counter() - t0
-        if track_lagrangian:
-            lag_row.append(lagrangian())
 
     # one worker serves every split U and V step; leaving the block joins
     # it, so none outlives the solve
@@ -673,48 +698,23 @@ def solve(data: PartialMatrix, side: SideInfo, hp: Hyperparams,
                else contextlib.nullcontext())
     with workers as pool:
         for t in range(hp.max_iters):
-            lag_row = [lagrangian()] if track_lagrangian else []
-            U_prev = state.U
-            step("U", "U", lambda: update_U(
-                state.V, (hp.rho2 * state.Z + prox * U_prev) / rho2_prox,
-                state.Psi, masks, hp.gamma, rho2_prox, pool=pool))
-            step("P", "M", lambda: update_P(
-                basis, compressed, hp.lam, hp.rho1, k, seed=hp.seed,
-                routes=ritz_routes))
-            step("V", "V", lambda: update_V(state.U, masks, hp.gamma,
-                                            pool=pool))
-            step("Z", "Z", lambda: update_Z(state.U, state.M, state.Phi,
-                                            state.Psi, hp.rho1, hp.rho2))
-            # the duals and the primal residuals share one (I - P)Z and
-            # Z - U; the dual update changes neither
-            residuals = constraint_residuals(state)
-            state.Phi, state.Psi = update_duals(state, residuals, hp.rho1,
-                                                hp.rho2)
-
-            # U and V are finite here: `_ridge_step` raises otherwise
-            for name, arr in (("M", state.M), ("Z", state.Z),
-                              ("Phi", state.Phi), ("Psi", state.Psi)):
-                if not np.all(np.isfinite(arr)):
-                    raise NumericalError(f"non-finite {name} iterate",
-                                         iteration=t)
-
-            phi_res, psi_res = primal_residuals(residuals)
-            del residuals  # not held through the next iteration's steps
+            (phi_res, psi_res), row = iterate(
+                state, masks, basis, compressed, hp, report, pool=pool,
+                routes=routes, lagrangian=lagrangian, iteration=t)
             met = max(phi_res ** 2, psi_res ** 2) <= hp.eps
             if track_dual_residual or not (met or t + 1 == hp.max_iters):
                 t0 = time.perf_counter()
                 compressed = pgram_compress(basis, state.Z, state.Phi)
                 report.subproblem_times["P"] += time.perf_counter() - t0
             report.trace.append(IterationRecord(
-                phi_res, psi_res,
-                tracked(dual_residual, state, basis, compressed, hp.lam,
-                        routes=ritz_routes) if track_dual_residual else None,
-                tracked(tracked_objective) if track_objective else None,
-                (*lag_row, float(np.sum((state.U - U_prev) ** 2)))
-                if track_lagrangian else None))
+                phi_res, psi_res, _tracked(
+                    report, dual_residual, state, basis, compressed, hp.lam,
+                    routes=routes) if track_dual_residual else None,
+                _tracked(report, _objective_at, state, masks, data, Y, hp,
+                         values_sq, y_sq) if track_objective else None, row))
             if met:
                 report.termination = "tolerance_met"
                 break
 
-    report.ritz_structured = ritz_routes.count("structured")
+    report.ritz_structured = routes.count("structured")
     return state, report

@@ -1,9 +1,11 @@
 import ctypes
+import functools
 import os
 import subprocess
 import sys
 import textwrap
 import threading
+import time
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -18,7 +20,8 @@ import mpadmm.admm as admm
 import mpadmm.linalg as linalg
 from mpadmm import objective
 from mpadmm.admm import (IterateState, ObservationMasks, RankDeficiencyWarning,
-                         augmented_lagrangian, constraint_residuals,
+                         SolveReport, augmented_lagrangian,
+                         constraint_residuals,
                          dual_residual, first_order_check, primal_residuals,
                          ridge_groups, ridge_route, solve, update_duals,
                          update_P, update_U, update_V, update_Z)
@@ -26,7 +29,7 @@ from mpadmm.data import (Hyperparams, PartialMatrix, SideInfo,
                          generate_synthetic)
 from mpadmm.exceptions import NumericalError, ParameterError
 from mpadmm.linalg import (apply_projection, pgram_compress, side_basis,
-                           truncated_svd)
+                           single_blas_thread, truncated_svd)
 from mpadmm.objective import err_l2
 
 
@@ -1121,6 +1124,70 @@ class TestSolve:
         assert off.tracking_time == 0.0
         for report in (on, off):
             assert set(report.subproblem_times) == {"U", "V", "P", "Z"}
+
+    @pytest.mark.parametrize("where,window", [
+        ("side_basis", "init"), ("dual_residual", "tracking"),
+        ("pgram_compress", "P")])
+    def test_each_timing_window_holds_its_own_work(self, monkeypatch, where,
+                                                   window):
+        # a sleep in one place lands in its window and in no other: the
+        # side basis in init_time, the dual residual in tracking_time, the
+        # compressions after the init's in subproblem_times["P"]
+        sleep = 0.1
+        pm, si, _ = generate_synthetic(15, 10, 2, 3, 0.4, 0.5, seed=6)
+        hp = Hyperparams(k=2, max_iters=2, eps=1e-16)
+        solve(pm, si, hp)  # first-call costs land in no window below
+        real, calls = getattr(admm, where), []
+
+        def slow(*args, **kwargs):
+            calls.append(1)
+            if where != "pgram_compress" or len(calls) > 1:
+                time.sleep(sleep)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(admm, where, slow)
+        _, report = solve(pm, si, hp)
+        windows = {"init": report.init_time,
+                   "tracking": report.tracking_time,
+                   **report.subproblem_times}
+        slept = sleep * (len(calls) - (where == "pgram_compress"))
+        assert slept >= sleep
+        assert windows.pop(window) >= slept
+        assert all(t < sleep for t in windows.values()), windows
+
+    @pytest.mark.parametrize("seed", [0, 37])
+    def test_initial_state_and_iterate_rebuild_solve(self, seed):
+        # the protocol instance solved by a hand-written loop of `iterate`
+        # from `initial_state`, with solve's compression hand-off (every
+        # iteration's, as the dual residual is tracked), gives solve's
+        # bits: iterates, residuals, Lagrangian rows and init route
+        pm, si, _ = generate_synthetic(1000, 100, 5, 150, 0.9, 2.0, seed=seed)
+        hp = Hyperparams(k=5, max_iters=20, seed=seed)
+        want, r_want = solve(pm, si, hp, track_objective=False,
+                             track_lagrangian=True)
+        assert r_want.iterations == 20
+        report, rows = SolveReport(), []
+        lagrangian = functools.partial(
+            augmented_lagrangian, data=pm, Y=si.Y, lam=hp.lam,
+            gamma=hp.gamma, rho1=hp.rho1, rho2=hp.rho2)
+        with single_blas_thread():
+            masks = ObservationMasks.from_partial(pm)
+            state, route = admm.initial_state(masks, hp.k, hp.seed)
+            basis = side_basis(si.Y)
+            compressed = pgram_compress(basis, state.Z, state.Phi)
+            for t in range(hp.max_iters):
+                rows.append(admm.iterate(state, masks, basis, compressed,
+                                         hp, report, lagrangian=lagrangian,
+                                         iteration=t))
+                compressed = pgram_compress(basis, state.Z, state.Phi)
+        assert route == r_want.init_route
+        for name in ("U", "V", "M", "Z", "Phi", "Psi"):
+            assert (getattr(state, name).tobytes()
+                    == getattr(want, name).tobytes()), name
+        assert rows == [((r.phi_res, r.psi_res), r.lagrangian)
+                        for r in r_want.trace]
+        assert all(t > 0.0 for t in report.subproblem_times.values())
+        assert report.tracking_time > 0.0
 
     def test_side_matrix_factored_once(self, monkeypatch):
         calls = []

@@ -507,7 +507,33 @@ def test_criterion10_alternates_sides_and_summarizes_each(
         "pair   3 parent PASS 1.50",
         "pair   3 change PASS 1.62",
         "parent: 3 runs, 0 failed, ratio min 1.50 median 1.60 max 1.65",
-        "change: 3 runs, 1 failed, ratio min 1.62 median 1.70 max 2.90"]
+        "change: 3 runs, 1 failed, ratio min 1.62 median 1.70 max 2.90",
+        "failures, parent vs change: Fisher exact two-sided p 1"]
+
+
+@pytest.mark.parametrize("failed,p", [((16, 11), "0.415"),
+                                      ((0, 10), "1.08e-05"), ((3, 3), "1")])
+def test_criterion10_prints_the_fisher_p_of_the_failures(
+        tmp_path, monkeypatch, capsys, failed, p):
+    # 16 against 11 failures in 124 pairs read p = 0.415 two-sided (0.208
+    # one-sided), not the 0.27 once quoted for them
+    pairs = 124 if failed == (16, 11) else 10
+    roots = _c10_roots(tmp_path)
+    left = dict(zip(("parent", "change"), failed))
+
+    def run_once(checkout):
+        left[checkout.name] -= 1
+        passed = left[checkout.name] < 0
+        return passed, 1.6 if passed else 2.9
+
+    monkeypatch.setattr(c10, "run_once", run_once)
+    assert c10.main([str(roots["parent"]), str(roots["change"]),
+                     "--pairs", str(pairs)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-3].startswith(f"parent: {pairs} runs, {failed[0]} failed")
+    assert out[-2].startswith(f"change: {pairs} runs, {failed[1]} failed")
+    assert out[-1] == ("failures, parent vs change: Fisher exact two-sided "
+                       f"p {p}")
 
 
 @pytest.mark.parametrize("case", ["no pairs", "no test file"])
@@ -528,3 +554,151 @@ def test_criterion10_argument_errors(tmp_path, monkeypatch, capsys, case):
     else:
         assert err.endswith(f"error: change: {tmp_path / 'change'} has no "
                             "tests/test_acceptance.py\n")
+
+
+bw = _load("bitwise_ab")
+
+
+def _digests(**changed):
+    """Canned digests of one case, with `changed` fields replaced."""
+    base = {"x_hat_sha256": "ab" * 32, "trace": "[IterationRecord(...)]",
+            "termination": "max_iters", "init_route": "gram",
+            "ridge_route": "sparse", "ridge_groups": 1,
+            "ritz_structured": 40, "subproblem_times": ["P", "U", "V", "Z"]}
+    return {**base, **changed}
+
+
+def _bw_roots(tmp_path, sides=("parent", "change")):
+    roots = {}
+    for side in sides:
+        roots[side] = tmp_path / side
+        (roots[side] / "src" / "mpadmm").mkdir(parents=True)
+        (roots[side] / "src" / "mpadmm" / "admm.py").write_text("")
+    return roots
+
+
+def test_bitwise_cases_read_the_perfbench_workloads():
+    bench = bw._perfbench()
+    cases = bw.cases()
+    assert [c["label"] for c in cases] == [
+        "protocol seed 0", "protocol seed 1", "protocol seed 2",
+        "dense seed 0", "criterion-10 n=2000 seed 1",
+        "criterion-10 n=4000 seed 1", "wide lanczos seed 0",
+        "dense route seed 0"]
+    for case in cases[:4]:
+        wl = bench.WORKLOADS[case["label"].split()[0]]
+        assert case["shape"] == [wl.n, wl.m, wl.k, wl.d, wl.miss_frac,
+                                 bench.SIGMA]
+        assert case["hp"]["max_iters"] == wl.max_iters
+        assert case["track"] is wl.track
+    assert cases[0]["track"] and not cases[3]["track"]
+    # the Lanczos route takes a wide instance, the dense route
+    # min(n, m) <= 32
+    assert cases[6]["shape"][0] < cases[6]["shape"][1]
+    assert min(cases[7]["shape"][:2]) <= 32
+    again = bw.cases([7, 9])
+    assert again[:8] == cases
+    assert [c["seed"] for c in again[8:]] == [7] * 6 + [9] * 6
+    assert [c["shape"] for c in again[8:14]] == [
+        c["shape"] for c in cases[2:]]
+
+
+@pytest.mark.parametrize("differs", [None, "ridge_route", "trace"])
+def test_bitwise_prints_each_case_and_exits_1_on_a_difference(
+        tmp_path, monkeypatch, capsys, differs):
+    roots = _bw_roots(tmp_path)
+    runs = []
+
+    def run_case(checkout, case):
+        runs.append((checkout.name, case["label"]))
+        if (differs and checkout.name == "change"
+                and case["label"] == "dense seed 0"):
+            # a later field differs too: the first one is reported
+            return _digests(**{differs: "other"}, subproblem_times=[])
+        return _digests()
+
+    monkeypatch.setattr(bw, "run_case", run_case)
+    assert bw.main([str(roots["parent"]), str(roots["change"])]) == (
+        1 if differs else 0)
+    labels = [c["label"] for c in bw.cases()]
+    assert runs == [(side, label) for label in labels
+                    for side in ("parent", "change")]
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"{label}: " + (f"differs in {differs}" if differs
+                                   and label == "dense seed 0" else "equal")
+                   for label in labels] + [
+        f"{int(bool(differs))} of {len(labels)} cases differ"]
+
+
+def test_bitwise_missing_checkout_runs_nothing(tmp_path, monkeypatch,
+                                               capsys):
+    roots = _bw_roots(tmp_path, ("parent",))
+    monkeypatch.setattr(bw, "run_case", lambda checkout, case: pytest.fail(
+        "a case was run"))
+    with pytest.raises(SystemExit) as exc:
+        bw.main([str(roots["parent"]), str(tmp_path / "change"),
+                 "--seeds", "3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: change: {tmp_path / 'change'} has no "
+        "src/mpadmm/admm.py\n")
+
+
+def test_bitwise_run_case_starts_a_fresh_interpreter_on_the_checkout(
+        tmp_path, monkeypatch):
+    seen = []
+
+    def run(cmd, cwd, env, input, **kwargs):
+        seen.append((cmd[:2], cwd, env["PYTHONPATH"], json.loads(input)))
+        return subprocess.CompletedProcess(
+            cmd, 0, "note\n" + json.dumps(_digests()) + "\n", "")
+
+    monkeypatch.setattr(bw.subprocess, "run", run)
+    case = bw.cases()[0]
+    assert bw.run_case(tmp_path, case) == _digests()
+    assert seen == [([bw.sys.executable, "-c"], tmp_path,
+                     str(tmp_path / "src"), case)]
+    monkeypatch.setattr(bw.subprocess, "run", lambda cmd, **kwargs: (
+        subprocess.CompletedProcess(cmd, 1, "", "Traceback: boom")))
+    with pytest.raises(RuntimeError, match="protocol seed 0 failed"):
+        bw.run_case(tmp_path, case)
+
+
+@pytest.mark.parametrize("track", [True, False])
+def test_perfbench_tracer_sees_each_layer_under_solve(track):
+    # perfbench's per-layer metrics select spans by their parent:
+    # admm.masks_s, admm.init_tsvd_s and admm.objective_track_s read the
+    # spans whose direct parent is admm.solve
+    import mpadmm
+    from mpadmm.data import Hyperparams, generate_synthetic
+    bench = bw._perfbench()
+    entries = bench.targets(mpadmm)
+    originals = [(owner, attr, vars(owner)[attr])
+                 for owner, attr, _, _ in entries]
+    pm, si, _ = generate_synthetic(60, 30, 3, 8, 0.5, 0.5, seed=3)
+    tracer = bench.Tracer()
+    tracer.install(entries)
+    try:
+        _, report = mpadmm.admm.solve(
+            pm, si, Hyperparams(k=3, max_iters=4, eps=1e-16),
+            track_objective=track, track_dual_residual=track)
+    finally:
+        tracer.uninstall()
+    assert report.iterations == 4
+    counts = {name: (tracer.calls(name, "admm.solve"), tracer.calls(name))
+              for name in ("admm.masks", "linalg.truncated_svd")}
+    for name in ("update_U", "update_P", "update_V", "update_Z",
+                 "update_duals", "primal_residuals"):
+        counts["admm." + name] = (tracer.calls("admm." + name, "admm.solve"),
+                                  tracer.calls("admm." + name))
+    for name in ("admm.dual_residual", "objective.objective_svd"):
+        counts[name] = (tracer.calls(name, "admm.solve"), tracer.calls(name))
+    tracked = 4 if track else 0
+    assert counts == {
+        "admm.masks": (1, 1), "linalg.truncated_svd": (1, 1),
+        **{f"admm.{name}": (4, 4) for name in (
+            "update_U", "update_P", "update_V", "update_Z", "update_duals",
+            "primal_residuals")},
+        "admm.dual_residual": (tracked, tracked),
+        "objective.objective_svd": (tracked, tracked)}
+    assert all(vars(owner)[attr] is raw for owner, attr, raw in originals)

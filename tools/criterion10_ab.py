@@ -11,8 +11,10 @@ PYTHONPATH set to its src/ (so the root conftest.py adds nothing) and
 without pytest's cache; the side that runs first alternates from pair
 to pair.  It reads the ratio and PASS or FAIL from the scoreboard line
 the test prints, prints each run, and ends with, per side, the run count,
-the failures and the min, median and max ratio.  It changes no test or
-gate.
+the failures and the min, median and max ratio, then the two-sided p of
+Fisher's exact test on the two sides' (failed, passed) counts: how
+likely a split of the failures at least this uneven is when both sides
+fail alike.  It changes no test or gate.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+from scipy.stats import fisher_exact
 
 TEST = "tests/test_acceptance.py::test_criterion_10_complexity_scaling"
 LINE = re.compile(r"ACCEPTANCE CRITERION 10: (PASS|FAIL)\s+"
@@ -65,12 +69,17 @@ def main(argv=None) -> int:
             results[name].append((passed, ratio))
             print(f"pair {pair + 1:3d} {name:6s} "
                   f"{'PASS' if passed else 'FAIL'} {ratio:.2f}", flush=True)
+    table = []
     for name, runs in results.items():
         ratios = [ratio for _, ratio in runs]
         failed = sum(not passed for passed, _ in runs)
+        table.append((failed, len(runs) - failed))
         print(f"{name}: {len(runs)} runs, {failed} failed, ratio min "
               f"{min(ratios):.2f} median {statistics.median(ratios):.2f} "
               f"max {max(ratios):.2f}")
+    p_value = fisher_exact(table).pvalue
+    print(f"failures, parent vs change: Fisher exact two-sided p "
+          f"{p_value:.3g}")
     return 0
 
 
